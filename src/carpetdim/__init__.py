@@ -11,7 +11,6 @@ growth rates of lift counts at eventually periodic points.
 from .counting import (
     DEFAULT_NODE_BUDGET,
     CollapsedEngine,
-    FiberVector,
     LogReal,
     PartitionSum,
     brute_force_count,
@@ -97,7 +96,6 @@ __all__ = [
     "ResourceError",
     "DEFAULT_NODE_BUDGET",
     "LogReal",
-    "FiberVector",
     "PartitionSum",
     "CollapsedEngine",
     "preimage_count",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from .counting import preimage_count
+from .counting import CollapsedEngine, preimage_count
 from .errors import (
     NonMixingError,
     PreconditionError,
@@ -286,11 +286,12 @@ def _cmd_dimension(config: CommandConfig) -> int:
 
 def _cmd_pressure(config: CommandConfig) -> int:
     fs, _, theta = _factor_and_theta(config)
-    estimate = pressure_interval(
-        fs, theta, config.depth, mode=config.mode, node_budget=config.node_budget
-    )
+    engine = CollapsedEngine(fs, theta, config.node_budget)  # one sweep for series and bracket
     if config.csv_path:
-        _write_series_csv(config.csv_path, fs, theta, config.depth, config.node_budget)
+        _write_series_csv(config.csv_path, convergence_rows(fs, theta, config.depth, engine=engine))
+    estimate = pressure_interval(
+        fs, theta, config.depth, config.mode, config.node_budget, engine=engine
+    )
     payload = {
         "theta": theta,
         "n": estimate.n,
@@ -304,8 +305,7 @@ def _cmd_pressure(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _write_series_csv(path, fs, theta, n_max, node_budget):
-    rows = convergence_rows(fs, theta, n_max, node_budget=node_budget)
+def _write_series_csv(path, rows):
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

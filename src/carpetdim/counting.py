@@ -10,8 +10,10 @@ words w of length n.  The sum is nonlinear in the counts, so there is
 no single transfer matrix; the sub-exponential lever is that the
 per-symbol count vector propagates linearly, hence two prefixes with
 proportional vectors generate subtrees whose sums differ by the exact
-scalar c^theta.  Collapsed mode memoizes subtrees on the gcd-normalized
-vector for this reason.
+scalar c^theta.  Collapsed mode therefore sweeps the prefix tree one
+level at a time and merges the prefixes of a level by (last letter,
+gcd-normalized count vector); a backward pass over the kept levels
+gives the suffix sums that cylinder masses need.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .sft import EventuallyPeriodicPoint, FactorSystem
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "LogReal",
-    "FiberVector",
     "PartitionSum",
     "CollapsedEngine",
     "preimage_count",
@@ -137,49 +138,40 @@ class LogReal:
         return f"LogReal(log={self.log!r}, err={self.err!r})"
 
 
-@dataclass(frozen=True)
-class FiberVector:
-    """Per-symbol lift counts over the fiber of one image letter.
-
-    ``counts[i]`` is the number of source words realizing the current
-    image prefix and ending at the i-th symbol of the fiber.
-    """
-
-    image_letter: str
-    counts: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def is_zero(self) -> bool:
-        return not any(self.counts)
-
-    def normalized(self) -> tuple[int, "FiberVector"]:
-        """Extract the gcd; returns (scale, primitive vector)."""
-        g = 0
-        for c in self.counts:
-            g = gcd(g, c)
-        if g <= 1:
-            return max(g, 1), self
-        return g, FiberVector(self.image_letter, tuple(c // g for c in self.counts))
-
-
-def _advance(vec: tuple[int, ...], block: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    # row vector times 0/1 block, exact integers
-    cols = len(block[0]) if block else 0
-    return tuple(
-        sum(vec[i] for i in range(len(vec)) if block[i][j])
-        for j in range(cols)
-    )
+def _advance(vec: tuple[int, ...], cols: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    # row vector times a 0/1 block given by its column supports; plain
+    # loops, as comprehensions cost a call each on short vectors
+    out = []
+    for c in cols:
+        t = 0
+        for i in c:
+            t += vec[i]
+        out.append(t)
+    return tuple(out)
 
 
 def _normalize(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    g = 0
-    for c in vec:
-        g = gcd(g, c)
+    g = gcd(*vec)
     if g <= 1:
         return 1, vec
     return g, tuple(c // g for c in vec)
+
+
+def _scaled(x: LogReal, g: int, theta: float) -> LogReal:
+    return x.scaled_by_log(theta * math.log(g)) if g > 1 else x
+
+
+def _read(fs: FactorSystem, b: int, vec: tuple[int, ...], letters) -> Optional[tuple]:
+    """(last letter, count vector) after reading the letter indices
+    ``letters`` on from a prefix ending in letter b with count vector
+    vec, or None once the count drops to 0."""
+    for b2 in letters:
+        cols = fs.fiber_supports[b].get(b2)
+        vec = _advance(vec, cols) if cols else ()
+        if not any(vec):
+            return None
+        b = b2
+    return b, vec
 
 
 def preimage_count(fs: FactorSystem, word: tuple[str, ...]) -> int:
@@ -195,14 +187,8 @@ def preimage_count(fs: FactorSystem, word: tuple[str, ...]) -> int:
     if any(letter not in idx for letter in word):
         return 0
     b = idx[word[0]]
-    vec = tuple(1 for _ in fs.fibers[b])
-    for letter in word[1:]:
-        b2 = idx[letter]
-        vec = _advance(vec, fs.fiber_blocks[(b, b2)])
-        if not any(vec):
-            return 0
-        b = b2
-    return sum(vec)
+    end = _read(fs, b, (1,) * len(fs.fibers[b]), [idx[letter] for letter in word[1:]])
+    return sum(end[1]) if end else 0
 
 
 def brute_force_count(fs: FactorSystem, word: tuple[str, ...], limit: int = 12) -> int:
@@ -245,21 +231,34 @@ def image_word_counts(fs: FactorSystem, n: int) -> dict[tuple[str, ...], int]:
     sft = fs.source
     letter_of = [fs.letter_map[s] for s in sft.symbols]
     out: dict[tuple[str, ...], int] = {}
-    path: list[int] = []
-
-    def walk(x, depth):
-        path.append(x)
-        if depth == n:
+    stack = [(x,) for x in range(sft.alphabet_size)]
+    while stack:
+        path = stack.pop()
+        if len(path) == n:
             key = tuple(letter_of[i] for i in path)
             out[key] = out.get(key, 0) + 1
         else:
-            for y in sft.successor_sets[x]:
-                walk(y, depth + 1)
-        path.pop()
-
-    for x in range(sft.alphabet_size):
-        walk(x, 1)
+            stack.extend(path + (y,) for y in sft.successor_sets[path[-1]])
     return out
+
+
+def _prefix_words(fs: FactorSystem, n: int):
+    """Occurring image words of lengths 1..n with their exact count vectors.
+
+    Yields (letter indices, count vector) depth first, letters in
+    alphabet order: the exact-mode reference walk, and the package's
+    one word enumerator.
+    """
+    supports = fs.fiber_supports
+    stack = [((b,), (1,) * len(f)) for b, f in reversed(list(enumerate(fs.fibers)))]
+    while stack:
+        word, vec = stack.pop()
+        yield word, vec
+        if len(word) < n:
+            for b2, cols in reversed(supports[word[-1]].items()):
+                nxt = _advance(vec, cols)
+                if any(nxt):
+                    stack.append((word + (b2,), nxt))
 
 
 @dataclass(frozen=True)
@@ -274,19 +273,45 @@ class PartitionSum:
     collapsed_nodes: int
     mode: str
 
-    @property
-    def log_value(self) -> float:
-        return self.value.log
+
+def _log_sum(terms: list[LogReal]) -> LogReal:
+    # pairwise: each add charges rounding in proportion to its result's log,
+    # so a running sum's tracked error grows with len(terms), this one with its log
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        terms = [a.add(b) for a, b in zip(terms[::2], terms[1::2])] + odd
+    return terms[0] if terms else LogReal.zero()
+
+
+def _matmul(a: list, b: list) -> list:
+    # matrices of (weight, words): weights multiply in the log domain,
+    # word counts as integers; (zero, 0) marks a missing entry
+    return [[_dot(r, c) for c in zip(*b)] for r in a]
+
+
+def _dot(r, c) -> tuple[LogReal, int]:
+    acc, words = LogReal.zero(), 0
+    for (x, m), (y, n) in zip(r, c):
+        if m and n:
+            acc, words = acc.add(x.times(y)), words + m * n
+    return acc, words
 
 
 class CollapsedEngine:
-    """Shared memo table for proportional-vector-collapsed prefix sums.
+    """Level-synchronous sweep over the collapsed prefix tree.
 
-    ``suffix_sum(b, vec, d)`` returns (sum over all d-letter extensions
-    s of the current prefix of final_count^theta, word count), where the
-    prefix ends in image letter b with gcd-normalized count vector vec.
-    Two prefixes with proportional vectors share the entry; the caller
-    applies the scalar gcd^theta once per subtree.
+    A state of level k, (last letter, gcd-normalized count vector),
+    stands for the image words of length k that end in it, and carries
+    (weight, words): the sum of gcd^theta over them and their number.
+    So S_k sums weight * (sum of vector)^theta over level k.  A step
+    merges children by key, which is exact because extensions of
+    proportional vectors have proportional counts.  ``visited`` counts
+    the states of level 1 and every nonzero edge, against the budget.
+
+    ``partition`` keeps one level.  Once a step returns the key set it
+    started from, every later step is one linear map, which is raised
+    to a power when that costs less than stepping.  Suffix sums come
+    from the kept ``levels`` by one ``backward`` pass.
     """
 
     def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
@@ -296,92 +321,159 @@ class CollapsedEngine:
         self.theta = theta
         self.budget = resolve_node_budget(node_budget)
         self.visited = 0
-        self._memo: dict[tuple[int, tuple[int, ...], int], tuple[LogReal, int]] = {}
-        self._letters = range(len(fs.image_alphabet))
+        self.collapsed_nodes = 0
+        self._sums: dict[int, tuple[LogReal, int]] = {}
+        self._frontier: tuple[int, dict] = (0, {})
+        self._stationary_edges = 0  # edges per step once the key set repeats
 
-    @property
-    def collapsed_nodes(self) -> int:
-        return len(self._memo)
+    def _exhausted(self, k: int, depth: int, held: int) -> ResourceError:
+        return ResourceError(
+            f"node budget exceeded ({self.budget} nodes) at level {k} of {depth} "
+            f"with {held} states held; raise the budget or lower the depth"
+        )
 
-    def _tick(self):
-        self.visited += 1
+    def _start(self, roots: dict, depth: int) -> dict:
+        self.visited += len(roots)
+        self.collapsed_nodes += len(roots)
         if self.visited > self.budget:
-            raise ResourceError(
-                f"node budget exceeded ({self.budget} nodes); "
-                f"raise the budget or lower the depth"
-            )
+            raise self._exhausted(1, depth, len(roots))
+        return roots
 
-    def suffix_sum(self, b: int, vec: tuple[int, ...], d: int) -> tuple[LogReal, int]:
-        self._tick()
-        key = (b, vec, d)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if d == 0:
-            total = sum(vec)
-            result = (LogReal.from_int(total).powered(self.theta), 1)
-        else:
-            acc = LogReal.zero()
-            words = 0
-            blocks = self.fs.fiber_blocks
-            for b2 in self._letters:
-                nxt = _advance(vec, blocks[(b, b2)])
-                if not any(nxt):
-                    continue
-                g, prim = _normalize(nxt)
-                sub, wc = self.suffix_sum(b2, prim, d - 1)
-                if g > 1:
-                    sub = sub.scaled_by_log(self.theta * math.log(g))
-                acc = acc.add(sub)
-                words += wc
-            result = (acc, words)
-        self._memo[key] = result
-        return result
+    def _letters(self) -> dict:
+        return {(b, (1,) * len(f)): (LogReal(0.0), 1) for b, f in enumerate(self.fs.fibers)}
+
+    def _sweep(self, roots: dict, depth: int) -> list[dict]:
+        out = [self._start(roots, depth)]
+        for k in range(2, depth + 1):
+            out.append(self._step(out[-1], k, depth))
+        return out
+
+    def _step(self, level: dict, k: int, depth: int) -> dict:
+        """Level k from level k - 1, on the way to level ``depth``."""
+        theta = self.theta
+        visited = self.visited
+        nxt: dict = {}
+        merged: dict = {}  # key -> all its terms, for keys reached twice
+        for (b, prim), (weight, words) in level.items():
+            for b2, g, p in self._children(b, prim):
+                visited += 1
+                key = (b2, p)
+                term = _scaled(weight, g, theta)
+                old = nxt.get(key)
+                if old is None:
+                    nxt[key] = (term, words)
+                else:
+                    merged.setdefault(key, [old[0]]).append(term)
+                    nxt[key] = (old[0], old[1] + words)
+            if visited > self.budget:
+                self.visited = visited
+                raise self._exhausted(k, depth, len(level) + len(nxt))
+        for key, terms in merged.items():
+            nxt[key] = (_log_sum(terms), nxt[key][1])
+        self.visited = visited
+        self.collapsed_nodes += len(nxt)
+        return nxt
+
+    def _children(self, b: int, prim: tuple[int, ...]):
+        for b2, cols in self.fs.fiber_supports[b].items():
+            vec = _advance(prim, cols)
+            if any(vec):
+                g, p = _normalize(vec)
+                yield b2, g, p
+
+    def _total(self, level: dict) -> tuple[LogReal, int]:
+        terms = [
+            w.times(LogReal.from_int(sum(p)).powered(self.theta)) for (_, p), (w, _) in level.items()
+        ]
+        return _log_sum(terms), sum(n for _, n in level.values())
+
+    def _jump(self, level: dict, steps: int) -> dict:
+        """The level ``steps`` below a level whose successor has its key
+        set: the step is then one fixed linear map on (weight, words),
+        raised to the power by repeated squaring."""
+        keys = list(level)
+        where = {s: i for i, s in enumerate(keys)}
+        one_step = [[(LogReal.zero(), 0)] * len(keys) for _ in keys]
+        for i, (b, prim) in enumerate(keys):
+            for b2, g, p in self._children(b, prim):
+                self.visited += 1
+                one_step[i][where[(b2, p)]] = (_scaled(LogReal(0.0), g, self.theta), 1)
+        row = [[level[s] for s in keys]]
+        while steps:
+            if steps & 1:
+                row = _matmul(row, one_step)
+            steps >>= 1
+            if steps:
+                one_step = _matmul(one_step, one_step)
+        return dict(zip(keys, row[0]))
+
+    def _reach(self, n: int) -> None:
+        """Record S_n, sweeping on from the last level reached, or from
+        level 1 when that lies beyond n."""
+        k, level = self._frontier
+        if k > n:
+            k = 0
+        # raising a repeating step to a power costs about 2 s^3 log2(n - k)
+        # products for s states, stepping (n - k) times its edges
+        while k < n:
+            if k == 0:
+                level, k = self._start(self._letters(), n), 1
+                self._stationary_edges = 0
+            elif 2 * len(level) ** 3 * (n - k).bit_length() < (n - k) * self._stationary_edges:
+                level, k = self._jump(level, n - k), n
+            else:
+                before = self.visited
+                nxt = self._step(level, k + 1, n)
+                same = nxt.keys() == level.keys()
+                self._stationary_edges = self.visited - before if same else 0
+                level, k = nxt, k + 1
+        self._frontier = (k, level)
+        self._sums[n] = self._total(level)
 
     def partition(self, n: int) -> PartitionSum:
         if n < 1:
             raise PreconditionError("depth must be >= 1")
-        acc = LogReal.zero()
-        words = 0
-        for b in self._letters:
-            ones = tuple(1 for _ in self.fs.fibers[b])
-            sub, wc = self.suffix_sum(b, ones, n - 1)
-            acc = acc.add(sub)
-            words += wc
+        if n not in self._sums:
+            self._reach(n)
+        value, words = self._sums[n]
         return PartitionSum(
-            n, self.theta, acc, words, self.visited, self.collapsed_nodes, "collapsed"
+            n, self.theta, value, words, self.visited, self.collapsed_nodes, "collapsed"
         )
 
+    def levels(self, depth: int) -> list[dict]:
+        """Levels 1..depth of the sweep from the image letters, all kept;
+        each maps a state (b, primitive vector) to (weight, words)."""
+        out = self._sweep(self._letters(), depth)
+        if depth not in self._sums:
+            self._sums[depth] = self._total(out[-1])
+        return out
 
-def _exact_partition(fs: FactorSystem, n: int, theta: float, budget: int) -> PartitionSum:
-    letters = range(len(fs.image_alphabet))
-    blocks = fs.fiber_blocks
-    acc = LogReal.zero()
-    words = 0
-    visited = 0
-    # depth-first over the pruned prefix tree, letters in fixed order so
-    # the accumulation order is deterministic
-    stack = [
-        (b, tuple(1 for _ in fs.fibers[b]), 1)
-        for b in reversed(letters)
-    ]
-    while stack:
-        b, vec, depth = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise ResourceError(
-                f"node budget exceeded ({budget} nodes); "
-                f"use collapsed mode, raise the budget, or lower the depth"
-            )
-        if depth == n:
-            acc = acc.add(LogReal.from_int(sum(vec)).powered(theta))
-            words += 1
-            continue
-        for b2 in reversed(letters):
-            nxt = _advance(vec, blocks[(b, b2)])
-            if any(nxt):
-                stack.append((b2, nxt, depth + 1))
-    return PartitionSum(n, theta, acc, words, visited, 0, "exact")
+    def backward(self, levels: list[dict]) -> list[dict]:
+        """Suffix sums over kept levels, one pass from the last level up:
+        ``out[k][s]`` sums the final count^theta over the extensions to
+        the last level of a prefix in state s of level k + 1, the
+        prefix's own gcd factored out."""
+        theta = self.theta
+        sums = {s: LogReal.from_int(sum(s[1])).powered(theta) for s in levels[-1]}
+        out = [sums]
+        for level in reversed(levels[:-1]):
+            below = sums
+            sums = {}
+            for b, prim in level:
+                acc = LogReal.zero()
+                for b2, g, p in self._children(b, prim):
+                    acc = acc.add(_scaled(below[(b2, p)], g, theta))
+                sums[(b, prim)] = acc
+            out.append(sums)
+        return out[::-1]
+
+    def suffix_sum(self, b: int, vec: tuple[int, ...], d: int) -> tuple[LogReal, int]:
+        """(sum over the d-letter extensions of a prefix ending in letter
+        b with count vector vec of the final count^theta, number of
+        extensions), from a sweep rooted at (b, vec / gcd)."""
+        g, prim = _normalize(vec)
+        root = {(b, prim): (_scaled(LogReal(0.0), g, self.theta), 1)}
+        return self._total(self._sweep(root, d + 1)[-1])
 
 
 def partition_sum(
@@ -394,16 +486,26 @@ def partition_sum(
     """S_n = sum of count(w)^theta over occurring image words of length n.
 
     ``mode="exact"`` walks the full pruned prefix tree; ``"collapsed"``
-    memoizes on (letter, remaining depth, normalized vector) and agrees
-    with exact up to tracked rounding error.  Exceeding the node budget
-    raises ResourceError rather than truncating.
+    sweeps it level by level merging (letter, normalized vector) states,
+    and agrees with exact up to tracked rounding error.  Exceeding the
+    node budget raises ResourceError rather than truncating.
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")
     if not (0.0 < theta <= 1.0):
         raise PreconditionError("theta must be in (0, 1]")
     if mode == "exact":
-        return _exact_partition(fs, n, theta, resolve_node_budget(node_budget))
+        budget = resolve_node_budget(node_budget)
+        acc, words = LogReal.zero(), 0
+        for visited, (word, vec) in enumerate(_prefix_words(fs, n), 1):
+            if visited > budget:
+                raise ResourceError(
+                    f"node budget exceeded ({budget} nodes); "
+                    f"use collapsed mode, raise the budget, or lower the depth"
+                )
+            if len(word) == n:
+                acc, words = acc.add(LogReal.from_int(sum(vec)).powered(theta)), words + 1
+        return PartitionSum(n, theta, acc, words, visited, 0, "exact")
     if mode == "collapsed":
         return CollapsedEngine(fs, theta, node_budget).partition(n)
     raise PreconditionError(f"unknown mode {mode!r}")
@@ -416,7 +518,7 @@ def partition_series(
     node_budget: Optional[int] = None,
     engine: Optional[CollapsedEngine] = None,
 ) -> list[PartitionSum]:
-    """S_1 .. S_{n_max} from one shared collapsed memo table."""
+    """S_1 .. S_{n_max} from one collapsed sweep."""
     if n_max < 1:
         raise PreconditionError("depth must be >= 1")
     eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)

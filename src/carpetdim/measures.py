@@ -3,25 +3,35 @@
 The depth-l partition measure weights each image word u of length l by
 count(u)^theta / S_l.  Everything here is a finite, exactly-defined
 marginal or average of that measure: no sampling, no truncation of the
-defining sums.  The gcd trick from the counting engine applies verbatim
-because every mass is a sum of count^theta terms over word extensions,
-and those sums scale by g^theta when the count vector scales by g.
+defining sums.  Masses come from the counting engine's sweep with its
+levels kept: a mass sums count^theta over word extensions, which is
+the suffix sum of the word's state times g^theta, g being the gcd
+taken out of the word's count vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .counting import CollapsedEngine, LogReal, _advance, _normalize, resolve_node_budget
+from .counting import (
+    CollapsedEngine,
+    LogReal,
+    _advance,
+    _normalize,
+    _prefix_words,
+    _read,
+    _scaled,
+    resolve_node_budget,
+)
 from .errors import NonMixingError, PreconditionError, ResourceError
 from .pressure import (
     PressureEstimate,
     pressure_interval,
     superadditive_constants,
 )
-from .sft import FactorSystem, singleton_clumps, validate_sft
+from .sft import FactorSystem, Sft, singleton_clumps, validate_sft
 
 __all__ = [
     "CylinderDistribution",
@@ -115,35 +125,6 @@ class UniquenessReport:
     conclusion: str
 
 
-def _words_up_to(fs: FactorSystem, n_max: int) -> Iterator[
-    tuple[tuple[str, ...], int, tuple[int, ...]]
-]:
-    # Depth-first over occurring image words, letters in alphabet order;
-    # yields (word, last letter index, exact count vector) at every depth.
-    blocks = fs.fiber_blocks
-    letters = range(len(fs.image_alphabet))
-    names = fs.image_alphabet
-
-    def rec(b, vec, word):
-        yield word, b, vec
-        if len(word) == n_max:
-            return
-        for b2 in letters:
-            nxt = _advance(vec, blocks[(b, b2)])
-            if any(nxt):
-                yield from rec(b2, nxt, word + (names[b2],))
-
-    for b in letters:
-        ones = tuple(1 for _ in fs.fibers[b])
-        yield from rec(b, ones, (names[b],))
-
-
-def _words_at(fs: FactorSystem, n: int):
-    for word, b, vec in _words_up_to(fs, n):
-        if len(word) == n:
-            yield word, b, vec
-
-
 def nu_marginal(
     fs: FactorSystem,
     theta: float,
@@ -155,26 +136,16 @@ def nu_marginal(
     """Depth-``depth`` marginal of the level-``level`` partition measure.
 
     mass(w) = sum over length-``level`` words u extending w of
-    count(u)^theta, divided by S_level.  The inner sum is a collapsed
-    suffix sum, so the marginal at any depth costs little more than
-    S_level itself.
+    count(u)^theta, divided by S_level.  The inner sum is the suffix
+    sum of w's state from one backward pass over the kept levels, so
+    the marginal at any depth costs little more than S_level itself.
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     if level < depth:
         raise PreconditionError("level must be >= depth")
     eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
-    total = eng.partition(level).value
-    masses: dict[tuple[str, ...], float] = {}
-    for word, b, vec in _words_at(fs, depth):
-        g, prim = _normalize(vec)
-        sub, _ = eng.suffix_sum(b, prim, level - depth)
-        if sub.is_zero():
-            continue
-        log_mass = sub.log - total.log
-        if g > 1:
-            log_mass += theta * math.log(g)
-        masses[word] = math.exp(log_mass)
+    masses = {w: m for w, m in _shift_masses(eng, level, depth, [0])[0].items() if m > 0.0}
     return CylinderDistribution(depth=depth, kind="nu_l_marginal", masses=masses, level=level)
 
 
@@ -189,7 +160,9 @@ def gibbs_scan(
 
     For each occurring word w the observed ratio is
     mass_level(w) * e^(n * P_hi) / count(w)^theta, P_hi being the upper
-    pressure bound at depth ``level``.  The envelope is
+    pressure bound at depth ``level``.  The gcd of w's count vector
+    cancels, so the scan runs over the states of the sweep, not over
+    words.  The envelope is
     [e^(-M P_hi) / K_tilde^2, K K_tilde e^(-M P_lo)].  Requires a mixing
     source and level > n_max + M so every suffix crosses a mixing window.
     """
@@ -201,22 +174,18 @@ def gibbs_scan(
         raise PreconditionError(
             f"level must exceed n_max + mixing index = {n_max + constants.M}"
         )
+    back = eng.backward(eng.levels(level))
     estimate = pressure_interval(fs, theta, level, engine=eng, constants=constants)
     total = eng.partition(level).value
     p_hat = estimate.upper
-    lo = math.inf
-    hi = -math.inf
-    for word, b, vec in _words_up_to(fs, n_max):
-        n = len(word)
-        _, prim = _normalize(vec)
-        sub, _ = eng.suffix_sum(b, prim, level - n)
-        if sub.is_zero():
-            continue
-        # the gcd cancels between the mass and count(w)^theta
-        log_obs = sub.log - total.log + n * p_hat - theta * math.log(sum(prim))
-        ratio = math.exp(log_obs)
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
+    lo, hi = math.inf, -math.inf
+    for n, sums in enumerate(back[:n_max], 1):
+        for (_, prim), sub in sums.items():
+            if sub.is_zero():
+                continue
+            ratio = math.exp(sub.log - total.log + n * p_hat - theta * math.log(sum(prim)))
+            lo = min(lo, ratio)
+            hi = max(hi, ratio)
     M = constants.M
     c1 = math.exp(-M * estimate.upper - 2.0 * constants.log_K_tilde)
     c2 = math.exp(math.log(constants.K) + constants.log_K_tilde - M * estimate.lower)
@@ -231,93 +200,34 @@ def gibbs_scan(
     )
 
 
-def _forward_states(fs: FactorSystem, theta: float, steps: int):
-    # states[i-1]: dict (letter, normalized vector) -> log sum over all
-    # occurring length-i words u in that class of gcd(u)^theta
-    blocks = fs.fiber_blocks
-    letters = range(len(fs.image_alphabet))
-    states: dict[tuple[int, tuple[int, ...]], LogReal] = {}
-    for b in letters:
-        ones = tuple(1 for _ in fs.fibers[b])
-        states[(b, ones)] = LogReal(0.0)
-    out = [states]
-    for _ in range(1, steps):
-        nxt: dict[tuple[int, tuple[int, ...]], LogReal] = {}
-        for (b, prim), weight in states.items():
-            for b2 in letters:
-                vec = _advance(prim, blocks[(b, b2)])
-                if not any(vec):
-                    continue
-                g, p = _normalize(vec)
-                term = weight
-                if g > 1:
-                    term = term.scaled_by_log(theta * math.log(g))
-                key = (b2, p)
-                nxt[key] = term if key not in nxt else nxt[key].add(term)
-        states = nxt
-        out.append(states)
-    return out
-
-
-def _mass_at_position(fs, theta, eng, states_i, word_idx, remaining) -> LogReal:
-    # unnormalized mass of the cylinder [word] at shift position i,
-    # states_i being the forward state table after i letters (None at 0)
-    blocks = fs.fiber_blocks
-    acc = LogReal.zero()
-    if states_i is None:
-        vec = tuple(1 for _ in fs.fibers[word_idx[0]])
-        b = word_idx[0]
-        for b2 in word_idx[1:]:
-            vec = _advance(vec, blocks[(b, b2)])
-            if not any(vec):
-                return acc
-            b = b2
-        g, p = _normalize(vec)
-        sub, _ = eng.suffix_sum(b, p, remaining)
-        if g > 1:
-            sub = sub.scaled_by_log(theta * math.log(g))
-        return sub
-    for (b, prim), weight in states_i.items():
-        vec = _advance(prim, blocks[(b, word_idx[0])])
-        if not any(vec):
-            continue
-        cur = word_idx[0]
-        dead = False
-        for b2 in word_idx[1:]:
-            vec = _advance(vec, blocks[(cur, b2)])
-            if not any(vec):
-                dead = True
-                break
-            cur = b2
-        if dead:
-            continue
-        g, p = _normalize(vec)
-        sub, _ = eng.suffix_sum(cur, p, remaining)
-        term = weight.times(sub)
-        if g > 1:
-            term = term.scaled_by_log(theta * math.log(g))
-        acc = acc.add(term)
-    return acc
-
-
-def _shift_masses(fs, theta, level, probe_depth, positions, node_budget):
-    # masses[i][word] for each requested shift position i
-    eng = CollapsedEngine(fs, theta, node_budget)
+def _shift_masses(eng, level, probe_depth, positions):
+    # masses[i][word] for each requested shift position i: the states
+    # of level i, or the bare first letter at i = 0, read through the
+    # word, times the suffix sums below it
+    fs, theta = eng.fs, eng.theta
+    levels = eng.levels(level)
+    back = eng.backward(levels)
     total = eng.partition(level).value
-    idx = fs.image_index
-    top = max(positions)
-    tables = _forward_states(fs, theta, top) if top >= 1 else []
-    words = [
-        (word, tuple(idx[a] for a in word)) for word, _, _ in _words_at(fs, probe_depth)
-    ]
+    names = fs.image_alphabet
+    words = [w for w, _ in _prefix_words(fs, probe_depth) if len(w) == probe_depth]
     out: dict[int, dict[tuple[str, ...], float]] = {}
     for i in positions:
-        states_i = None if i == 0 else tables[i - 1]
-        remaining = level - i - probe_depth
+        sums = back[i + probe_depth - 1]
         masses = {}
-        for word, word_idx in words:
-            acc = _mass_at_position(fs, theta, eng, states_i, word_idx, remaining)
-            masses[word] = 0.0 if acc.is_zero() else math.exp(acc.log - total.log)
+        for word in words:
+            if i:
+                heads, rest = levels[i - 1].items(), word
+            else:
+                ones = (1,) * len(fs.fibers[word[0]])
+                heads, rest = [((word[0], ones), (LogReal(0.0), 1))], word[1:]
+            acc = LogReal.zero()
+            for (b, prim), (weight, _) in heads:
+                end = _read(fs, b, prim, rest)
+                if end is not None:
+                    g, p = _normalize(end[1])
+                    acc = acc.add(weight.times(_scaled(sums[(end[0], p)], g, theta)))
+            key = tuple(names[b] for b in word)
+            masses[key] = 0.0 if acc.is_zero() else math.exp(acc.log - total.log)
         out[i] = masses
     return out
 
@@ -343,9 +253,8 @@ def cesaro_average(
         raise PreconditionError("probe depth must be >= 1")
     if level < n_terms + probe_depth:
         raise PreconditionError("level must be >= n_terms + probe_depth")
-    tables = _shift_masses(
-        fs, theta, level, probe_depth, list(range(n_terms)), node_budget
-    )
+    eng = CollapsedEngine(fs, theta, node_budget)
+    tables = _shift_masses(eng, level, probe_depth, list(range(n_terms)))
     masses: dict[tuple[str, ...], float] = {}
     for i in range(n_terms):
         for word, m in tables[i].items():
@@ -378,7 +287,8 @@ def cesaro_defect(
         raise PreconditionError("probe depth must be >= 1")
     if level < n_terms + probe_depth:
         raise PreconditionError("level must be >= n_terms + probe_depth")
-    tables = _shift_masses(fs, theta, level, probe_depth, [0, n_terms], node_budget)
+    eng = CollapsedEngine(fs, theta, node_budget)
+    tables = _shift_masses(eng, level, probe_depth, [0, n_terms])
     first = tables[0]
     last = tables[n_terms]
     words = set(first) | set(last)
@@ -388,12 +298,18 @@ def cesaro_defect(
     return worst / n_terms
 
 
-def _advance_left(block, vec):
-    # block times column vector, exact integers
-    return tuple(
-        sum(block[i][j] * vec[j] for j in range(len(vec)))
-        for i in range(len(block))
-    )
+def _representative(fs: FactorSystem, levels: list[dict], key) -> list[int]:
+    # The first word of a state in sweep order: its parent is the first
+    # state of the level above, in insertion order, that steps into it.
+    word = [key[0]]
+    for level in reversed(levels):
+        for b, prim in level:
+            end = _read(fs, b, prim, key[:1])
+            if end is not None and _normalize(end[1])[1] == key[1]:
+                key = (b, prim)
+                break
+        word.append(key[0])
+    return word[::-1]
 
 
 def additivity_scan(
@@ -407,9 +323,11 @@ def additivity_scan(
     Pairs range over occurring words u, v with lengths up to ``max_len``
     whose concatenation also occurs.  The ratio only depends on the
     direction of u's ending count vector and of v's starting count
-    vector, so words are grouped by normalized vector and one
-    representative per group is kept; this makes the scan polynomial in
-    the number of distinct directions instead of the number of words.
+    vector, so the scan runs over the states of two sweeps: of the
+    source for the ending vectors, of the transposed source for the
+    starting ones.  This makes it polynomial in the number of distinct
+    directions instead of the number of words; the witness words are
+    the first words of their states in sweep order.
 
     The ratio never exceeds 1 (counts are submultiplicative).  The
     verdict is ``refuted-up-to-{max_len}`` when the minimum falls under
@@ -420,81 +338,40 @@ def additivity_scan(
     if max_len < 1:
         raise PreconditionError("max_len must be >= 1")
     budget = resolve_node_budget(node_budget)
-    work = 0
-    blocks = fs.fiber_blocks
-    letters = range(len(fs.image_alphabet))
-    names = fs.image_alphabet
-
-    def tick(amount=1):
-        nonlocal work
-        work += amount
-        if work > budget:
-            raise ResourceError(
-                f"node budget exceeded ({budget} nodes); "
-                f"lower max_len or raise the budget"
-            )
-
-    # forward groups: (last letter, direction of the ending count vector)
-    fwd: list[dict[tuple[int, tuple[int, ...]], tuple[str, ...]]] = []
-    layer = {}
-    for b in letters:
-        ones = tuple(1 for _ in fs.fibers[b])
-        layer[(b, ones)] = (names[b],)
-    fwd.append(layer)
-    for _ in range(1, max_len):
-        nxt = {}
-        for (b, prim), rep in fwd[-1].items():
-            for b2 in letters:
-                tick()
-                vec = _advance(prim, blocks[(b, b2)])
-                if not any(vec):
-                    continue
-                _, p = _normalize(vec)
-                key = (b2, p)
-                if key not in nxt:
-                    nxt[key] = rep + (names[b2],)
-        fwd.append(nxt)
-
-    # backward groups: (first letter, direction of the starting vector)
-    bwd: list[dict[tuple[int, tuple[int, ...]], tuple[str, ...]]] = []
-    layer = {}
-    for b in letters:
-        ones = tuple(1 for _ in fs.fibers[b])
-        layer[(b, ones)] = (names[b],)
-    bwd.append(layer)
-    for _ in range(1, max_len):
-        nxt = {}
-        for (b, prim), rep in bwd[-1].items():
-            for b0 in letters:
-                tick()
-                vec = _advance_left(blocks[(b0, b)], prim)
-                if not any(vec):
-                    continue
-                _, p = _normalize(vec)
-                key = (b0, p)
-                if key not in nxt:
-                    nxt[key] = (names[b0],) + rep
-        bwd.append(nxt)
+    # ends: (last letter, direction of the ending count vector);
+    # starts: (first letter, direction of the starting count vector),
+    # from the transposed source, whose sweep reads words right to left
+    rev = FactorSystem(Sft(fs.source.symbols, tuple(zip(*fs.source.matrix))), fs.letter_map)
+    front, back = CollapsedEngine(fs, 1.0, budget), CollapsedEngine(rev, 1.0, budget)
+    ends = front.levels(max_len)
+    back.visited = front.visited  # one budget for both sweeps and the pairs
+    starts = back.levels(max_len)
+    work = back.visited
+    supports = fs.fiber_supports
 
     min_ratio = math.inf
     max_ratio = -math.inf
-    witness = None
+    best = None
     cap_min = [math.inf] * (max_len + 1)
-    row_cache: dict[tuple[int, tuple[int, ...], int], tuple[int, ...]] = {}
-    for ju in range(1, max_len + 1):
-        for (a, u_dir), u_rep in fwd[ju - 1].items():
-            for jv in range(1, max_len + 1):
-                for (b, v_dir), v_rep in bwd[jv - 1].items():
-                    tick()
-                    rkey = (a, u_dir, b)
-                    row = row_cache.get(rkey)
+    for ju, u_level in enumerate(ends, 1):
+        for a, u_dir in u_level:
+            rows = {b: _advance(u_dir, cols) for b, cols in supports[a].items()}
+            u_count = sum(u_dir)
+            for jv, v_level in enumerate(starts, 1):
+                work += len(v_level)
+                if work > budget:
+                    raise ResourceError(
+                        f"node budget exceeded ({budget} nodes); "
+                        f"lower max_len or raise the budget"
+                    )
+                for b, v_dir in v_level:
+                    row = rows.get(b)
                     if row is None:
-                        row = _advance(u_dir, blocks[(a, b)])
-                        row_cache[rkey] = row
+                        continue
                     num = sum(x * y for x, y in zip(row, v_dir))
                     if num == 0:
                         continue
-                    ratio = num / (sum(u_dir) * sum(v_dir))
+                    ratio = num / (u_count * sum(v_dir))
                     cap = max(ju, jv)
                     if ratio < cap_min[cap]:
                         cap_min[cap] = ratio
@@ -502,7 +379,14 @@ def additivity_scan(
                         max_ratio = ratio
                     if ratio < min_ratio:
                         min_ratio = ratio
-                        witness = (u_rep, v_rep)
+                        best = (ju, (a, u_dir), jv, (b, v_dir))
+    witness = None
+    if best is not None:
+        ju, u_key, jv, v_key = best
+        names = fs.image_alphabet
+        u = _representative(fs, ends[: ju - 1], u_key)
+        v = _representative(rev, starts[: jv - 1], v_key)[::-1]
+        witness = (tuple(names[b] for b in u), tuple(names[b] for b in v))
     trend = []
     running = math.inf
     for cap in range(1, max_len + 1):

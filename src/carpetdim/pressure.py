@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .counting import CollapsedEngine, LogReal, dn_count, is_image_point, partition_series
+from .counting import CollapsedEngine, dn_count, is_image_point, partition_series, partition_sum
 from .errors import NonMixingError, NotFullShiftError, PreconditionError
 from .sft import (
     CarpetSpec,
@@ -152,17 +152,10 @@ def pressure_interval(
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")
+    eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
     if constants is None:
-        constants = superadditive_constants(
-            fs, theta, node_budget=node_budget, engine=engine
-        )
-    if mode == "collapsed":
-        eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
-        ps = eng.partition(n)
-    else:
-        from .counting import partition_sum
-
-        ps = partition_sum(fs, n, theta, mode=mode, node_budget=node_budget)
+        constants = superadditive_constants(fs, theta, engine=eng)
+    ps = _partition(eng, n, mode, node_budget)
     err = ps.value.err_bound + constants.rounding_bound
     upper = (ps.value.log + err) / n
     lower = (ps.value.log - err - constants.log_K_tilde) / n
@@ -175,6 +168,13 @@ def pressure_interval(
         log_Sn=ps.value.log,
         rounding_bound=err,
     )
+
+
+def _partition(engine: CollapsedEngine, n: int, mode: str, node_budget: Optional[int]):
+    # S_n from the engine's sweep, or from the reference walk in exact mode
+    if mode == "collapsed":
+        return engine.partition(n)
+    return partition_sum(engine.fs, n, engine.theta, mode=mode, node_budget=node_budget)
 
 
 def mcmullen_closed_form(spec: CarpetSpec) -> float:
@@ -212,12 +212,13 @@ def hausdorff_dimension(
     log_m = math.log(spec.m)
     closed = mcmullen_closed_form(spec) if spec.is_full_shift() else None
     warnings: list[str] = []
+    engine = CollapsedEngine(fs, theta, node_budget)
     try:
-        estimate = pressure_interval(fs, theta, n, mode=mode, node_budget=node_budget)
+        estimate = pressure_interval(
+            fs, theta, n, mode=mode, node_budget=node_budget, engine=engine
+        )
     except NonMixingError:
-        from .counting import partition_sum
-
-        ps = partition_sum(fs, n, theta, mode=mode, node_budget=node_budget)
+        ps = _partition(engine, n, mode, node_budget)
         err = ps.value.err_bound
         upper = min(2.0, (ps.value.log + err) / (n * log_m))
         warnings.append(
@@ -250,26 +251,24 @@ def convergence_rows(
     theta: float,
     n_max: int,
     node_budget: Optional[int] = None,
+    engine: Optional[CollapsedEngine] = None,
 ) -> list[dict]:
-    """Pressure brackets at every depth 1..n_max from one shared memo.
+    """Pressure brackets at every depth 1..n_max from one shared sweep.
 
     Each row carries n, log S_n, the occurring-word count, and the
     upper/lower pressure bounds valid at that n.  Feeds the CSV series
     and the convergence plots.
     """
-    engine = CollapsedEngine(fs, theta, node_budget)
-    constants = superadditive_constants(fs, theta, engine=engine)
+    eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
+    constants = superadditive_constants(fs, theta, engine=eng)
     rows = []
     for n in range(1, n_max + 1):
-        estimate = pressure_interval(
-            fs, theta, n, engine=engine, constants=constants
-        )
-        words = engine.partition(n).word_count
+        estimate = pressure_interval(fs, theta, n, engine=eng, constants=constants)
         rows.append(
             {
                 "n": n,
                 "log_Sn": estimate.log_Sn,
-                "words": words,
+                "words": eng.partition(n).word_count,
                 "upper_bound": estimate.upper,
                 "lower_bound": estimate.lower,
             }

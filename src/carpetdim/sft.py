@@ -347,6 +347,21 @@ class FactorSystem:
                 )
         return blocks
 
+    @cached_property
+    def fiber_supports(self) -> tuple[dict[int, tuple[tuple[int, ...], ...]], ...]:
+        """Per letter a, the letters b with a nonzero block (a, b), each
+        with the block's column supports: ``cols[j]`` lists the rows i
+        with a 1 in column j, so a count vector v over the fiber of a
+        steps to ``sum(v[i] for i in cols[j])`` over the columns j."""
+        supports: list[dict] = [{} for _ in self.fibers]
+        for (a, b), block in self.fiber_blocks.items():
+            if any(map(any, block)):
+                supports[a][b] = tuple(
+                    tuple(i for i, row in enumerate(block) if row[j])
+                    for j in range(len(block[0]))
+                )
+        return tuple(supports)
+
     def fiber_symbols(self, letter: str) -> tuple[str, ...]:
         """Source symbol names above one image letter."""
         if letter not in self.image_index:

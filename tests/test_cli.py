@@ -100,6 +100,17 @@ class TestReports:
         assert doc["constants"]["M"] == 1
         assert doc["warnings"] == []
 
+    def test_deep_dimension_report(self, capsys, fixture_dir):
+        doc = run_json(
+            capsys,
+            "dimension",
+            "--spec", str(fixture_dir / "column_carpet_21.json"),
+            "--depth", "2000",
+            "--no-timestamp",
+        )
+        dim = doc["dimension"]
+        assert dim["lower"] <= dim["closed_form"] <= dim["upper"]
+
     def test_counts_report(self, capsys, fixture_dir):
         doc = run_json(
             capsys,

@@ -19,7 +19,7 @@ from carpetdim.counting import (
     DEFAULT_NODE_BUDGET,
 )
 from carpetdim.errors import PreconditionError, ResourceError, SpecError
-from carpetdim.sft import EventuallyPeriodicPoint
+from carpetdim.sft import EventuallyPeriodicPoint, carpet_to_factor
 
 from conftest import THETA_32, make_factor
 from oracles import product_count_oracle
@@ -203,6 +203,13 @@ class TestNodeBudget:
         with pytest.raises(ResourceError, match="node budget"):
             partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=5)
 
+    def test_collapsed_budget_names_the_level_reached(self, fibonacci):
+        with pytest.raises(ResourceError, match="node budget") as info:
+            partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=50)
+        # levels 1..5 take 2 + 4 + 6 + 10 + 14 = 36 visits, level 6 another 18
+        assert "at level 6 of 20 with" in str(info.value)
+        assert "states held" in str(info.value)
+
     def test_resolve_order(self, monkeypatch):
         monkeypatch.delenv("CARPETDIM_NODE_BUDGET", raising=False)
         assert resolve_node_budget(None) == DEFAULT_NODE_BUDGET
@@ -265,6 +272,29 @@ class TestCollapsedEngine:
         first = eng.collapsed_nodes
         eng.partition(10)
         assert eng.collapsed_nodes == first  # fully memoized second time
+
+    def test_stationary_levels_jump_to_the_stepped_sums(self, torus_32):
+        """Full shifts keep one key set, so deep levels come from powers
+        of one step; they must match stepping level by level."""
+        fs, _ = carpet_to_factor(torus_32)
+        stepped = partition_series(fs, 40, THETA_32)
+        eng = CollapsedEngine(fs, THETA_32)
+        for n in (40, 25, 3):  # jump, then levels jumped over
+            jumped = eng.partition(n)
+            assert jumped.word_count == stepped[n - 1].word_count == 2**n
+            assert jumped.value.log == pytest.approx(stepped[n - 1].value.log, abs=1e-11)
+            # the torus is a full shift: S_n = (2 * 3^theta)^n
+            assert jumped.value.log == pytest.approx(n * math.log(4.0), abs=1e-11)
+        assert eng.visited < stepped[-1].visited_nodes
+
+    def test_shallower_level_after_deeper_one(self, fibonacci):
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        deep = eng.partition(12)
+        shallow = eng.partition(7)
+        fresh = partition_sum(fibonacci, 7, THETA_32)
+        assert deep.word_count == 2**12
+        assert shallow.word_count == fresh.word_count
+        assert shallow.value.log == pytest.approx(fresh.value.log, abs=1e-12)
 
     def test_suffix_sums_scale_exactly_under_gcd(self, fibonacci):
         """Doubling the entry vector must scale the sum by exactly 2^theta."""

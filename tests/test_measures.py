@@ -233,3 +233,57 @@ class TestUniqueness:
         scan_stub = additivity_scan(fs, max_len=4)
         with pytest.raises(NonMixingError):
             uniqueness_report(fs, scan_stub)
+
+
+class TestScansAgainstEnumeration:
+    """The scans checked against their definitions, by full enumeration."""
+
+    def test_gibbs_ratio_extremes(self, parity, bipartite, fibonacci):
+        for fs, level, n_max in ((parity, 14, 6), (bipartite, 12, 6), (fibonacci, 10, 5)):
+            env = gibbs_scan(fs, THETA_32, level=level, n_max=n_max)
+            buckets = image_word_counts(fs, level)
+            total = sum(c**THETA_32 for c in buckets.values())
+            masses = {}
+            for word, count in buckets.items():
+                for n in range(1, n_max + 1):
+                    masses[word[:n]] = masses.get(word[:n], 0.0) + count**THETA_32 / total
+            p_hat = env.pressure_interval_used.upper
+            ratios = [
+                mass * math.exp(len(w) * p_hat) / preimage_count(fs, w) ** THETA_32
+                for w, mass in masses.items()
+            ]
+            assert env.min_ratio == pytest.approx(min(ratios), rel=1e-9)
+            assert env.max_ratio == pytest.approx(max(ratios), rel=1e-9)
+
+    def test_cesaro_masses(self, parity, fibonacci):
+        for fs, level, n_terms, probe in ((parity, 9, 4, 2), (fibonacci, 10, 3, 3)):
+            dist = cesaro_average(fs, THETA_32, level=level, n_terms=n_terms, probe_depth=probe)
+            buckets = image_word_counts(fs, level)
+            total = sum(c**THETA_32 for c in buckets.values())
+            oracle = {}
+            for word, count in buckets.items():
+                for i in range(n_terms):
+                    w = word[i : i + probe]
+                    oracle[w] = oracle.get(w, 0.0) + count**THETA_32 / (total * n_terms)
+            assert set(oracle) <= set(dist.masses)
+            for w in set(oracle) | set(dist.masses):
+                assert dist.mass(w) == pytest.approx(oracle.get(w, 0.0), abs=1e-12)
+
+    def test_additivity_ratio_extremes(self, any_fixture):
+        max_len = 5
+        report = additivity_scan(any_fixture, max_len=max_len)
+        words = [w for j in range(1, max_len + 1) for w in image_word_counts(any_fixture, j)]
+        cap_min = {}
+        ratios = []
+        for u in words:
+            for v in words:
+                joint = preimage_count(any_fixture, u + v)
+                if joint:
+                    ratio = joint / (preimage_count(any_fixture, u) * preimage_count(any_fixture, v))
+                    ratios.append(ratio)
+                    cap = max(len(u), len(v))
+                    cap_min[cap] = min(cap_min.get(cap, math.inf), ratio)
+        assert report.min_ratio == pytest.approx(min(ratios), rel=1e-12)
+        assert report.max_ratio == pytest.approx(max(ratios), rel=1e-12)
+        trend = [min(cap_min.get(c, math.inf) for c in range(1, k + 1)) for k in range(1, max_len + 1)]
+        assert list(report.min_trend) == pytest.approx(trend, rel=1e-12)

@@ -113,6 +113,12 @@ class TestHausdorffDimension:
         assert est.warnings == ()
         assert est.pressure is not None
 
+    def test_depth_2000_brackets_closed_form(self, carpet_21):
+        """Deep brackets end in a report, not in a RecursionError."""
+        est = hausdorff_dimension(carpet_21, 2000)
+        assert est.lower <= est.closed_form <= est.upper
+        assert est.upper - est.lower < 1e-3
+
     def test_bounds_clamped_to_plane(self, torus_32):
         est = hausdorff_dimension(torus_32, 16)
         assert est.upper == 2.0  # clamped at the ambient dimension
