@@ -52,8 +52,7 @@ def survey(name, fs, args):
     engine = CollapsedEngine(fs, args.theta)
     constants = superadditive_constants(fs, args.theta, engine=engine)
     print(
-        f"  constants: K={constants.K:.6g} K'={constants.K_prime:.6g} "
-        f"K~={constants.K_tilde:.6g}"
+        f"  constants: K={constants.K:.6g} K~={constants.K_tilde:.6g}"
     )
     est = pressure_interval(fs, args.theta, args.depth, engine=engine)
     print(

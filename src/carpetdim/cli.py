@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -112,7 +113,10 @@ def _letters(text: str) -> tuple[str, ...]:
     return parts
 
 
-def parse_args(argv=None) -> CommandConfig:
+@functools.cache
+def _parser() -> _Parser:
+    # built once per process: the ten subparsers cost more than a
+    # shallow full-shift computation
     parser = _Parser(
         prog="carpetdim",
         description="Lift counting, pressure brackets, dimension bounds, and "
@@ -176,7 +180,11 @@ def parse_args(argv=None) -> CommandConfig:
     p = add("fixtures", "write the bundled example systems as spec files", spec=False)
     p.add_argument("--out-dir", default="fixtures", dest="out_dir")
 
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv=None) -> CommandConfig:
+    ns = _parser().parse_args(argv)
     fields = {
         k: v
         for k, v in vars(ns).items()
@@ -217,7 +225,6 @@ def _constants_doc(constants) -> dict:
     return {
         "M": constants.M,
         "K": constants.K,
-        "K_prime": constants.K_prime,
         "K_tilde": constants.K_tilde,
     }
 

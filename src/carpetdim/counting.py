@@ -45,6 +45,7 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 50_000_000
 _BUDGET_ENV = "CARPETDIM_NODE_BUDGET"
 _EPS = 2.0 ** -52
+_NEG_INF = float("-inf")  # log of zero; compared directly on hot paths
 
 
 def resolve_node_budget(explicit: Optional[int]) -> int:
@@ -83,7 +84,7 @@ class LogReal:
 
     @classmethod
     def zero(cls) -> "LogReal":
-        return cls(float("-inf"), 0.0)
+        return cls(_NEG_INF, 0.0)
 
     @classmethod
     def from_int(cls, n: int) -> "LogReal":
@@ -96,32 +97,32 @@ class LogReal:
         return cls(lv, _EPS * (abs(lv) + 1.0))
 
     def is_zero(self) -> bool:
-        return self.log == float("-inf")
+        return self.log == _NEG_INF
 
     def add(self, other: "LogReal") -> "LogReal":
-        if self.is_zero():
+        if self.log == _NEG_INF:
             return LogReal(other.log, other.err)
-        if other.is_zero():
+        if other.log == _NEG_INF:
             return LogReal(self.log, self.err)
         hi, lo = (self.log, other.log) if self.log >= other.log else (other.log, self.log)
         out = hi + math.log1p(math.exp(lo - hi))
         return LogReal(out, max(self.err, other.err) + _EPS * (abs(out) + 3.0))
 
     def times(self, other: "LogReal") -> "LogReal":
-        if self.is_zero() or other.is_zero():
+        if self.log == _NEG_INF or other.log == _NEG_INF:
             return LogReal.zero()
         out = self.log + other.log
         return LogReal(out, self.err + other.err + _EPS * (abs(out) + 1.0))
 
     def scaled_by_log(self, dlog: float) -> "LogReal":
         """Multiply by e^dlog, charging for dlog's own float rounding."""
-        if self.is_zero():
+        if self.log == _NEG_INF:
             return LogReal.zero()
         out = self.log + dlog
         return LogReal(out, self.err + _EPS * (3.0 * abs(dlog) + abs(out) + 1.0))
 
     def powered(self, exponent: float) -> "LogReal":
-        if self.is_zero():
+        if self.log == _NEG_INF:
             return LogReal.zero()
         out = self.log * exponent
         return LogReal(out, self.err * abs(exponent) + _EPS * (abs(out) + 1.0))

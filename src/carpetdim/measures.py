@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import (
+    _EPS,
     CollapsedEngine,
     LogReal,
     _advance,
@@ -78,8 +79,9 @@ class GibbsEnvelope:
 
     The scanned ratio is mass(w) * e^(n P) / count(w)^theta with the
     upper pressure bound standing in for P, so full-shift systems come
-    out at exactly 1 up to rounding.  The envelope ends use the pressure
-    interval conservatively: C1 with the upper bound, C2 with the lower.
+    out at exactly 1 up to rounding.  The envelope ends are
+    C1 = e^(-(M-1) P_hi) / K_tilde and C2 = K_tilde e^(n_max (P_hi - P_lo)),
+    padded outward for rounding; ``gibbs_scan`` derives them.
     """
 
     C1_lower: float
@@ -158,13 +160,26 @@ def gibbs_scan(
 ) -> GibbsEnvelope:
     """Scan mass-versus-count ratios on all cylinders of length <= n_max.
 
-    For each occurring word w the observed ratio is
-    mass_level(w) * e^(n * P_hi) / count(w)^theta, P_hi being the upper
-    pressure bound at depth ``level``.  The gcd of w's count vector
-    cancels, so the scan runs over the states of the sweep, not over
-    words.  The envelope is
-    [e^(-M P_hi) / K_tilde^2, K K_tilde e^(-M P_lo)].  Requires a mixing
-    source and level > n_max + M so every suffix crosses a mixing window.
+    For each occurring word w of length n the observed ratio is
+    r(w) = mass_L(w) * e^(n P_hi) / count(w)^theta, L being ``level``
+    and [P_lo, P_hi] the pressure bracket at depth L.  The gcd of w's
+    count vector cancels, so the scan runs over the states of the
+    sweep, not over words.  The envelope follows from
+    S_a S_b <= K_tilde S_{a+b} (see ``SuperadditiveConstants``):
+
+    - upper: mass_L(w) S_L <= count(w)^theta S_{L-n} by
+      submultiplicativity, S_{L-n} S_n <= K_tilde S_L, and
+      S_n >= e^(n P) by subadditivity, so
+      r(w) <= C2 = K_tilde e^(n_max (P_hi - P_lo)).
+    - lower: joining w to any word of length L-n-M+1 through M-1
+      symbols gives count(w)^theta S_{L-n-M+1} <= mass_L(w) S_L; with
+      S_L <= S_{L-n-M+1} S_{n+M-1} and S_k <= K_tilde e^(k P) (Fekete),
+      r(w) >= C1 = e^(-(M-1) P_hi) / K_tilde.
+
+    Both ends are then padded outward by the tracked log errors of the
+    scanned suffix sums, of S_L, of the ratio's own float arithmetic and
+    of the constants.  Requires a mixing source and level > n_max + M,
+    so every suffix crosses a mixing window.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -177,27 +192,41 @@ def gibbs_scan(
     back = eng.backward(eng.levels(level))
     estimate = pressure_interval(fs, theta, level, engine=eng, constants=constants)
     total = eng.partition(level).value
-    p_hat = estimate.upper
+    inverse_total = LogReal(-total.log, total.err)
+    p_hi, p_lo = estimate.upper, estimate.lower
     lo, hi = math.inf, -math.inf
+    slack = 0.0
     for n, sums in enumerate(back[:n_max], 1):
         for (_, prim), sub in sums.items():
             if sub.is_zero():
                 continue
-            ratio = math.exp(sub.log - total.log + n * p_hat - theta * math.log(sum(prim)))
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
-    M = constants.M
-    c1 = math.exp(-M * estimate.upper - 2.0 * constants.log_K_tilde)
-    c2 = math.exp(math.log(constants.K) + constants.log_K_tilde - M * estimate.lower)
+            r = (
+                sub.times(inverse_total)
+                .times(LogReal.from_int(sum(prim)).powered(-theta))
+                .scaled_by_log(n * p_hi)
+            )
+            slack = max(slack, r.err)
+            lo = min(lo, r.log)
+            hi = max(hi, r.log)
+    k_tilde = LogReal(constants.log_K_tilde, constants.rounding_bound)
+    c1 = LogReal(-k_tilde.log, k_tilde.err).scaled_by_log(-(constants.M - 1) * p_hi)
+    c2 = k_tilde.scaled_by_log(n_max * (p_hi - p_lo))
     return GibbsEnvelope(
-        C1_lower=c1,
-        C2_upper=c2,
-        min_ratio=lo,
-        max_ratio=hi,
+        C1_lower=math.exp(c1.log - _pad(c1, slack)),
+        C2_upper=math.exp(c2.log + _pad(c2, slack)),
+        min_ratio=math.exp(lo),
+        max_ratio=math.exp(hi),
         pressure_interval_used=estimate,
         level=level,
         n_max=n_max,
     )
+
+
+def _pad(end: LogReal, slack: float) -> float:
+    # an envelope end's outward log padding: its tracked error, the
+    # ratios' (slack), and the rounding of the padded sum and of the
+    # exponentials of the end and of a ratio
+    return end.err + slack + _EPS * (abs(end.log) + 3.0)
 
 
 def _shift_masses(eng, level, probe_depth, positions):

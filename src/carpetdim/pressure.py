@@ -1,12 +1,13 @@
 """Two-sided pressure and Hausdorff-dimension bounds from partition sums.
 
 The sequence log S_n is subadditive, so log S_n / n is an upper bound
-for the pressure at every n.  With a topologically mixing source one
-also gets a splicing constant K_tilde making log(S_n / K_tilde)
-superadditive, so (log S_n - log K_tilde) / n is a valid lower bound at
-the same n.  Dimension is pressure divided by log m.  The only
-inexactness is floating log conversion, and the tracked rounding bound
-is folded into the interval ends conservatively.
+for the pressure at every n.  With a topologically mixing source of
+mixing index M, the splicing constant K_tilde = S_{M-1} makes
+log(S_n / K_tilde) superadditive (proof at ``SuperadditiveConstants``),
+so (log S_n - log K_tilde) / n is a valid lower bound at the same n.
+Dimension is pressure divided by log m.  The only inexactness is
+floating log conversion, and the tracked rounding bound is folded into
+the interval ends conservatively.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .counting import CollapsedEngine, dn_count, is_image_point, partition_series, partition_sum
+from .counting import (
+    _EPS,
+    CollapsedEngine,
+    LogReal,
+    dn_count,
+    is_image_point,
+    partition_series,
+    partition_sum,
+)
 from .errors import NonMixingError, NotFullShiftError, PreconditionError
 from .sft import (
     CarpetSpec,
@@ -45,15 +54,27 @@ __all__ = [
 class SuperadditiveConstants:
     """Splicing constants for the superadditive lower pressure bound.
 
-    K is the partition sum at the mixing index M.  K_prime covers the
-    finitely many short concatenations; K_tilde = max(K, K_prime)
-    satisfies S_l * S_n <= K_tilde * S_{l+n} for every pair, which is
-    spot-checked by the test suite rather than assumed.
+    M is the mixing index (the least M with A^M > 0), K = S_M and
+    K_tilde = S_{M-1}, with S_0 := 1 so that K_tilde = 1 when M = 1.
+    K_tilde satisfies S_l * S_n <= K_tilde * S_{l+n} for all l, n >= 1:
+
+    1. A^M > 0 joins any lift x of an image word u to any lift y of an
+       image word v through M - 1 source symbols z, and x z y determines
+       (x, z, y), so count(u) * count(v) <= sum over image words w of
+       length M - 1 of count(u w v).
+    2. theta <= 1 makes t -> t^theta subadditive: (sum x)^theta <= sum
+       x^theta.  Summing (1) to the power theta over u and v, the words
+       u w v being distinct, gives S_l * S_n <= S_{l+n+M-1}.
+    3. Counts are submultiplicative, count(a b) <= count(a) count(b),
+       so S_{l+n+M-1} <= S_{M-1} * S_{l+n}.
+
+    K caps the other way, S_l <= K * S_{l-M}, by (3) alone.
+    ``rounding_bound`` bounds the log error of K and K_tilde, the
+    exp/log round trip of the stored floats included.
     """
 
     M: int
     K: float
-    K_prime: float
     K_tilde: float
     log_K_tilde: float
     rounding_bound: float
@@ -108,7 +129,7 @@ def superadditive_constants(
     node_budget: Optional[int] = None,
     engine: Optional[CollapsedEngine] = None,
 ) -> SuperadditiveConstants:
-    """Compute M, K = S_M, K_prime, K_tilde for a mixing source shift."""
+    """Compute M, K = S_M and K_tilde = S_{M-1} for a mixing source shift."""
     report = validate_sft(fs.source)
     if not report.mixing:
         raise NonMixingError(
@@ -116,22 +137,18 @@ def superadditive_constants(
             "superadditive constants would be unsound"
         )
     M = report.mixing_index
-    series = partition_series(fs, 2 * M, theta, node_budget=node_budget, engine=engine)
-    logs = [p.value.log for p in series]
-    err = max(p.value.err_bound for p in series)
-    log_K = logs[M - 1]
-    log_K_prime = float("-inf")
-    for l in range(1, 2 * M):
-        for n in range(1, 2 * M - l + 1):
-            log_K_prime = max(log_K_prime, logs[l - 1] + logs[n - 1] - logs[l + n - 1])
-    log_K_tilde = max(log_K, log_K_prime)
+    series = partition_series(fs, M, theta, node_budget=node_budget, engine=engine)
+    s_m = series[-1].value
+    s_prev = series[-2].value if M > 1 else LogReal(0.0)
+    # tracked errors, plus the exp then log round trip of K and K_tilde
+    big = max(abs(s_m.log), abs(s_prev.log))
+    err = max(s_m.err, s_prev.err) + 2.0 * _EPS * (big + 1.0)
     return SuperadditiveConstants(
         M=M,
-        K=math.exp(log_K),
-        K_prime=math.exp(log_K_prime),
-        K_tilde=math.exp(log_K_tilde),
-        log_K_tilde=log_K_tilde,
-        rounding_bound=3.0 * err,
+        K=math.exp(s_m.log),
+        K_tilde=math.exp(s_prev.log),
+        log_K_tilde=s_prev.log,
+        rounding_bound=err,
     )
 
 
@@ -147,8 +164,10 @@ def pressure_interval(
     """Bracket the pressure using S_n and the splicing constants.
 
     upper = log S_n / n holds by subadditivity; lower = (log S_n -
-    log K_tilde) / n by superadditivity.  Both ends are padded by the
-    tracked rounding bound so the interval stays conservative.
+    log K_tilde) / n by Fekete's lemma for the superadditive
+    log(S_n / K_tilde).  Both ends are padded by the tracked rounding
+    bounds of S_n and of the constants so the interval stays
+    conservative.
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")

@@ -83,17 +83,24 @@ class TestGibbsScan:
         assert env.min_ratio == pytest.approx(1.0, abs=1e-10)
         assert env.max_ratio == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("l, m", [(3, 2), (4, 3)])
+    def test_full_shift_envelope_contains_ratios(self, l, m):
+        """K_tilde = 1 puts both ends at 1, so only the rounding padding
+        keeps the flat ratios inside."""
+        fs, _ = carpet_to_factor(full_torus(l, m))
+        env = gibbs_scan(fs, math.log(m) / math.log(l), level=18, n_max=10)
+        assert env.contained, (env.C1_lower, env.min_ratio, env.max_ratio, env.C2_upper)
+
     def test_envelope_constants_use_pressure_interval(self, fibonacci):
         env = gibbs_scan(fibonacci, THETA_32, level=13, n_max=5)
         pe = env.pressure_interval_used
         constants = pe.constants
-        assert env.C1_lower == pytest.approx(
-            math.exp(-constants.M * pe.upper) / constants.K_tilde**2, rel=1e-12
-        )
-        assert env.C2_upper == pytest.approx(
-            constants.K * constants.K_tilde * math.exp(-constants.M * pe.lower),
-            rel=1e-12,
-        )
+        c1 = math.exp(-(constants.M - 1) * pe.upper) / constants.K_tilde
+        c2 = constants.K_tilde * math.exp(env.n_max * (pe.upper - pe.lower))
+        # the ends are the derived ones, padded outward for rounding only
+        assert env.C1_lower == pytest.approx(c1, rel=1e-12)
+        assert env.C2_upper == pytest.approx(c2, rel=1e-12)
+        assert env.C1_lower < c1 and c2 < env.C2_upper
 
     def test_level_must_clear_scan_depth(self, fibonacci):
         with pytest.raises(PreconditionError, match="level"):

@@ -1,10 +1,11 @@
 """Pressure brackets, dimension intervals, spectral radii, compensation."""
 
 import math
+import random
 
 import pytest
 
-from carpetdim.counting import dn_count, image_word_counts, partition_series
+from carpetdim.counting import CollapsedEngine, dn_count, image_word_counts, partition_series
 from carpetdim.errors import (
     NonMixingError,
     NotFullShiftError,
@@ -20,11 +21,43 @@ from carpetdim.pressure import (
     pressure_interval,
     superadditive_constants,
 )
-from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
+from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor, validate_sft
 
 from conftest import THETA_32, make_factor
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def random_mixing_system(rng):
+    """A random factor system on 2 to 4 source symbols with a mixing
+    source, onto two image letters."""
+    while True:
+        k = rng.randint(2, 4)
+        symbols = [str(i) for i in range(k)]
+        edges = [(a, b) for a in symbols for b in symbols if rng.random() < 0.6]
+        letters = {s: rng.choice("xy") for s in symbols}
+        if {a for a, _ in edges} != set(symbols) or {b for _, b in edges} != set(symbols):
+            continue  # every symbol needs a successor and a predecessor
+        fs = make_factor(symbols, edges, letters)
+        if validate_sft(fs.source).mixing:
+            return fs
+
+
+def assert_splices(fs, theta, N):
+    """K_tilde = S_{M-1} (S_0 = 1), and log S_l + log S_n <= log K_tilde
+    + log S_{l+n} for l, n <= N within the tracked rounding errors."""
+    engine = CollapsedEngine(fs, theta)
+    constants = superadditive_constants(fs, theta, engine=engine)
+    series = partition_series(fs, 2 * N, theta, engine=engine)
+    logs = [p.value.log for p in series]
+    errs = [p.value.err_bound for p in series]
+    assert constants.log_K_tilde == (logs[constants.M - 2] if constants.M > 1 else 0.0)
+    for l in range(1, N + 1):
+        for n in range(1, N + 1):
+            slack = errs[l - 1] + errs[n - 1] + errs[l + n - 1] + constants.rounding_bound
+            assert logs[l - 1] + logs[n - 1] <= (
+                constants.log_K_tilde + logs[l + n - 1] + slack
+            ), f"K_tilde splice fails at l={l}, n={n}, theta={theta}"
 
 
 class TestSuperadditiveConstants:
@@ -34,19 +67,24 @@ class TestSuperadditiveConstants:
         assert constants.M == 1
         # S_1 = 2 * 3^theta = 4 up to float rounding at this geometry
         assert constants.K == pytest.approx(4.0, rel=1e-12)
-        # full shifts are exactly multiplicative, so no splicing penalty
-        assert constants.K_prime == pytest.approx(1.0, rel=1e-12)
-        assert constants.K_tilde == max(constants.K, constants.K_prime)
-        assert constants.log_K_tilde == pytest.approx(
-            math.log(constants.K_tilde), abs=1e-12
-        )
+        # M = 1: the splicing constant is S_0 = 1, full shifts being
+        # exactly multiplicative
+        assert constants.K_tilde == 1.0
+        assert constants.log_K_tilde == 0.0
 
     def test_fixture_constants_positive(self, any_fixture):
         constants = superadditive_constants(any_fixture, THETA_32)
         assert constants.M >= 1
-        assert constants.K_prime >= 1.0 - 1e-12
-        assert constants.K_tilde >= constants.K_prime
+        assert constants.K_tilde >= 1.0
         assert constants.rounding_bound > 0.0
+        for theta in (THETA_32, 1.0):
+            assert_splices(any_fixture, theta, 20)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_splicing_constant_on_random_mixing_systems(self, seed):
+        fs = random_mixing_system(random.Random(seed))
+        for theta in (THETA_32, 0.5, 1.0):
+            assert_splices(fs, theta, 20)
 
     def test_non_mixing_raises(self):
         fs = make_factor(["a", "b"], [("a", "b"), ("b", "a")], {"a": "x", "b": "x"})
