@@ -158,10 +158,6 @@ def _normalize(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return g, tuple(c // g for c in vec)
 
 
-def _scaled(x: LogReal, g: int, theta: float) -> LogReal:
-    return x.scaled_by_log(theta * math.log(g)) if g > 1 else x
-
-
 def _read(fs: FactorSystem, b: int, vec: tuple[int, ...], letters) -> Optional[tuple]:
     """(last letter, count vector) after reading the letter indices
     ``letters`` on from a prefix ending in letter b with count vector
@@ -309,6 +305,12 @@ class CollapsedEngine:
     proportional vectors have proportional counts.  ``visited`` counts
     the states of level 1 and every nonzero edge, against the budget.
 
+    One kernel, ``_children``, gives a state's children with the log
+    factor theta * log g that each child's gcd g contributes; the
+    forward step, the backward pass and the jump all read it.  The
+    factor is computed once per engine for each g, and is 0.0 for
+    g = 1, where no rounding is charged.
+
     ``partition`` keeps one level.  Once a step returns the key set it
     started from, every later step is one linear map, which is raised
     to a power when that costs less than stepping.  Suffix sums come
@@ -326,6 +328,7 @@ class CollapsedEngine:
         self._sums: dict[int, tuple[LogReal, int]] = {}
         self._frontier: tuple[int, dict] = (0, {})
         self._stationary_edges = 0  # edges per step once the key set repeats
+        self._dlogs: dict[int, float] = {1: 0.0}  # g -> theta * log g
 
     def _exhausted(self, k: int, depth: int, held: int) -> ResourceError:
         return ResourceError(
@@ -351,15 +354,15 @@ class CollapsedEngine:
 
     def _step(self, level: dict, k: int, depth: int) -> dict:
         """Level k from level k - 1, on the way to level ``depth``."""
-        theta = self.theta
+        children = self._children
         visited = self.visited
         nxt: dict = {}
         merged: dict = {}  # key -> all its terms, for keys reached twice
         for (b, prim), (weight, words) in level.items():
-            for b2, g, p in self._children(b, prim):
-                visited += 1
-                key = (b2, p)
-                term = _scaled(weight, g, theta)
+            kids = children(b, prim)
+            visited += len(kids)
+            for key, d in kids:
+                term = weight.scaled_by_log(d) if d else weight
                 old = nxt.get(key)
                 if old is None:
                     nxt[key] = (term, words)
@@ -375,17 +378,51 @@ class CollapsedEngine:
         self.collapsed_nodes += len(nxt)
         return nxt
 
-    def _children(self, b: int, prim: tuple[int, ...]):
+    def _children(self, b: int, prim: tuple[int, ...]) -> list:
+        """(child state, theta * log g) for each letter that extends a
+        state (b, prim) with a nonzero count vector, whose gcd g the
+        child state has divided out."""
+        dlogs = self._dlogs
+        out = []
         for b2, cols in self.fs.fiber_supports[b].items():
-            vec = _advance(prim, cols)
-            if any(vec):
-                g, p = _normalize(vec)
-                yield b2, g, p
+            # the count vector times the 0/1 block, as in _advance
+            vec = []
+            for c in cols:
+                t = 0
+                for i in c:
+                    t += prim[i]
+                vec.append(t)
+            g = gcd(*vec)
+            if not g:
+                continue
+            d = dlogs.get(g)
+            if d is None:
+                d = self._dlog(g)
+            out.append(((b2, tuple(vec) if g == 1 else tuple(c // g for c in vec)), d))
+        return out
+
+    def _dlog(self, g: int) -> float:
+        """theta * log g, computed once per engine; 0.0 for g = 1."""
+        d = self._dlogs.get(g)
+        if d is None:
+            d = self._dlogs[g] = self.theta * math.log(g)
+        return d
 
     def _total(self, level: dict) -> tuple[LogReal, int]:
-        terms = [
-            w.times(LogReal.from_int(sum(p)).powered(self.theta)) for (_, p), (w, _) in level.items()
-        ]
+        # w.times(LogReal.from_int(n).powered(theta)) for n = sum of the
+        # vector, with the same float operations in the same order, and
+        # one LogReal per state instead of three
+        theta = self.theta
+        terms = []
+        for (_, p), (w, _) in level.items():
+            if w.log == _NEG_INF:
+                terms.append(LogReal.zero())
+                continue
+            lv = math.log(sum(p))
+            x = lv * theta
+            e = _EPS * (abs(lv) + 1.0) * theta + _EPS * (abs(x) + 1.0)
+            out = w.log + x
+            terms.append(LogReal(out, w.err + e + _EPS * (abs(out) + 1.0)))
         return _log_sum(terms), sum(n for _, n in level.values())
 
     def _jump(self, level: dict, steps: int) -> dict:
@@ -396,9 +433,10 @@ class CollapsedEngine:
         where = {s: i for i, s in enumerate(keys)}
         one_step = [[(LogReal.zero(), 0)] * len(keys) for _ in keys]
         for i, (b, prim) in enumerate(keys):
-            for b2, g, p in self._children(b, prim):
-                self.visited += 1
-                one_step[i][where[(b2, p)]] = (_scaled(LogReal(0.0), g, self.theta), 1)
+            kids = self._children(b, prim)
+            self.visited += len(kids)
+            for key, d in kids:
+                one_step[i][where[key]] = (LogReal(0.0).scaled_by_log(d) if d else LogReal(0.0), 1)
         row = [[level[s] for s in keys]]
         while steps:
             if steps & 1:
@@ -454,17 +492,23 @@ class CollapsedEngine:
         ``out[k][s]`` sums the final count^theta over the extensions to
         the last level of a prefix in state s of level k + 1, the
         prefix's own gcd factored out."""
-        theta = self.theta
-        sums = {s: LogReal.from_int(sum(s[1])).powered(theta) for s in levels[-1]}
+        children = self._children
+        sums = {s: LogReal.from_int(sum(s[1])).powered(self.theta) for s in levels[-1]}
         out = [sums]
         for level in reversed(levels[:-1]):
             below = sums
             sums = {}
-            for b, prim in level:
-                acc = LogReal.zero()
-                for b2, g, p in self._children(b, prim):
-                    acc = acc.add(_scaled(below[(b2, p)], g, theta))
-                sums[(b, prim)] = acc
+            for state in level:
+                kids = children(*state)
+                if not kids:
+                    sums[state] = LogReal.zero()
+                    continue
+                # seeded with the first term: zero.add(x) would only copy x
+                key, d = kids[0]
+                acc = below[key].scaled_by_log(d) if d else below[key]
+                for key, d in kids[1:]:
+                    acc = acc.add(below[key].scaled_by_log(d) if d else below[key])
+                sums[state] = acc
             out.append(sums)
         return out[::-1]
 
@@ -473,7 +517,8 @@ class CollapsedEngine:
         b with count vector vec of the final count^theta, number of
         extensions), from a sweep rooted at (b, vec / gcd)."""
         g, prim = _normalize(vec)
-        root = {(b, prim): (_scaled(LogReal(0.0), g, self.theta), 1)}
+        dlog = self._dlog(g)
+        root = {(b, prim): (LogReal(0.0).scaled_by_log(dlog) if dlog else LogReal(0.0), 1)}
         return self._total(self._sweep(root, d + 1)[-1])
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .counting import (
@@ -23,7 +24,6 @@ from .counting import (
     _normalize,
     _prefix_words,
     _read,
-    _scaled,
     resolve_node_budget,
 )
 from .errors import NonMixingError, PreconditionError, ResourceError
@@ -233,7 +233,7 @@ def _shift_masses(eng, level, probe_depth, positions):
     # masses[i][word] for each requested shift position i: the states
     # of level i, or the bare first letter at i = 0, read through the
     # word, times the suffix sums below it
-    fs, theta = eng.fs, eng.theta
+    fs = eng.fs
     levels = eng.levels(level)
     back = eng.backward(levels)
     total = eng.partition(level).value
@@ -254,7 +254,8 @@ def _shift_masses(eng, level, probe_depth, positions):
                 end = _read(fs, b, prim, rest)
                 if end is not None:
                     g, p = _normalize(end[1])
-                    acc = acc.add(weight.times(_scaled(sums[(end[0], p)], g, theta)))
+                    d, sub = eng._dlog(g), sums[(end[0], p)]
+                    acc = acc.add(weight.times(sub.scaled_by_log(d) if d else sub))
             key = tuple(names[b] for b in word)
             masses[key] = 0.0 if acc.is_zero() else math.exp(acc.log - total.log)
         out[i] = masses
@@ -341,6 +342,17 @@ def _representative(fs: FactorSystem, levels: list[dict], key) -> list[int]:
     return word[::-1]
 
 
+def _first_seen(levels: list[dict]) -> list[list]:
+    # the states of each level that no shallower level holds
+    seen: set = set()
+    out = []
+    for level in levels:
+        fresh = [s for s in level if s not in seen]
+        seen.update(fresh)
+        out.append(fresh)
+    return out
+
+
 def additivity_scan(
     fs: FactorSystem,
     max_len: int,
@@ -356,7 +368,12 @@ def additivity_scan(
     source for the ending vectors, of the transposed source for the
     starting ones.  This makes it polynomial in the number of distinct
     directions instead of the number of words; the witness words are
-    the first words of their states in sweep order.
+    the first words of their states in sweep order.  A state that
+    recurs at a deeper level gives the same ratios under a larger
+    length cap, which the running minimum of ``min_trend`` already
+    covers, so each state is scanned at its first level only (for a
+    full shift, level 1 only) and the budget is charged for the pairs
+    scanned.
 
     The ratio never exceeds 1 (counts are submultiplicative).  The
     verdict is ``refuted-up-to-{max_len}`` when the minimum falls under
@@ -378,37 +395,46 @@ def additivity_scan(
     work = back.visited
     supports = fs.fiber_supports
 
+    # each state only at the first level that holds it: a later copy
+    # repeats its ratios under a larger cap
+    new_ends = _first_seen(ends)
+    new_starts = [[(b, v_dir, sum(v_dir)) for b, v_dir in level] for level in _first_seen(starts)]
+
     min_ratio = math.inf
     max_ratio = -math.inf
     best = None
     cap_min = [math.inf] * (max_len + 1)
-    for ju, u_level in enumerate(ends, 1):
+    for ju, u_level in enumerate(new_ends, 1):
         for a, u_dir in u_level:
             rows = {b: _advance(u_dir, cols) for b, cols in supports[a].items()}
             u_count = sum(u_dir)
-            for jv, v_level in enumerate(starts, 1):
+            for jv, v_level in enumerate(new_starts, 1):
                 work += len(v_level)
                 if work > budget:
                     raise ResourceError(
                         f"node budget exceeded ({budget} nodes); "
                         f"lower max_len or raise the budget"
                     )
-                for b, v_dir in v_level:
+                # the block's minimum and its first pair, in scan order
+                low, arg = math.inf, None
+                for b, v_dir, v_count in v_level:
                     row = rows.get(b)
                     if row is None:
                         continue
-                    num = sum(x * y for x, y in zip(row, v_dir))
-                    if num == 0:
+                    num = sum(map(mul, row, v_dir))
+                    if not num:
                         continue
-                    ratio = num / (u_count * sum(v_dir))
-                    cap = max(ju, jv)
-                    if ratio < cap_min[cap]:
-                        cap_min[cap] = ratio
+                    ratio = num / (u_count * v_count)
                     if ratio > max_ratio:
                         max_ratio = ratio
-                    if ratio < min_ratio:
-                        min_ratio = ratio
-                        best = (ju, (a, u_dir), jv, (b, v_dir))
+                    if ratio < low:
+                        low, arg = ratio, (b, v_dir)
+                cap = max(ju, jv)
+                if low < cap_min[cap]:
+                    cap_min[cap] = low
+                if low < min_ratio:
+                    min_ratio = low
+                    best = (ju, (a, u_dir), jv, arg)
     witness = None
     if best is not None:
         ju, u_key, jv, v_key = best

@@ -25,7 +25,7 @@ from .counting import (
     partition_series,
     partition_sum,
 )
-from .errors import NonMixingError, NotFullShiftError, PreconditionError
+from .errors import NonMixingError, NotFullShiftError, PreconditionError, ResourceError
 from .sft import (
     CarpetSpec,
     EventuallyPeriodicPoint,
@@ -322,13 +322,16 @@ def perron_eigenvalue(
     Deterministic all-ones start; iteration on each strongly connected
     component with a +1 diagonal shift (which makes an irreducible
     component primitive without moving its Perron vector).  Reducible
-    matrices return the maximum over components.  If the iteration cap
-    is hit the midpoint of the last min/max quotient bracket is
-    returned instead of failing.
+    matrices return the maximum over components.  If a component has
+    not converged within ``max_iter`` iterations, ResourceError is
+    raised and names the last Collatz-Wielandt bracket
+    [min (Ax)_i / x_i, max (Ax)_i / x_i]; no point inside it is returned.
     """
     k = len(matrix)
     if k == 0 or any(len(row) != k for row in matrix):
         raise PreconditionError("matrix must be square and nonempty")
+    if max_iter < 1:
+        raise PreconditionError("max_iter must be >= 1")
     for row in matrix:
         for x in row:
             if x < 0 or (isinstance(x, float) and math.isnan(x)):
@@ -350,11 +353,12 @@ def perron_eigenvalue(
             best = max(best, floats[i][i])
             continue
         sub = [[floats[i][j] for j in nodes] for i in nodes]
-        best = max(best, _power_iterate(sub, tol, max_iter))
+        best = max(best, _power_iterate(sub, tol, max_iter, shift))
     return math.ldexp(best, shift) if shift else best
 
 
-def _power_iterate(sub: list[list[float]], tol: float, max_iter: int) -> float:
+def _power_iterate(sub: list[list[float]], tol: float, max_iter: int, shift: int) -> float:
+    # the Perron root of sub, which is the matrix scaled by 2^-shift
     s = len(sub)
     shifted = [
         [sub[i][j] + (1.0 if i == j else 0.0) for j in range(s)] for i in range(s)
@@ -374,8 +378,11 @@ def _power_iterate(sub: list[list[float]], tol: float, max_iter: int) -> float:
         if prev is not None and abs(rayleigh - prev) < tol * max(1.0, abs(rayleigh)):
             return rayleigh - 1.0
         prev = rayleigh
-    # cap exceeded: report the centre of the last Collatz bracket
-    return (lo + hi) / 2.0 - 1.0
+    raise ResourceError(
+        f"power iteration did not converge in {max_iter} iterations; the last "
+        f"Collatz-Wielandt bracket of the Perron root is "
+        f"[{math.ldexp(lo - 1.0, shift)!r}, {math.ldexp(hi - 1.0, shift)!r}]"
+    )
 
 
 def compensation_at_periodic(

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from carpetdim import pressure
 from carpetdim.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -316,6 +317,22 @@ class TestExitCodes:
             "--node-budget", "100000",
         )
         assert code == EXIT_RESOURCE
+
+    def test_unconverged_perron_root_exits_resource(self, capsys, fixture_dir, monkeypatch):
+        iterate = pressure._power_iterate
+        monkeypatch.setattr(
+            pressure, "_power_iterate", lambda sub, tol, max_iter, shift: iterate(sub, tol, 1, shift)
+        )
+        code, out, err = run_cli(
+            capsys,
+            "compensation",
+            "--spec", str(fixture_dir / "fibonacci_fiber.json"),
+            "--cycle", "2",
+            "--depth", "10",
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "Collatz-Wielandt bracket" in err
 
     def test_render_budget_exit(self, capsys, fixture_dir):
         code, _, _ = run_cli(

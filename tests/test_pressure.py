@@ -10,6 +10,7 @@ from carpetdim.errors import (
     NonMixingError,
     NotFullShiftError,
     PreconditionError,
+    ResourceError,
 )
 from carpetdim.fixtures import full_torus
 from carpetdim.pressure import (
@@ -219,6 +220,16 @@ class TestPerronEigenvalue:
             perron_eigenvalue(((1, 2),))
         with pytest.raises(PreconditionError):
             perron_eigenvalue(())
+
+    def test_iteration_cap_raises_with_bracket(self):
+        """Hitting the cap is an error naming the last bracket, not a
+        midpoint returned as if it had converged."""
+        with pytest.raises(ResourceError, match="Collatz-Wielandt") as info:
+            perron_eigenvalue(((1, 1), (1, 0)), max_iter=1)
+        # one step from the all-ones vector: quotients 2 and 1
+        assert "[1.0, 2.0]" in str(info.value)
+        with pytest.raises(PreconditionError):
+            perron_eigenvalue(((1, 1), (1, 0)), max_iter=0)
 
 
 class TestCompensation:

@@ -2,9 +2,11 @@
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from carpetdim.counting import (
+    CollapsedEngine,
     LogReal,
     brute_force_count,
     dn_count,
@@ -13,9 +15,12 @@ from carpetdim.counting import (
     partition_sum,
     preimage_count,
 )
-from carpetdim.sft import EventuallyPeriodicPoint, Sft, induced_factor
+from carpetdim.fixtures import column_carpet_21
+from carpetdim.measures import additivity_scan
+from carpetdim.sft import EventuallyPeriodicPoint, Sft, carpet_to_factor, induced_factor
 from carpetdim.specfile import dump_document, factor_system_doc, parse_system
 
+from conftest import THETA_32, make_factor
 from oracles import extendable_prefix_oracle, product_count_oracle
 
 
@@ -153,3 +158,78 @@ def test_spec_documents_round_trip(fs):
     # serialization is stable under a second pass
     again = factor_system_doc(parse_system(doc))
     assert dump_document(again) == dump_document(doc)
+
+
+def _ratio(fs, u, v):
+    return preimage_count(fs, u + v) / (preimage_count(fs, u) * preimage_count(fs, v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fs=factor_systems(), max_len=st.integers(min_value=1, max_value=4))
+def test_additivity_scan_matches_word_enumeration(fs, max_len):
+    """The scan over first-seen directions finds the extremes and the
+    trend that every pair of words gives; the ratios are the same
+    rationals, correctly rounded, so they agree exactly."""
+    report = additivity_scan(fs, max_len)
+    words = [w for j in range(1, max_len + 1) for w in image_word_counts(fs, j)]
+    ratios = {}
+    for u in words:
+        for v in words:
+            if preimage_count(fs, u + v):
+                ratios[u, v] = _ratio(fs, u, v)
+    assert report.min_ratio == min(ratios.values())
+    assert report.max_ratio == max(ratios.values())
+    trend = [
+        min(r for (u, v), r in ratios.items() if max(len(u), len(v)) <= k)
+        for k in range(1, max_len + 1)
+    ]
+    assert list(report.min_trend) == trend
+    u, v = report.witness
+    assert _ratio(fs, u, v) == report.min_ratio
+
+
+def test_additivity_scan_of_full_shift_scans_level_one_only():
+    """Every level of a full-shift carpet repeats the key set of level 1,
+    so the pairs of level 1 are the only ones scanned."""
+    fs, _ = carpet_to_factor(column_carpet_21())
+    max_len = 30
+    # the two sweeps visit 2 * (2 + 4 * 29) = 236 nodes and level 1 has
+    # 2 x 2 pairs; scanning every level's copy would charge 4 * 30^2 more
+    report = additivity_scan(fs, max_len, node_budget=240)
+    assert report.min_ratio == report.max_ratio == 1.0
+    assert report.min_trend == (1.0,) * max_len
+    assert report.verdict == "consistent-with-almost-additive"
+
+
+def _assert_backward_sums_to_partition(fs, theta, depth):
+    eng = CollapsedEngine(fs, theta)
+    back = eng.backward(eng.levels(depth))
+    total = LogReal.zero()
+    for x in back[0].values():
+        total = total.add(x)  # the letters' states carry weight 1
+    forward = eng.partition(depth).value
+    assert abs(total.log - forward.log) <= total.err_bound + forward.err_bound
+    return eng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fs=factor_systems(),
+    depth=st.integers(min_value=1, max_value=7),
+    theta=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
+)
+def test_backward_suffix_sums_add_up_to_partition(fs, depth, theta):
+    _assert_backward_sums_to_partition(fs, theta, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 4, 12])
+def test_backward_suffix_sums_add_up_on_fixtures(any_fixture, depth):
+    _assert_backward_sums_to_partition(any_fixture, THETA_32, depth)
+
+
+def test_backward_suffix_sums_add_up_with_gcd_factors():
+    # both symbols read as one letter and follow each other freely, so
+    # every child's count vector (c, c) has its gcd taken out
+    fs = make_factor(["a", "b"], [(x, y) for x in "ab" for y in "ab"], {"a": "x", "b": "x"})
+    eng = _assert_backward_sums_to_partition(fs, THETA_32, 9)
+    assert any(g > 1 for g in eng._dlogs)
