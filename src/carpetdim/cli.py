@@ -230,13 +230,7 @@ def _constants_doc(constants) -> dict:
 
 
 def _cmd_analyze(config: CommandConfig) -> int:
-    obj = _load(config)
-    carpet = None
-    if isinstance(obj, CarpetSpec):
-        carpet = obj
-        fs, _ = carpet_to_factor(obj)
-    else:
-        fs = obj
+    fs, carpet, _ = _factor_and_theta(config, need_theta=False)
     report = validate_sft(fs.source)
     payload = {
         "system": {

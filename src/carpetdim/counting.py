@@ -303,7 +303,8 @@ class CollapsedEngine:
     So S_k sums weight * (sum of vector)^theta over level k.  A step
     merges children by key, which is exact because extensions of
     proportional vectors have proportional counts.  ``visited`` counts
-    the states of level 1 and every nonzero edge, against the budget.
+    the states of level 1 and every nonzero edge, the jump's included,
+    and ``_charge`` holds it to the budget.
 
     One kernel, ``_children``, gives a state's children with the log
     factor theta * log g that each child's gcd g contributes; the
@@ -311,10 +312,12 @@ class CollapsedEngine:
     factor is computed once per engine for each g, and is 0.0 for
     g = 1, where no rounding is charged.
 
-    ``partition`` keeps one level.  Once a step returns the key set it
-    started from, every later step is one linear map, which is raised
-    to a power when that costs less than stepping.  Suffix sums come
-    from the kept ``levels`` by one ``backward`` pass.
+    One driver, ``_reach``, sweeps on from the held levels.  ``levels``
+    holds every level from 1; ``partition`` holds only the last, and
+    once a step returns the key set it started from, raises that linear
+    map to a power when that costs less than stepping.  A held level's
+    S_k is read without sweeping, and one ``backward`` pass over held
+    levels gives the suffix sums.
     """
 
     def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
@@ -326,31 +329,50 @@ class CollapsedEngine:
         self.visited = 0
         self.collapsed_nodes = 0
         self._sums: dict[int, tuple[LogReal, int]] = {}
-        self._frontier: tuple[int, dict] = (0, {})
+        self._held: list[dict] = []  # consecutive levels, the deepest last
+        self._first = 0  # the level of _held[0]
         self._stationary_edges = 0  # edges per step once the key set repeats
         self._dlogs: dict[int, float] = {1: 0.0}  # g -> theta * log g
 
-    def _exhausted(self, k: int, depth: int, held: int) -> ResourceError:
-        return ResourceError(
-            f"node budget exceeded ({self.budget} nodes) at level {k} of {depth} "
-            f"with {held} states held; raise the budget or lower the depth"
-        )
+    def _charge(self, visited: int, k: int, depth: int, held: int) -> None:
+        """Record ``visited``; past the budget, say how far the sweep got."""
+        self.visited = visited
+        if visited > self.budget:
+            raise ResourceError(
+                f"node budget exceeded ({self.budget} nodes) at level {k} of {depth} "
+                f"with {held} states held; raise the budget or lower the depth"
+            )
 
-    def _start(self, roots: dict, depth: int) -> dict:
-        self.visited += len(roots)
-        self.collapsed_nodes += len(roots)
-        if self.visited > self.budget:
-            raise self._exhausted(1, depth, len(roots))
-        return roots
-
-    def _letters(self) -> dict:
-        return {(b, (1,) * len(f)): (LogReal(0.0), 1) for b, f in enumerate(self.fs.fibers)}
-
-    def _sweep(self, roots: dict, depth: int) -> list[dict]:
-        out = [self._start(roots, depth)]
-        for k in range(2, depth + 1):
-            out.append(self._step(out[-1], k, depth))
-        return out
+    def _reach(self, n: int, keep: bool) -> None:
+        """Hold level n, sweeping on from the deepest held level below it,
+        or from level 1.  With ``keep`` every level from 1 stays held;
+        without it only the last does, and a step that repeats its key
+        set may be raised to a power."""
+        held, first = self._held, self._first
+        k = first + len(held) - 1
+        if first <= n <= k and (first == 1 or not keep):
+            return
+        if not held or n < first or (keep and first != 1):
+            roots = {(b, (1,) * len(f)): (LogReal(0.0), 1) for b, f in enumerate(self.fs.fibers)}
+            self._charge(self.visited + len(roots), 1, n, len(roots))
+            self.collapsed_nodes += len(roots)
+            held, k = [roots], 1
+            self._stationary_edges = 0
+        # raising a repeating step to a power costs about 2 s^3 log2(n - k)
+        # products for s states, stepping (n - k) times its edges
+        while k < n:
+            level = held[-1]
+            if not keep and 2 * len(level) ** 3 * (n - k).bit_length() < (n - k) * self._stationary_edges:
+                held, k = [self._jump(level, k, n)], n
+                continue
+            before = self.visited
+            nxt = self._step(level, k + 1, n)
+            self._stationary_edges = self.visited - before if nxt.keys() == level.keys() else 0
+            if not keep:
+                held = []
+            held.append(nxt)
+            k += 1
+        self._held, self._first = held, k - len(held) + 1
 
     def _step(self, level: dict, k: int, depth: int) -> dict:
         """Level k from level k - 1, on the way to level ``depth``."""
@@ -370,8 +392,7 @@ class CollapsedEngine:
                     merged.setdefault(key, [old[0]]).append(term)
                     nxt[key] = (old[0], old[1] + words)
             if visited > self.budget:
-                self.visited = visited
-                raise self._exhausted(k, depth, len(level) + len(nxt))
+                self._charge(visited, k, depth, len(level) + len(nxt))
         for key, terms in merged.items():
             nxt[key] = (_log_sum(terms), nxt[key][1])
         self.visited = visited
@@ -425,19 +446,19 @@ class CollapsedEngine:
             terms.append(LogReal(out, w.err + e + _EPS * (abs(out) + 1.0)))
         return _log_sum(terms), sum(n for _, n in level.values())
 
-    def _jump(self, level: dict, steps: int) -> dict:
-        """The level ``steps`` below a level whose successor has its key
-        set: the step is then one fixed linear map on (weight, words),
-        raised to the power by repeated squaring."""
+    def _jump(self, level: dict, k: int, n: int) -> dict:
+        """Level n from level k, whose successor has its key set: the step
+        is then one fixed linear map on (weight, words), raised to the
+        power n - k by repeated squaring."""
         keys = list(level)
         where = {s: i for i, s in enumerate(keys)}
         one_step = [[(LogReal.zero(), 0)] * len(keys) for _ in keys]
         for i, (b, prim) in enumerate(keys):
             kids = self._children(b, prim)
-            self.visited += len(kids)
+            self._charge(self.visited + len(kids), k + 1, n, len(keys))
             for key, d in kids:
                 one_step[i][where[key]] = (LogReal(0.0).scaled_by_log(d) if d else LogReal(0.0), 1)
-        row = [[level[s] for s in keys]]
+        row, steps = [[level[s] for s in keys]], n - k
         while steps:
             if steps & 1:
                 row = _matmul(row, one_step)
@@ -446,49 +467,25 @@ class CollapsedEngine:
                 one_step = _matmul(one_step, one_step)
         return dict(zip(keys, row[0]))
 
-    def _reach(self, n: int) -> None:
-        """Record S_n, sweeping on from the last level reached, or from
-        level 1 when that lies beyond n."""
-        k, level = self._frontier
-        if k > n:
-            k = 0
-        # raising a repeating step to a power costs about 2 s^3 log2(n - k)
-        # products for s states, stepping (n - k) times its edges
-        while k < n:
-            if k == 0:
-                level, k = self._start(self._letters(), n), 1
-                self._stationary_edges = 0
-            elif 2 * len(level) ** 3 * (n - k).bit_length() < (n - k) * self._stationary_edges:
-                level, k = self._jump(level, n - k), n
-            else:
-                before = self.visited
-                nxt = self._step(level, k + 1, n)
-                same = nxt.keys() == level.keys()
-                self._stationary_edges = self.visited - before if same else 0
-                level, k = nxt, k + 1
-        self._frontier = (k, level)
-        self._sums[n] = self._total(level)
-
     def partition(self, n: int) -> PartitionSum:
         if n < 1:
             raise PreconditionError("depth must be >= 1")
         if n not in self._sums:
-            self._reach(n)
+            self._reach(n, keep=False)
+            self._sums[n] = self._total(self._held[n - self._first])
         value, words = self._sums[n]
         return PartitionSum(
             n, self.theta, value, words, self.visited, self.collapsed_nodes, "collapsed"
         )
 
     def levels(self, depth: int) -> list[dict]:
-        """Levels 1..depth of the sweep from the image letters, all kept;
-        each maps a state (b, primitive vector) to (weight, words)."""
-        out = self._sweep(self._letters(), depth)
-        if depth not in self._sums:
-            self._sums[depth] = self._total(out[-1])
-        return out
+        """Levels 1..depth, all held, going on from the levels already
+        held; each maps a state (b, primitive vector) to (weight, words)."""
+        self._reach(depth, keep=True)
+        return self._held[:depth]
 
     def backward(self, levels: list[dict]) -> list[dict]:
-        """Suffix sums over kept levels, one pass from the last level up:
+        """Suffix sums over held levels, one pass from the last level up:
         ``out[k][s]`` sums the final count^theta over the extensions to
         the last level of a prefix in state s of level k + 1, the
         prefix's own gcd factored out."""
@@ -512,14 +509,17 @@ class CollapsedEngine:
             out.append(sums)
         return out[::-1]
 
-    def suffix_sum(self, b: int, vec: tuple[int, ...], d: int) -> tuple[LogReal, int]:
-        """(sum over the d-letter extensions of a prefix ending in letter
-        b with count vector vec of the final count^theta, number of
-        extensions), from a sweep rooted at (b, vec / gcd)."""
-        g, prim = _normalize(vec)
-        dlog = self._dlog(g)
-        root = {(b, prim): (LogReal(0.0).scaled_by_log(dlog) if dlog else LogReal(0.0), 1)}
-        return self._total(self._sweep(root, d + 1)[-1])
+
+def shared_engine(
+    fs: FactorSystem, theta: float, node_budget: Optional[int], engine: Optional[CollapsedEngine]
+) -> CollapsedEngine:
+    """``engine`` if given, else a new one.  A given engine must count for
+    ``fs`` at ``theta``: its sums are reported under those."""
+    if engine is None:
+        return CollapsedEngine(fs, theta, node_budget)
+    if engine.fs != fs or engine.theta != theta:
+        raise PreconditionError("engine was built for another factor system or theta")
+    return engine
 
 
 def partition_sum(
@@ -567,7 +567,7 @@ def partition_series(
     """S_1 .. S_{n_max} from one collapsed sweep."""
     if n_max < 1:
         raise PreconditionError("depth must be >= 1")
-    eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
+    eng = shared_engine(fs, theta, node_budget, engine)
     return [eng.partition(n) for n in range(1, n_max + 1)]
 
 

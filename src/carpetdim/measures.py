@@ -25,10 +25,12 @@ from .counting import (
     _prefix_words,
     _read,
     resolve_node_budget,
+    shared_engine,
 )
 from .errors import NonMixingError, PreconditionError, ResourceError
 from .pressure import (
     PressureEstimate,
+    mixing_index,
     pressure_interval,
     superadditive_constants,
 )
@@ -146,7 +148,7 @@ def nu_marginal(
         raise PreconditionError("depth must be >= 1")
     if level < depth:
         raise PreconditionError("level must be >= depth")
-    eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
+    eng = shared_engine(fs, theta, node_budget, engine)
     masses = {w: m for w, m in _shift_masses(eng, level, depth, [0])[0].items() if m > 0.0}
     return CylinderDistribution(depth=depth, kind="nu_l_marginal", masses=masses, level=level)
 
@@ -183,15 +185,16 @@ def gibbs_scan(
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
+    M = mixing_index(fs)
+    if level <= n_max + M:
+        raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
+    # levels first: S_{M-1}, S_M and S_L are then read off the held levels
     eng = CollapsedEngine(fs, theta, node_budget)
+    levels = eng.levels(level)
     constants = superadditive_constants(fs, theta, engine=eng)
-    if level <= n_max + constants.M:
-        raise PreconditionError(
-            f"level must exceed n_max + mixing index = {n_max + constants.M}"
-        )
-    back = eng.backward(eng.levels(level))
     estimate = pressure_interval(fs, theta, level, engine=eng, constants=constants)
     total = eng.partition(level).value
+    back = eng.backward(levels)
     inverse_total = LogReal(-total.log, total.err)
     p_hi, p_lo = estimate.upper, estimate.lower
     lo, hi = math.inf, -math.inf
@@ -235,8 +238,8 @@ def _shift_masses(eng, level, probe_depth, positions):
     # word, times the suffix sums below it
     fs = eng.fs
     levels = eng.levels(level)
-    back = eng.backward(levels)
     total = eng.partition(level).value
+    back = eng.backward(levels)
     names = fs.image_alphabet
     words = [w for w, _ in _prefix_words(fs, probe_depth) if len(w) == probe_depth]
     out: dict[int, dict[tuple[str, ...], float]] = {}
@@ -262,6 +265,18 @@ def _shift_masses(eng, level, probe_depth, positions):
     return out
 
 
+def _cesaro_tables(fs, theta, level, n_terms, probe_depth, node_budget, positions):
+    # the shift masses an n_terms-term Cesaro average reads at positions
+    if n_terms < 1:
+        raise PreconditionError("n_terms must be >= 1")
+    if probe_depth < 1:
+        raise PreconditionError("probe depth must be >= 1")
+    if level < n_terms + probe_depth:
+        raise PreconditionError("level must be >= n_terms + probe_depth")
+    eng = CollapsedEngine(fs, theta, node_budget)
+    return _shift_masses(eng, level, probe_depth, positions)
+
+
 def cesaro_average(
     fs: FactorSystem,
     theta: float,
@@ -277,14 +292,7 @@ def cesaro_average(
     probability distribution over depth-``probe_depth`` words, so the
     average is one as well.
     """
-    if n_terms < 1:
-        raise PreconditionError("n_terms must be >= 1")
-    if probe_depth < 1:
-        raise PreconditionError("probe depth must be >= 1")
-    if level < n_terms + probe_depth:
-        raise PreconditionError("level must be >= n_terms + probe_depth")
-    eng = CollapsedEngine(fs, theta, node_budget)
-    tables = _shift_masses(eng, level, probe_depth, list(range(n_terms)))
+    tables = _cesaro_tables(fs, theta, level, n_terms, probe_depth, node_budget, range(n_terms))
     masses: dict[tuple[str, ...], float] = {}
     for i in range(n_terms):
         for word, m in tables[i].items():
@@ -311,14 +319,7 @@ def cesaro_defect(
     exceed 2/N and shrinks as the averages converge toward an invariant
     measure.
     """
-    if n_terms < 1:
-        raise PreconditionError("n_terms must be >= 1")
-    if probe_depth < 1:
-        raise PreconditionError("probe depth must be >= 1")
-    if level < n_terms + probe_depth:
-        raise PreconditionError("level must be >= n_terms + probe_depth")
-    eng = CollapsedEngine(fs, theta, node_budget)
-    tables = _shift_masses(eng, level, probe_depth, [0, n_terms])
+    tables = _cesaro_tables(fs, theta, level, n_terms, probe_depth, node_budget, [0, n_terms])
     first = tables[0]
     last = tables[n_terms]
     words = set(first) | set(last)

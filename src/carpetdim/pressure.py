@@ -24,6 +24,7 @@ from .counting import (
     is_image_point,
     partition_series,
     partition_sum,
+    shared_engine,
 )
 from .errors import NonMixingError, NotFullShiftError, PreconditionError, ResourceError
 from .sft import (
@@ -123,6 +124,17 @@ class CompensationEstimate:
     depth: Optional[int] = None
 
 
+def mixing_index(fs: FactorSystem) -> int:
+    """The source's mixing index M; NonMixingError if it is not mixing."""
+    report = validate_sft(fs.source)
+    if not report.mixing:
+        raise NonMixingError(
+            "source shift is not topologically mixing; "
+            "superadditive constants would be unsound"
+        )
+    return report.mixing_index
+
+
 def superadditive_constants(
     fs: FactorSystem,
     theta: float,
@@ -130,13 +142,7 @@ def superadditive_constants(
     engine: Optional[CollapsedEngine] = None,
 ) -> SuperadditiveConstants:
     """Compute M, K = S_M and K_tilde = S_{M-1} for a mixing source shift."""
-    report = validate_sft(fs.source)
-    if not report.mixing:
-        raise NonMixingError(
-            "source shift is not topologically mixing; "
-            "superadditive constants would be unsound"
-        )
-    M = report.mixing_index
+    M = mixing_index(fs)
     series = partition_series(fs, M, theta, node_budget=node_budget, engine=engine)
     s_m = series[-1].value
     s_prev = series[-2].value if M > 1 else LogReal(0.0)
@@ -171,7 +177,7 @@ def pressure_interval(
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")
-    eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
+    eng = shared_engine(fs, theta, node_budget, engine)
     if constants is None:
         constants = superadditive_constants(fs, theta, engine=eng)
     ps = _partition(eng, n, mode, node_budget)
@@ -278,7 +284,7 @@ def convergence_rows(
     upper/lower pressure bounds valid at that n.  Feeds the CSV series
     and the convergence plots.
     """
-    eng = engine if engine is not None else CollapsedEngine(fs, theta, node_budget)
+    eng = shared_engine(fs, theta, node_budget, engine)
     constants = superadditive_constants(fs, theta, engine=eng)
     rows = []
     for n in range(1, n_max + 1):

@@ -130,34 +130,12 @@ class StructureReport:
     period: int
 
 
-def _strongly_connected(sft: Sft) -> bool:
-    k = sft.alphabet_size
-    succ = sft.successor_sets
-
-    def reach(start, forward):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if forward:
-                nxt = succ[u]
-            else:
-                nxt = [v for v in range(k) if sft.matrix[v][u]]
-            for v in nxt:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    return len(reach(0, True)) == k and len(reach(0, False)) == k
-
-
-def _cycle_gcd(sft: Sft) -> int:
+def _cycle_gcd(sft: Sft, comp: list[int]) -> int:
     # gcd of all cycle lengths, computed per strongly connected component
-    # from BFS level discrepancies.  Every essential SFT has a cycle.
+    # (comp[v] is v's) from BFS level discrepancies.  Every essential SFT
+    # has a cycle.
     k = sft.alphabet_size
     succ = sft.successor_sets
-    comp = _scc_ids(sft)
     g = 0
     for cid in set(comp):
         nodes = [v for v in range(k) if comp[v] == cid]
@@ -180,10 +158,6 @@ def _cycle_gcd(sft: Sft) -> int:
                     local = gcd(local, level[u] + 1 - level[v])
         g = gcd(g, abs(local))
     return g if g else 1
-
-
-def _scc_ids(sft: Sft) -> list[int]:
-    return strongly_connected_components(sft.successor_sets)
 
 
 def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -248,8 +222,9 @@ def validate_sft(sft: Sft) -> StructureReport:
     >>> (r.irreducible, r.mixing, r.period)
     (True, False, 2)
     """
-    irreducible = _strongly_connected(sft)
-    period = _cycle_gcd(sft)
+    comp = strongly_connected_components(sft.successor_sets)
+    irreducible = len(set(comp)) == 1
+    period = _cycle_gcd(sft, comp)
     mixing = irreducible and period == 1
     mixing_index = None
     if mixing:

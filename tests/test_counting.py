@@ -19,7 +19,7 @@ from carpetdim.counting import (
     DEFAULT_NODE_BUDGET,
 )
 from carpetdim.errors import PreconditionError, ResourceError, SpecError
-from carpetdim.sft import EventuallyPeriodicPoint, carpet_to_factor
+from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
 from conftest import THETA_32, make_factor
 from oracles import product_count_oracle
@@ -296,20 +296,28 @@ class TestCollapsedEngine:
         assert shallow.word_count == fresh.word_count
         assert shallow.value.log == pytest.approx(fresh.value.log, abs=1e-12)
 
-    def test_suffix_sums_scale_exactly_under_gcd(self, fibonacci):
-        """Doubling the entry vector must scale the sum by exactly 2^theta."""
+    def test_jump_is_charged_against_the_budget(self):
+        """The 7x5 carpet of criterion 01 has 5 letters, so levels 1 and 2
+        take 5 + 25 visits; the jump's 25 edges must then overrun 30."""
+        fs, _ = carpet_to_factor(
+            CarpetSpec(7, 5, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 0), (6, 1), (2, 3)))
+        )
+        eng = CollapsedEngine(fs, 0.8, node_budget=30)
+        with pytest.raises(ResourceError, match="at level 3 of 2000 with 5 states held"):
+            eng.partition(2000)
+        assert eng.visited == 30 + 5  # stopped at the first state of the map
+
+    def test_held_levels_are_read_and_extended(self, fibonacci):
         eng = CollapsedEngine(fibonacci, THETA_32)
-        b = 0
-        width = len(fibonacci.fibers[b])
-        ones = (1,) * width
-        twos = (2,) * width
-        for depth in (1, 3, 5):
-            s1, w1 = eng.suffix_sum(b, ones, depth)
-            s2, w2 = eng.suffix_sum(b, twos, depth)
-            assert w1 == w2
-            assert s2.log == pytest.approx(
-                s1.log + THETA_32 * math.log(2), abs=1e-12
-            )
+        shallow = eng.levels(6)
+        visited = eng.visited
+        held, fresh = eng.partition(4), partition_sum(fibonacci, 4, THETA_32)
+        assert eng.visited == visited  # a held level is read, not swept
+        assert (held.value.log, held.value.err) == (fresh.value.log, fresh.value.err)
+        assert held.word_count == fresh.word_count == 2**4
+        deep = eng.levels(9)
+        assert deep[:6] == shallow
+        assert eng.visited == CollapsedEngine(fibonacci, THETA_32).partition(9).visited_nodes
 
 
 def test_trivial_identity_counts():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from carpetdim.counting import image_word_counts, preimage_count
+from carpetdim.counting import CollapsedEngine, image_word_counts, preimage_count
 from carpetdim.errors import NonMixingError, PreconditionError, ResourceError
 from carpetdim.fixtures import full_torus
 from carpetdim.measures import (
@@ -108,8 +108,19 @@ class TestGibbsScan:
 
     def test_non_mixing_rejected(self):
         fs = make_factor(["a", "b"], [("a", "b"), ("b", "a")], {"a": "x", "b": "x"})
-        with pytest.raises(NonMixingError):
-            gibbs_scan(fs, THETA_32, level=10, n_max=2)
+        with pytest.raises(NonMixingError):  # before any sweep, so no budget error
+            gibbs_scan(fs, THETA_32, level=10, n_max=2, node_budget=1)
+
+    def test_levels_are_swept_once(self, fibonacci):
+        """S_{M-1}, S_M and S_L are read off the held levels, so the scan
+        fits the budget of one sweep to its level."""
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        eng.levels(18)
+        assert eng.visited == 582
+        env = gibbs_scan(fibonacci, THETA_32, 18, 10, node_budget=eng.visited)
+        assert env.contained
+        with pytest.raises(ResourceError, match="at level 18 of 18"):
+            gibbs_scan(fibonacci, THETA_32, 18, 10, node_budget=eng.visited - 1)
 
 
 class TestAdditivityScan:

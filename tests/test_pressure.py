@@ -12,7 +12,8 @@ from carpetdim.errors import (
     PreconditionError,
     ResourceError,
 )
-from carpetdim.fixtures import full_torus
+from carpetdim.fixtures import fibonacci_fiber, full_torus
+from carpetdim.measures import nu_marginal
 from carpetdim.pressure import (
     compensation_at_periodic,
     convergence_rows,
@@ -279,3 +280,25 @@ class TestCompensation:
             compensation_at_periodic(
                 fibonacci, EventuallyPeriodicPoint((), ("2",)), depth=0
             )
+
+
+FOREIGN_ENGINE_CALLS = {
+    "partition_series": lambda fs, theta, eng: partition_series(fs, 10, theta, engine=eng),
+    "superadditive_constants": lambda fs, theta, eng: superadditive_constants(fs, theta, engine=eng),
+    "pressure_interval": lambda fs, theta, eng: pressure_interval(fs, theta, 10, engine=eng),
+    "convergence_rows": lambda fs, theta, eng: convergence_rows(fs, theta, 10, engine=eng),
+    "nu_marginal": lambda fs, theta, eng: nu_marginal(fs, theta, 10, 2, engine=eng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_ENGINE_CALLS))
+def test_engine_for_another_theta_or_system_is_rejected(name, fibonacci, parity):
+    """An engine's sums must not be reported under another theta or system:
+    at theta 0.9 an engine built at 0.5 would give Fibonacci an upper
+    pressure bound of 0.8625 against the true 1.0188."""
+    call = FOREIGN_ENGINE_CALLS[name]
+    with pytest.raises(PreconditionError, match="engine"):
+        call(fibonacci, 0.9, CollapsedEngine(fibonacci, 0.5))
+    with pytest.raises(PreconditionError, match="engine"):
+        call(fibonacci, 0.9, CollapsedEngine(parity, 0.9))
+    call(fibonacci, 0.9, CollapsedEngine(fibonacci_fiber(), 0.9))  # an equal system is fine
