@@ -2,8 +2,9 @@
 
 Counts are Python integers throughout, so nothing saturates; only the
 final transcendental step (log, fractional powers) leaves the exact
-domain, and every log-domain accumulation carries a rounding-operation
-counter from which an error bound is derived.
+domain.  The sweep holds its weights as bare float logs, and each level
+carries one bound on their rounding error, charged once per level from
+level-wide maxima; every S_n leaves as a ``LogReal`` with its bound.
 
 The partition sum S_n adds count(w)^theta over all occurring image
 words w of length n.  The sum is nonlinear in the counts, so there is
@@ -86,19 +87,6 @@ class LogReal:
     def zero(cls) -> "LogReal":
         return cls(_NEG_INF, 0.0)
 
-    @classmethod
-    def from_int(cls, n: int) -> "LogReal":
-        # math.log accepts arbitrary-precision ints without overflow
-        if n < 0:
-            raise PreconditionError("LogReal represents nonnegative reals")
-        if n == 0:
-            return cls.zero()
-        lv = math.log(n)
-        return cls(lv, _EPS * (abs(lv) + 1.0))
-
-    def is_zero(self) -> bool:
-        return self.log == _NEG_INF
-
     def add(self, other: "LogReal") -> "LogReal":
         if self.log == _NEG_INF:
             return LogReal(other.log, other.err)
@@ -120,16 +108,6 @@ class LogReal:
             return LogReal.zero()
         out = self.log + dlog
         return LogReal(out, self.err + _EPS * (3.0 * abs(dlog) + abs(out) + 1.0))
-
-    def powered(self, exponent: float) -> "LogReal":
-        if self.log == _NEG_INF:
-            return LogReal.zero()
-        out = self.log * exponent
-        return LogReal(out, self.err * abs(exponent) + _EPS * (abs(out) + 1.0))
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log)
 
     @property
     def err_bound(self) -> float:
@@ -271,13 +249,22 @@ class PartitionSum:
     mode: str
 
 
-def _log_sum(terms: list[LogReal]) -> LogReal:
-    # pairwise: each add charges rounding in proportion to its result's log,
-    # so a running sum's tracked error grows with len(terms), this one with its log
-    while len(terms) > 1:
-        odd = terms[-1:] if len(terms) % 2 else []
-        terms = [a.add(b) for a, b in zip(terms[::2], terms[1::2])] + odd
-    return terms[0] if terms else LogReal.zero()
+def _log_sum_exp(terms: list[float]) -> float:
+    """log of the sum of e^t over ``terms``: the largest term plus the log
+    of one ``fsum`` of exponentials in (0, 1]; -inf for no finite term."""
+    if len(terms) == 1:
+        return terms[0]
+    hi = max(terms, default=_NEG_INF)
+    if hi == _NEG_INF:
+        return hi
+    return hi + math.log(math.fsum([math.exp(t - hi) for t in terms]))
+
+
+def _summed(terms: list[float], err: float) -> LogReal:
+    """The log-sum-exp of logs >= 0 that are off by ``err`` before their
+    last log-times-theta and add, charged as in ``CollapsedEngine``."""
+    out = _log_sum_exp(terms)
+    return LogReal(out, err + _EPS * (4.0 * out + 2.0))
 
 
 def _matmul(a: list, b: list) -> list:
@@ -299,15 +286,16 @@ class CollapsedEngine:
 
     A state of level k, (last letter, gcd-normalized count vector),
     stands for the image words of length k that end in it, and carries
-    (weight, words): the sum of gcd^theta over them and their number.
-    So S_k sums weight * (sum of vector)^theta over level k.  A step
-    merges children by key, which is exact because extensions of
-    proportional vectors have proportional counts.  ``visited`` counts
-    the states of level 1 and every nonzero edge, the jump's included,
-    and ``_charge`` holds it to the budget.
+    (log weight, words): the log of the sum of gcd^theta over them, as
+    a bare float, and their number.  So S_k sums e^(log weight) *
+    (sum of vector)^theta over level k.  A step merges children by key,
+    which is exact because extensions of proportional vectors have
+    proportional counts.  ``visited`` counts the states of level 1 and
+    every nonzero edge, the jump's included, and ``_charge`` holds it
+    to the budget.
 
     One kernel, ``_children``, gives a state's children with the log
-    factor theta * log g that each child's gcd g contributes; the
+    factor d = theta * log g that each child's gcd g contributes; the
     forward step, the backward pass and the jump all read it.  The
     factor is computed once per engine for each g, and is 0.0 for
     g = 1, where no rounding is charged.
@@ -318,6 +306,36 @@ class CollapsedEngine:
     map to a power when that costs less than stepping.  A held level's
     S_k is read without sweeping, and one ``backward`` pass over held
     levels gives the suffix sums.
+
+    Rounding.  Each held level keeps one bound E on the absolute error
+    of every log weight in it.  Every weight sums products of gcd^theta
+    >= 1, so every log is >= 0, and the largest log T of a level bounds
+    each term, spread and result met while building it.  Take eps =
+    2^-52, +, - and * correctly rounded (within eps/2, relative), exp
+    and log faithful (within eps, the assumption ``LogReal.add`` makes)
+    and ``fsum`` correctly rounded.  A step then adds to E, once per
+    level and from level-wide maxima:
+
+    - for the child terms lw + d: log g is off by eps log g, so
+      theta log g by eps d, and the product rounds by eps/2 d; the add
+      rounds by eps/2 T.  That is eps (2 D + T + 1), D being the
+      largest d the engine has met and the 1 covering second-order
+      terms, and nothing while D = 0, as lw + 0.0 is exact.
+    - for a key reached more than once, hi + log(fsum(exp(t - hi))):
+      t - hi rounds by eps/2 (hi - lo) <= eps/2 T, exp by eps and fsum
+      by eps/2, all relative, so by as much in the log; the log adds
+      eps T, its result being at most T, and the final add eps/2 T.
+      That is eps (2 T + 2).  A log-sum-exp moves by at most the
+      largest error of its terms, so E itself passes through.
+
+    ``_total`` sums the terms lw + theta log(sum of vector) of a level
+    the same way.  theta log(sum) rounds by 1.5 eps of itself and the
+    add by eps/2 of the term, at most 2 eps S in all, S >= every term
+    being the log of the sum, and the sum adds eps (2 S + 2).
+    ``backward`` starts from eps (2 T + 1) for the last
+    level's theta log(sum of vector) and charges each level above it
+    as a step with merges.  The jump keeps a ``LogReal`` per entry of
+    its matrices and hands on the largest entry error.
     """
 
     def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
@@ -329,13 +347,15 @@ class CollapsedEngine:
         self.visited = 0
         self.collapsed_nodes = 0
         self._sums: dict[int, tuple[LogReal, int]] = {}
-        self._held: list[dict] = []  # consecutive levels, the deepest last
+        self._held: list[tuple[dict, float]] = []  # (level, error bound), deepest last
         self._first = 0  # the level of _held[0]
         self._stationary_edges = 0  # edges per step once the key set repeats
         self._dlogs: dict[int, float] = {1: 0.0}  # g -> theta * log g
 
     def _charge(self, visited: int, k: int, depth: int, held: int) -> None:
-        """Record ``visited``; past the budget, say how far the sweep got."""
+        """Record ``visited``; past the budget, say how far the sweep got:
+        the level being built, and ``held``, the states of every level in
+        the held store plus the children of level k built so far."""
         self.visited = visited
         if visited > self.budget:
             raise ResourceError(
@@ -353,51 +373,62 @@ class CollapsedEngine:
         if first <= n <= k and (first == 1 or not keep):
             return
         if not held or n < first or (keep and first != 1):
-            roots = {(b, (1,) * len(f)): (LogReal(0.0), 1) for b, f in enumerate(self.fs.fibers)}
+            roots = {(b, (1,) * len(f)): (0.0, 1) for b, f in enumerate(self.fs.fibers)}
             self._charge(self.visited + len(roots), 1, n, len(roots))
             self.collapsed_nodes += len(roots)
-            held, k = [roots], 1
+            held, k = [(roots, 0.0)], 1
             self._stationary_edges = 0
         # raising a repeating step to a power costs about 2 s^3 log2(n - k)
         # products for s states, stepping (n - k) times its edges
         while k < n:
-            level = held[-1]
+            level, err = held[-1]
             if not keep and 2 * len(level) ** 3 * (n - k).bit_length() < (n - k) * self._stationary_edges:
-                held, k = [self._jump(level, k, n)], n
+                held, k = [self._jump(held, k, n)], n
                 continue
             before = self.visited
-            nxt = self._step(level, k + 1, n)
-            self._stationary_edges = self.visited - before if nxt.keys() == level.keys() else 0
+            nxt = self._step(held, k + 1, n)
+            self._stationary_edges = self.visited - before if nxt[0].keys() == level.keys() else 0
             if not keep:
                 held = []
             held.append(nxt)
             k += 1
         self._held, self._first = held, k - len(held) + 1
 
-    def _step(self, level: dict, k: int, depth: int) -> dict:
-        """Level k from level k - 1, on the way to level ``depth``."""
+    def _step(self, held: list, k: int, depth: int) -> tuple[dict, float]:
+        """Level k and its error bound from the deepest level of ``held``,
+        level k - 1, on the way to level ``depth``."""
+        level, err = held[-1]
         children = self._children
         visited = self.visited
         nxt: dict = {}
         merged: dict = {}  # key -> all its terms, for keys reached twice
-        for (b, prim), (weight, words) in level.items():
+        for (b, prim), (lw, words) in level.items():
             kids = children(b, prim)
             visited += len(kids)
             for key, d in kids:
-                term = weight.scaled_by_log(d) if d else weight
                 old = nxt.get(key)
                 if old is None:
-                    nxt[key] = (term, words)
+                    nxt[key] = (lw + d, words)
                 else:
-                    merged.setdefault(key, [old[0]]).append(term)
+                    merged.setdefault(key, [old[0]]).append(lw + d)
                     nxt[key] = (old[0], old[1] + words)
             if visited > self.budget:
-                self._charge(visited, k, depth, len(level) + len(nxt))
+                self._charge(visited, k, depth, sum(len(h) for h, _ in held) + len(nxt))
         for key, terms in merged.items():
-            nxt[key] = (_log_sum(terms), nxt[key][1])
+            nxt[key] = (_log_sum_exp(terms), nxt[key][1])
         self.visited = visited
         self.collapsed_nodes += len(nxt)
-        return nxt
+        top = max(nxt.values(), default=(0.0,))[0]
+        return nxt, err + self._step_error(top, bool(merged))
+
+    def _step_error(self, top: float, merged: bool) -> float:
+        """What one step adds to a level's error bound, ``top`` being the
+        level's largest log; derived in the class docstring."""
+        d = max(self._dlogs.values())
+        charge = 2.0 * d + top + 1.0 if d else 0.0
+        if merged:
+            charge += 2.0 * top + 2.0
+        return _EPS * charge
 
     def _children(self, b: int, prim: tuple[int, ...]) -> list:
         """(child state, theta * log g) for each letter that extends a
@@ -429,50 +460,42 @@ class CollapsedEngine:
             d = self._dlogs[g] = self.theta * math.log(g)
         return d
 
-    def _total(self, level: dict) -> tuple[LogReal, int]:
-        # w.times(LogReal.from_int(n).powered(theta)) for n = sum of the
-        # vector, with the same float operations in the same order, and
-        # one LogReal per state instead of three
-        theta = self.theta
-        terms = []
-        for (_, p), (w, _) in level.items():
-            if w.log == _NEG_INF:
-                terms.append(LogReal.zero())
-                continue
-            lv = math.log(sum(p))
-            x = lv * theta
-            e = _EPS * (abs(lv) + 1.0) * theta + _EPS * (abs(x) + 1.0)
-            out = w.log + x
-            terms.append(LogReal(out, w.err + e + _EPS * (abs(out) + 1.0)))
-        return _log_sum(terms), sum(n for _, n in level.values())
+    def _total(self, level: dict, err: float) -> tuple[LogReal, int]:
+        # S_k and the word count of a level whose log weights are off by err
+        theta, log = self.theta, math.log
+        terms = [lw + theta * log(sum(p)) for (_, p), (lw, _) in level.items()]
+        return _summed(terms, err), sum(n for _, n in level.values())
 
-    def _jump(self, level: dict, k: int, n: int) -> dict:
-        """Level n from level k, whose successor has its key set: the step
-        is then one fixed linear map on (weight, words), raised to the
-        power n - k by repeated squaring."""
+    def _jump(self, held: list, k: int, n: int) -> tuple[dict, float]:
+        """Level n and its error bound from the deepest level of ``held``,
+        level k, whose successor has its key set: the step is then one
+        fixed linear map on (weight, words), raised to the power n - k by
+        repeated squaring."""
+        level, err = held[-1]
+        in_store = sum(len(h) for h, _ in held)
         keys = list(level)
         where = {s: i for i, s in enumerate(keys)}
         one_step = [[(LogReal.zero(), 0)] * len(keys) for _ in keys]
         for i, (b, prim) in enumerate(keys):
             kids = self._children(b, prim)
-            self._charge(self.visited + len(kids), k + 1, n, len(keys))
+            self._charge(self.visited + len(kids), k + 1, n, in_store)
             for key, d in kids:
                 one_step[i][where[key]] = (LogReal(0.0).scaled_by_log(d) if d else LogReal(0.0), 1)
-        row, steps = [[level[s] for s in keys]], n - k
+        row, steps = [[(LogReal(level[s][0], err), level[s][1]) for s in keys]], n - k
         while steps:
             if steps & 1:
                 row = _matmul(row, one_step)
             steps >>= 1
             if steps:
                 one_step = _matmul(one_step, one_step)
-        return dict(zip(keys, row[0]))
+        return {s: (x.log, m) for s, (x, m) in zip(keys, row[0])}, max(x.err for x, _ in row[0])
 
     def partition(self, n: int) -> PartitionSum:
         if n < 1:
             raise PreconditionError("depth must be >= 1")
         if n not in self._sums:
             self._reach(n, keep=False)
-            self._sums[n] = self._total(self._held[n - self._first])
+            self._sums[n] = self._total(*self._held[n - self._first])
         value, words = self._sums[n]
         return PartitionSum(
             n, self.theta, value, words, self.visited, self.collapsed_nodes, "collapsed"
@@ -480,34 +503,29 @@ class CollapsedEngine:
 
     def levels(self, depth: int) -> list[dict]:
         """Levels 1..depth, all held, going on from the levels already
-        held; each maps a state (b, primitive vector) to (weight, words)."""
+        held; each maps a state (b, primitive vector) to (log weight,
+        words)."""
         self._reach(depth, keep=True)
-        return self._held[:depth]
+        return [level for level, _ in self._held[:depth]]
 
-    def backward(self, levels: list[dict]) -> list[dict]:
-        """Suffix sums over held levels, one pass from the last level up:
-        ``out[k][s]`` sums the final count^theta over the extensions to
-        the last level of a prefix in state s of level k + 1, the
-        prefix's own gcd factored out."""
-        children = self._children
-        sums = {s: LogReal.from_int(sum(s[1])).powered(self.theta) for s in levels[-1]}
-        out = [sums]
+    def backward(self, levels: list[dict]) -> tuple[list[dict], list[float]]:
+        """Suffix sums over held levels, one pass from the last level up,
+        and one error bound per level.  ``sums[k][s]`` is the float log
+        of the sum of the final count^theta over the extensions to the
+        last level of a prefix in state s of level k + 1, the prefix's
+        own gcd factored out, or -inf when there are none; ``errs[k]``
+        bounds the error of every finite log in ``sums[k]``."""
+        children, theta, log = self._children, self.theta, math.log
+        sums = {s: theta * log(sum(s[1])) for s in levels[-1]}
+        err = _EPS * (2.0 * max(sums.values(), default=0.0) + 1.0)
+        out, errs = [sums], [err]
         for level in reversed(levels[:-1]):
             below = sums
-            sums = {}
-            for state in level:
-                kids = children(*state)
-                if not kids:
-                    sums[state] = LogReal.zero()
-                    continue
-                # seeded with the first term: zero.add(x) would only copy x
-                key, d = kids[0]
-                acc = below[key].scaled_by_log(d) if d else below[key]
-                for key, d in kids[1:]:
-                    acc = acc.add(below[key].scaled_by_log(d) if d else below[key])
-                sums[state] = acc
+            sums = {s: _log_sum_exp([below[key] + d for key, d in children(*s)]) for s in level}
+            err += self._step_error(max(sums.values(), default=0.0), True)
             out.append(sums)
-        return out[::-1]
+            errs.append(err)
+        return out[::-1], errs[::-1]
 
 
 def shared_engine(
@@ -542,7 +560,7 @@ def partition_sum(
         raise PreconditionError("theta must be in (0, 1]")
     if mode == "exact":
         budget = resolve_node_budget(node_budget)
-        acc, words = LogReal.zero(), 0
+        counts: dict[int, int] = {}  # lift count -> words of length n with it
         for visited, (word, vec) in enumerate(_prefix_words(fs, n), 1):
             if visited > budget:
                 raise ResourceError(
@@ -550,8 +568,12 @@ def partition_sum(
                     f"use collapsed mode, raise the budget, or lower the depth"
                 )
             if len(word) == n:
-                acc, words = acc.add(LogReal.from_int(sum(vec)).powered(theta)), words + 1
-        return PartitionSum(n, theta, acc, words, visited, 0, "exact")
+                c = sum(vec)
+                counts[c] = counts.get(c, 0) + 1
+        # theta log c + log m rounds by eps (1.5 theta log c + log m) plus
+        # eps/2 of itself, within the 2 eps of itself that _summed charges
+        terms = [theta * math.log(c) + math.log(m) for c, m in counts.items()]
+        return PartitionSum(n, theta, _summed(terms, 0.0), sum(counts.values()), visited, 0, "exact")
     if mode == "collapsed":
         return CollapsedEngine(fs, theta, node_budget).partition(n)
     raise PreconditionError(f"unknown mode {mode!r}")

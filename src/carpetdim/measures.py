@@ -21,6 +21,7 @@ from .counting import (
     CollapsedEngine,
     LogReal,
     _advance,
+    _log_sum_exp,
     _normalize,
     _prefix_words,
     _read,
@@ -194,23 +195,30 @@ def gibbs_scan(
     constants = superadditive_constants(fs, theta, engine=eng)
     estimate = pressure_interval(fs, theta, level, engine=eng, constants=constants)
     total = eng.partition(level).value
-    back = eng.backward(levels)
-    inverse_total = LogReal(-total.log, total.err)
+    back, errs = eng.backward(levels)
     p_hi, p_lo = estimate.upper, estimate.lower
+    log = math.log
     lo, hi = math.inf, -math.inf
     slack = 0.0
-    for n, sums in enumerate(back[:n_max], 1):
+    for n, (sums, err) in enumerate(zip(back[:n_max], errs), 1):
+        # r = sub - log S_L - theta log(sum of vector) + n p_hi
+        scale = n * p_hi
+        big = 0.0
         for (_, prim), sub in sums.items():
-            if sub.is_zero():
+            if sub == -math.inf:
                 continue
-            r = (
-                sub.times(inverse_total)
-                .times(LogReal.from_int(sum(prim)).powered(-theta))
-                .scaled_by_log(n * p_hi)
-            )
-            slack = max(slack, r.err)
-            lo = min(lo, r.log)
-            hi = max(hi, r.log)
+            x = theta * log(sum(prim))
+            r = sub - total.log - x + scale
+            if r < lo:
+                lo = r
+            if r > hi:
+                hi = r
+            if sub + x > big:
+                big = sub + x
+        # x rounds by 1.5 eps x, n p_hi by eps/2 |scale| and each of the
+        # three adds by eps/2 (big + |log S_L| + |scale|)
+        bound = err + total.err + _EPS * (3.0 * big + 2.0 * abs(total.log) + 2.0 * abs(scale) + 1.0)
+        slack = max(slack, bound)
     k_tilde = LogReal(constants.log_K_tilde, constants.rounding_bound)
     c1 = LogReal(-k_tilde.log, k_tilde.err).scaled_by_log(-(constants.M - 1) * p_hi)
     c2 = k_tilde.scaled_by_log(n_max * (p_hi - p_lo))
@@ -239,7 +247,7 @@ def _shift_masses(eng, level, probe_depth, positions):
     fs = eng.fs
     levels = eng.levels(level)
     total = eng.partition(level).value
-    back = eng.backward(levels)
+    back, _ = eng.backward(levels)
     names = fs.image_alphabet
     words = [w for w, _ in _prefix_words(fs, probe_depth) if len(w) == probe_depth]
     out: dict[int, dict[tuple[str, ...], float]] = {}
@@ -251,16 +259,15 @@ def _shift_masses(eng, level, probe_depth, positions):
                 heads, rest = levels[i - 1].items(), word
             else:
                 ones = (1,) * len(fs.fibers[word[0]])
-                heads, rest = [((word[0], ones), (LogReal(0.0), 1))], word[1:]
-            acc = LogReal.zero()
-            for (b, prim), (weight, _) in heads:
+                heads, rest = [((word[0], ones), (0.0, 1))], word[1:]
+            terms = []
+            for (b, prim), (lw, _) in heads:
                 end = _read(fs, b, prim, rest)
                 if end is not None:
                     g, p = _normalize(end[1])
-                    d, sub = eng._dlog(g), sums[(end[0], p)]
-                    acc = acc.add(weight.times(sub.scaled_by_log(d) if d else sub))
+                    terms.append(lw + (sums[(end[0], p)] + eng._dlog(g)))
             key = tuple(names[b] for b in word)
-            masses[key] = 0.0 if acc.is_zero() else math.exp(acc.log - total.log)
+            masses[key] = math.exp(_log_sum_exp(terms) - total.log)
         out[i] = masses
     return out
 

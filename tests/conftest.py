@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from carpetdim.counting import LogReal
 from carpetdim.fixtures import (
     bipartite_fiber,
     column_carpet_21,
@@ -12,7 +13,7 @@ from carpetdim.fixtures import (
     linear_lift_growth,
     parity_oscillation,
 )
-from carpetdim.sft import FactorSystem, Sft, induced_factor
+from carpetdim.sft import FactorSystem, Sft, induced_factor, validate_sft
 
 # Exponent used throughout for the (l=3, m=2) geometry.
 THETA_32 = math.log(2) / math.log(3)
@@ -21,6 +22,27 @@ THETA_32 = math.log(2) / math.log(3)
 def make_factor(symbols, edges, letter_map) -> FactorSystem:
     """One-call construction of a factor system from plain literals."""
     return induced_factor(Sft.from_edges(symbols, edges), letter_map)
+
+
+def log_int(n: int) -> LogReal:
+    """log n with the one rounding of math.log charged to its bound."""
+    lv = math.log(n)
+    return LogReal(lv, 2.0**-52 * (abs(lv) + 1.0))
+
+
+def random_mixing_system(rng):
+    """A random factor system on 2 to 4 source symbols with a mixing
+    source, onto two image letters."""
+    while True:
+        k = rng.randint(2, 4)
+        symbols = [str(i) for i in range(k)]
+        edges = [(a, b) for a in symbols for b in symbols if rng.random() < 0.6]
+        letters = {s: rng.choice("xy") for s in symbols}
+        if {a for a, _ in edges} != set(symbols) or {b for _, b in edges} != set(symbols):
+            continue  # every symbol needs a successor and a predecessor
+        fs = make_factor(symbols, edges, letters)
+        if validate_sft(fs.source).mixing:
+            return fs
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 """Counting layer: log-domain numbers, lift counts, partition sums."""
 
 import math
+import random
+from collections import Counter
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -19,41 +22,34 @@ from carpetdim.counting import (
     DEFAULT_NODE_BUDGET,
 )
 from carpetdim.errors import PreconditionError, ResourceError, SpecError
+from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, linear_lift_growth, parity_oscillation
 from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
-from conftest import THETA_32, make_factor
+from conftest import THETA_32, log_int, make_factor, random_mixing_system
 from oracles import product_count_oracle
 
 
 class TestLogReal:
     def test_zero_is_additive_identity(self):
-        x = LogReal.from_int(7)
+        x = log_int(7)
         z = LogReal.zero()
-        assert z.is_zero()
+        assert z.log == -math.inf
         for combined in (x.add(z), z.add(x)):
             assert combined.log == x.log
             assert combined.err == x.err
-
-    def test_from_int_matches_math_log(self):
-        for n in (1, 2, 3, 10, 12345, 10**40):
-            assert LogReal.from_int(n).log == math.log(n)
-
-    def test_from_int_rejects_negative(self):
-        with pytest.raises(PreconditionError):
-            LogReal.from_int(-1)
 
     def test_add_is_exact_within_bound(self):
         total = LogReal.zero()
         exact = 0
         for n in range(1, 400):
-            total = total.add(LogReal.from_int(n))
+            total = total.add(log_int(n))
             exact += n
         assert abs(total.log - math.log(exact)) <= total.err_bound
 
     def test_add_bound_grows_with_depth_not_count(self):
         """Chained adds accumulate error linearly, and max-combining keeps
         the bound from doubling when balanced trees share subterms."""
-        x = LogReal.from_int(3)
+        x = log_int(3)
         chain = x
         for _ in range(100):
             chain = chain.add(x)
@@ -63,28 +59,19 @@ class TestLogReal:
         assert doubled.err_bound < chain.err_bound + 1e-14
 
     def test_times_adds_logs_and_bounds(self):
-        a = LogReal.from_int(6)
-        b = LogReal.from_int(7)
+        a = log_int(6)
+        b = log_int(7)
         prod = a.times(b)
         assert prod.log == pytest.approx(math.log(42), abs=1e-14)
         assert prod.err >= a.err + b.err
-        assert a.times(LogReal.zero()).is_zero()
+        assert a.times(LogReal.zero()).log == -math.inf
 
     def test_scaled_by_log(self):
-        x = LogReal.from_int(5)
+        x = log_int(5)
         y = x.scaled_by_log(math.log(3))
         assert y.log == pytest.approx(math.log(15), abs=1e-13)
         assert abs(y.log - math.log(15)) <= y.err_bound
-        assert LogReal.zero().scaled_by_log(1.0).is_zero()
-
-    def test_powered(self):
-        x = LogReal.from_int(8)
-        y = x.powered(THETA_32)
-        assert y.log == pytest.approx(THETA_32 * math.log(8), abs=1e-14)
-        assert LogReal.zero().powered(0.5).is_zero()
-
-    def test_value_round_trips(self):
-        assert LogReal.from_int(20).value == pytest.approx(20.0, rel=1e-15)
+        assert LogReal.zero().scaled_by_log(1.0).log == -math.inf
 
 
 class TestPreimageCount:
@@ -210,6 +197,27 @@ class TestNodeBudget:
         assert "at level 6 of 20 with" in str(info.value)
         assert "states held" in str(info.value)
 
+    def test_budget_message_counts_every_held_level(self, fibonacci):
+        """levels(18) holds levels 1..17 (290 states) while it builds the
+        35 states of level 18; a fresh sweep visits 582 nodes."""
+        eng = CollapsedEngine(fibonacci, THETA_32, node_budget=581)
+        with pytest.raises(ResourceError, match="at level 18 of 18 with 325 states held"):
+            eng.levels(18)
+        held = CollapsedEngine(fibonacci, THETA_32).levels(18)
+        assert sum(len(level) for level in held[:17]) == 290
+        assert len(held[17]) == 35
+
+    def test_budget_message_of_a_jump_counts_every_held_level(self):
+        """The 7x5 carpet of criterion 01 holds 5 states per level; levels
+        1..3 take 5 + 25 + 25 visits, and the jump on from them overruns."""
+        fs, _ = carpet_to_factor(
+            CarpetSpec(7, 5, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 0), (6, 1), (2, 3)))
+        )
+        eng = CollapsedEngine(fs, 0.8, node_budget=56)
+        eng.levels(3)
+        with pytest.raises(ResourceError, match="at level 4 of 2000 with 15 states held"):
+            eng.partition(2000)
+
     def test_resolve_order(self, monkeypatch):
         monkeypatch.delenv("CARPETDIM_NODE_BUDGET", raising=False)
         assert resolve_node_budget(None) == DEFAULT_NODE_BUDGET
@@ -330,3 +338,63 @@ def test_trivial_identity_counts():
     for n in range(1, 6):
         for word in image_word_counts(fs, n):
             assert preimage_count(fs, word) == 1
+
+
+ORACLE_THETAS = (0.25, THETA_32, 0.8, 1.0)
+ORACLE_DEPTHS = {  # fibonacci has 2.4M lifts at depth 14, so it stops at 11
+    parity_oscillation: 14,
+    bipartite_fiber: 14,
+    fibonacci_fiber: 11,
+    linear_lift_growth: 14,
+}
+
+
+def oracle_log_sum(counts, theta):
+    """ln of the sum of c^theta over the lift counts, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(theta)
+        return sum(m * (t * Decimal(c).ln()).exp() for c, m in Counter(counts).items()).ln()
+
+
+def assert_within_tracked_error(log, err, oracle):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        assert abs(Decimal(log) - oracle) <= Decimal(err), (log, err, oracle)
+
+
+def assert_bounds_hold(fs, thetas, max_depth):
+    """log S_n from both modes for n <= max_depth, and the level-1 suffix
+    sums of a sweep to max_depth, each within its tracked error of a
+    60-digit sum over the enumerated lift counts."""
+    counts = {n: image_word_counts(fs, n) for n in range(1, max_depth + 1)}
+    by_letter: dict = {}
+    for word, c in counts[max_depth].items():
+        by_letter.setdefault(fs.image_index[word[0]], []).append(c)
+    for theta in thetas:
+        eng = CollapsedEngine(fs, theta)
+        for n in range(1, max_depth + 1):
+            oracle = oracle_log_sum(counts[n].values(), theta)
+            for ps in (eng.partition(n), partition_sum(fs, n, theta, mode="exact")):
+                assert_within_tracked_error(ps.value.log, ps.value.err, oracle)
+        back, errs = eng.backward(eng.levels(max_depth))
+        for (b, ones), sub in back[0].items():
+            assert ones == (1,) * len(fs.fibers[b])
+            assert_within_tracked_error(sub, errs[0], oracle_log_sum(by_letter[b], theta))
+
+
+class TestTrackedErrorAgainstOracle:
+    @pytest.mark.parametrize("build", list(ORACLE_DEPTHS), ids=lambda f: f.__name__)
+    def test_fixtures(self, build):
+        assert_bounds_hold(build(), ORACLE_THETAS, ORACLE_DEPTHS[build])
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_systems(self, seed):
+        assert_bounds_hold(random_mixing_system(random.Random(seed)), ORACLE_THETAS, 8)
+
+    def test_random_systems_meet_gcd_factors(self):
+        # the seeds above must exercise the rounding of theta * log g
+        engines = [CollapsedEngine(random_mixing_system(random.Random(seed)), 0.5) for seed in range(16)]
+        for eng in engines:
+            eng.levels(8)
+        assert sum(any(g > 1 for g in eng._dlogs) for eng in engines) >= 4

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -23,26 +24,21 @@ from carpetdim.pressure import (
     pressure_interval,
     superadditive_constants,
 )
-from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor, validate_sft
+from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
-from conftest import THETA_32, make_factor
+from conftest import THETA_32, make_factor, random_mixing_system
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-
-def random_mixing_system(rng):
-    """A random factor system on 2 to 4 source symbols with a mixing
-    source, onto two image letters."""
-    while True:
-        k = rng.randint(2, 4)
-        symbols = [str(i) for i in range(k)]
-        edges = [(a, b) for a in symbols for b in symbols if rng.random() < 0.6]
-        letters = {s: rng.choice("xy") for s in symbols}
-        if {a for a, _ in edges} != set(symbols) or {b for _, b in edges} != set(symbols):
-            continue  # every symbol needs a successor and a predecessor
-        fs = make_factor(symbols, edges, letters)
-        if validate_sft(fs.source).mixing:
-            return fs
+# the six full-shift carpets of acceptance criterion 01
+CRITERION_01_CARPETS = [
+    CarpetSpec(3, 2, ((0, 0), (1, 0), (0, 1))),
+    CarpetSpec(3, 2, ((0, 0), (1, 0), (2, 0), (0, 1))),
+    CarpetSpec(4, 2, ((0, 0), (1, 1), (3, 0))),
+    CarpetSpec(4, 3, ((0, 0), (1, 1), (2, 2), (3, 0), (0, 2))),
+    CarpetSpec(5, 3, ((0, 0), (1, 0), (2, 1), (3, 2), (4, 1), (0, 2))),
+    CarpetSpec(7, 5, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 0), (6, 1), (2, 3))),
+]
 
 
 def assert_splices(fs, theta, N):
@@ -158,6 +154,23 @@ class TestHausdorffDimension:
         est = hausdorff_dimension(carpet_21, 2000)
         assert est.lower <= est.closed_form <= est.upper
         assert est.upper - est.lower < 1e-3
+
+    @pytest.mark.parametrize("depth", [30, 200, 2000])
+    def test_full_shift_brackets_contain_the_decimal_closed_form(self, depth):
+        """The brackets are about 3.7e-14 wide and the float closed form
+        sits only tens of ulps inside them, so the dimension is taken to
+        60 digits: log_m of the sum over rows of t_j^theta, theta = log m
+        / log l exactly."""
+        for spec in CRITERION_01_CARPETS:
+            est = hausdorff_dimension(spec, depth)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                log_m = Decimal(spec.m).ln()
+                theta = log_m / Decimal(spec.l).ln()
+                rows = sum((theta * Decimal(t).ln()).exp() for t in spec.row_occupancy() if t)
+                closed = rows.ln() / log_m
+                assert Decimal(est.lower) <= closed <= Decimal(est.upper), (spec, depth)
+            assert est.upper - est.lower < 4e-14
 
     def test_bounds_clamped_to_plane(self, torus_32):
         est = hausdorff_dimension(torus_32, 16)

@@ -20,7 +20,7 @@ from carpetdim.measures import additivity_scan
 from carpetdim.sft import EventuallyPeriodicPoint, Sft, carpet_to_factor, induced_factor
 from carpetdim.specfile import dump_document, factor_system_doc, parse_system
 
-from conftest import THETA_32, make_factor
+from conftest import THETA_32, log_int, make_factor
 from oracles import extendable_prefix_oracle, product_count_oracle
 
 
@@ -135,17 +135,17 @@ def test_extendable_prefix_counts_match_oracle(fs, cycle, preperiod, n):
 def test_logreal_sum_stays_within_tracked_bound(values):
     acc = LogReal.zero()
     for v in values:
-        acc = acc.add(LogReal.from_int(v))
+        acc = acc.add(log_int(v))
     assert abs(acc.log - math.log(sum(values))) <= acc.err_bound
 
 
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=12))
 def test_logreal_product_stays_within_tracked_bound(values):
-    acc = LogReal.from_int(1)
+    acc = log_int(1)
     product = 1
     for v in values:
-        acc = acc.times(LogReal.from_int(v))
+        acc = acc.times(log_int(v))
         product *= v
     assert abs(acc.log - math.log(product)) <= acc.err_bound
 
@@ -203,10 +203,11 @@ def test_additivity_scan_of_full_shift_scans_level_one_only():
 
 def _assert_backward_sums_to_partition(fs, theta, depth):
     eng = CollapsedEngine(fs, theta)
-    back = eng.backward(eng.levels(depth))
+    back, errs = eng.backward(eng.levels(depth))
+    assert len(back) == len(errs) == depth
     total = LogReal.zero()
     for x in back[0].values():
-        total = total.add(x)  # the letters' states carry weight 1
+        total = total.add(LogReal(x, errs[0]))  # the letters' states carry weight 1
     forward = eng.partition(depth).value
     assert abs(total.log - forward.log) <= total.err_bound + forward.err_bound
     return eng
