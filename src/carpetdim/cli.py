@@ -5,7 +5,7 @@ deterministic JSON report to standard output (sorted keys; the
 timestamp is the only nondeterministic field and --no-timestamp drops
 it).  Exit codes: 0 success, 1 malformed input or usage, 2 violated
 mathematical precondition (including a non-mixing source), 3 exhausted
-resource budget.
+resource budget or memory.
 """
 
 from __future__ import annotations
@@ -483,6 +483,9 @@ def main(argv=None) -> int:
         # NonMixingError and NotFullShiftError are subclasses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError:
+        print("error: out of memory; lower the depth or the node budget", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

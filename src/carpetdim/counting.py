@@ -66,55 +66,15 @@ def resolve_node_budget(explicit: Optional[int]) -> int:
     return DEFAULT_NODE_BUDGET
 
 
+@dataclass(frozen=True)
 class LogReal:
-    """A nonnegative real stored as its natural log with a tracked bound.
+    """A nonnegative real as its natural log, with ``err`` bounding the
+    absolute error of ``log``, which is the relative error of the value
+    to first order.  The rounding that ``err`` covers is derived in
+    ``CollapsedEngine``."""
 
-    ``err`` bounds the absolute error of ``log``, which is the relative
-    error of the represented value to first order.  Addition is an
-    order-stable two-term log-sum-exp; because the terms are
-    nonnegative, the result's log error is a convex combination of the
-    input errors, so the bound combines by max plus the per-operation
-    rounding.  Multiplication adds logs, so there the bounds add.
-    """
-
-    __slots__ = ("log", "err")
-
-    def __init__(self, log: float, err: float = 0.0):
-        self.log = log
-        self.err = err
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(_NEG_INF, 0.0)
-
-    def add(self, other: "LogReal") -> "LogReal":
-        if self.log == _NEG_INF:
-            return LogReal(other.log, other.err)
-        if other.log == _NEG_INF:
-            return LogReal(self.log, self.err)
-        hi, lo = (self.log, other.log) if self.log >= other.log else (other.log, self.log)
-        out = hi + math.log1p(math.exp(lo - hi))
-        return LogReal(out, max(self.err, other.err) + _EPS * (abs(out) + 3.0))
-
-    def times(self, other: "LogReal") -> "LogReal":
-        if self.log == _NEG_INF or other.log == _NEG_INF:
-            return LogReal.zero()
-        out = self.log + other.log
-        return LogReal(out, self.err + other.err + _EPS * (abs(out) + 1.0))
-
-    def scaled_by_log(self, dlog: float) -> "LogReal":
-        """Multiply by e^dlog, charging for dlog's own float rounding."""
-        if self.log == _NEG_INF:
-            return LogReal.zero()
-        out = self.log + dlog
-        return LogReal(out, self.err + _EPS * (3.0 * abs(dlog) + abs(out) + 1.0))
-
-    @property
-    def err_bound(self) -> float:
-        return self.err
-
-    def __repr__(self):
-        return f"LogReal(log={self.log!r}, err={self.err!r})"
+    log: float
+    err: float = 0.0
 
 
 def _advance(vec: tuple[int, ...], cols: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -267,18 +227,26 @@ def _summed(terms: list[float], err: float) -> LogReal:
     return LogReal(out, err + _EPS * (4.0 * out + 2.0))
 
 
-def _matmul(a: list, b: list) -> list:
-    # matrices of (weight, words): weights multiply in the log domain,
-    # word counts as integers; (zero, 0) marks a missing entry
-    return [[_dot(r, c) for c in zip(*b)] for r in a]
-
-
-def _dot(r, c) -> tuple[LogReal, int]:
-    acc, words = LogReal.zero(), 0
-    for (x, m), (y, n) in zip(r, c):
-        if m and n:
-            acc, words = acc.add(x.times(y)), words + m * n
-    return acc, words
+def _log_matmul(a: list, b: list) -> tuple[list, float]:
+    """The product of matrices of (log weight, words), words == 0 marking
+    a missing entry: an entry's terms x + y merge by log-sum-exp and word
+    counts multiply as integers.  Also what the product adds to the sum
+    of its factors' error bounds, derived in ``CollapsedEngine``."""
+    out, top = [], 0.0
+    for r in a:
+        row = []
+        for c in zip(*b):
+            terms, words = [], 0
+            for (x, m), (y, k) in zip(r, c):
+                if m and k:
+                    terms.append(x + y)
+                    words += m * k
+            lw = _log_sum_exp(terms)
+            if lw > top:
+                top = lw
+            row.append((lw, words))
+        out.append(row)
+    return out, _EPS * (2.5 * top + 2.0)
 
 
 class CollapsedEngine:
@@ -312,9 +280,8 @@ class CollapsedEngine:
     >= 1, so every log is >= 0, and the largest log T of a level bounds
     each term, spread and result met while building it.  Take eps =
     2^-52, +, - and * correctly rounded (within eps/2, relative), exp
-    and log faithful (within eps, the assumption ``LogReal.add`` makes)
-    and ``fsum`` correctly rounded.  A step then adds to E, once per
-    level and from level-wide maxima:
+    and log faithful (within eps) and ``fsum`` correctly rounded.  A
+    step then adds to E, once per level and from level-wide maxima:
 
     - for the child terms lw + d: log g is off by eps log g, so
       theta log g by eps d, and the product rounds by eps/2 d; the add
@@ -334,8 +301,17 @@ class CollapsedEngine:
     being the log of the sum, and the sum adds eps (2 S + 2).
     ``backward`` starts from eps (2 T + 1) for the last
     level's theta log(sum of vector) and charges each level above it
-    as a step with merges.  The jump keeps a ``LogReal`` per entry of
-    its matrices and hands on the largest entry error.
+    as a step with merges.
+
+    The jump multiplies matrices of such entries, each matrix with one
+    bound on the error of all its logs.  The row starts from the
+    level's E.  The one-step entries d are each off by at most 1.5 eps
+    d, as in a step, so by eps 2 D, which is nothing when every g is 1.
+    A product of factors off by e and f has entries log-sum-exp(x + y),
+    off by e + f, plus eps/2 T for the adds x + y and eps (2 T + 2) for
+    the merge, T now being the product's largest finite log, which
+    bounds every term.  That is eps (2.5 T + 2) per product, charged
+    whether or not an entry merges.
     """
 
     def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
@@ -475,20 +451,23 @@ class CollapsedEngine:
         in_store = sum(len(h) for h, _ in held)
         keys = list(level)
         where = {s: i for i, s in enumerate(keys)}
-        one_step = [[(LogReal.zero(), 0)] * len(keys) for _ in keys]
+        one_step = [[(_NEG_INF, 0)] * len(keys) for _ in keys]
         for i, (b, prim) in enumerate(keys):
             kids = self._children(b, prim)
             self._charge(self.visited + len(kids), k + 1, n, in_store)
             for key, d in kids:
-                one_step[i][where[key]] = (LogReal(0.0).scaled_by_log(d) if d else LogReal(0.0), 1)
-        row, steps = [[(LogReal(level[s][0], err), level[s][1]) for s in keys]], n - k
+                one_step[i][where[key]] = (d, 1)
+        row, steps = [[level[s] for s in keys]], n - k
+        map_err = 2.0 * _EPS * max(self._dlogs.values())
         while steps:
             if steps & 1:
-                row = _matmul(row, one_step)
+                row, charge = _log_matmul(row, one_step)
+                err += map_err + charge
             steps >>= 1
             if steps:
-                one_step = _matmul(one_step, one_step)
-        return {s: (x.log, m) for s, (x, m) in zip(keys, row[0])}, max(x.err for x, _ in row[0])
+                one_step, charge = _log_matmul(one_step, one_step)
+                map_err += map_err + charge
+        return dict(zip(keys, row[0])), err
 
     def partition(self, n: int) -> PartitionSum:
         if n < 1:

@@ -219,9 +219,9 @@ def gibbs_scan(
         # three adds by eps/2 (big + |log S_L| + |scale|)
         bound = err + total.err + _EPS * (3.0 * big + 2.0 * abs(total.log) + 2.0 * abs(scale) + 1.0)
         slack = max(slack, bound)
-    k_tilde = LogReal(constants.log_K_tilde, constants.rounding_bound)
-    c1 = LogReal(-k_tilde.log, k_tilde.err).scaled_by_log(-(constants.M - 1) * p_hi)
-    c2 = k_tilde.scaled_by_log(n_max * (p_hi - p_lo))
+    log_k, k_err = constants.log_K_tilde, constants.rounding_bound
+    c1 = _scaled(-log_k, k_err, -(constants.M - 1) * p_hi)
+    c2 = _scaled(log_k, k_err, n_max * (p_hi - p_lo))
     return GibbsEnvelope(
         C1_lower=math.exp(c1.log - _pad(c1, slack)),
         C2_upper=math.exp(c2.log + _pad(c2, slack)),
@@ -231,6 +231,12 @@ def gibbs_scan(
         level=level,
         n_max=n_max,
     )
+
+
+def _scaled(log: float, err: float, dlog: float) -> LogReal:
+    # e^log off by err times e^dlog, charging for dlog's own rounding
+    out = log + dlog
+    return LogReal(out, err + _EPS * (3.0 * abs(dlog) + abs(out) + 1.0))
 
 
 def _pad(end: LogReal, slack: float) -> float:

@@ -181,7 +181,7 @@ def pressure_interval(
     if constants is None:
         constants = superadditive_constants(fs, theta, engine=eng)
     ps = _partition(eng, n, mode, node_budget)
-    err = ps.value.err_bound + constants.rounding_bound
+    err = ps.value.err + constants.rounding_bound
     upper = (ps.value.log + err) / n
     lower = (ps.value.log - err - constants.log_K_tilde) / n
     return PressureEstimate(
@@ -244,7 +244,7 @@ def hausdorff_dimension(
         )
     except NonMixingError:
         ps = _partition(engine, n, mode, node_budget)
-        err = ps.value.err_bound
+        err = ps.value.err
         upper = min(2.0, (ps.value.log + err) / (n * log_m))
         warnings.append(
             "source shift is not mixing: lower bound unavailable, 0 reported"

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from carpetdim.counting import LogReal
 from carpetdim.fixtures import (
     bipartite_fiber,
     column_carpet_21,
@@ -22,12 +21,6 @@ THETA_32 = math.log(2) / math.log(3)
 def make_factor(symbols, edges, letter_map) -> FactorSystem:
     """One-call construction of a factor system from plain literals."""
     return induced_factor(Sft.from_edges(symbols, edges), letter_map)
-
-
-def log_int(n: int) -> LogReal:
-    """log n with the one rounding of math.log charged to its bound."""
-    lv = math.log(n)
-    return LogReal(lv, 2.0**-52 * (abs(lv) + 1.0))
 
 
 def random_mixing_system(rng):

@@ -192,7 +192,7 @@ def test_criterion_04_splicing_inequalities_hold():
         constants = superadditive_constants(fs, THETA_32, engine=engine)
         series = partition_series(fs, N, THETA_32, engine=engine)
         logs = [p.value.log for p in series]
-        errs = [p.value.err_bound for p in series]
+        errs = [p.value.err for p in series]
         M = constants.M
         log_K = math.log(constants.K)
         for n in range(1, N):

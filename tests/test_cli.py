@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from carpetdim import pressure
+from carpetdim import cli, pressure
 from carpetdim.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -333,6 +333,21 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert out == ""
         assert "Collatz-Wielandt bracket" in err
+
+    def test_out_of_memory_exits_resource(self, capsys, fixture_dir, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "hausdorff_dimension", exhausted)
+        code, out, err = run_cli(
+            capsys,
+            "dimension",
+            "--spec", str(fixture_dir / "column_carpet_21.json"),
+            "--depth", "5",
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("error: out of memory")
 
     def test_render_budget_exit(self, capsys, fixture_dir):
         code, _, _ = run_cli(

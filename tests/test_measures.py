@@ -16,7 +16,7 @@ from carpetdim.measures import (
     nu_marginal,
     uniqueness_report,
 )
-from carpetdim.sft import carpet_to_factor
+from carpetdim.sft import CarpetSpec, carpet_to_factor
 
 from conftest import THETA_32, make_factor
 
@@ -83,12 +83,25 @@ class TestGibbsScan:
         assert env.min_ratio == pytest.approx(1.0, abs=1e-10)
         assert env.max_ratio == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("l, m", [(3, 2), (4, 3)])
-    def test_full_shift_envelope_contains_ratios(self, l, m):
+    @pytest.mark.parametrize(
+        "spec, level, n_max",
+        [
+            pytest.param(full_torus(3, 2), 18, 10, id="3-2"),
+            pytest.param(full_torus(4, 3), 18, 10, id="4-3"),
+        ]
+        + [
+            # rows of 3 and 1 digits: at these levels the ratios' own
+            # rounding outgrows the constants' padding, so only the
+            # ratios' slack keeps them inside
+            pytest.param(CarpetSpec(3, 2, ((0, 0), (1, 0), (2, 0), (0, 1))), level, 1, id=f"3x2-rows-3-1-L{level}")
+            for level in (30, 60, 120)
+        ],
+    )
+    def test_full_shift_envelope_contains_ratios(self, spec, level, n_max):
         """K_tilde = 1 puts both ends at 1, so only the rounding padding
         keeps the flat ratios inside."""
-        fs, _ = carpet_to_factor(full_torus(l, m))
-        env = gibbs_scan(fs, math.log(m) / math.log(l), level=18, n_max=10)
+        fs, _ = carpet_to_factor(spec)
+        env = gibbs_scan(fs, spec.theta(), level=level, n_max=n_max)
         assert env.contained, (env.C1_lower, env.min_ratio, env.max_ratio, env.C2_upper)
 
     def test_envelope_constants_use_pressure_interval(self, fibonacci):

@@ -48,7 +48,7 @@ def assert_splices(fs, theta, N):
     constants = superadditive_constants(fs, theta, engine=engine)
     series = partition_series(fs, 2 * N, theta, engine=engine)
     logs = [p.value.log for p in series]
-    errs = [p.value.err_bound for p in series]
+    errs = [p.value.err for p in series]
     assert constants.log_K_tilde == (logs[constants.M - 2] if constants.M > 1 else 0.0)
     for l in range(1, N + 1):
         for n in range(1, N + 1):
