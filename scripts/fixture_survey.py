@@ -50,11 +50,11 @@ def survey(name, fs, args):
         f"mixing index M={report.mixing_index}"
     )
     engine = CollapsedEngine(fs, args.theta)
-    constants = superadditive_constants(fs, args.theta, engine=engine)
+    constants = superadditive_constants(engine)
     print(
         f"  constants: K={constants.K:.6g} K~={constants.K_tilde:.6g}"
     )
-    est = pressure_interval(fs, args.theta, args.depth, engine=engine)
+    est = pressure_interval(engine, args.depth)
     print(
         f"  pressure at n={args.depth}: [{est.lower:.9f}, {est.upper:.9f}] "
         f"width {est.upper - est.lower:.3e}"

@@ -43,7 +43,6 @@ from .render import render_carpet, write_pbm
 from .sft import (
     CarpetSpec,
     EventuallyPeriodicPoint,
-    FactorSystem,
     carpet_to_factor,
     singleton_clumps,
     validate_sft,
@@ -124,11 +123,12 @@ def _parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, spec=True):
+    def add(name, help_text, spec=True, sweeps=False):
         p = sub.add_parser(name, help=help_text)
         if spec:
             p.add_argument("--spec", required=True, dest="spec_path", help="system document (JSON)")
-        p.add_argument("--node-budget", type=_positive, dest="node_budget")
+        if sweeps:
+            p.add_argument("--node-budget", type=_positive, dest="node_budget")
         p.add_argument(
             "--no-timestamp",
             dest="timestamp",
@@ -139,11 +139,11 @@ def _parser() -> _Parser:
 
     add("analyze", "structural facts: connectivity, mixing index, fibers, clumps")
 
-    p = add("dimension", "dimension interval for a carpet spec")
+    p = add("dimension", "dimension interval for a carpet spec", sweeps=True)
     p.add_argument("--depth", type=_positive, required=True)
     p.add_argument("--mode", choices=("collapsed", "exact"), default="collapsed")
 
-    p = add("pressure", "pressure bracket at one depth, optional CSV series")
+    p = add("pressure", "pressure bracket at one depth, optional CSV series", sweeps=True)
     p.add_argument("--depth", type=_positive, required=True)
     p.add_argument("--theta", type=float, help="count exponent in (0, 1]; forbidden for carpets")
     p.add_argument("--mode", choices=("collapsed", "exact"), default="collapsed")
@@ -152,16 +152,16 @@ def _parser() -> _Parser:
     p = add("counts", "exact lift count of one image word")
     p.add_argument("--word", type=_letters, required=True, help="image word: comma-separated letters, or a bare run of single-character letters")
 
-    p = add("gibbs", "scan cylinder-mass ratios against the theoretical envelope")
+    p = add("gibbs", "scan cylinder-mass ratios against the theoretical envelope", sweeps=True)
     p.add_argument("--level", type=_positive, required=True)
     p.add_argument("--n-max", type=_positive, required=True, dest="n_max")
     p.add_argument("--theta", type=float)
 
-    p = add("additivity", "concatenation-ratio scan and uniqueness verdict")
+    p = add("additivity", "concatenation-ratio scan and uniqueness verdict", sweeps=True)
     p.add_argument("--max-len", type=_positive, required=True, dest="max_len")
     p.add_argument("--threshold", type=float, default=DEFAULT_REFUTATION_THRESHOLD)
 
-    p = add("cesaro", "shift-invariance defect of the averaged cylinder measure")
+    p = add("cesaro", "shift-invariance defect of the averaged cylinder measure", sweeps=True)
     p.add_argument("--level", type=_positive, required=True)
     p.add_argument("--n-terms", type=_positive, required=True, dest="n_terms")
     p.add_argument("--probe-depth", type=_positive, default=2, dest="probe_depth")
@@ -289,10 +289,8 @@ def _cmd_pressure(config: CommandConfig) -> int:
     fs, _, theta = _factor_and_theta(config)
     engine = CollapsedEngine(fs, theta, config.node_budget)  # one sweep for series and bracket
     if config.csv_path:
-        _write_series_csv(config.csv_path, convergence_rows(fs, theta, config.depth, engine=engine))
-    estimate = pressure_interval(
-        fs, theta, config.depth, config.mode, config.node_budget, engine=engine
-    )
+        _write_series_csv(config.csv_path, convergence_rows(engine, config.depth))
+    estimate = pressure_interval(engine, config.depth, config.mode)
     payload = {
         "theta": theta,
         "n": estimate.n,

@@ -507,18 +507,6 @@ class CollapsedEngine:
         return out[::-1], errs[::-1]
 
 
-def shared_engine(
-    fs: FactorSystem, theta: float, node_budget: Optional[int], engine: Optional[CollapsedEngine]
-) -> CollapsedEngine:
-    """``engine`` if given, else a new one.  A given engine must count for
-    ``fs`` at ``theta``: its sums are reported under those."""
-    if engine is None:
-        return CollapsedEngine(fs, theta, node_budget)
-    if engine.fs != fs or engine.theta != theta:
-        raise PreconditionError("engine was built for another factor system or theta")
-    return engine
-
-
 def partition_sum(
     fs: FactorSystem,
     n: int,
@@ -558,18 +546,11 @@ def partition_sum(
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
-def partition_series(
-    fs: FactorSystem,
-    n_max: int,
-    theta: float,
-    node_budget: Optional[int] = None,
-    engine: Optional[CollapsedEngine] = None,
-) -> list[PartitionSum]:
-    """S_1 .. S_{n_max} from one collapsed sweep."""
+def partition_series(engine: CollapsedEngine, n_max: int) -> list[PartitionSum]:
+    """S_1 .. S_{n_max} from the engine's one sweep."""
     if n_max < 1:
         raise PreconditionError("depth must be >= 1")
-    eng = shared_engine(fs, theta, node_budget, engine)
-    return [eng.partition(n) for n in range(1, n_max + 1)]
+    return [engine.partition(n) for n in range(1, n_max + 1)]
 
 
 def _cycle_viable(fs: FactorSystem, cycle: tuple[str, ...]) -> list[set[int]]:

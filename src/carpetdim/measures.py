@@ -26,7 +26,6 @@ from .counting import (
     _prefix_words,
     _read,
     resolve_node_budget,
-    shared_engine,
 )
 from .errors import NonMixingError, PreconditionError, ResourceError
 from .pressure import (
@@ -136,7 +135,6 @@ def nu_marginal(
     level: int,
     depth: int,
     node_budget: Optional[int] = None,
-    engine: Optional[CollapsedEngine] = None,
 ) -> CylinderDistribution:
     """Depth-``depth`` marginal of the level-``level`` partition measure.
 
@@ -149,7 +147,7 @@ def nu_marginal(
         raise PreconditionError("depth must be >= 1")
     if level < depth:
         raise PreconditionError("level must be >= depth")
-    eng = shared_engine(fs, theta, node_budget, engine)
+    eng = CollapsedEngine(fs, theta, node_budget)
     masses = {w: m for w, m in _shift_masses(eng, level, depth, [0])[0].items() if m > 0.0}
     return CylinderDistribution(depth=depth, kind="nu_l_marginal", masses=masses, level=level)
 
@@ -192,8 +190,8 @@ def gibbs_scan(
     # levels first: S_{M-1}, S_M and S_L are then read off the held levels
     eng = CollapsedEngine(fs, theta, node_budget)
     levels = eng.levels(level)
-    constants = superadditive_constants(fs, theta, engine=eng)
-    estimate = pressure_interval(fs, theta, level, engine=eng, constants=constants)
+    constants = superadditive_constants(eng)
+    estimate = pressure_interval(eng, level, constants=constants)
     total = eng.partition(level).value
     back, errs = eng.backward(levels)
     p_hi, p_lo = estimate.upper, estimate.lower
@@ -393,10 +391,14 @@ def additivity_scan(
     verdict is ``refuted-up-to-{max_len}`` when the minimum falls under
     ``threshold`` along a strictly decreasing stretch of at least four
     trend entries, with the witness pair stored; otherwise
-    ``consistent-with-almost-additive``.
+    ``consistent-with-almost-additive``.  A ``threshold`` that is not
+    finite raises PreconditionError: the report must carry it as a
+    JSON number.
     """
     if max_len < 1:
         raise PreconditionError("max_len must be >= 1")
+    if not math.isfinite(threshold):
+        raise PreconditionError("threshold must be finite")
     budget = resolve_node_budget(node_budget)
     # ends: (last letter, direction of the ending count vector);
     # starts: (first letter, direction of the starting count vector),

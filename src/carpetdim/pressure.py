@@ -24,7 +24,6 @@ from .counting import (
     is_image_point,
     partition_series,
     partition_sum,
-    shared_engine,
 )
 from .errors import NonMixingError, NotFullShiftError, PreconditionError, ResourceError
 from .sft import (
@@ -135,15 +134,11 @@ def mixing_index(fs: FactorSystem) -> int:
     return report.mixing_index
 
 
-def superadditive_constants(
-    fs: FactorSystem,
-    theta: float,
-    node_budget: Optional[int] = None,
-    engine: Optional[CollapsedEngine] = None,
-) -> SuperadditiveConstants:
-    """Compute M, K = S_M and K_tilde = S_{M-1} for a mixing source shift."""
-    M = mixing_index(fs)
-    series = partition_series(fs, M, theta, node_budget=node_budget, engine=engine)
+def superadditive_constants(engine: CollapsedEngine) -> SuperadditiveConstants:
+    """M, K = S_M and K_tilde = S_{M-1} for the engine's system, whose
+    source must be mixing, read off the engine's sweep at its theta."""
+    M = mixing_index(engine.fs)
+    series = partition_series(engine, M)
     s_m = series[-1].value
     s_prev = series[-2].value if M > 1 else LogReal(0.0)
     # tracked errors, plus the exp then log round trip of K and K_tilde
@@ -159,28 +154,27 @@ def superadditive_constants(
 
 
 def pressure_interval(
-    fs: FactorSystem,
-    theta: float,
+    engine: CollapsedEngine,
     n: int,
     mode: str = "collapsed",
-    node_budget: Optional[int] = None,
-    engine: Optional[CollapsedEngine] = None,
     constants: Optional[SuperadditiveConstants] = None,
 ) -> PressureEstimate:
-    """Bracket the pressure using S_n and the splicing constants.
+    """Bracket the pressure of the engine's system at its theta, using
+    S_n and the splicing constants.
 
     upper = log S_n / n holds by subadditivity; lower = (log S_n -
     log K_tilde) / n by Fekete's lemma for the superadditive
     log(S_n / K_tilde).  Both ends are padded by the tracked rounding
     bounds of S_n and of the constants so the interval stays
-    conservative.
+    conservative.  ``constants`` defaults to the engine's own;
+    ``mode="exact"`` takes S_n from the full prefix-tree walk under the
+    engine's budget.
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")
-    eng = shared_engine(fs, theta, node_budget, engine)
     if constants is None:
-        constants = superadditive_constants(fs, theta, engine=eng)
-    ps = _partition(eng, n, mode, node_budget)
+        constants = superadditive_constants(engine)
+    ps = _partition(engine, n, mode)
     err = ps.value.err + constants.rounding_bound
     upper = (ps.value.log + err) / n
     lower = (ps.value.log - err - constants.log_K_tilde) / n
@@ -188,18 +182,18 @@ def pressure_interval(
         n=n,
         upper=upper,
         lower=lower,
-        theta=theta,
+        theta=engine.theta,
         constants=constants,
         log_Sn=ps.value.log,
         rounding_bound=err,
     )
 
 
-def _partition(engine: CollapsedEngine, n: int, mode: str, node_budget: Optional[int]):
+def _partition(engine: CollapsedEngine, n: int, mode: str):
     # S_n from the engine's sweep, or from the reference walk in exact mode
     if mode == "collapsed":
         return engine.partition(n)
-    return partition_sum(engine.fs, n, engine.theta, mode=mode, node_budget=node_budget)
+    return partition_sum(engine.fs, n, engine.theta, mode=mode, node_budget=engine.budget)
 
 
 def mcmullen_closed_form(spec: CarpetSpec) -> float:
@@ -233,17 +227,14 @@ def hausdorff_dimension(
     lower end falls back to the trivial 0, flagged in the warnings.
     """
     fs, alpha = carpet_to_factor(spec)
-    theta = spec.theta()
     log_m = math.log(spec.m)
     closed = mcmullen_closed_form(spec) if spec.is_full_shift() else None
     warnings: list[str] = []
-    engine = CollapsedEngine(fs, theta, node_budget)
+    engine = CollapsedEngine(fs, spec.theta(), node_budget)
     try:
-        estimate = pressure_interval(
-            fs, theta, n, mode=mode, node_budget=node_budget, engine=engine
-        )
+        estimate = pressure_interval(engine, n, mode=mode)
     except NonMixingError:
-        ps = _partition(engine, n, mode, node_budget)
+        ps = _partition(engine, n, mode)
         err = ps.value.err
         upper = min(2.0, (ps.value.log + err) / (n * log_m))
         warnings.append(
@@ -271,29 +262,22 @@ def hausdorff_dimension(
     )
 
 
-def convergence_rows(
-    fs: FactorSystem,
-    theta: float,
-    n_max: int,
-    node_budget: Optional[int] = None,
-    engine: Optional[CollapsedEngine] = None,
-) -> list[dict]:
-    """Pressure brackets at every depth 1..n_max from one shared sweep.
+def convergence_rows(engine: CollapsedEngine, n_max: int) -> list[dict]:
+    """Pressure brackets at every depth 1..n_max from the engine's sweep.
 
     Each row carries n, log S_n, the occurring-word count, and the
     upper/lower pressure bounds valid at that n.  Feeds the CSV series
     and the convergence plots.
     """
-    eng = shared_engine(fs, theta, node_budget, engine)
-    constants = superadditive_constants(fs, theta, engine=eng)
+    constants = superadditive_constants(engine)
     rows = []
     for n in range(1, n_max + 1):
-        estimate = pressure_interval(fs, theta, n, engine=eng, constants=constants)
+        estimate = pressure_interval(engine, n, constants=constants)
         rows.append(
             {
                 "n": n,
                 "log_Sn": estimate.log_Sn,
-                "words": eng.partition(n).word_count,
+                "words": engine.partition(n).word_count,
                 "upper_bound": estimate.upper,
                 "lower_bound": estimate.lower,
             }

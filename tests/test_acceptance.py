@@ -189,8 +189,8 @@ def test_criterion_04_splicing_inequalities_hold():
     for name, build in FIXTURE_BUILDERS.items():
         fs = build()
         engine = CollapsedEngine(fs, THETA_32)
-        constants = superadditive_constants(fs, THETA_32, engine=engine)
-        series = partition_series(fs, N, THETA_32, engine=engine)
+        constants = superadditive_constants(engine)
+        series = partition_series(engine, N)
         logs = [p.value.log for p in series]
         errs = [p.value.err for p in series]
         M = constants.M

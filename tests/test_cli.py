@@ -60,6 +60,26 @@ class TestParsing:
         assert main(["dimension", "--spec", "x.json", "--depth", "-3"]) == EXIT_SPEC
         capsys.readouterr()
 
+    def test_node_budget_only_on_sweeping_commands(self, capsys, fixture_dir):
+        """A command that never sweeps rejects the budget as unknown
+        rather than ignoring it."""
+        spec = str(fixture_dir / "parity_oscillation.json")
+        code, out, err = run_cli(capsys, "counts", "--spec", spec, "--word", "1221", "--node-budget", "1")
+        assert code == EXIT_SPEC
+        assert out == ""
+        assert err.startswith("usage:")
+        assert "--node-budget" in err
+        sweeping = {
+            "dimension": ["--depth", "2"],
+            "pressure": ["--depth", "2"],
+            "gibbs": ["--level", "4", "--n-max", "1"],
+            "additivity": ["--max-len", "2"],
+            "cesaro": ["--level", "4", "--n-terms", "1"],
+        }
+        for command, args in sweeping.items():
+            config = parse_args([command, "--spec", spec, *args, "--node-budget", "7"])
+            assert config.node_budget == 7
+
 
 class TestReports:
     def test_analyze_factor_system(self, capsys, fixture_dir):
@@ -296,6 +316,19 @@ class TestExitCodes:
             "--n-max", "8",
         )
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_is_precondition(self, capsys, fixture_dir, threshold):
+        code, out, err = run_cli(
+            capsys,
+            "additivity",
+            "--spec", str(fixture_dir / "parity_oscillation.json"),
+            "--max-len", "4",
+            "--threshold", threshold,
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "error: threshold must be finite\n"
 
     def test_non_image_cycle_is_precondition(self, capsys, fixture_dir):
         code, _, _ = run_cli(

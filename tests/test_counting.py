@@ -122,7 +122,7 @@ class TestPartitionSums:
             partition_sum(parity, 0, THETA_32)
 
     def test_series_matches_single_calls(self, bipartite):
-        series = partition_series(bipartite, 8, THETA_32)
+        series = partition_series(CollapsedEngine(bipartite, THETA_32), 8)
         assert [p.n for p in series] == list(range(1, 9))
         for p in series:
             single = partition_sum(bipartite, p.n, THETA_32)
@@ -239,7 +239,7 @@ class TestCollapsedEngine:
         """Full shifts keep one key set, so deep levels come from powers
         of one step; they must match stepping level by level."""
         fs, _ = carpet_to_factor(torus_32)
-        stepped = partition_series(fs, 40, THETA_32)
+        stepped = partition_series(CollapsedEngine(fs, THETA_32), 40)
         eng = CollapsedEngine(fs, THETA_32)
         for n in (40, 25, 3):  # jump, then levels jumped over
             jumped = eng.partition(n)

@@ -190,6 +190,11 @@ class TestAdditivityScan:
         with pytest.raises(PreconditionError):
             additivity_scan(parity, max_len=0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, parity, threshold):
+        with pytest.raises(PreconditionError, match="threshold"):
+            additivity_scan(parity, max_len=4, threshold=threshold)
+
 
 class TestCesaro:
     def test_average_masses_sum_to_one(self, fibonacci):

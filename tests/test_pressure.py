@@ -13,8 +13,6 @@ from carpetdim.errors import (
     PreconditionError,
     ResourceError,
 )
-from carpetdim.fixtures import fibonacci_fiber, full_torus
-from carpetdim.measures import nu_marginal
 from carpetdim.pressure import (
     compensation_at_periodic,
     convergence_rows,
@@ -45,8 +43,8 @@ def assert_splices(fs, theta, N):
     """K_tilde = S_{M-1} (S_0 = 1), and log S_l + log S_n <= log K_tilde
     + log S_{l+n} for l, n <= N within the tracked rounding errors."""
     engine = CollapsedEngine(fs, theta)
-    constants = superadditive_constants(fs, theta, engine=engine)
-    series = partition_series(fs, 2 * N, theta, engine=engine)
+    constants = superadditive_constants(engine)
+    series = partition_series(engine, 2 * N)
     logs = [p.value.log for p in series]
     errs = [p.value.err for p in series]
     assert constants.log_K_tilde == (logs[constants.M - 2] if constants.M > 1 else 0.0)
@@ -61,7 +59,7 @@ def assert_splices(fs, theta, N):
 class TestSuperadditiveConstants:
     def test_full_shift_constants(self, torus_32):
         fs, _ = carpet_to_factor(torus_32)
-        constants = superadditive_constants(fs, THETA_32)
+        constants = superadditive_constants(CollapsedEngine(fs, THETA_32))
         assert constants.M == 1
         # S_1 = 2 * 3^theta = 4 up to float rounding at this geometry
         assert constants.K == pytest.approx(4.0, rel=1e-12)
@@ -71,7 +69,7 @@ class TestSuperadditiveConstants:
         assert constants.log_K_tilde == 0.0
 
     def test_fixture_constants_positive(self, any_fixture):
-        constants = superadditive_constants(any_fixture, THETA_32)
+        constants = superadditive_constants(CollapsedEngine(any_fixture, THETA_32))
         assert constants.M >= 1
         assert constants.K_tilde >= 1.0
         assert constants.rounding_bound > 0.0
@@ -87,12 +85,12 @@ class TestSuperadditiveConstants:
     def test_non_mixing_raises(self):
         fs = make_factor(["a", "b"], [("a", "b"), ("b", "a")], {"a": "x", "b": "x"})
         with pytest.raises(NonMixingError):
-            superadditive_constants(fs, THETA_32)
+            superadditive_constants(CollapsedEngine(fs, THETA_32))
 
 
 class TestPressureInterval:
     def test_interval_width_formula(self, fibonacci):
-        est = pressure_interval(fibonacci, THETA_32, 12)
+        est = pressure_interval(CollapsedEngine(fibonacci, THETA_32), 12)
         width = est.upper - est.lower
         expected = (
             est.constants.log_K_tilde + 2.0 * est.rounding_bound
@@ -103,20 +101,20 @@ class TestPressureInterval:
     def test_intervals_at_different_depths_overlap(self, any_fixture):
         """Every interval sandwiches the same limit, so lows never cross highs."""
         estimates = [
-            pressure_interval(any_fixture, THETA_32, n) for n in (2, 5, 9, 13)
+            pressure_interval(CollapsedEngine(any_fixture, THETA_32), n) for n in (2, 5, 9, 13)
         ]
         for a in estimates:
             for b in estimates:
                 assert a.lower <= b.upper + 1e-12
 
     def test_exact_mode_agrees(self, parity):
-        col = pressure_interval(parity, THETA_32, 8, mode="collapsed")
-        exa = pressure_interval(parity, THETA_32, 8, mode="exact")
+        col = pressure_interval(CollapsedEngine(parity, THETA_32), 8, mode="collapsed")
+        exa = pressure_interval(CollapsedEngine(parity, THETA_32), 8, mode="exact")
         assert col.log_Sn == pytest.approx(exa.log_Sn, abs=1e-12)
 
     def test_rejects_bad_depth(self, parity):
         with pytest.raises(PreconditionError):
-            pressure_interval(parity, THETA_32, 0)
+            pressure_interval(CollapsedEngine(parity, THETA_32), 0)
 
 
 class TestClosedForm:
@@ -190,14 +188,14 @@ class TestHausdorffDimension:
 
 class TestConvergenceRows:
     def test_rows_shape_and_consistency(self, bipartite):
-        rows = convergence_rows(bipartite, THETA_32, 8)
+        rows = convergence_rows(CollapsedEngine(bipartite, THETA_32), 8)
         assert [r["n"] for r in rows] == list(range(1, 9))
-        series = partition_series(bipartite, 8, THETA_32)
+        series = partition_series(CollapsedEngine(bipartite, THETA_32), 8)
         for row, ps in zip(rows, series):
             assert row["log_Sn"] == pytest.approx(ps.value.log, abs=1e-12)
             assert row["words"] == ps.word_count
             assert row["lower_bound"] < row["upper_bound"]
-            single = pressure_interval(bipartite, THETA_32, row["n"])
+            single = pressure_interval(CollapsedEngine(bipartite, THETA_32), row["n"])
             assert row["upper_bound"] == pytest.approx(single.upper, abs=1e-10)
 
 
@@ -293,25 +291,3 @@ class TestCompensation:
             compensation_at_periodic(
                 fibonacci, EventuallyPeriodicPoint((), ("2",)), depth=0
             )
-
-
-FOREIGN_ENGINE_CALLS = {
-    "partition_series": lambda fs, theta, eng: partition_series(fs, 10, theta, engine=eng),
-    "superadditive_constants": lambda fs, theta, eng: superadditive_constants(fs, theta, engine=eng),
-    "pressure_interval": lambda fs, theta, eng: pressure_interval(fs, theta, 10, engine=eng),
-    "convergence_rows": lambda fs, theta, eng: convergence_rows(fs, theta, 10, engine=eng),
-    "nu_marginal": lambda fs, theta, eng: nu_marginal(fs, theta, 10, 2, engine=eng),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FOREIGN_ENGINE_CALLS))
-def test_engine_for_another_theta_or_system_is_rejected(name, fibonacci, parity):
-    """An engine's sums must not be reported under another theta or system:
-    at theta 0.9 an engine built at 0.5 would give Fibonacci an upper
-    pressure bound of 0.8625 against the true 1.0188."""
-    call = FOREIGN_ENGINE_CALLS[name]
-    with pytest.raises(PreconditionError, match="engine"):
-        call(fibonacci, 0.9, CollapsedEngine(fibonacci, 0.5))
-    with pytest.raises(PreconditionError, match="engine"):
-        call(fibonacci, 0.9, CollapsedEngine(parity, 0.9))
-    call(fibonacci, 0.9, CollapsedEngine(fibonacci_fiber(), 0.9))  # an equal system is fine
