@@ -263,8 +263,7 @@ class CollapsedEngine:
     to the budget.
 
     One kernel, ``_children``, gives a state's children with the log
-    factor d = theta * log g that each child's gcd g contributes; the
-    forward step, the backward pass and the jump all read it.  The
+    factor d = theta * log g that each child's gcd g contributes.  The
     factor is computed once per engine for each g, and is 0.0 for
     g = 1, where no rounding is charged.
 
@@ -273,7 +272,12 @@ class CollapsedEngine:
     once a step returns the key set it started from, raises that linear
     map to a power when that costs less than stepping.  A held level's
     S_k is read without sweeping, and one ``backward`` pass over held
-    levels gives the suffix sums.
+    levels gives the suffix sums.  ``_reach`` picks a step's child
+    source once: while every level is held, ``_edges`` keeps each
+    state's child list from its first build for as long as the levels
+    are held, so a state that comes back at a deeper level, and
+    ``backward``, read it instead of rebuilding it; a sweep that drops
+    its levels, and the jump, call the kernel afresh.
 
     Rounding.  Each held level keeps one bound E on the absolute error
     of every log weight in it.  Every weight sums products of gcd^theta
@@ -326,6 +330,7 @@ class CollapsedEngine:
         self._held: list[tuple[dict, float]] = []  # (level, error bound), deepest last
         self._first = 0  # the level of _held[0]
         self._stationary_edges = 0  # edges per step once the key set repeats
+        self._edges: Optional[dict] = None  # state -> child list, while level 1 is held
         self._dlogs: dict[int, float] = {1: 0.0}  # g -> theta * log g
 
     def _charge(self, visited: int, k: int, depth: int, held: int) -> None:
@@ -354,6 +359,8 @@ class CollapsedEngine:
             self.collapsed_nodes += len(roots)
             held, k = [(roots, 0.0)], 1
             self._stationary_edges = 0
+            self._edges = {}
+        children = self._kept_children() if keep else self._children
         # raising a repeating step to a power costs about 2 s^3 log2(n - k)
         # products for s states, stepping (n - k) times its edges
         while k < n:
@@ -362,24 +369,40 @@ class CollapsedEngine:
                 held, k = [self._jump(held, k, n)], n
                 continue
             before = self.visited
-            nxt = self._step(held, k + 1, n)
+            nxt = self._step(held, k + 1, n, children)
             self._stationary_edges = self.visited - before if nxt[0].keys() == level.keys() else 0
             if not keep:
                 held = []
             held.append(nxt)
             k += 1
         self._held, self._first = held, k - len(held) + 1
+        if self._first != 1:
+            self._edges = None  # the child lists go with the levels they came from
 
-    def _step(self, held: list, k: int, depth: int) -> tuple[dict, float]:
+    def _kept_children(self):
+        """The kernel read through ``_edges``: each state's child list is
+        built on its first read and kept.  A closure, so that the engine
+        holds no reference cycle and is freed as soon as it is dropped."""
+        edges, kernel = self._edges, self._children
+
+        def children(state):
+            kids = edges.get(state)
+            if kids is None:
+                kids = edges[state] = kernel(state)
+            return kids
+
+        return children
+
+    def _step(self, held: list, k: int, depth: int, children) -> tuple[dict, float]:
         """Level k and its error bound from the deepest level of ``held``,
-        level k - 1, on the way to level ``depth``."""
+        level k - 1, on the way to level ``depth``, reading each state's
+        child list from ``children``."""
         level, err = held[-1]
-        children = self._children
         visited = self.visited
         nxt: dict = {}
         merged: dict = {}  # key -> all its terms, for keys reached twice
-        for (b, prim), (lw, words) in level.items():
-            kids = children(b, prim)
+        for state, (lw, words) in level.items():
+            kids = children(state)
             visited += len(kids)
             for key, d in kids:
                 old = nxt.get(key)
@@ -406,10 +429,11 @@ class CollapsedEngine:
             charge += 2.0 * top + 2.0
         return _EPS * charge
 
-    def _children(self, b: int, prim: tuple[int, ...]) -> list:
+    def _children(self, state: tuple[int, tuple[int, ...]]) -> list:
         """(child state, theta * log g) for each letter that extends a
         state (b, prim) with a nonzero count vector, whose gcd g the
         child state has divided out."""
+        b, prim = state
         dlogs = self._dlogs
         out = []
         for b2, cols in self.fs.fiber_supports[b].items():
@@ -452,8 +476,8 @@ class CollapsedEngine:
         keys = list(level)
         where = {s: i for i, s in enumerate(keys)}
         one_step = [[(_NEG_INF, 0)] * len(keys) for _ in keys]
-        for i, (b, prim) in enumerate(keys):
-            kids = self._children(b, prim)
+        for i, state in enumerate(keys):
+            kids = self._children(state)
             self._charge(self.visited + len(kids), k + 1, n, in_store)
             for key, d in kids:
                 one_step[i][where[key]] = (d, 1)
@@ -487,20 +511,31 @@ class CollapsedEngine:
         self._reach(depth, keep=True)
         return [level for level, _ in self._held[:depth]]
 
-    def backward(self, levels: list[dict]) -> tuple[list[dict], list[float]]:
-        """Suffix sums over held levels, one pass from the last level up,
-        and one error bound per level.  ``sums[k][s]`` is the float log
-        of the sum of the final count^theta over the extensions to the
-        last level of a prefix in state s of level k + 1, the prefix's
+    def backward(self, depth: Optional[int] = None) -> tuple[list[dict], list[float]]:
+        """Suffix sums over levels 1..depth, held by ``levels``, one pass
+        from level ``depth`` (by default the deepest held) up, and one
+        error bound per level.  ``sums[k][s]`` is the float log of the
+        sum of the final count^theta over the extensions to level
+        ``depth`` of a prefix in state s of level k + 1, the prefix's
         own gcd factored out, or -inf when there are none; ``errs[k]``
-        bounds the error of every finite log in ``sums[k]``."""
-        children, theta, log = self._children, self.theta, math.log
+        bounds the error of every finite log in ``sums[k]``.  The child
+        lists are the ones the forward sweep kept; a depth whose levels
+        are not held raises PreconditionError."""
+        held = self._held
+        if depth is None:
+            depth = len(held)
+        if self._first != 1 or not 1 <= depth <= len(held):
+            raise PreconditionError(
+                f"backward reads levels 1..{depth} held by levels({depth}); they are not held"
+            )
+        edges, theta, log = self._edges, self.theta, math.log
+        levels = [level for level, _ in held[:depth]]
         sums = {s: theta * log(sum(s[1])) for s in levels[-1]}
         err = _EPS * (2.0 * max(sums.values(), default=0.0) + 1.0)
         out, errs = [sums], [err]
         for level in reversed(levels[:-1]):
             below = sums
-            sums = {s: _log_sum_exp([below[key] + d for key, d in children(*s)]) for s in level}
+            sums = {s: _log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
             err += self._step_error(max(sums.values(), default=0.0), True)
             out.append(sums)
             errs.append(err)

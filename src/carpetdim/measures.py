@@ -189,11 +189,11 @@ def gibbs_scan(
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
     # levels first: S_{M-1}, S_M and S_L are then read off the held levels
     eng = CollapsedEngine(fs, theta, node_budget)
-    levels = eng.levels(level)
+    eng.levels(level)
     constants = superadditive_constants(eng)
     estimate = pressure_interval(eng, level, constants=constants)
     total = eng.partition(level).value
-    back, errs = eng.backward(levels)
+    back, errs = eng.backward(level)
     p_hi, p_lo = estimate.upper, estimate.lower
     log = math.log
     lo, hi = math.inf, -math.inf
@@ -251,7 +251,7 @@ def _shift_masses(eng, level, probe_depth, positions):
     fs = eng.fs
     levels = eng.levels(level)
     total = eng.partition(level).value
-    back, _ = eng.backward(levels)
+    back, _ = eng.backward(level)
     names = fs.image_alphabet
     words = [w for w, _ in _prefix_words(fs, probe_depth) if len(w) == probe_depth]
     out: dict[int, dict[tuple[str, ...], float]] = {}

@@ -12,7 +12,7 @@ from carpetdim.fixtures import (
     linear_lift_growth,
     parity_oscillation,
 )
-from carpetdim.sft import FactorSystem, Sft, induced_factor, validate_sft
+from carpetdim.sft import CarpetSpec, FactorSystem, Sft, carpet_to_factor, induced_factor, validate_sft
 
 # Exponent used throughout for the (l=3, m=2) geometry.
 THETA_32 = math.log(2) / math.log(3)
@@ -36,6 +36,21 @@ def random_mixing_system(rng):
         fs = make_factor(symbols, edges, letters)
         if validate_sft(fs.source).mixing:
             return fs
+
+
+def random_restricted_carpet(rng, l=4, m=2, k=6, p=0.7):
+    """A random l x m carpet with k digits covering every row, each of
+    the k * k transitions kept with probability p, redrawn until the
+    digit shift is mixing."""
+    cells = [(a, b) for b in range(m) for a in range(l)]
+    while True:
+        digits = tuple(rng.sample(cells, k))
+        arcs = tuple((i, j) for i in range(k) for j in range(k) if rng.random() < p)
+        if {b for _, b in digits} != set(range(m)):
+            continue
+        spec = CarpetSpec(l, m, digits, arcs)
+        if validate_sft(carpet_to_factor(spec)[0].source).mixing:
+            return spec
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 """Command line: argument handling, report shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from carpetdim import cli, pressure
 from carpetdim.cli import (
@@ -16,7 +19,7 @@ from carpetdim.cli import (
     parse_args,
 )
 from carpetdim.fixtures import write_fixture_files
-from carpetdim.specfile import load_system
+from carpetdim.specfile import load_system, write_document
 
 THETA_ARG = "0.6309297535714574"
 
@@ -402,3 +405,77 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "fixtures"
+
+
+@st.composite
+def spec_documents(draw):
+    """A small factor system or carpet document in which every symbol
+    has a successor, mixing or not, and its image letters."""
+    if draw(st.booleans()):
+        symbols = [str(i) for i in range(draw(st.integers(1, 4)))]
+        successors = st.lists(st.sampled_from(symbols), min_size=1, unique=True)
+        edges = [[a, b] for a in symbols for b in draw(successors)]
+        letter_map = {s: draw(st.sampled_from("xy")) for s in symbols}
+        doc = {"schema": 1, "kind": "factor_system", "symbols": symbols,
+               "edges": edges, "letter_map": letter_map}
+        return doc, sorted(set(letter_map.values()))
+    m = draw(st.integers(2, 3))
+    l = draw(st.integers(m + 1, 5))
+    cells = [(a, b) for b in range(m) for a in range(l)]
+    digits = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6, unique=True))
+    transitions = "full"
+    if draw(st.booleans()):
+        successors = st.lists(st.integers(0, len(digits) - 1), min_size=1, unique=True)
+        transitions = [[i, j] for i in range(len(digits)) for j in draw(successors)]
+    doc = {"schema": 1, "kind": "carpet", "l": l, "m": m, "digits": [list(d) for d in digits],
+           "transitions": transitions}
+    return doc, [str(b) for b in range(m)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=spec_documents(), data=st.data())
+def test_every_command_ends_in_a_report_or_a_clean_exit(fuzz_dir, case, data):
+    """Seeded random small documents through every command: each run
+    prints one JSON report, or exits 1, 2 or 3 with an error on stderr;
+    any other exception fails the test with its traceback."""
+    doc, letters = case
+    spec = str(fuzz_dir / "spec.json")
+    write_document(doc, spec)
+    carpet = doc["kind"] == "carpet"
+    theta = [] if carpet else ["--theta", repr(data.draw(st.floats(0.05, 1.0)))]
+    budget = ["--node-budget", data.draw(st.sampled_from(["40", "20000"]))]
+    word = ",".join(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=5)))
+    cycle = ",".join(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=2)))
+    level = data.draw(st.integers(2, 9))
+    commands = [
+        ["analyze"],
+        ["dimension", "--depth", str(data.draw(st.integers(1, 6))), *budget],
+        ["pressure", "--depth", str(data.draw(st.integers(1, 8))), *theta, *budget,
+         "--csv", str(fuzz_dir / "series.csv")],
+        ["counts", "--word", word],
+        ["gibbs", "--level", str(level), "--n-max", str(data.draw(st.integers(1, 3))), *theta, *budget],
+        ["additivity", "--max-len", str(data.draw(st.integers(1, 5))), *budget],
+        ["cesaro", "--level", str(level), "--n-terms", str(data.draw(st.integers(1, 4))),
+         "--probe-depth", str(data.draw(st.integers(1, 2))), *theta, *budget],
+        ["compensation", "--cycle", cycle, "--depth", str(data.draw(st.integers(1, 6)))],
+        ["render", "--level", str(data.draw(st.integers(1, 2))), "--output", str(fuzz_dir / "out.pbm")],
+    ]
+    for argv in commands:
+        argv = [argv[0], "--spec", spec, *argv[1:], "--no-timestamp"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == EXIT_OK:
+            assert json.loads(out.getvalue())["command"] == argv[0], argv
+        else:
+            assert code in (EXIT_SPEC, EXIT_PRECONDITION, EXIT_RESOURCE), (argv, code)
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith(("error:", "usage:")), (argv, err.getvalue())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--out-dir", str(fuzz_dir / "fixtures"), "--no-timestamp"]) == EXIT_OK

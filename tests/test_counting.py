@@ -2,6 +2,7 @@
 
 import math
 import random
+import weakref
 from collections import Counter
 from decimal import Decimal, localcontext
 
@@ -24,7 +25,7 @@ from carpetdim.errors import PreconditionError, ResourceError, SpecError
 from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, linear_lift_growth, parity_oscillation
 from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
-from conftest import THETA_32, make_factor, random_mixing_system
+from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
 from oracles import product_count_oracle
 
 
@@ -282,6 +283,142 @@ class TestCollapsedEngine:
         assert eng.visited == CollapsedEngine(fibonacci, THETA_32).partition(9).visited_nodes
 
 
+def fibonacci_sweep():
+    return fibonacci_fiber(), THETA_32
+
+
+def restricted_carpet_1():
+    """A seeded 4x2 restricted carpet whose levels 1..9 hold 442 states,
+    284 of them distinct."""
+    spec = random_restricted_carpet(random.Random(1))
+    return carpet_to_factor(spec)[0], spec.theta()
+
+
+KEPT_SWEEPS = [
+    pytest.param(fibonacci_sweep, 18, id="fibonacci-18"),
+    pytest.param(restricted_carpet_1, 10, id="restricted-carpet-10"),
+]
+
+
+def count_children(monkeypatch):
+    """Patch the child kernel to count its calls per state."""
+    calls: Counter = Counter()
+    kernel = CollapsedEngine._children
+
+    def counted(engine, state):
+        calls[state] += 1
+        return kernel(engine, state)
+
+    monkeypatch.setattr(CollapsedEngine, "_children", counted)
+    return calls
+
+
+class TestKeptEdges:
+    """``levels`` keeps each state's child list for as long as it holds
+    the levels, and ``backward`` reads the kept lists."""
+
+    @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
+    def test_children_built_once_per_distinct_state(self, monkeypatch, build, depth):
+        fs, theta = build()
+        calls = count_children(monkeypatch)
+        eng = CollapsedEngine(fs, theta)
+        held = eng.levels(depth)
+        above = [state for level in held[:-1] for state in level]
+        assert len(set(above)) < len(above)  # some states come back
+        assert calls == Counter(set(above))
+        calls.clear()
+        back, errs = eng.backward(depth)
+        assert not calls
+        assert len(back) == len(errs) == depth
+        assert eng.backward() == (back, errs)
+
+    @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
+    def test_going_on_builds_only_new_states(self, monkeypatch, build, depth):
+        fs, theta = build()
+        calls = count_children(monkeypatch)
+        eng = CollapsedEngine(fs, theta)
+        eng.levels(depth - 3)
+        held = eng.levels(depth)
+        assert calls == Counter({state for level in held[:-1] for state in level})
+        calls.clear()
+        shallow, _ = eng.backward(depth - 2)
+        assert not calls
+        assert len(shallow) == depth - 2
+
+    @pytest.mark.parametrize(
+        "build, depth, visited, states",
+        [
+            pytest.param(fibonacci_sweep, 18, 582, 325, id="fibonacci-18"),
+            pytest.param(restricted_carpet_1, 10, 886, 728, id="restricted-carpet-10"),
+        ],
+    )
+    def test_counters_unchanged(self, build, depth, visited, states):
+        """A kept child list still counts its edges each time it is read,
+        so a kept sweep visits what a sweep that drops its levels does."""
+        fs, theta = build()
+        kept, dropped = CollapsedEngine(fs, theta), CollapsedEngine(fs, theta)
+        kept.levels(depth)
+        dropped.partition(depth)
+        assert (kept.visited, kept.collapsed_nodes) == (visited, states)
+        assert (dropped.visited, dropped.collapsed_nodes) == (visited, states)
+
+    @pytest.mark.parametrize(
+        "build, depth, budget, message",
+        [
+            pytest.param(fibonacci_sweep, 18, 581,
+                         "at level 18 of 18 with 325 states held", id="fibonacci-581"),
+            pytest.param(fibonacci_sweep, 18, 300,
+                         "at level 14 of 18 with 177 states held", id="fibonacci-300"),
+            pytest.param(restricted_carpet_1, 10, 885,
+                         "at level 10 of 10 with 728 states held", id="restricted-885"),
+            pytest.param(restricted_carpet_1, 10, 500,
+                         "at level 9 of 10 with 416 states held", id="restricted-500"),
+        ],
+    )
+    def test_budget_messages_unchanged(self, build, depth, budget, message):
+        fs, theta = build()
+        with pytest.raises(ResourceError, match=message):
+            CollapsedEngine(fs, theta, node_budget=budget).levels(depth)
+
+    def test_backward_of_levels_not_held_is_rejected(self, fibonacci):
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        with pytest.raises(PreconditionError, match="not held"):
+            eng.backward()
+        eng.levels(4)
+        for depth in (0, 5):
+            with pytest.raises(PreconditionError, match="not held"):
+                eng.backward(depth)
+        eng.partition(6)  # goes on from level 4 and drops levels 1..5
+        for depth in (None, 4, 6):
+            with pytest.raises(PreconditionError, match="not held"):
+                eng.backward(depth)
+        assert eng._edges is None
+
+    def test_a_dropped_engine_is_freed_at_once(self, fibonacci):
+        """The kept child lists form no reference cycle with the engine,
+        so its levels go when its last reference does, not at a later
+        garbage collection."""
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        eng.levels(8)
+        eng.backward()
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+
+    def test_a_budget_stop_leaves_the_held_levels_readable(self, fibonacci):
+        """A sweep stopped by the budget leaves the held levels and their
+        child lists as they were."""
+        fresh = CollapsedEngine(fibonacci, THETA_32)
+        fresh.levels(6)
+        expected = fresh.backward(6)
+        eng = CollapsedEngine(fibonacci, THETA_32, node_budget=fresh.visited + 5)
+        eng.levels(6)
+        for stop in (lambda: eng.partition(12), lambda: eng.levels(12)):
+            with pytest.raises(ResourceError):
+                stop()
+            assert eng.backward() == expected
+
+
 def test_trivial_identity_counts():
     fs = make_factor(
         ["a", "b"],
@@ -331,7 +468,8 @@ def assert_bounds_hold(fs, thetas, max_depth):
             oracle = oracle_log_sum(counts[n].values(), theta)
             for ps in (eng.partition(n), partition_sum(fs, n, theta, mode="exact")):
                 assert_within_tracked_error(ps.value.log, ps.value.err, oracle)
-        back, errs = eng.backward(eng.levels(max_depth))
+        eng.levels(max_depth)
+        back, errs = eng.backward(max_depth)
         for (b, ones), sub in back[0].items():
             assert ones == (1,) * len(fs.fibers[b])
             assert_within_tracked_error(sub, errs[0], oracle_log_sum(by_letter[b], theta))

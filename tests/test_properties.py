@@ -184,7 +184,8 @@ def test_additivity_scan_of_full_shift_scans_level_one_only():
 
 def _assert_backward_sums_to_partition(fs, theta, depth):
     eng = CollapsedEngine(fs, theta)
-    back, errs = eng.backward(eng.levels(depth))
+    eng.levels(depth)
+    back, errs = eng.backward(depth)
     assert len(back) == len(errs) == depth
     # the letters' states carry weight 1, and their sums are off by
     # errs[0]; adding them is charged eps (|partial sum| + 3) per add, as
