@@ -289,7 +289,7 @@ def _cmd_pressure(config: CommandConfig) -> int:
     fs, _, theta = _factor_and_theta(config)
     engine = CollapsedEngine(fs, theta, config.node_budget)  # one sweep for series and bracket
     if config.csv_path:
-        _write_series_csv(config.csv_path, convergence_rows(engine, config.depth))
+        _write_series_csv(config.csv_path, convergence_rows(engine, config.depth, config.mode))
     estimate = pressure_interval(engine, config.depth, config.mode)
     payload = {
         "theta": theta,

@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ResourceError, SpecError
 from .sft import EventuallyPeriodicPoint, FactorSystem
@@ -66,8 +66,7 @@ def resolve_node_budget(explicit: Optional[int]) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-@dataclass(frozen=True)
-class LogReal:
+class LogReal(NamedTuple):
     """A nonnegative real as its natural log, with ``err`` bounding the
     absolute error of ``log``, which is the relative error of the value
     to first order.  The rounding that ``err`` covers is derived in
@@ -89,13 +88,6 @@ def _advance(vec: tuple[int, ...], cols: tuple[tuple[int, ...], ...]) -> tuple[i
     return tuple(out)
 
 
-def _normalize(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    g = gcd(*vec)
-    if g <= 1:
-        return 1, vec
-    return g, tuple(c // g for c in vec)
-
-
 def _read(fs: FactorSystem, b: int, vec: tuple[int, ...], letters) -> Optional[tuple]:
     """(last letter, count vector) after reading the letter indices
     ``letters`` on from a prefix ending in letter b with count vector
@@ -109,6 +101,16 @@ def _read(fs: FactorSystem, b: int, vec: tuple[int, ...], letters) -> Optional[t
     return b, vec
 
 
+def _lifts(fs: FactorSystem, word) -> Optional[tuple]:
+    """``_read`` of the image word from the all-ones vector over its first
+    fiber; None for a word with an unknown letter or without lifts."""
+    idx = fs.image_index
+    if any(letter not in idx for letter in word):
+        return None
+    b = idx[word[0]]
+    return _read(fs, b, (1,) * len(fs.fibers[b]), [idx[letter] for letter in word[1:]])
+
+
 def preimage_count(fs: FactorSystem, word: tuple[str, ...]) -> int:
     """Exact number of source words mapping letterwise onto ``word``.
 
@@ -118,11 +120,7 @@ def preimage_count(fs: FactorSystem, word: tuple[str, ...]) -> int:
     """
     if not word:
         raise PreconditionError("word must be nonempty")
-    idx = fs.image_index
-    if any(letter not in idx for letter in word):
-        return 0
-    b = idx[word[0]]
-    end = _read(fs, b, (1,) * len(fs.fibers[b]), [idx[letter] for letter in word[1:]])
+    end = _lifts(fs, word)
     return sum(end[1]) if end else 0
 
 
@@ -181,8 +179,7 @@ def _prefix_words(fs: FactorSystem, n: int):
     """Occurring image words of lengths 1..n with their exact count vectors.
 
     Yields (letter indices, count vector) depth first, letters in
-    alphabet order: the exact-mode reference walk, and the package's
-    one word enumerator.
+    alphabet order: the exact-mode reference walk of ``partition_sum``.
     """
     supports = fs.fiber_supports
     stack = [((b,), (1,) * len(f)) for b, f in reversed(list(enumerate(fs.fibers)))]
@@ -273,11 +270,14 @@ class CollapsedEngine:
     map to a power when that costs less than stepping.  A held level's
     S_k is read without sweeping, and one ``backward`` pass over held
     levels gives the suffix sums.  ``_reach`` picks a step's child
-    source once: while every level is held, ``_edges`` keeps each
-    state's child list from its first build for as long as the levels
-    are held, so a state that comes back at a deeper level, and
-    ``backward``, read it instead of rebuilding it; a sweep that drops
-    its levels, and the jump, call the kernel afresh.
+    source once: while every level is held, each state's child list is
+    kept from its first build for as long as the levels are held
+    (``edges``), so a state that comes back at a deeper level reads it
+    instead of rebuilding it; a sweep that drops its levels, and the
+    jump, call the kernel afresh.  ``backward`` and the cylinder-mass
+    walks of ``measures`` read the kept lists and build none, so the
+    kernel stays the one rule that turns a state into its children;
+    walks along single words step exact count vectors with ``_read``.
 
     Rounding.  Each held level keeps one bound E on the absolute error
     of every log weight in it.  Every weight sums products of gcd^theta
@@ -393,6 +393,14 @@ class CollapsedEngine:
 
         return children
 
+    @property
+    def edges(self) -> Optional[dict]:
+        """The kept child lists, read-only: after ``levels(depth)`` each
+        state of levels 1..depth-1 maps to its ``_children`` list of
+        (child state, theta * log g); None once a sweep that holds one
+        level has dropped them with the levels."""
+        return self._edges
+
     def _step(self, held: list, k: int, depth: int, children) -> tuple[dict, float]:
         """Level k and its error bound from the deepest level of ``held``,
         level k - 1, on the way to level ``depth``, reading each state's
@@ -449,16 +457,9 @@ class CollapsedEngine:
                 continue
             d = dlogs.get(g)
             if d is None:
-                d = self._dlog(g)
+                d = dlogs[g] = self.theta * math.log(g)
             out.append(((b2, tuple(vec) if g == 1 else tuple(c // g for c in vec)), d))
         return out
-
-    def _dlog(self, g: int) -> float:
-        """theta * log g, computed once per engine; 0.0 for g = 1."""
-        d = self._dlogs.get(g)
-        if d is None:
-            d = self._dlogs[g] = self.theta * math.log(g)
-        return d
 
     def _total(self, level: dict, err: float) -> tuple[LogReal, int]:
         # S_k and the word count of a level whose log weights are off by err
@@ -660,22 +661,12 @@ def dn_count(fs: FactorSystem, point: EventuallyPeriodicPoint, n: int) -> int:
 
     Counts source words x_1..x_n in the fibers of the first n letters
     whose last symbol is tail-viable; every such word is the prefix of an
-    infinite lift, and conversely.
+    infinite lift, and conversely.  A viable x_n makes every earlier
+    symbol viable, so the count sums the head's lift count vector over
+    the last fiber's viable symbols; unknown letters count 0.
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")
-    sets = viable_sets(fs, point, n)
-    if not sets[0]:
-        return 0
-    A = fs.source.matrix
-    counts = {x: 1 for x in sorted(sets[0])}
-    for i in range(1, n):
-        nxt: dict[int, int] = {}
-        for y in sorted(sets[i]):
-            c = sum(cnt for x, cnt in counts.items() if A[x][y])
-            if c:
-                nxt[y] = c
-        counts = nxt
-        if not counts:
-            return 0
-    return sum(counts.values())
+    end = _lifts(fs, point.head(n))
+    viable = viable_sets(fs, point, n)[n - 1]
+    return sum(c for x, c in zip(fs.fibers[end[0]], end[1]) if x in viable) if end else 0

@@ -6,7 +6,9 @@ marginal or average of that measure: no sampling, no truncation of the
 defining sums.  Masses come from the counting engine's sweep with its
 levels kept: a mass sums count^theta over word extensions, which is
 the suffix sum of the word's state times g^theta, g being the gcd
-taken out of the word's count vector.
+taken out of the word's count vector.  A word's state and g^theta come
+from a walk along the engine's kept child lists, whose edges carry
+theta log g.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .counting import (
     LogReal,
     _advance,
     _log_sum_exp,
-    _normalize,
-    _prefix_words,
-    _read,
     resolve_node_budget,
 )
 from .errors import NonMixingError, PreconditionError, ResourceError
@@ -245,34 +244,32 @@ def _pad(end: LogReal, slack: float) -> float:
 
 
 def _shift_masses(eng, level, probe_depth, positions):
-    # masses[i][word] for each requested shift position i: the states
-    # of level i, or the bare first letter at i = 0, read through the
-    # word, times the suffix sums below it
-    fs = eng.fs
+    # masses[i][word] for each requested shift position i.  Paths over
+    # the kept child lists start at the states of level i, whose last
+    # letter comes just before the word (at i = 0, at level 1, the first
+    # letters), and end in the word; a path's term adds its start's log
+    # weight to the suffix sum where it ends plus its gcd factors.
+    # Starting at level i, not i + 1, keeps the merged weights of level
+    # i + 1 out of the terms: a mass is one log-sum-exp of unmerged ones.
     levels = eng.levels(level)
     total = eng.partition(level).value
     back, _ = eng.backward(level)
-    names = fs.image_alphabet
-    words = [w for w, _ in _prefix_words(fs, probe_depth) if len(w) == probe_depth]
+    edges, names = eng.edges, eng.fs.image_alphabet
     out: dict[int, dict[tuple[str, ...], float]] = {}
     for i in positions:
+        start = max(i - 1, 0)
         sums = back[i + probe_depth - 1]
-        masses = {}
-        for word in words:
-            if i:
-                heads, rest = levels[i - 1].items(), word
-            else:
-                ones = (1,) * len(fs.fibers[word[0]])
-                heads, rest = [((word[0], ones), (0.0, 1))], word[1:]
-            terms = []
-            for (b, prim), (lw, _) in heads:
-                end = _read(fs, b, prim, rest)
-                if end is not None:
-                    g, p = _normalize(end[1])
-                    terms.append(lw + (sums[(end[0], p)] + eng._dlog(g)))
-            key = tuple(names[b] for b in word)
-            masses[key] = math.exp(_log_sum_exp(terms) - total.log)
-        out[i] = masses
+        terms: dict[tuple[int, ...], list[float]] = {}
+        for state, (lw, _) in levels[start].items():
+            paths = [((state[0],), state, 0.0)]
+            for _ in range(i + probe_depth - 1 - start):
+                paths = [(word + (key[0],), key, t + d) for word, s, t in paths for key, d in edges[s]]
+            for word, end, t in paths:
+                terms.setdefault(word[-probe_depth:], []).append(lw + (sums[end] + t))
+        out[i] = {
+            tuple(names[b] for b in word): math.exp(_log_sum_exp(ts) - total.log)
+            for word, ts in terms.items()
+        }
     return out
 
 
@@ -340,16 +337,13 @@ def cesaro_defect(
     return worst / n_terms
 
 
-def _representative(fs: FactorSystem, levels: list[dict], key) -> list[int]:
+def _representative(edges: dict, levels: list[dict], key) -> list[int]:
     # The first word of a state in sweep order: its parent is the first
-    # state of the level above, in insertion order, that steps into it.
+    # state of the level above, in insertion order, whose kept child
+    # list holds it.
     word = [key[0]]
     for level in reversed(levels):
-        for b, prim in level:
-            end = _read(fs, b, prim, key[:1])
-            if end is not None and _normalize(end[1])[1] == key[1]:
-                key = (b, prim)
-                break
+        key = next(s for s in level if any(k == key for k, _ in edges[s]))
         word.append(key[0])
     return word[::-1]
 
@@ -455,8 +449,8 @@ def additivity_scan(
     if best is not None:
         ju, u_key, jv, v_key = best
         names = fs.image_alphabet
-        u = _representative(fs, ends[: ju - 1], u_key)
-        v = _representative(rev, starts[: jv - 1], v_key)[::-1]
+        u = _representative(front.edges, ends[: ju - 1], u_key)
+        v = _representative(back.edges, starts[: jv - 1], v_key)[::-1]
         witness = (tuple(names[b] for b in u), tuple(names[b] for b in v))
     trend = []
     running = math.inf

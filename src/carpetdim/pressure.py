@@ -20,6 +20,7 @@ from .counting import (
     _EPS,
     CollapsedEngine,
     LogReal,
+    _read,
     dn_count,
     is_image_point,
     partition_series,
@@ -262,17 +263,18 @@ def hausdorff_dimension(
     )
 
 
-def convergence_rows(engine: CollapsedEngine, n_max: int) -> list[dict]:
+def convergence_rows(engine: CollapsedEngine, n_max: int, mode: str = "collapsed") -> list[dict]:
     """Pressure brackets at every depth 1..n_max from the engine's sweep.
 
     Each row carries n, log S_n, the occurring-word count, and the
-    upper/lower pressure bounds valid at that n.  Feeds the CSV series
-    and the convergence plots.
+    upper/lower pressure bounds valid at that n, each bracket taken in
+    ``mode`` as by ``pressure_interval``, so the last row is the bracket
+    reported at n_max.  Feeds the CSV series and the convergence plots.
     """
     constants = superadditive_constants(engine)
     rows = []
     for n in range(1, n_max + 1):
-        estimate = pressure_interval(engine, n, constants=constants)
+        estimate = pressure_interval(engine, n, mode=mode, constants=constants)
         rows.append(
             {
                 "n": n,
@@ -401,10 +403,10 @@ def compensation_at_periodic(
     idx = fs.image_index
     cycle = [idx[letter] for letter in point.cycle]
     q = len(cycle)
-    product = None
-    for step in range(q):
-        block = fs.fiber_blocks[(cycle[step], cycle[(step + 1) % q])]
-        product = block if product is None else _int_matmul(product, block)
+    # row i of the product is the unit vector e_i read around the cycle
+    size, around = len(fs.fibers[cycle[0]]), cycle[1:] + cycle[:1]
+    ends = [_read(fs, cycle[0], tuple(int(j == i) for j in range(size)), around) for i in range(size)]
+    product = [end[1] if end else (0,) * size for end in ends]
     if all(x == 0 for row in product for x in row):
         raise PreconditionError("fiber-block product around the cycle is zero")
     rho = perron_eigenvalue(product)
@@ -416,15 +418,3 @@ def compensation_at_periodic(
         point=point, value=math.log(d) / depth, method="series", depth=depth
     )
     return spectral, series
-
-
-def _int_matmul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return tuple(
-        tuple(
-            sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)
-        )
-        for i in range(rows)
-    )

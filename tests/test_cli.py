@@ -164,6 +164,25 @@ class TestReports:
         first = lines[1].split(",")
         assert first[0] == "1" and first[2] == "2"
 
+    def test_exact_mode_csv_ends_at_the_reported_bracket(self, capsys, tmp_path, fixture_dir):
+        """The series is taken in the report's mode, so its last row is
+        the bracket reported at the same depth."""
+        csv_path = tmp_path / "series.csv"
+        doc = run_json(
+            capsys,
+            "pressure",
+            "--spec", str(fixture_dir / "parity_oscillation.json"),
+            "--theta", THETA_ARG,
+            "--depth", "12",
+            "--mode", "exact",
+            "--csv", str(csv_path),
+            "--no-timestamp",
+        )
+        n, log_sn, _, upper, lower = csv_path.read_text().strip().splitlines()[-1].split(",")
+        assert int(n) == doc["n"] == 12
+        assert float(log_sn) == doc["log_Sn"]
+        assert [float(lower), float(upper)] == [doc["pressure"]["lower"], doc["pressure"]["upper"]]
+
     def test_gibbs_report(self, capsys, fixture_dir):
         doc = run_json(
             capsys,

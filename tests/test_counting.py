@@ -26,7 +26,7 @@ from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, linear_lift_gro
 from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
-from oracles import product_count_oracle
+from oracles import extendable_prefix_oracle, product_count_oracle
 
 
 class TestPreimageCount:
@@ -226,6 +226,35 @@ class TestImagePoints:
     def test_dn_rejects_zero_depth(self, parity):
         with pytest.raises(PreconditionError):
             dn_count(parity, EventuallyPeriodicPoint((), ("2",)), 0)
+
+
+class TestDnCountAgainstOracle:
+    """``dn_count`` reads the head's lift count vector and keeps the
+    viable symbols of its last fiber; the oracle enumerates the
+    extendable prefixes path by path."""
+
+    @pytest.mark.parametrize("build", [parity_oscillation, bipartite_fiber, fibonacci_fiber, linear_lift_growth])
+    @pytest.mark.parametrize(
+        "preperiod, cycle",
+        [((), ("2",)), (("1",), ("2",)), ((), ("1", "2")), ((), ("2", "2", "1")), (("z",), ("2",))],
+        ids=["2", "1-2", "12", "221", "z-2"],
+    )
+    def test_fixtures(self, build, preperiod, cycle):
+        fs = build()
+        point = EventuallyPeriodicPoint(preperiod, cycle)
+        for n in range(1, 9):
+            assert dn_count(fs, point, n) == extendable_prefix_oracle(fs, point, n), n
+
+    def test_random_mixing_systems(self):
+        rng = random.Random(17)
+        for _ in range(12):
+            fs = random_mixing_system(rng)
+            for _ in range(3):
+                preperiod = tuple(rng.choice("xyz" if rng.random() < 0.2 else "xy") for _ in range(rng.randint(0, 2)))
+                cycle = tuple(rng.choice("xy") for _ in range(rng.randint(1, 3)))
+                point = EventuallyPeriodicPoint(preperiod, cycle)
+                for n in range(1, 9):
+                    assert dn_count(fs, point, n) == extendable_prefix_oracle(fs, point, n), (point, n)
 
 
 class TestCollapsedEngine:

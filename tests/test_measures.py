@@ -1,6 +1,7 @@
 """Measure diagnostics: marginals, envelope scans, additivity, uniqueness."""
 
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from carpetdim.measures import (
 )
 from carpetdim.sft import CarpetSpec, carpet_to_factor
 
-from conftest import THETA_32, make_factor
+from conftest import THETA_32, make_factor, random_restricted_carpet
 
 
 def marginal_oracle(fs, theta, level, depth):
@@ -225,6 +226,53 @@ class TestCesaro:
             cesaro_defect(parity, THETA_32, level=9, n_terms=0, probe_depth=2)
         with pytest.raises(PreconditionError):
             cesaro_average(parity, THETA_32, level=9, n_terms=2, probe_depth=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+class TestRestrictedCarpetsAgainstEnumeration:
+    """The mass walks and the witness on seeded 4x2 restricted carpets,
+    whose child states take out gcds greater than 1."""
+
+    LEVEL = 7
+
+    def system(self, seed):
+        spec = random_restricted_carpet(random.Random(seed))
+        fs, _ = carpet_to_factor(spec)
+        eng = CollapsedEngine(fs, spec.theta())
+        eng.levels(self.LEVEL)
+        assert any(g > 1 for g in eng._dlogs)
+        return fs, spec.theta()
+
+    def test_nu_marginal(self, seed):
+        fs, theta = self.system(seed)
+        for depth in (1, 2, 3):
+            dist = nu_marginal(fs, theta, level=self.LEVEL, depth=depth)
+            oracle = marginal_oracle(fs, theta, self.LEVEL, depth)
+            assert set(dist.masses) == set(oracle)
+            for word, mass in oracle.items():
+                assert dist.mass(word) == pytest.approx(mass, abs=1e-12)
+
+    def test_cesaro_average(self, seed):
+        fs, theta = self.system(seed)
+        buckets = image_word_counts(fs, self.LEVEL)
+        total = sum(c**theta for c in buckets.values())
+        for n_terms, probe in ((3, 2), (2, 3), (4, 1)):
+            dist = cesaro_average(fs, theta, level=self.LEVEL, n_terms=n_terms, probe_depth=probe)
+            oracle = {}
+            for word, count in buckets.items():
+                for i in range(n_terms):
+                    w = word[i : i + probe]
+                    oracle[w] = oracle.get(w, 0.0) + count**theta / (total * n_terms)
+            for w in set(oracle) | set(dist.masses):
+                assert dist.mass(w) == pytest.approx(oracle.get(w, 0.0), abs=1e-12)
+
+    def test_additivity_witness_attains_min_ratio(self, seed):
+        fs, _ = self.system(seed)
+        report = additivity_scan(fs, max_len=5)
+        u, v = report.witness
+        assert 1 <= len(u) <= 5 and 1 <= len(v) <= 5
+        ratio = preimage_count(fs, u + v) / (preimage_count(fs, u) * preimage_count(fs, v))
+        assert ratio == pytest.approx(report.min_ratio, rel=1e-12)
 
 
 class TestUniqueness:
