@@ -11,6 +11,7 @@ growth rates of lift counts at eventually periodic points.
 from .counting import (
     DEFAULT_NODE_BUDGET,
     CollapsedEngine,
+    ExactEngine,
     LogReal,
     PartitionSum,
     brute_force_count,
@@ -98,6 +99,7 @@ __all__ = [
     "LogReal",
     "PartitionSum",
     "CollapsedEngine",
+    "ExactEngine",
     "preimage_count",
     "brute_force_count",
     "image_word_counts",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from .counting import CollapsedEngine, preimage_count
+from .counting import ENGINES, make_engine, preimage_count
 from .errors import (
     NonMixingError,
     PreconditionError,
@@ -141,12 +141,12 @@ def _parser() -> _Parser:
 
     p = add("dimension", "dimension interval for a carpet spec", sweeps=True)
     p.add_argument("--depth", type=_positive, required=True)
-    p.add_argument("--mode", choices=("collapsed", "exact"), default="collapsed")
+    p.add_argument("--mode", choices=tuple(ENGINES), default="collapsed")
 
     p = add("pressure", "pressure bracket at one depth, optional CSV series", sweeps=True)
     p.add_argument("--depth", type=_positive, required=True)
     p.add_argument("--theta", type=float, help="count exponent in (0, 1]; forbidden for carpets")
-    p.add_argument("--mode", choices=("collapsed", "exact"), default="collapsed")
+    p.add_argument("--mode", choices=tuple(ENGINES), default="collapsed")
     p.add_argument("--csv", dest="csv_path", help="also write the depth 1..n series as CSV")
 
     p = add("counts", "exact lift count of one image word")
@@ -265,9 +265,7 @@ def _cmd_dimension(config: CommandConfig) -> int:
     obj = _load(config)
     if not isinstance(obj, CarpetSpec):
         raise SpecError("dimension requires a carpet spec (factor systems have no l, m)")
-    estimate = hausdorff_dimension(
-        obj, config.depth, mode=config.mode, node_budget=config.node_budget
-    )
+    estimate = hausdorff_dimension(obj, config.depth, config.mode, config.node_budget)
     pe = estimate.pressure
     dimension = {"lower": estimate.lower, "upper": estimate.upper}
     if estimate.closed_form is not None:
@@ -287,10 +285,10 @@ def _cmd_dimension(config: CommandConfig) -> int:
 
 def _cmd_pressure(config: CommandConfig) -> int:
     fs, _, theta = _factor_and_theta(config)
-    engine = CollapsedEngine(fs, theta, config.node_budget)  # one sweep for series and bracket
+    engine = make_engine(fs, theta, config.mode, config.node_budget)
     if config.csv_path:
-        _write_series_csv(config.csv_path, convergence_rows(engine, config.depth, config.mode))
-    estimate = pressure_interval(engine, config.depth, config.mode)
+        _write_series_csv(config.csv_path, convergence_rows(engine, config.depth))
+    estimate = pressure_interval(engine, config.depth)
     payload = {
         "theta": theta,
         "n": estimate.n,

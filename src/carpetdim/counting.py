@@ -20,12 +20,11 @@ gives the suffix sums that cylinder masses need.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .errors import PreconditionError, ResourceError, SpecError
+from .errors import PreconditionError, ResourceError
 from .sft import EventuallyPeriodicPoint, FactorSystem
 
 __all__ = [
@@ -33,6 +32,9 @@ __all__ = [
     "LogReal",
     "PartitionSum",
     "CollapsedEngine",
+    "ExactEngine",
+    "ENGINES",
+    "make_engine",
     "preimage_count",
     "brute_force_count",
     "image_word_counts",
@@ -44,26 +46,16 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 50_000_000
-_BUDGET_ENV = "CARPETDIM_NODE_BUDGET"
 _EPS = 2.0 ** -52
 _NEG_INF = float("-inf")  # log of zero; compared directly on hot paths
 
 
 def resolve_node_budget(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise PreconditionError("node budget must be >= 1")
-        return explicit
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SpecError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
-        if value < 1:
-            raise SpecError(f"{_BUDGET_ENV} must be >= 1")
-        return value
-    return DEFAULT_NODE_BUDGET
+    if explicit is None:
+        return DEFAULT_NODE_BUDGET
+    if explicit < 1:
+        raise PreconditionError("node budget must be >= 1")
+    return explicit
 
 
 class LogReal(NamedTuple):
@@ -179,7 +171,7 @@ def _prefix_words(fs: FactorSystem, n: int):
     """Occurring image words of lengths 1..n with their exact count vectors.
 
     Yields (letter indices, count vector) depth first, letters in
-    alphabet order: the exact-mode reference walk of ``partition_sum``.
+    alphabet order: the reference walk of ``ExactEngine``.
     """
     supports = fs.fiber_supports
     stack = [((b,), (1,) * len(f)) for b, f in reversed(list(enumerate(fs.fibers)))]
@@ -505,6 +497,10 @@ class CollapsedEngine:
             n, self.theta, value, words, self.visited, self.collapsed_nodes, "collapsed"
         )
 
+    def series(self, n_max: int) -> list[PartitionSum]:
+        """S_1 .. S_{n_max}, sweeping on one level at a time."""
+        return [self.partition(n) for n in range(1, n_max + 1)]
+
     def levels(self, depth: int) -> list[dict]:
         """Levels 1..depth, all held, going on from the levels already
         held; each maps a state (b, primitive vector) to (log weight,
@@ -543,50 +539,84 @@ class CollapsedEngine:
         return out[::-1], errs[::-1]
 
 
-def partition_sum(
-    fs: FactorSystem,
-    n: int,
-    theta: float,
-    mode: str = "collapsed",
-    node_budget: Optional[int] = None,
-) -> PartitionSum:
-    """S_n = sum of count(w)^theta over occurring image words of length n.
+class ExactEngine:
+    """The reference walk over the full pruned prefix tree, word by word.
 
-    ``mode="exact"`` walks the full pruned prefix tree; ``"collapsed"``
-    sweeps it level by level merging (letter, normalized vector) states,
-    and agrees with exact up to tracked rounding error.  Exceeding the
-    node budget raises ResourceError rather than truncating.
+    ``partition(n)`` walks ``_prefix_words`` once to depth n and tallies
+    the lift counts of every length up to n, so any S_k up to the
+    deepest depth walked is read without walking again.  ``visited``
+    counts the nodes of every walk against the budget.  A term theta
+    log c + log m, for m words of lift count c, rounds by eps (1.5 theta
+    log c + log m) plus eps/2 of itself, within the 2 eps of itself that
+    ``_summed`` charges.
     """
-    if n < 1:
-        raise PreconditionError("depth must be >= 1")
-    if not (0.0 < theta <= 1.0):
-        raise PreconditionError("theta must be in (0, 1]")
-    if mode == "exact":
-        budget = resolve_node_budget(node_budget)
-        counts: dict[int, int] = {}  # lift count -> words of length n with it
-        for visited, (word, vec) in enumerate(_prefix_words(fs, n), 1):
-            if visited > budget:
-                raise ResourceError(
-                    f"node budget exceeded ({budget} nodes); "
-                    f"use collapsed mode, raise the budget, or lower the depth"
-                )
-            if len(word) == n:
-                c = sum(vec)
-                counts[c] = counts.get(c, 0) + 1
-        # theta log c + log m rounds by eps (1.5 theta log c + log m) plus
-        # eps/2 of itself, within the 2 eps of itself that _summed charges
-        terms = [theta * math.log(c) + math.log(m) for c, m in counts.items()]
-        return PartitionSum(n, theta, _summed(terms, 0.0), sum(counts.values()), visited, 0, "exact")
-    if mode == "collapsed":
-        return CollapsedEngine(fs, theta, node_budget).partition(n)
-    raise PreconditionError(f"unknown mode {mode!r}")
+
+    def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
+        if not (0.0 < theta <= 1.0):
+            raise PreconditionError("theta must be in (0, 1]")
+        self.fs = fs
+        self.theta = theta
+        self.budget = resolve_node_budget(node_budget)
+        self.visited = 0
+        self._sums: list[tuple[LogReal, int]] = []  # (S_k, words) for k = 1..depth walked
+
+    def partition(self, n: int) -> PartitionSum:
+        if n < 1:
+            raise PreconditionError("depth must be >= 1")
+        if n > len(self._sums):
+            tallies: list[dict] = [{} for _ in range(n)]  # per length: lift count -> words
+            for word, vec in _prefix_words(self.fs, n):
+                self.visited += 1
+                if self.visited > self.budget:
+                    raise ResourceError(
+                        f"node budget exceeded ({self.budget} nodes); "
+                        f"use collapsed mode, raise the budget, or lower the depth"
+                    )
+                tally, c = tallies[len(word) - 1], sum(vec)
+                tally[c] = tally.get(c, 0) + 1
+            theta, log = self.theta, math.log
+            self._sums = [
+                (_summed([theta * log(c) + log(m) for c, m in t.items()], 0.0), sum(t.values()))
+                for t in tallies
+            ]
+        value, words = self._sums[n - 1]
+        return PartitionSum(n, self.theta, value, words, self.visited, 0, "exact")
+
+    def series(self, n_max: int) -> list[PartitionSum]:
+        """S_1 .. S_{n_max} off one walk to n_max."""
+        self.partition(n_max)
+        return [self.partition(n) for n in range(1, n_max + 1)]
 
 
-def partition_series(engine: CollapsedEngine, n_max: int) -> list[PartitionSum]:
-    """S_1 .. S_{n_max} from the engine's one sweep."""
+ENGINES = {"collapsed": CollapsedEngine, "exact": ExactEngine}
+
+
+def make_engine(
+    fs: FactorSystem, theta: float, mode: str, node_budget: Optional[int] = None
+) -> CollapsedEngine | ExactEngine:
+    """The engine of ``mode``, a key of ``ENGINES``, for the system at theta."""
+    if mode not in ENGINES:
+        raise PreconditionError(f"unknown mode {mode!r}")
+    return ENGINES[mode](fs, theta, node_budget)
+
+
+def partition_sum(
+    fs: FactorSystem, n: int, theta: float, mode: str = "collapsed", node_budget: Optional[int] = None
+) -> PartitionSum:
+    """S_n = sum of count(w)^theta over occurring image words of length n,
+    from a fresh engine of ``mode``: ``"exact"`` walks the full pruned
+    prefix tree, ``"collapsed"`` sweeps it merging states and agrees with
+    exact up to its tracked rounding error.  Exceeding the node budget
+    raises ResourceError rather than truncating."""
+    return make_engine(fs, theta, mode, node_budget).partition(n)
+
+
+def partition_series(engine, n_max: int) -> list[PartitionSum]:
+    """S_1 .. S_{n_max} from one pass of the engine: the collapsed sweep
+    level by level, the exact walk once to n_max."""
     if n_max < 1:
         raise PreconditionError("depth must be >= 1")
-    return [engine.partition(n) for n in range(1, n_max + 1)]
+    return engine.series(n_max)
 
 
 def _cycle_viable(fs: FactorSystem, cycle: tuple[str, ...]) -> list[set[int]]:

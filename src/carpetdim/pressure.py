@@ -19,12 +19,13 @@ from typing import Optional, Sequence
 from .counting import (
     _EPS,
     CollapsedEngine,
+    ExactEngine,
     LogReal,
     _read,
     dn_count,
     is_image_point,
+    make_engine,
     partition_series,
-    partition_sum,
 )
 from .errors import NonMixingError, NotFullShiftError, PreconditionError, ResourceError
 from .sft import (
@@ -135,9 +136,10 @@ def mixing_index(fs: FactorSystem) -> int:
     return report.mixing_index
 
 
-def superadditive_constants(engine: CollapsedEngine) -> SuperadditiveConstants:
+def superadditive_constants(engine: CollapsedEngine | ExactEngine) -> SuperadditiveConstants:
     """M, K = S_M and K_tilde = S_{M-1} for the engine's system, whose
-    source must be mixing, read off the engine's sweep at its theta."""
+    source must be mixing, read off the engine's partition sums at its
+    theta."""
     M = mixing_index(engine.fs)
     series = partition_series(engine, M)
     s_m = series[-1].value
@@ -155,10 +157,7 @@ def superadditive_constants(engine: CollapsedEngine) -> SuperadditiveConstants:
 
 
 def pressure_interval(
-    engine: CollapsedEngine,
-    n: int,
-    mode: str = "collapsed",
-    constants: Optional[SuperadditiveConstants] = None,
+    engine: CollapsedEngine | ExactEngine, n: int, constants: Optional[SuperadditiveConstants] = None
 ) -> PressureEstimate:
     """Bracket the pressure of the engine's system at its theta, using
     S_n and the splicing constants.
@@ -167,15 +166,14 @@ def pressure_interval(
     log K_tilde) / n by Fekete's lemma for the superadditive
     log(S_n / K_tilde).  Both ends are padded by the tracked rounding
     bounds of S_n and of the constants so the interval stays
-    conservative.  ``constants`` defaults to the engine's own;
-    ``mode="exact"`` takes S_n from the full prefix-tree walk under the
-    engine's budget.
+    conservative.  S_n and, by default, the constants come from the
+    one engine given, collapsed or exact.
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")
     if constants is None:
         constants = superadditive_constants(engine)
-    ps = _partition(engine, n, mode)
+    ps = engine.partition(n)
     err = ps.value.err + constants.rounding_bound
     upper = (ps.value.log + err) / n
     lower = (ps.value.log - err - constants.log_K_tilde) / n
@@ -188,13 +186,6 @@ def pressure_interval(
         log_Sn=ps.value.log,
         rounding_bound=err,
     )
-
-
-def _partition(engine: CollapsedEngine, n: int, mode: str):
-    # S_n from the engine's sweep, or from the reference walk in exact mode
-    if mode == "collapsed":
-        return engine.partition(n)
-    return partition_sum(engine.fs, n, engine.theta, mode=mode, node_budget=engine.budget)
 
 
 def mcmullen_closed_form(spec: CarpetSpec) -> float:
@@ -215,10 +206,7 @@ def mcmullen_closed_form(spec: CarpetSpec) -> float:
 
 
 def hausdorff_dimension(
-    spec: CarpetSpec,
-    n: int,
-    mode: str = "collapsed",
-    node_budget: Optional[int] = None,
+    spec: CarpetSpec, n: int, mode: str = "collapsed", node_budget: Optional[int] = None
 ) -> DimensionEstimate:
     """Dimension interval for a carpet at depth n.
 
@@ -226,60 +214,42 @@ def hausdorff_dimension(
     attached when the digit shift is full.  For a source shift that is
     not mixing only the subadditive upper bound is reported and the
     lower end falls back to the trivial 0, flagged in the warnings.
+    ``mode`` picks the engine, as in ``make_engine``.
     """
     fs, alpha = carpet_to_factor(spec)
     log_m = math.log(spec.m)
     closed = mcmullen_closed_form(spec) if spec.is_full_shift() else None
-    warnings: list[str] = []
-    engine = CollapsedEngine(fs, spec.theta(), node_budget)
+    engine = make_engine(fs, spec.theta(), mode, node_budget)
     try:
-        estimate = pressure_interval(engine, n, mode=mode)
+        estimate = pressure_interval(engine, n)
     except NonMixingError:
-        ps = _partition(engine, n, mode)
-        err = ps.value.err
-        upper = min(2.0, (ps.value.log + err) / (n * log_m))
-        warnings.append(
-            "source shift is not mixing: lower bound unavailable, 0 reported"
-        )
-        return DimensionEstimate(
-            alpha=alpha,
-            lower=0.0,
-            upper=upper,
-            n=n,
-            closed_form=closed,
-            pressure=None,
-            warnings=tuple(warnings),
-        )
-    lower = max(0.0, estimate.lower / log_m)
-    upper = min(2.0, estimate.upper / log_m)
+        value = engine.partition(n).value
+        estimate, lower, upper = None, 0.0, min(2.0, (value.log + value.err) / (n * log_m))
+        warnings = ("source shift is not mixing: lower bound unavailable, 0 reported",)
+    else:
+        lower, upper = max(0.0, estimate.lower / log_m), min(2.0, estimate.upper / log_m)
+        warnings = ()
     return DimensionEstimate(
-        alpha=alpha,
-        lower=lower,
-        upper=upper,
-        n=n,
-        closed_form=closed,
-        pressure=estimate,
-        warnings=tuple(warnings),
+        alpha=alpha, lower=lower, upper=upper, n=n, closed_form=closed, pressure=estimate, warnings=warnings
     )
 
 
-def convergence_rows(engine: CollapsedEngine, n_max: int, mode: str = "collapsed") -> list[dict]:
-    """Pressure brackets at every depth 1..n_max from the engine's sweep.
-
-    Each row carries n, log S_n, the occurring-word count, and the
-    upper/lower pressure bounds valid at that n, each bracket taken in
-    ``mode`` as by ``pressure_interval``, so the last row is the bracket
+def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[dict]:
+    """Pressure brackets at every depth 1..n_max from one pass of the
+    engine (``partition_series``), each as by ``pressure_interval``: a
+    row carries n, log S_n, the occurring-word count and the upper and
+    lower bounds valid at that n, so the last row is the bracket
     reported at n_max.  Feeds the CSV series and the convergence plots.
     """
     constants = superadditive_constants(engine)
     rows = []
-    for n in range(1, n_max + 1):
-        estimate = pressure_interval(engine, n, mode=mode, constants=constants)
+    for ps in partition_series(engine, n_max):
+        estimate = pressure_interval(engine, ps.n, constants=constants)
         rows.append(
             {
-                "n": n,
+                "n": ps.n,
                 "log_Sn": estimate.log_Sn,
-                "words": engine.partition(n).word_count,
+                "words": ps.word_count,
                 "upper_bound": estimate.upper,
                 "lower_bound": estimate.lower,
             }

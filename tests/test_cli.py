@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from carpetdim import cli, pressure
+from carpetdim import cli, counting, pressure
 from carpetdim.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -182,6 +182,29 @@ class TestReports:
         assert int(n) == doc["n"] == 12
         assert float(log_sn) == doc["log_Sn"]
         assert [float(lower), float(upper)] == [doc["pressure"]["lower"], doc["pressure"]["upper"]]
+
+    def test_exact_mode_csv_walks_at_most_twice(self, capsys, tmp_path, fixture_dir, monkeypatch):
+        """One exact engine serves the whole command: one walk to the
+        mixing index for the constants, one to the depth for the series
+        and the bracket, and no collapsed sweep."""
+        walks, built = [], []
+        walk, init = counting._prefix_words, counting.CollapsedEngine.__init__
+        monkeypatch.setattr(counting, "_prefix_words", lambda fs, n: walks.append(n) or walk(fs, n))
+        monkeypatch.setattr(
+            counting.CollapsedEngine, "__init__", lambda *a, **k: built.append(1) or init(*a, **k)
+        )
+        run_json(
+            capsys,
+            "pressure",
+            "--spec", str(fixture_dir / "parity_oscillation.json"),
+            "--theta", THETA_ARG,
+            "--depth", "12",
+            "--mode", "exact",
+            "--csv", str(tmp_path / "series.csv"),
+            "--no-timestamp",
+        )
+        assert walks == [5, 12]
+        assert built == []
 
     def test_gibbs_report(self, capsys, fixture_dir):
         doc = run_json(
@@ -372,6 +395,22 @@ class TestExitCodes:
             "--node-budget", "100000",
         )
         assert code == EXIT_RESOURCE
+
+    def test_exact_csv_resource_exit(self, capsys, tmp_path, fixture_dir):
+        csv_path = tmp_path / "series.csv"
+        code, out, err = run_cli(
+            capsys,
+            "pressure",
+            "--spec", str(fixture_dir / "fibonacci_fiber.json"),
+            "--theta", THETA_ARG,
+            "--depth", "24",
+            "--mode", "exact",
+            "--csv", str(csv_path),
+            "--node-budget", "100000",
+        )
+        assert code == EXIT_RESOURCE
+        assert out == "" and "node budget exceeded" in err
+        assert not csv_path.exists()
 
     def test_unconverged_perron_root_exits_resource(self, capsys, fixture_dir, monkeypatch):
         iterate = pressure._power_iterate

@@ -8,8 +8,10 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+from carpetdim import counting
 from carpetdim.counting import (
     CollapsedEngine,
+    ExactEngine,
     brute_force_count,
     dn_count,
     image_word_counts,
@@ -21,7 +23,7 @@ from carpetdim.counting import (
     viable_sets,
     DEFAULT_NODE_BUDGET,
 )
-from carpetdim.errors import PreconditionError, ResourceError, SpecError
+from carpetdim.errors import PreconditionError, ResourceError
 from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, linear_lift_growth, parity_oscillation
 from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
@@ -136,6 +138,44 @@ class TestPartitionSums:
         assert pc.word_count == 2**16
 
 
+class TestExactEngine:
+    def test_one_walk_gives_every_shorter_sum(self, any_fixture, monkeypatch):
+        walks = []
+        walk = counting._prefix_words
+        monkeypatch.setattr(counting, "_prefix_words", lambda fs, n: walks.append(n) or walk(fs, n))
+        eng = ExactEngine(any_fixture, THETA_32)
+        deep = eng.partition(12)
+        read = [eng.partition(k) for k in range(1, 12)]
+        assert walks == [12]
+        assert all(ps.visited_nodes == deep.visited_nodes for ps in read)
+        for k, ps in enumerate(read, 1):
+            fresh = partition_sum(any_fixture, k, THETA_32, mode="exact")
+            assert (ps.n, ps.value, ps.word_count) == (k, fresh.value, fresh.word_count)
+
+    def test_visits_are_cumulative(self, fibonacci):
+        eng = ExactEngine(fibonacci, THETA_32)
+        first = eng.partition(6).visited_nodes
+        assert eng.partition(4).visited_nodes == first
+        deeper = eng.partition(8).visited_nodes
+        assert deeper == first + partition_sum(fibonacci, 8, THETA_32, mode="exact").visited_nodes
+
+    def test_budget_counts_every_walk(self, fibonacci):
+        # the walks to depths 6 and 8 take 126 and 510 nodes
+        eng = ExactEngine(fibonacci, THETA_32, node_budget=600)
+        eng.partition(6)
+        with pytest.raises(ResourceError, match="use collapsed mode"):
+            eng.partition(8)
+        assert eng.partition(5).word_count == partition_sum(fibonacci, 5, THETA_32).word_count
+
+    def test_series_walks_once(self, parity, monkeypatch):
+        walks = []
+        walk = counting._prefix_words
+        monkeypatch.setattr(counting, "_prefix_words", lambda fs, n: walks.append(n) or walk(fs, n))
+        series = partition_series(ExactEngine(parity, THETA_32), 9)
+        assert walks == [9]
+        assert [ps.n for ps in series] == list(range(1, 10))
+
+
 class TestNodeBudget:
     def test_exact_budget_trips(self, fibonacci):
         with pytest.raises(ResourceError, match="node budget"):
@@ -174,24 +214,15 @@ class TestNodeBudget:
             eng.partition(2000)
 
     def test_resolve_order(self, monkeypatch):
-        monkeypatch.delenv("CARPETDIM_NODE_BUDGET", raising=False)
+        # the explicit value or the default; the environment plays no part
+        monkeypatch.setenv("CARPETDIM_NODE_BUDGET", "777")
         assert resolve_node_budget(None) == DEFAULT_NODE_BUDGET
         assert resolve_node_budget(123) == 123
-        monkeypatch.setenv("CARPETDIM_NODE_BUDGET", "777")
-        assert resolve_node_budget(None) == 777
-        assert resolve_node_budget(123) == 123
 
-    def test_env_rejects_garbage(self, monkeypatch):
-        # malformed text is a spec problem; a well-formed but
-        # out-of-range explicit argument is a precondition problem
-        monkeypatch.setenv("CARPETDIM_NODE_BUDGET", "not-a-number")
-        with pytest.raises(SpecError, match="must be an integer"):
-            resolve_node_budget(None)
-        monkeypatch.setenv("CARPETDIM_NODE_BUDGET", "0")
-        with pytest.raises(SpecError, match="must be >= 1"):
-            resolve_node_budget(None)
-        with pytest.raises(PreconditionError):
-            resolve_node_budget(0)
+    def test_rejects_budget_below_one(self):
+        for bad in (0, -1):
+            with pytest.raises(PreconditionError, match="must be >= 1"):
+                resolve_node_budget(bad)
 
 
 class TestImagePoints:

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from carpetdim.counting import CollapsedEngine, dn_count, image_word_counts, partition_series
+from carpetdim.counting import CollapsedEngine, ExactEngine, dn_count, image_word_counts, partition_series
 from carpetdim.errors import (
     NonMixingError,
     NotFullShiftError,
@@ -108,8 +108,8 @@ class TestPressureInterval:
                 assert a.lower <= b.upper + 1e-12
 
     def test_exact_mode_agrees(self, parity):
-        col = pressure_interval(CollapsedEngine(parity, THETA_32), 8, mode="collapsed")
-        exa = pressure_interval(CollapsedEngine(parity, THETA_32), 8, mode="exact")
+        col = pressure_interval(CollapsedEngine(parity, THETA_32), 8)
+        exa = pressure_interval(ExactEngine(parity, THETA_32), 8)
         assert col.log_Sn == pytest.approx(exa.log_Sn, abs=1e-12)
 
     def test_rejects_bad_depth(self, parity):
