@@ -14,9 +14,7 @@ import argparse
 import csv
 import functools
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
 
 from .counting import ENGINES, make_engine, preimage_count
 from .errors import (
@@ -49,38 +47,12 @@ from .sft import (
 )
 from .specfile import SCHEMA_VERSION, dump_document, load_system
 
-__all__ = ["CommandConfig", "main", "run", "parse_args"]
+__all__ = ["main", "parse_args"]
 
 EXIT_OK = 0
 EXIT_SPEC = 1
 EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """One parsed invocation; exactly one command with its settings."""
-
-    command: str
-    spec_path: Optional[str] = None
-    depth: Optional[int] = None
-    mode: str = "collapsed"
-    theta: Optional[float] = None
-    level: Optional[int] = None
-    n_max: Optional[int] = None
-    max_len: Optional[int] = None
-    threshold: float = DEFAULT_REFUTATION_THRESHOLD
-    n_terms: Optional[int] = None
-    probe_depth: int = 2
-    word: Optional[tuple[str, ...]] = None
-    preperiod: tuple[str, ...] = ()
-    cycle: Optional[tuple[str, ...]] = None
-    resolution: int = 0
-    out_dir: str = "fixtures"
-    output: Optional[str] = None
-    csv_path: Optional[str] = None
-    node_budget: Optional[int] = None
-    timestamp: bool = True
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,107 +84,26 @@ def _letters(text: str) -> tuple[str, ...]:
     return parts
 
 
-@functools.cache
-def _parser() -> _Parser:
-    # built once per process: the ten subparsers cost more than a
-    # shallow full-shift computation
-    parser = _Parser(
-        prog="carpetdim",
-        description="Lift counting, pressure brackets, dimension bounds, and "
-        "measure diagnostics for coded self-affine carpets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, spec=True, sweeps=False):
-        p = sub.add_parser(name, help=help_text)
-        if spec:
-            p.add_argument("--spec", required=True, dest="spec_path", help="system document (JSON)")
-        if sweeps:
-            p.add_argument("--node-budget", type=_positive, dest="node_budget")
-        p.add_argument(
-            "--no-timestamp",
-            dest="timestamp",
-            action="store_false",
-            help="omit the generated_at field for byte-identical reruns",
-        )
-        return p
-
-    add("analyze", "structural facts: connectivity, mixing index, fibers, clumps")
-
-    p = add("dimension", "dimension interval for a carpet spec", sweeps=True)
-    p.add_argument("--depth", type=_positive, required=True)
-    p.add_argument("--mode", choices=tuple(ENGINES), default="collapsed")
-
-    p = add("pressure", "pressure bracket at one depth, optional CSV series", sweeps=True)
-    p.add_argument("--depth", type=_positive, required=True)
-    p.add_argument("--theta", type=float, help="count exponent in (0, 1]; forbidden for carpets")
-    p.add_argument("--mode", choices=tuple(ENGINES), default="collapsed")
-    p.add_argument("--csv", dest="csv_path", help="also write the depth 1..n series as CSV")
-
-    p = add("counts", "exact lift count of one image word")
-    p.add_argument("--word", type=_letters, required=True, help="image word: comma-separated letters, or a bare run of single-character letters")
-
-    p = add("gibbs", "scan cylinder-mass ratios against the theoretical envelope", sweeps=True)
-    p.add_argument("--level", type=_positive, required=True)
-    p.add_argument("--n-max", type=_positive, required=True, dest="n_max")
-    p.add_argument("--theta", type=float)
-
-    p = add("additivity", "concatenation-ratio scan and uniqueness verdict", sweeps=True)
-    p.add_argument("--max-len", type=_positive, required=True, dest="max_len")
-    p.add_argument("--threshold", type=float, default=DEFAULT_REFUTATION_THRESHOLD)
-
-    p = add("cesaro", "shift-invariance defect of the averaged cylinder measure", sweeps=True)
-    p.add_argument("--level", type=_positive, required=True)
-    p.add_argument("--n-terms", type=_positive, required=True, dest="n_terms")
-    p.add_argument("--probe-depth", type=_positive, default=2, dest="probe_depth")
-    p.add_argument("--theta", type=float)
-
-    p = add("compensation", "growth rate of lift counts at an eventually periodic point")
-    p.add_argument("--cycle", type=_letters, required=True)
-    p.add_argument("--preperiod", type=_letters, default=())
-    p.add_argument("--depth", type=_positive, default=12)
-
-    p = add("render", "write the level-k approximation as a portable bitmap")
-    p.add_argument("--level", type=_positive, required=True)
-    p.add_argument("--resolution", type=_positive, default=None)
-    p.add_argument("--output", required=True, help="output .pbm path")
-
-    p = add("fixtures", "write the bundled example systems as spec files", spec=False)
-    p.add_argument("--out-dir", default="fixtures", dest="out_dir")
-
-    return parser
-
-
-def parse_args(argv=None) -> CommandConfig:
-    ns = _parser().parse_args(argv)
-    fields = {
-        k: v
-        for k, v in vars(ns).items()
-        if k in CommandConfig.__dataclass_fields__ and v is not None
-    }
-    return CommandConfig(**fields)
-
-
-def _load(config: CommandConfig):
-    if config.spec_path is None:
-        raise SpecError("this command requires --spec")
-    return load_system(config.spec_path)
-
-
-def _factor_and_theta(config: CommandConfig, need_theta: bool = True):
-    """Resolve the input document into (factor system, carpet or None, theta)."""
-    obj = _load(config)
+def _system(config):
+    """Load the input document as (factor system, carpet or None)."""
+    obj = load_system(config.spec_path)
     if isinstance(obj, CarpetSpec):
+        return carpet_to_factor(obj)[0], obj
+    return obj, None
+
+
+def _theta(config, carpet) -> float:
+    """The count exponent: log m / log l for a carpet, else --theta."""
+    if carpet is not None:
         if config.theta is not None:
             raise SpecError("--theta conflicts with a carpet spec; theta is log m / log l")
-        fs, _ = carpet_to_factor(obj)
-        return fs, obj, obj.theta()
-    if need_theta and config.theta is None:
+        return carpet.theta()
+    if config.theta is None:
         raise SpecError("--theta is required for factor_system specs")
-    return obj, None, config.theta
+    return config.theta
 
 
-def _emit(config: CommandConfig, payload: dict) -> int:
+def _emit(config, payload: dict) -> int:
     doc = {"schema": SCHEMA_VERSION, "command": config.command}
     doc.update(payload)
     if config.timestamp:
@@ -229,8 +120,8 @@ def _constants_doc(constants) -> dict:
     }
 
 
-def _cmd_analyze(config: CommandConfig) -> int:
-    fs, carpet, _ = _factor_and_theta(config, need_theta=False)
+def _cmd_analyze(config) -> int:
+    fs, carpet = _system(config)
     report = validate_sft(fs.source)
     payload = {
         "system": {
@@ -261,8 +152,8 @@ def _cmd_analyze(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _cmd_dimension(config: CommandConfig) -> int:
-    obj = _load(config)
+def _cmd_dimension(config) -> int:
+    obj = load_system(config.spec_path)
     if not isinstance(obj, CarpetSpec):
         raise SpecError("dimension requires a carpet spec (factor systems have no l, m)")
     estimate = hausdorff_dimension(obj, config.depth, config.mode, config.node_budget)
@@ -283,8 +174,9 @@ def _cmd_dimension(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _cmd_pressure(config: CommandConfig) -> int:
-    fs, _, theta = _factor_and_theta(config)
+def _cmd_pressure(config) -> int:
+    fs, carpet = _system(config)
+    theta = _theta(config, carpet)
     engine = make_engine(fs, theta, config.mode, config.node_budget)
     if config.csv_path:
         _write_series_csv(config.csv_path, convergence_rows(engine, config.depth))
@@ -321,14 +213,15 @@ def _write_series_csv(path, rows):
         raise SpecError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def _cmd_counts(config: CommandConfig) -> int:
-    fs, _, _ = _factor_and_theta(config, need_theta=False)
+def _cmd_counts(config) -> int:
+    fs, _ = _system(config)
     count = preimage_count(fs, config.word)
     return _emit(config, {"word": list(config.word), "count": count})
 
 
-def _cmd_gibbs(config: CommandConfig) -> int:
-    fs, _, theta = _factor_and_theta(config)
+def _cmd_gibbs(config) -> int:
+    fs, carpet = _system(config)
+    theta = _theta(config, carpet)
     envelope = gibbs_scan(
         fs, theta, config.level, config.n_max, node_budget=config.node_budget
     )
@@ -348,8 +241,8 @@ def _cmd_gibbs(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _cmd_additivity(config: CommandConfig) -> int:
-    fs, _, _ = _factor_and_theta(config, need_theta=False)
+def _cmd_additivity(config) -> int:
+    fs, _ = _system(config)
     scan = additivity_scan(
         fs, config.max_len, threshold=config.threshold, node_budget=config.node_budget
     )
@@ -381,8 +274,9 @@ def _cmd_additivity(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _cmd_cesaro(config: CommandConfig) -> int:
-    fs, _, theta = _factor_and_theta(config)
+def _cmd_cesaro(config) -> int:
+    fs, carpet = _system(config)
+    theta = _theta(config, carpet)
     defect = cesaro_defect(
         fs,
         theta,
@@ -402,8 +296,8 @@ def _cmd_cesaro(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _cmd_compensation(config: CommandConfig) -> int:
-    fs, _, _ = _factor_and_theta(config, need_theta=False)
+def _cmd_compensation(config) -> int:
+    fs, _ = _system(config)
     point = EventuallyPeriodicPoint(tuple(config.preperiod), tuple(config.cycle))
     spectral, series = compensation_at_periodic(fs, point, depth=config.depth)
     payload = {
@@ -415,8 +309,8 @@ def _cmd_compensation(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _cmd_render(config: CommandConfig) -> int:
-    obj = _load(config)
+def _cmd_render(config) -> int:
+    obj = load_system(config.spec_path)
     if not isinstance(obj, CarpetSpec):
         raise SpecError("render requires a carpet spec")
     image = render_carpet(obj, config.level, resolution=config.resolution)
@@ -436,7 +330,7 @@ def _cmd_render(config: CommandConfig) -> int:
     return _emit(config, payload)
 
 
-def _cmd_fixtures(config: CommandConfig) -> int:
+def _cmd_fixtures(config) -> int:
     try:
         written = write_fixture_files(config.out_dir)
     except OSError as exc:
@@ -444,31 +338,92 @@ def _cmd_fixtures(config: CommandConfig) -> int:
     return _emit(config, {"written": written})
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "dimension": _cmd_dimension,
-    "pressure": _cmd_pressure,
-    "counts": _cmd_counts,
-    "gibbs": _cmd_gibbs,
-    "additivity": _cmd_additivity,
-    "cesaro": _cmd_cesaro,
-    "compensation": _cmd_compensation,
-    "render": _cmd_render,
-    "fixtures": _cmd_fixtures,
-}
+@functools.cache
+def _parser() -> _Parser:
+    # built once per process: the ten subparsers cost more than a
+    # shallow full-shift computation
+    parser = _Parser(
+        prog="carpetdim",
+        description="Lift counting, pressure brackets, dimension bounds, and "
+        "measure diagnostics for coded self-affine carpets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, help_text, spec=True, sweeps=False):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if spec:
+            p.add_argument("--spec", required=True, dest="spec_path", help="system document (JSON)")
+        if sweeps:
+            p.add_argument("--node-budget", type=_positive, dest="node_budget")
+        p.add_argument(
+            "--no-timestamp",
+            dest="timestamp",
+            action="store_false",
+            help="omit the generated_at field for byte-identical reruns",
+        )
+        return p
+
+    add("analyze", _cmd_analyze, "structural facts: connectivity, mixing index, fibers, clumps")
+
+    p = add("dimension", _cmd_dimension, "dimension interval for a carpet spec", sweeps=True)
+    p.add_argument("--depth", type=_positive, required=True)
+    p.add_argument("--mode", choices=tuple(ENGINES), default="collapsed")
+
+    p = add("pressure", _cmd_pressure, "pressure bracket at one depth, optional CSV series", sweeps=True)
+    p.add_argument("--depth", type=_positive, required=True)
+    p.add_argument("--theta", type=float, help="count exponent in (0, 1]; forbidden for carpets")
+    p.add_argument("--mode", choices=tuple(ENGINES), default="collapsed")
+    p.add_argument(
+        "--csv",
+        dest="csv_path",
+        help="also write the depth 1..n series as CSV; the series steps every level, so "
+        "the reported bracket, its last row, can be wider than without --csv",
+    )
+
+    p = add("counts", _cmd_counts, "exact lift count of one image word")
+    p.add_argument("--word", type=_letters, required=True, help="image word: comma-separated letters, or a bare run of single-character letters")
+
+    p = add("gibbs", _cmd_gibbs, "scan cylinder-mass ratios against the theoretical envelope", sweeps=True)
+    p.add_argument("--level", type=_positive, required=True)
+    p.add_argument("--n-max", type=_positive, required=True, dest="n_max")
+    p.add_argument("--theta", type=float)
+
+    p = add("additivity", _cmd_additivity, "concatenation-ratio scan and uniqueness verdict", sweeps=True)
+    p.add_argument("--max-len", type=_positive, required=True, dest="max_len")
+    p.add_argument("--threshold", type=float, default=DEFAULT_REFUTATION_THRESHOLD)
+
+    p = add("cesaro", _cmd_cesaro, "shift-invariance defect of the averaged cylinder measure", sweeps=True)
+    p.add_argument("--level", type=_positive, required=True)
+    p.add_argument("--n-terms", type=_positive, required=True, dest="n_terms")
+    p.add_argument("--probe-depth", type=_positive, default=2, dest="probe_depth")
+    p.add_argument("--theta", type=float)
+
+    p = add("compensation", _cmd_compensation, "growth rate of lift counts at an eventually periodic point")
+    p.add_argument("--cycle", type=_letters, required=True)
+    p.add_argument("--preperiod", type=_letters, default=())
+    p.add_argument("--depth", type=_positive, default=12)
+
+    p = add("render", _cmd_render, "write the level-k approximation as a portable bitmap")
+    p.add_argument("--level", type=_positive, required=True)
+    p.add_argument("--resolution", type=_positive, default=0)
+    p.add_argument("--output", required=True, help="output .pbm path")
+
+    p = add("fixtures", _cmd_fixtures, "write the bundled example systems as spec files", spec=False)
+    p.add_argument("--out-dir", default="fixtures", dest="out_dir")
+
+    return parser
 
 
-def run(config: CommandConfig) -> int:
-    """Dispatch one parsed invocation; returns the process exit code."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise SpecError(f"unknown command {config.command!r}")
-    return handler(config)
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse one invocation; ``handler`` is its command's function."""
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        return run(parse_args(argv))
+        config = parse_args(argv)
+        return config.handler(config)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -130,36 +130,6 @@ class StructureReport:
     period: int
 
 
-def _cycle_gcd(sft: Sft, comp: list[int]) -> int:
-    # gcd of all cycle lengths, computed per strongly connected component
-    # (comp[v] is v's) from BFS level discrepancies.  Every essential SFT
-    # has a cycle.
-    k = sft.alphabet_size
-    succ = sft.successor_sets
-    g = 0
-    for cid in set(comp):
-        nodes = [v for v in range(k) if comp[v] == cid]
-        has_internal_edge = any(comp[w] == cid for v in nodes for w in succ[v])
-        if not has_internal_edge:
-            continue
-        root = nodes[0]
-        level = {root: 0}
-        queue = [root]
-        local = 0
-        while queue:
-            u = queue.pop(0)
-            for v in succ[u]:
-                if comp[v] != cid:
-                    continue
-                if v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                else:
-                    local = gcd(local, level[u] + 1 - level[v])
-        g = gcd(g, abs(local))
-    return g if g else 1
-
-
 def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[int]:
     # Iterative Tarjan; graphs here are tiny but recursion-free keeps
     # the routine safe for generated inputs.
@@ -222,30 +192,32 @@ def validate_sft(sft: Sft) -> StructureReport:
     >>> (r.irreducible, r.mixing, r.period)
     (True, False, 2)
     """
-    comp = strongly_connected_components(sft.successor_sets)
-    irreducible = len(set(comp)) == 1
-    period = _cycle_gcd(sft, comp)
-    mixing = irreducible and period == 1
-    mixing_index = None
-    if mixing:
-        k = sft.alphabet_size
-        full = (1 << k) - 1
-        base = [
-            sum(1 << j for j, e in enumerate(row) if e) for row in sft.matrix
-        ]
-        power = list(base)
-        bound = (k - 1) ** 2 + 1
-        for m in range(1, bound + 1):
-            if all(row == full for row in power):
-                mixing_index = m
-                break
-            power = [
-                _or_rows(power[i], base) for i in range(k)
-            ]
-        if mixing_index is None:
-            # unreachable for a mixing matrix by the Wielandt bound
-            raise SpecError("mixing power not found within the Wielandt bound")
-    return StructureReport(irreducible, mixing, mixing_index, period)
+    # One pass over the boolean powers A^m (row i of A^m as a bitmask).
+    # Every simple cycle has length <= k, so the m <= k with a nonzero
+    # diagonal in A^m give the period as their gcd, and the union of
+    # A^1..A^k is the reachability relation.  A mixing source goes on
+    # to its first all-positive power, which the Wielandt bound places
+    # at m <= (k - 1)^2 + 1.
+    k = sft.alphabet_size
+    full = (1 << k) - 1
+    base = [sum(1 << j for j, e in enumerate(row) if e) for row in sft.matrix]
+    power = list(base)
+    reach = [0] * k
+    period = 0
+    for m in range(1, (k - 1) ** 2 + 2):
+        if all(row == full for row in power):
+            return StructureReport(True, True, m, 1)
+        if m <= k:
+            reach = [r | row for r, row in zip(reach, power)]
+            if any(row >> i & 1 for i, row in enumerate(power)):
+                period = gcd(period, m)
+        if m == k:
+            irreducible = all(r == full for r in reach)
+            if not irreducible or period != 1:
+                return StructureReport(irreducible, False, None, period)
+        power = [_or_rows(row, power) for row in base]  # A^(m+1) = A A^m
+    # unreachable for a mixing matrix by the Wielandt bound
+    raise SpecError("mixing power not found within the Wielandt bound")
 
 
 def _or_rows(mask: int, rows: list[int]) -> int:

@@ -6,6 +6,7 @@ viability fixed points cannot hide in the oracle as well.
 """
 
 import itertools
+import math
 
 from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem
 
@@ -76,3 +77,39 @@ def extendable_prefix_oracle(
     for x in sorted(alive[0]):
         extend(1, [x])
     return len(prefixes)
+
+
+def structure_oracle(matrix):
+    """(irreducible, mixing, mixing index or None, period) of a 0/1
+    matrix, from explicit walks and integer matrix powers.
+
+    The period is the gcd of the closed-walk lengths <= k, found by a
+    depth-first search over (vertex, walk length) states; every simple
+    cycle is such a walk.  The mixing index is the least m <= (k-1)^2 + 1
+    with every entry of the integer power A^m positive.
+    """
+    k = len(matrix)
+    period = 0
+    reach = []
+    for start in range(k):
+        seen = set()
+        stack = [(start, 0)]
+        while stack:
+            v, length = stack.pop()
+            if (v, length) in seen or length > k:
+                continue
+            seen.add((v, length))
+            if v == start and length:
+                period = math.gcd(period, length)
+            stack.extend((w, length + 1) for w in range(k) if matrix[v][w])
+        reach.append({v for v, length in seen if length})
+    irreducible = all(len(r) == k for r in reach)
+    power = [row[:] for row in matrix]
+    mixing_index = None
+    for m in range(1, (k - 1) ** 2 + 2):
+        if all(e > 0 for row in power for e in row):
+            mixing_index = m
+            break
+        power = [[sum(power[i][t] * matrix[t][j] for t in range(k)) for j in range(k)]
+                 for i in range(k)]
+    return irreducible, mixing_index is not None, mixing_index, period

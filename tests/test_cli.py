@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -56,6 +57,8 @@ class TestParsing:
         assert config.mode == "collapsed"
         assert config.timestamp is True
         assert config.node_budget is None
+        render = parse_args(["render", "--spec", spec, "--level", "2", "--output", "x.pbm"])
+        assert render.resolution == 0
 
     def test_usage_errors_exit_one(self, capsys):
         assert main(["counts"]) == EXIT_SPEC  # missing required flags
@@ -206,6 +209,24 @@ class TestReports:
         assert walks == [5, 12]
         assert built == []
 
+    def test_csv_bracket_holds_the_pressure(self, capsys, tmp_path, fixture_dir):
+        """The series steps every level, so its bracket can be wider than
+        the squaring jump's; on the full 3x2 torus both hold log 4 and
+        meet, and the --csv report is the series' last row."""
+        argv = ["pressure", "--spec", str(fixture_dir / "full_torus_32.json"), "--depth", "2000",
+                "--no-timestamp"]
+        jumped = run_json(capsys, *argv)
+        csv_path = tmp_path / "series.csv"
+        stepped = run_json(capsys, *argv, "--csv", str(csv_path))
+        brackets = [(doc["pressure"]["lower"], doc["pressure"]["upper"]) for doc in (jumped, stepped)]
+        for lower, upper in brackets:
+            assert lower <= math.log(4) <= upper
+        assert max(lo for lo, _ in brackets) <= min(up for _, up in brackets)
+        n, log_sn, _, upper, lower = csv_path.read_text().strip().splitlines()[-1].split(",")
+        assert int(n) == stepped["n"] == 2000
+        assert float(log_sn) == stepped["log_Sn"]
+        assert (float(lower), float(upper)) == brackets[1]
+
     def test_gibbs_report(self, capsys, fixture_dir):
         doc = run_json(
             capsys,
@@ -247,16 +268,17 @@ class TestReports:
         assert doc["cesaro"]["probe_depth"] == 2
 
     def test_compensation_report(self, capsys, fixture_dir):
-        doc = run_json(
-            capsys,
-            "compensation",
-            "--spec", str(fixture_dir / "fibonacci_fiber.json"),
-            "--cycle", "2",
-            "--depth", "10",
-            "--no-timestamp",
-        )
-        assert doc["spectral"] == pytest.approx(0.4812118250596, abs=1e-10)
-        assert doc["series"]["depth"] == 10
+        for depth_args, depth in ((["--depth", "10"], 10), ([], 12)):
+            doc = run_json(
+                capsys,
+                "compensation",
+                "--spec", str(fixture_dir / "fibonacci_fiber.json"),
+                "--cycle", "2",
+                *depth_args,
+                "--no-timestamp",
+            )
+            assert doc["spectral"] == pytest.approx(0.4812118250596, abs=1e-10)
+            assert doc["series"]["depth"] == depth
         assert doc["gap"] >= 0.0
 
     def test_render_writes_pbm(self, capsys, tmp_path, fixture_dir):
@@ -274,12 +296,16 @@ class TestReports:
         assert doc["render"]["filled_cells"] == 27  # 3^3 allowed words
         assert out.read_bytes().startswith(b"P4\n27 8\n")
 
-    def test_fixtures_command_round_trips(self, capsys, tmp_path):
-        out_dir = tmp_path / "fx"
-        doc = run_json(capsys, "fixtures", "--out-dir", str(out_dir), "--no-timestamp")
-        assert len(doc["written"]) == 6
-        for path in doc["written"]:
-            load_system(path)  # every written file parses cleanly
+    def test_fixtures_command_round_trips(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for out_args, out_dir in ((["--out-dir", "fx"], "fx"), ([], "fixtures")):
+            doc = run_json(capsys, "fixtures", *out_args, "--no-timestamp")
+            assert len(doc["written"]) == 6
+            assert sorted(map(str, (tmp_path / out_dir).iterdir())) == sorted(
+                str(tmp_path / path) for path in doc["written"]
+            )
+            for path in doc["written"]:
+                load_system(path)  # every written file parses cleanly
 
     def test_timestamp_present_by_default(self, capsys, fixture_dir):
         code, out, _ = run_cli(

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from carpetdim.errors import SpecError
 from carpetdim.sft import (
@@ -18,6 +19,7 @@ from carpetdim.sft import (
 )
 
 from conftest import make_factor
+from oracles import structure_oracle
 
 
 class TestSft:
@@ -87,6 +89,23 @@ class TestSft:
             golden.word_count(0)
 
 
+@st.composite
+def transition_matrices(draw):
+    """0/1 matrices of 1-6 symbols with every row nonempty.  Symbol i
+    steps only to symbols j with j = i + 1 modulo a drawn p, so periodic
+    graphs are common, and a cap on the successors per symbol makes
+    reducible ones common."""
+    k = draw(st.integers(1, 6))
+    p = draw(st.integers(1, k))
+    width = draw(st.integers(1, k))
+    matrix = []
+    for i in range(k):
+        targets = [j for j in range(k) if j % p == (i + 1) % p]
+        row = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=width, unique=True))
+        matrix.append([int(j in row) for j in range(k)])
+    return matrix
+
+
 class TestStructure:
     def test_full_shift_is_mixing_with_index_one(self):
         full = Sft(("a", "b"), ((1, 1), (1, 1)))
@@ -136,6 +155,19 @@ class TestStructure:
 
         assert power_positive(M)
         assert not power_positive(M - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(transition_matrices())
+    def test_matches_walk_oracle(self, matrix):
+        """Period, irreducibility and mixing index agree with explicit
+        closed walks and integer matrix powers, and mixing is exactly
+        irreducible with period one."""
+        k = len(matrix)
+        assume(all(any(row[j] for row in matrix) for j in range(k)))
+        report = validate_sft(Sft(tuple(map(str, range(k))), tuple(map(tuple, matrix))))
+        got = (report.irreducible, report.mixing, report.mixing_index, report.period)
+        assert got == structure_oracle(matrix)
+        assert report.mixing == (report.irreducible and report.period == 1)
 
     def test_scc_partition(self):
         succ = [(0, 1), (0,), (3,), (2,)]
