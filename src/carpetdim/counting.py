@@ -14,7 +14,10 @@ proportional vectors generate subtrees whose sums differ by the exact
 scalar c^theta.  Collapsed mode therefore sweeps the prefix tree one
 level at a time and merges the prefixes of a level by (last letter,
 gcd-normalized count vector); a backward pass over the kept levels
-gives the suffix sums that cylinder masses need.
+gives the suffix sums that cylinder masses need.  The deepest level is
+never built: a prefix's extension by one letter has the count
+g * (prim . r), r holding the row sums of a fiber block, so S_n and the
+last suffix sums are read off level n - 1.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ResourceError
@@ -167,6 +171,20 @@ def image_word_counts(fs: FactorSystem, n: int) -> dict[tuple[str, ...], int]:
     return out
 
 
+def _extensions(fs: FactorSystem, state: tuple[int, tuple[int, ...]]) -> list[tuple[int, int]]:
+    """(b, x) for each letter b that extends a state (a, prim) with a
+    nonzero count vector, x = prim . r being that vector's sum, r the
+    row sums of block (a, b): the extension's lift count over the gcd
+    the state has divided out."""
+    a, prim = state
+    out = []
+    for b, r in fs.fiber_row_sums[a]:
+        x = sum(map(mul, prim, r))
+        if x:
+            out.append((b, x))
+    return out
+
+
 def _prefix_words(fs: FactorSystem, n: int):
     """Occurring image words of lengths 1..n with their exact count vectors.
 
@@ -247,9 +265,22 @@ class CollapsedEngine:
     a bare float, and their number.  So S_k sums e^(log weight) *
     (sum of vector)^theta over level k.  A step merges children by key,
     which is exact because extensions of proportional vectors have
-    proportional counts.  ``visited`` counts the states of level 1 and
-    every nonzero edge, the jump's included, and ``_charge`` holds it
-    to the budget.
+    proportional counts.
+
+    Level k is never built to read S_k.  A state (a, prim) of level
+    k - 1 extends by letter b to a vector that sums to x = prim . r,
+    r holding the row sums of the 0/1 block (a, b) (``fiber_row_sums``),
+    so S_k = sum over level k - 1 of e^(log weight) * sum over b of
+    x^theta, over the pairs with x > 0, and the words of level k number
+    the sum of words times those pairs.  This takes no gcd, key or
+    merge; S_1 comes from the fiber sizes.  ``visited`` counts the
+    states of level 1 and every nonzero edge, the jump's included, and
+    ``_charge`` holds it to the budget.  A read charges its pairs, which
+    are the edges out of level k - 1, unless level k is held and its
+    edges charged; a step over edges a read has charged charges them
+    no more (``_paid``).  So a sum or a series visits what it did when
+    it built its deepest level.  ``collapsed_nodes`` counts the states
+    built, which leaves out the level a read stands in for.
 
     One kernel, ``_children``, gives a state's children with the log
     factor d = theta * log g that each child's gcd g contributes.  The
@@ -257,19 +288,21 @@ class CollapsedEngine:
     g = 1, where no rounding is charged.
 
     One driver, ``_reach``, sweeps on from the held levels.  ``levels``
-    holds every level from 1; ``partition`` holds only the last, and
-    once a step returns the key set it started from, raises that linear
-    map to a power when that costs less than stepping.  A held level's
-    S_k is read without sweeping, and one ``backward`` pass over held
-    levels gives the suffix sums.  ``_reach`` picks a step's child
-    source once: while every level is held, each state's child list is
-    kept from its first build for as long as the levels are held
-    (``edges``), so a state that comes back at a deeper level reads it
-    instead of rebuilding it; a sweep that drops its levels, and the
-    jump, call the kernel afresh.  ``backward`` and the cylinder-mass
-    walks of ``measures`` read the kept lists and build none, so the
-    kernel stays the one rule that turns a state into its children;
-    walks along single words step exact count vectors with ``_read``.
+    holds every level from 1; ``partition`` holds only the last, level
+    n - 1, and once a step returns the key set it started from, raises
+    that linear map to a power when that costs less than stepping.  An
+    S_k whose level k - 1 is held is read without sweeping, and one
+    ``backward`` pass over held levels gives the suffix sums.
+    ``_reach`` picks a step's child source once: while every level is
+    held, each state's child list is kept from its first build for as
+    long as the levels are held (``edges``), so a state that comes back
+    at a deeper level reads it instead of rebuilding it; a sweep that
+    drops its levels, and the jump, call the kernel afresh.
+    ``backward`` and the cylinder-mass walks of ``measures`` read the
+    kept lists and build none, taking a last letter into the level
+    not built through the row sums (``_extensions``), so the kernel
+    stays the one rule that turns a state into its children; walks
+    along single words step exact count vectors with ``_read``.
 
     Rounding.  Each held level keeps one bound E on the absolute error
     of every log weight in it.  Every weight sums products of gcd^theta
@@ -291,13 +324,18 @@ class CollapsedEngine:
       That is eps (2 T + 2).  A log-sum-exp moves by at most the
       largest error of its terms, so E itself passes through.
 
-    ``_total`` sums the terms lw + theta log(sum of vector) of a level
-    the same way.  theta log(sum) rounds by 1.5 eps of itself and the
-    add by eps/2 of the term, at most 2 eps S in all, S >= every term
-    being the log of the sum, and the sum adds eps (2 S + 2).
-    ``backward`` starts from eps (2 T + 1) for the last
-    level's theta log(sum of vector) and charges each level above it
-    as a step with merges.
+    The read of S_k sums the terms lw + theta log x of level k - 1 the
+    same way, x being an exact integer >= 1.  theta log x rounds by 1.5
+    eps of itself and the add by eps/2 of the term, at most 2 eps S in
+    all, S >= every term being the log of the sum, and the sum adds
+    eps (2 S + 2).  S_k is so off by at most E_{k-1} + eps (4 S + 2),
+    one step's charge less than a sum over a built level k would be.
+    ``backward`` seeds level depth - 1 with the log-sum-exp of theta
+    log x over each state's pairs: 1.5 eps T for theta log x and
+    eps (2 T + 2) for the merge, within eps (4 T + 2), T being the
+    largest seed.  It charges each level above it as a step with
+    merges, and a held level ``depth`` its own theta log(sum of
+    vector), eps (2 T + 1).
 
     The jump multiplies matrices of such entries, each matrix with one
     bound on the error of all its logs.  The row starts from the
@@ -322,6 +360,7 @@ class CollapsedEngine:
         self._held: list[tuple[dict, float]] = []  # (level, error bound), deepest last
         self._first = 0  # the level of _held[0]
         self._stationary_edges = 0  # edges per step once the key set repeats
+        self._paid = (0, 0)  # (level k, its edges that a read of S_{k+1} charged)
         self._edges: Optional[dict] = None  # state -> child list, while level 1 is held
         self._dlogs: dict[int, float] = {1: 0.0}  # g -> theta * log g
 
@@ -336,8 +375,9 @@ class CollapsedEngine:
                 f"with {held} states held; raise the budget or lower the depth"
             )
 
-    def _reach(self, n: int, keep: bool) -> None:
-        """Hold level n, sweeping on from the deepest held level below it,
+    def _reach(self, n: int, keep: bool, depth: int) -> None:
+        """Hold level n on the way to level ``depth``, which budget
+        messages name, sweeping on from the deepest held level below it,
         or from level 1.  With ``keep`` every level from 1 stays held;
         without it only the last does, and a step that repeats its key
         set may be raised to a power."""
@@ -347,21 +387,24 @@ class CollapsedEngine:
             return
         if not held or n < first or (keep and first != 1):
             roots = {(b, (1,) * len(f)): (0.0, 1) for b, f in enumerate(self.fs.fibers)}
-            self._charge(self.visited + len(roots), 1, n, len(roots))
+            self._charge(self.visited + len(roots), 1, depth, len(roots))
             self.collapsed_nodes += len(roots)
             held, k = [(roots, 0.0)], 1
             self._stationary_edges = 0
+            self._paid = (0, 0)
             self._edges = {}
         children = self._kept_children() if keep else self._children
         # raising a repeating step to a power costs about 2 s^3 log2(n - k)
         # products for s states, stepping (n - k) times its edges
         while k < n:
             level, err = held[-1]
+            # the edges out of level k that a read of S_{k+1} has charged
+            paid = self._paid[1] if self._paid[0] == k else 0
             if not keep and 2 * len(level) ** 3 * (n - k).bit_length() < (n - k) * self._stationary_edges:
-                held, k = [self._jump(held, k, n)], n
+                held, k = [self._jump(held, k, n, depth, paid)], n
                 continue
-            before = self.visited
-            nxt = self._step(held, k + 1, n, children)
+            before = self.visited - paid
+            nxt = self._step(held, k + 1, depth, children, paid)
             self._stationary_edges = self.visited - before if nxt[0].keys() == level.keys() else 0
             if not keep:
                 held = []
@@ -393,12 +436,13 @@ class CollapsedEngine:
         level has dropped them with the levels."""
         return self._edges
 
-    def _step(self, held: list, k: int, depth: int, children) -> tuple[dict, float]:
+    def _step(self, held: list, k: int, depth: int, children, paid: int) -> tuple[dict, float]:
         """Level k and its error bound from the deepest level of ``held``,
         level k - 1, on the way to level ``depth``, reading each state's
-        child list from ``children``."""
+        child list from ``children``; ``paid`` of its edges are already
+        charged."""
         level, err = held[-1]
-        visited = self.visited
+        visited = self.visited - paid
         nxt: dict = {}
         merged: dict = {}  # key -> all its terms, for keys reached twice
         for state, (lw, words) in level.items():
@@ -453,25 +497,21 @@ class CollapsedEngine:
             out.append(((b2, tuple(vec) if g == 1 else tuple(c // g for c in vec)), d))
         return out
 
-    def _total(self, level: dict, err: float) -> tuple[LogReal, int]:
-        # S_k and the word count of a level whose log weights are off by err
-        theta, log = self.theta, math.log
-        terms = [lw + theta * log(sum(p)) for (_, p), (lw, _) in level.items()]
-        return _summed(terms, err), sum(n for _, n in level.values())
-
-    def _jump(self, held: list, k: int, n: int) -> tuple[dict, float]:
+    def _jump(self, held: list, k: int, n: int, depth: int, paid: int) -> tuple[dict, float]:
         """Level n and its error bound from the deepest level of ``held``,
         level k, whose successor has its key set: the step is then one
         fixed linear map on (weight, words), raised to the power n - k by
-        repeated squaring."""
+        repeated squaring.  ``depth`` and ``paid`` are as for ``_step``."""
         level, err = held[-1]
         in_store = sum(len(h) for h, _ in held)
         keys = list(level)
         where = {s: i for i, s in enumerate(keys)}
         one_step = [[(_NEG_INF, 0)] * len(keys) for _ in keys]
+        visited = self.visited - paid
         for i, state in enumerate(keys):
             kids = self._children(state)
-            self._charge(self.visited + len(kids), k + 1, n, in_store)
+            visited += len(kids)
+            self._charge(visited, k + 1, depth, in_store)
             for key, d in kids:
                 one_step[i][where[key]] = (d, 1)
         row, steps = [[level[s] for s in keys]], n - k
@@ -490,12 +530,47 @@ class CollapsedEngine:
         if n < 1:
             raise PreconditionError("depth must be >= 1")
         if n not in self._sums:
-            self._reach(n, keep=False)
-            self._sums[n] = self._total(*self._held[n - self._first])
+            self._sums[n] = self._read_sum(n)
         value, words = self._sums[n]
         return PartitionSum(
             n, self.theta, value, words, self.visited, self.collapsed_nodes, "collapsed"
         )
+
+    def _read_sum(self, n: int) -> tuple[LogReal, int]:
+        """S_n and its word count, read off level n - 1 through the row
+        sums without building level n, as derived in the class
+        docstring; S_1 from the fiber sizes.  The loop takes the x of
+        ``_extensions`` inline, as this is the sweep's last pass over its
+        largest level."""
+        theta, log, fibers = self.theta, math.log, self.fs.fibers
+        if n == 1:
+            if not self._held:  # every held store was swept from level 1
+                self._reach(1, False, 1)
+            return _summed([theta * log(len(f)) for f in fibers], 0.0), len(fibers)
+        self._reach(n - 1, False, n)
+        held, first = self._held, self._first
+        level, err = held[n - 1 - first]
+        charge = n - first == len(held)  # level n is not held
+        rows = self.fs.fiber_row_sums
+        terms: list[float] = []
+        words = 0
+        visited = before = self.visited
+        for (a, prim), (lw, m) in level.items():
+            pairs = 0
+            for _, r in rows[a]:
+                x = sum(map(mul, prim, r))
+                if x:
+                    terms.append(lw + theta * log(x))
+                    pairs += 1
+            words += m * pairs
+            if charge:
+                visited += pairs
+                if visited > self.budget:
+                    self._charge(visited, n, n, sum(len(h) for h, _ in held))
+        if charge:
+            self.visited = visited
+            self._paid = (n - 1, visited - before)
+        return _summed(terms, err), words
 
     def series(self, n_max: int) -> list[PartitionSum]:
         """S_1 .. S_{n_max}, sweeping on one level at a time."""
@@ -505,38 +580,60 @@ class CollapsedEngine:
         """Levels 1..depth, all held, going on from the levels already
         held; each maps a state (b, primitive vector) to (log weight,
         words)."""
-        self._reach(depth, keep=True)
+        self._reach(depth, True, depth)
         return [level for level, _ in self._held[:depth]]
 
     def backward(self, depth: Optional[int] = None) -> tuple[list[dict], list[float]]:
-        """Suffix sums over levels 1..depth, held by ``levels``, one pass
-        from level ``depth`` (by default the deepest held) up, and one
-        error bound per level.  ``sums[k][s]`` is the float log of the
-        sum of the final count^theta over the extensions to level
-        ``depth`` of a prefix in state s of level k + 1, the prefix's
-        own gcd factored out, or -inf when there are none; ``errs[k]``
-        bounds the error of every finite log in ``sums[k]``.  The child
-        lists are the ones the forward sweep kept; a depth whose levels
-        are not held raises PreconditionError."""
+        """Suffix sums to level ``depth`` over the held levels 1..depth - 1,
+        one pass from level depth - 1 up, and one error bound per level.
+        ``sums[k][s]`` is the float log of the sum of the final
+        count^theta over the extensions to level ``depth`` of a prefix in
+        state s of level k + 1, the prefix's own gcd factored out, or
+        -inf when there are none; ``errs[k]`` bounds the error of every
+        finite log in ``sums[k]``.
+
+        Level depth - 1 is seeded through the row sums, as ``partition``
+        reads S_depth, so ``levels(depth - 1)`` is all that must be held
+        and level ``depth`` is never built.  When level ``depth`` is held
+        as well, its own sums, theta log of the sum of each state's
+        vector, come last, so after ``levels(depth)`` the lists cover
+        levels 1..depth; ``depth`` defaults to the deepest held level.
+        The levels above the seed read the child lists the forward sweep
+        kept.  A depth whose levels are not held raises
+        PreconditionError."""
         held = self._held
         if depth is None:
             depth = len(held)
-        if self._first != 1 or not 1 <= depth <= len(held):
+        if self._first != 1 or not 1 <= depth <= len(held) + 1:
             raise PreconditionError(
-                f"backward reads levels 1..{depth} held by levels({depth}); they are not held"
+                f"backward to level {depth} reads levels 1..{max(depth - 1, 1)} "
+                f"held by levels(); they are not held"
             )
         edges, theta, log = self._edges, self.theta, math.log
-        levels = [level for level, _ in held[:depth]]
-        sums = {s: theta * log(sum(s[1])) for s in levels[-1]}
-        err = _EPS * (2.0 * max(sums.values(), default=0.0) + 1.0)
-        out, errs = [sums], [err]
-        for level in reversed(levels[:-1]):
-            below = sums
-            sums = {s: _log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
-            err += self._step_error(max(sums.values(), default=0.0), True)
+        out: list[dict] = []
+        errs: list[float] = []
+        if depth > 1:
+            levels = [level for level, _ in held[: depth - 1]]
+            sums = {
+                s: _log_sum_exp([theta * log(x) for _, x in _extensions(self.fs, s)])
+                for s in levels[-1]
+            }
+            err = _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
             out.append(sums)
             errs.append(err)
-        return out[::-1], errs[::-1]
+            for level in reversed(levels[:-1]):
+                below = sums
+                sums = {s: _log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
+                err += self._step_error(max(sums.values(), default=0.0), True)
+                out.append(sums)
+                errs.append(err)
+            out.reverse()
+            errs.reverse()
+        if depth <= len(held):
+            sums = {s: theta * log(sum(s[1])) for s in held[depth - 1][0]}
+            out.append(sums)
+            errs.append(_EPS * (2.0 * max(sums.values(), default=0.0) + 1.0))
+        return out, errs
 
 
 class ExactEngine:

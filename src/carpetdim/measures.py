@@ -23,6 +23,7 @@ from .counting import (
     CollapsedEngine,
     LogReal,
     _advance,
+    _extensions,
     _log_sum_exp,
     resolve_node_budget,
 )
@@ -186,9 +187,10 @@ def gibbs_scan(
     M = mixing_index(fs)
     if level <= n_max + M:
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
-    # levels first: S_{M-1}, S_M and S_L are then read off the held levels
+    # levels first: S_{M-1}, S_M and S_L are then read off the held
+    # levels 1..L-1, and level L is never built
     eng = CollapsedEngine(fs, theta, node_budget)
-    eng.levels(level)
+    eng.levels(level - 1)
     constants = superadditive_constants(eng)
     estimate = pressure_interval(eng, level, constants=constants)
     total = eng.partition(level).value
@@ -251,21 +253,30 @@ def _shift_masses(eng, level, probe_depth, positions):
     # weight to the suffix sum where it ends plus its gcd factors.
     # Starting at level i, not i + 1, keeps the merged weights of level
     # i + 1 out of the terms: a mass is one log-sum-exp of unmerged ones.
-    levels = eng.levels(level)
+    # Level L = ``level`` is not built: a word that ends there takes its
+    # last letter through the row sums, as S_L is read, its term then
+    # being the path's plus theta log x.
+    levels = eng.levels(max(level - 1, 1))
     total = eng.partition(level).value
     back, _ = eng.backward(level)
-    edges, names = eng.edges, eng.fs.image_alphabet
+    edges, names, fs, theta = eng.edges, eng.fs.image_alphabet, eng.fs, eng.theta
+    log = math.log
     out: dict[int, dict[tuple[str, ...], float]] = {}
     for i in positions:
         start = max(i - 1, 0)
-        sums = back[i + probe_depth - 1]
+        depth = i + probe_depth  # the level the word ends at
+        last = depth > len(back)  # level L, whose suffix sums are not held
         terms: dict[tuple[int, ...], list[float]] = {}
         for state, (lw, _) in levels[start].items():
             paths = [((state[0],), state, 0.0)]
-            for _ in range(i + probe_depth - 1 - start):
+            for _ in range(depth - 1 - start - last):
                 paths = [(word + (key[0],), key, t + d) for word, s, t in paths for key, d in edges[s]]
             for word, end, t in paths:
-                terms.setdefault(word[-probe_depth:], []).append(lw + (sums[end] + t))
+                if last:
+                    for b, x in _extensions(fs, end):
+                        terms.setdefault((word + (b,))[-probe_depth:], []).append(lw + (t + theta * log(x)))
+                else:
+                    terms.setdefault(word[-probe_depth:], []).append(lw + (back[depth - 1][end] + t))
         out[i] = {
             tuple(names[b] for b in word): math.exp(_log_sum_exp(ts) - total.log)
             for word, ts in terms.items()

@@ -309,6 +309,18 @@ class FactorSystem:
                 )
         return tuple(supports)
 
+    @cached_property
+    def fiber_row_sums(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per letter a, (b, r) for each letter b of ``fiber_supports[a]``,
+        r being the row sums of block (a, b): a count vector v over the
+        fiber of a steps to a vector over the fiber of b that sums to
+        ``sum(v[i] * r[i])``."""
+        blocks = self.fiber_blocks
+        return tuple(
+            tuple((b, tuple(map(sum, blocks[(a, b)]))) for b in supports)
+            for a, supports in enumerate(self.fiber_supports)
+        )
+
     def fiber_symbols(self, letter: str) -> tuple[str, ...]:
         """Source symbol names above one image letter."""
         if letter not in self.image_index:

@@ -406,21 +406,25 @@ class TestKeptEdges:
         assert len(shallow) == depth - 2
 
     @pytest.mark.parametrize(
-        "build, depth, visited, states",
+        "build, depth, visited, states, built",
         [
-            pytest.param(fibonacci_sweep, 18, 582, 325, id="fibonacci-18"),
-            pytest.param(restricted_carpet_1, 10, 886, 728, id="restricted-carpet-10"),
+            pytest.param(fibonacci_sweep, 18, 582, 325, 290, id="fibonacci-18"),
+            pytest.param(restricted_carpet_1, 10, 886, 728, 442, id="restricted-carpet-10"),
         ],
     )
-    def test_counters_unchanged(self, build, depth, visited, states):
+    def test_counters_unchanged(self, build, depth, visited, states, built):
         """A kept child list still counts its edges each time it is read,
-        so a kept sweep visits what a sweep that drops its levels does."""
+        and the read of S_depth off level depth - 1 counts the edges out
+        of it as a step would, so a kept sweep visits what a sweep that
+        drops its levels does.  ``collapsed_nodes`` counts the states
+        built: every level of the kept sweep, levels 1..depth - 1 of the
+        dropped one, which never builds level ``depth``."""
         fs, theta = build()
         kept, dropped = CollapsedEngine(fs, theta), CollapsedEngine(fs, theta)
         kept.levels(depth)
         dropped.partition(depth)
         assert (kept.visited, kept.collapsed_nodes) == (visited, states)
-        assert (dropped.visited, dropped.collapsed_nodes) == (visited, states)
+        assert (dropped.visited, dropped.collapsed_nodes) == (visited, built)
 
     @pytest.mark.parametrize(
         "build, depth, budget, message",
@@ -445,10 +449,10 @@ class TestKeptEdges:
         with pytest.raises(PreconditionError, match="not held"):
             eng.backward()
         eng.levels(4)
-        for depth in (0, 5):
+        for depth in (0, 6):  # backward(5) reads levels 1..4, which are held
             with pytest.raises(PreconditionError, match="not held"):
                 eng.backward(depth)
-        eng.partition(6)  # goes on from level 4 and drops levels 1..5
+        eng.partition(6)  # goes on from level 4 to level 5 and drops levels 1..4
         for depth in (None, 4, 6):
             with pytest.raises(PreconditionError, match="not held"):
                 eng.backward(depth)
@@ -477,6 +481,83 @@ class TestKeptEdges:
             with pytest.raises(ResourceError):
                 stop()
             assert eng.backward() == expected
+
+
+class TestRowSumRead:
+    """S_n is read off level n - 1 through the row sums of the fiber
+    blocks, and level n is never built."""
+
+    @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
+    def test_partition_builds_no_state_of_its_level(self, monkeypatch, build, depth):
+        fs, theta = build()
+        held = CollapsedEngine(fs, theta).levels(depth)
+        calls = count_children(monkeypatch)
+        eng = CollapsedEngine(fs, theta)
+        eng.partition(depth)
+        # a sweep that drops its levels builds each level's children afresh
+        assert calls == Counter(state for level in held[: depth - 2] for state in level)
+        assert eng.collapsed_nodes == sum(len(level) for level in held[: depth - 1])
+
+    @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
+    def test_backward_builds_no_state_of_its_level(self, monkeypatch, build, depth):
+        fs, theta = build()
+        full = CollapsedEngine(fs, theta)
+        full.levels(depth)
+        back, errs = full.backward(depth)
+        calls = count_children(monkeypatch)
+        eng = CollapsedEngine(fs, theta)
+        held = eng.levels(depth - 1)
+        assert calls == Counter({state for level in held[:-1] for state in level})
+        calls.clear()
+        short, short_errs = eng.backward(depth)
+        assert not calls
+        # the same sums; the bounds charge the largest theta log g the
+        # engine has met, and the full sweep has met level depth's too
+        assert short == back[:-1]
+        assert all(e <= f for e, f in zip(short_errs, errs[:-1])) and len(short_errs) == depth - 1
+        assert eng.collapsed_nodes == sum(map(len, held))
+
+    def test_first_sum_keeps_the_held_level(self, fibonacci):
+        """S_1 comes from the fiber sizes, so reading it leaves the level a
+        sweep holds in place for the next sum."""
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        eng.partition(12)
+        assert eng.partition(1).word_count == 2
+        assert eng.partition(13).visited_nodes == CollapsedEngine(fibonacci, THETA_32).partition(13).visited_nodes
+
+    @pytest.mark.parametrize(
+        "fs",
+        [pytest.param(random_mixing_system(random.Random(seed)), id=f"mixing-{seed}") for seed in range(4)]
+        + [pytest.param(build(), id=build.__name__) for build in
+           (parity_oscillation, bipartite_fiber, fibonacci_fiber, linear_lift_growth)]
+        + [pytest.param(carpet_to_factor(random_restricted_carpet(random.Random(seed)))[0],
+                        id=f"restricted-{seed}") for seed in (1, 2)],
+    )
+    def test_read_agrees_with_exact_and_stepped_sums(self, fs):
+        """For n = 1..10: the word count and S_n within both tracked
+        errors of the exact walk's and of the sum over a built level n,
+        and the visits of a sweep that builds level n.  A series, and an
+        engine holding level n, read the same value."""
+        theta = THETA_32
+        exact, series, kept = ExactEngine(fs, theta), CollapsedEngine(fs, theta), CollapsedEngine(fs, theta)
+        held = kept.levels(10)
+        for n in range(1, 11):
+            ps = CollapsedEngine(fs, theta).partition(n)
+            stepped = CollapsedEngine(fs, theta)
+            stepped.levels(n)
+            assert ps.visited_nodes == stepped.visited
+            assert series.partition(n) == ps
+            visited = kept.visited
+            assert kept.partition(n).value == ps.value
+            assert kept.visited == visited
+            ex = exact.partition(n)
+            assert ps.word_count == ex.word_count == sum(m for _, m in held[n - 1].values())
+            assert abs(ps.value.log - ex.value.log) <= ps.value.err + ex.value.err
+            level_err = kept._held[n - 1][1]
+            built = counting._summed(
+                [lw + theta * math.log(sum(prim)) for (_, prim), (lw, _) in held[n - 1].items()], level_err
+            )
+            assert abs(ps.value.log - built.log) <= ps.value.err + built.err
 
 
 def test_trivial_identity_counts():

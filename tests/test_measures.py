@@ -49,6 +49,13 @@ class TestNuMarginal:
                 for word, mass in oracle.items():
                     assert dist.mass(word) == pytest.approx(mass, abs=1e-10)
 
+    def test_level_one_marginal_is_the_letters(self, any_fixture):
+        dist = nu_marginal(any_fixture, THETA_32, level=1, depth=1)
+        oracle = marginal_oracle(any_fixture, THETA_32, 1, 1)
+        assert set(dist.masses) == set(oracle)
+        for word, mass in oracle.items():
+            assert dist.mass(word) == pytest.approx(mass, abs=1e-12)
+
     def test_marginals_are_tree_consistent(self, bipartite):
         """Summing depth-(d+1) masses over the last letter gives depth d."""
         shallow = nu_marginal(bipartite, THETA_32, level=8, depth=2)
@@ -265,6 +272,29 @@ class TestRestrictedCarpetsAgainstEnumeration:
                     oracle[w] = oracle.get(w, 0.0) + count**theta / (total * n_terms)
             for w in set(oracle) | set(dist.masses):
                 assert dist.mass(w) == pytest.approx(oracle.get(w, 0.0), abs=1e-12)
+
+    def test_masses_at_the_edge_level(self, seed):
+        """Words that end at the level itself take their last letter
+        through the row sums: the marginal at depth == level and the
+        Cesaro defect at level == n_terms + probe_depth, whose last shift
+        ends there."""
+        fs, theta = self.system(seed)
+        dist = nu_marginal(fs, theta, level=self.LEVEL, depth=self.LEVEL)
+        oracle = marginal_oracle(fs, theta, self.LEVEL, self.LEVEL)
+        assert set(dist.masses) == set(oracle)
+        for word, mass in oracle.items():
+            assert dist.mass(word) == pytest.approx(mass, abs=1e-12)
+        buckets = image_word_counts(fs, self.LEVEL)
+        total = sum(c**theta for c in buckets.values())
+        for n_terms, probe in ((4, 3), (6, 1), (1, 6)):
+            ends = [{}, {}]
+            for word, count in buckets.items():
+                for end, i in zip(ends, (0, n_terms)):
+                    w = word[i : i + probe]
+                    end[w] = end.get(w, 0.0) + count**theta / total
+            defect = max(abs(ends[1].get(w, 0.0) - ends[0].get(w, 0.0)) for w in set(ends[0]) | set(ends[1]))
+            got = cesaro_defect(fs, theta, level=self.LEVEL, n_terms=n_terms, probe_depth=probe)
+            assert got == pytest.approx(defect / n_terms, abs=1e-12)
 
     def test_additivity_witness_attains_min_ratio(self, seed):
         fs, _ = self.system(seed)
