@@ -22,11 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from carpetdim.counting import CollapsedEngine, dn_count, is_image_point
 from carpetdim.fixtures import FIXTURE_BUILDERS
 from carpetdim.measures import additivity_scan, cesaro_defect, gibbs_scan, uniqueness_report
-from carpetdim.pressure import (
-    compensation_at_periodic,
-    pressure_interval,
-    superadditive_constants,
-)
+from carpetdim.pressure import compensation_at_periodic, pressure_interval
 from carpetdim.sft import EventuallyPeriodicPoint, validate_sft
 
 DEFAULT_THETA = math.log(2.0) / math.log(3.0)
@@ -49,12 +45,8 @@ def survey(name, fs, args):
         f"{len(fs.image_alphabet)} image letters, "
         f"mixing index M={report.mixing_index}"
     )
-    engine = CollapsedEngine(fs, args.theta)
-    constants = superadditive_constants(engine)
-    print(
-        f"  constants: K={constants.K:.6g} K~={constants.K_tilde:.6g}"
-    )
-    est = pressure_interval(engine, args.depth)
+    est = pressure_interval(CollapsedEngine(fs, args.theta), args.depth)
+    print(f"  constants: K~={est.constants.K_tilde:.6g}")
     print(
         f"  pressure at n={args.depth}: [{est.lower:.9f}, {est.upper:.9f}] "
         f"width {est.upper - est.lower:.3e}"

@@ -115,7 +115,6 @@ def _emit(config, payload: dict) -> int:
 def _constants_doc(constants) -> dict:
     return {
         "M": constants.M,
-        "K": constants.K,
         "K_tilde": constants.K_tilde,
     }
 

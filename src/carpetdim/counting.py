@@ -208,12 +208,10 @@ class PartitionSum:
     """log S_n plus the word count and search-effort counters."""
 
     n: int
-    theta: float
     value: LogReal
     word_count: int
     visited_nodes: int
     collapsed_nodes: int
-    mode: str
 
 
 def _log_sum_exp(terms: list[float]) -> float:
@@ -532,9 +530,7 @@ class CollapsedEngine:
         if n not in self._sums:
             self._sums[n] = self._read_sum(n)
         value, words = self._sums[n]
-        return PartitionSum(
-            n, self.theta, value, words, self.visited, self.collapsed_nodes, "collapsed"
-        )
+        return PartitionSum(n, value, words, self.visited, self.collapsed_nodes)
 
     def _read_sum(self, n: int) -> tuple[LogReal, int]:
         """S_n and its word count, read off level n - 1 through the row
@@ -666,8 +662,9 @@ class ExactEngine:
                 self.visited += 1
                 if self.visited > self.budget:
                     raise ResourceError(
-                        f"node budget exceeded ({self.budget} nodes); "
-                        f"use collapsed mode, raise the budget, or lower the depth"
+                        f"node budget exceeded ({self.budget} nodes) at word length "
+                        f"{len(word)} of {n}; use collapsed mode, raise the budget, "
+                        f"or lower the depth"
                     )
                 tally, c = tallies[len(word) - 1], sum(vec)
                 tally[c] = tally.get(c, 0) + 1
@@ -677,7 +674,7 @@ class ExactEngine:
                 for t in tallies
             ]
         value, words = self._sums[n - 1]
-        return PartitionSum(n, self.theta, value, words, self.visited, 0, "exact")
+        return PartitionSum(n, value, words, self.visited, 0)
 
     def series(self, n_max: int) -> list[PartitionSum]:
         """S_1 .. S_{n_max} off one walk to n_max."""

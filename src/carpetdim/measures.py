@@ -32,7 +32,7 @@ from .pressure import (
     PressureEstimate,
     mixing_index,
     pressure_interval,
-    superadditive_constants,
+    superadditive_constants,  # not called here; perfbench/tracing.py patches this name
 )
 from .sft import FactorSystem, Sft, singleton_clumps, validate_sft
 
@@ -187,12 +187,12 @@ def gibbs_scan(
     M = mixing_index(fs)
     if level <= n_max + M:
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
-    # levels first: S_{M-1}, S_M and S_L are then read off the held
+    # levels first: S_{M-1} and S_L are then read off the held
     # levels 1..L-1, and level L is never built
     eng = CollapsedEngine(fs, theta, node_budget)
     eng.levels(level - 1)
-    constants = superadditive_constants(eng)
-    estimate = pressure_interval(eng, level, constants=constants)
+    estimate = pressure_interval(eng, level)
+    constants = estimate.constants
     total = eng.partition(level).value
     back, errs = eng.backward(level)
     p_hi, p_lo = estimate.upper, estimate.lower
@@ -433,7 +433,8 @@ def additivity_scan(
                 work += len(v_level)
                 if work > budget:
                     raise ResourceError(
-                        f"node budget exceeded ({budget} nodes); "
+                        f"node budget exceeded ({budget} nodes) scanning ends of "
+                        f"length {ju} against starts of length {jv}, max_len {max_len}; "
                         f"lower max_len or raise the budget"
                     )
                 # the block's minimum and its first pair, in scan order

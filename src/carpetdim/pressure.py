@@ -6,8 +6,9 @@ mixing index M, the splicing constant K_tilde = S_{M-1} makes
 log(S_n / K_tilde) superadditive (proof at ``SuperadditiveConstants``),
 so (log S_n - log K_tilde) / n is a valid lower bound at the same n.
 Dimension is pressure divided by log m.  The only inexactness is
-floating log conversion, and the tracked rounding bound is folded into
-the interval ends conservatively.
+floating log conversion, and each end is padded by the tracked errors
+of the terms it reads: the upper end by that of log S_n, the lower end
+by those of log S_n and log K_tilde.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .counting import (
-    _EPS,
     CollapsedEngine,
     ExactEngine,
     LogReal,
@@ -54,11 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SuperadditiveConstants:
-    """Splicing constants for the superadditive lower pressure bound.
+    """The splicing constant of the superadditive lower pressure bound.
 
-    M is the mixing index (the least M with A^M > 0), K = S_M and
-    K_tilde = S_{M-1}, with S_0 := 1 so that K_tilde = 1 when M = 1.
-    K_tilde satisfies S_l * S_n <= K_tilde * S_{l+n} for all l, n >= 1:
+    M is the mixing index (the least M with A^M > 0) and K_tilde =
+    S_{M-1}, with S_0 := 1 so that K_tilde = 1 when M = 1.  K_tilde
+    satisfies S_l * S_n <= K_tilde * S_{l+n} for all l, n >= 1:
 
     1. A^M > 0 joins any lift x of an image word u to any lift y of an
        image word v through M - 1 source symbols z, and x z y determines
@@ -70,13 +70,12 @@ class SuperadditiveConstants:
     3. Counts are submultiplicative, count(a b) <= count(a) count(b),
        so S_{l+n+M-1} <= S_{M-1} * S_{l+n}.
 
-    K caps the other way, S_l <= K * S_{l-M}, by (3) alone.
-    ``rounding_bound`` bounds the log error of K and K_tilde, the
-    exp/log round trip of the stored floats included.
+    ``log_K_tilde`` is the float log S_{M-1} and ``rounding_bound`` its
+    tracked error, both 0 when M = 1; ``K_tilde`` is its exponential,
+    for reports only.
     """
 
     M: int
-    K: float
     K_tilde: float
     log_K_tilde: float
     rounding_bound: float
@@ -84,7 +83,12 @@ class SuperadditiveConstants:
 
 @dataclass(frozen=True)
 class PressureEstimate:
-    """A bracket [lower, upper] for the pressure, valid at this single n."""
+    """A bracket [lower, upper] for the pressure, valid at this single n.
+
+    ``rounding_bound`` is the lower end's pad, the tracked errors of
+    log S_n and of log K_tilde together; the upper end is padded by the
+    error of log S_n alone.
+    """
 
     n: int
     upper: float
@@ -138,54 +142,46 @@ def mixing_index(fs: FactorSystem) -> int:
 
 
 def superadditive_constants(engine: CollapsedEngine | ExactEngine) -> SuperadditiveConstants:
-    """M, K = S_M and K_tilde = S_{M-1} for the engine's system, whose
-    source must be mixing, read off the engine's partition sums at its
-    theta."""
+    """M and K_tilde = S_{M-1} for the engine's system, whose source
+    must be mixing, read off the engine's partition sums S_1..S_{M-1}
+    at its theta; no sum is read when M = 1."""
     M = mixing_index(engine.fs)
-    series = partition_series(engine, M)
-    s_m = series[-1].value
-    s_prev = series[-2].value if M > 1 else LogReal(0.0)
-    # tracked errors, plus the exp then log round trip of K and K_tilde
-    big = max(abs(s_m.log), abs(s_prev.log))
-    err = max(s_m.err, s_prev.err) + 2.0 * _EPS * (big + 1.0)
+    s_prev = partition_series(engine, M - 1)[-1].value if M > 1 else LogReal(0.0)
     return SuperadditiveConstants(
-        M=M,
-        K=math.exp(s_m.log),
-        K_tilde=math.exp(s_prev.log),
-        log_K_tilde=s_prev.log,
-        rounding_bound=err,
+        M=M, K_tilde=math.exp(s_prev.log), log_K_tilde=s_prev.log, rounding_bound=s_prev.err
     )
 
 
-def pressure_interval(
-    engine: CollapsedEngine | ExactEngine, n: int, constants: Optional[SuperadditiveConstants] = None
-) -> PressureEstimate:
+def pressure_interval(engine: CollapsedEngine | ExactEngine, n: int) -> PressureEstimate:
     """Bracket the pressure of the engine's system at its theta, using
-    S_n and the splicing constants.
+    S_n and the splicing constant, both from the one engine given,
+    collapsed or exact.
 
     upper = log S_n / n holds by subadditivity; lower = (log S_n -
     log K_tilde) / n by Fekete's lemma for the superadditive
-    log(S_n / K_tilde).  Both ends are padded by the tracked rounding
-    bounds of S_n and of the constants so the interval stays
-    conservative.  S_n and, by default, the constants come from the
-    one engine given, collapsed or exact.
+    log(S_n / K_tilde).  Each end is padded by the tracked rounding
+    errors of the terms it reads: upper = (log S_n + e_n) / n and
+    lower = (log S_n - e_n - e_K - log K_tilde) / n, e_n and e_K being
+    the errors of log S_n and of log K_tilde.  The constant is read
+    before S_n, so a collapsed sweep passes level M - 1 once.
     """
     if n < 1:
         raise PreconditionError("depth must be >= 1")
-    if constants is None:
-        constants = superadditive_constants(engine)
-    ps = engine.partition(n)
-    err = ps.value.err + constants.rounding_bound
-    upper = (ps.value.log + err) / n
-    lower = (ps.value.log - err - constants.log_K_tilde) / n
+    return _bracket(engine, n, superadditive_constants(engine))
+
+
+def _bracket(engine, n: int, constants: SuperadditiveConstants) -> PressureEstimate:
+    # pressure_interval's bracket; the caller reads the constants off this engine
+    s_n = engine.partition(n).value
+    pad = s_n.err + constants.rounding_bound
     return PressureEstimate(
         n=n,
-        upper=upper,
-        lower=lower,
+        upper=(s_n.log + s_n.err) / n,
+        lower=(s_n.log - pad - constants.log_K_tilde) / n,
         theta=engine.theta,
         constants=constants,
-        log_Sn=ps.value.log,
-        rounding_bound=err,
+        log_Sn=s_n.log,
+        rounding_bound=pad,
     )
 
 
@@ -244,16 +240,19 @@ def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[
 
     The series steps the collapsed engine through every level, so it
     never takes the squaring jump that ``pressure_interval`` alone may
-    take from level M to n, and each step adds its rounding bound.  On a
+    take towards n, and each step adds its rounding bound.  On a
     long run of repeating levels the last row is then wider than that
     bracket, though both hold the pressure: ``full_torus_32`` at n_max =
     2000 gives a width of 1.85e-12 against 2.0e-14 without the series.
     A second sweep would make the two equal at the cost of every series.
     """
+    # the series first, so that an exact engine walks once and the
+    # constant is read off that walk
+    series = partition_series(engine, n_max)
     constants = superadditive_constants(engine)
     rows = []
-    for ps in partition_series(engine, n_max):
-        estimate = pressure_interval(engine, ps.n, constants=constants)
+    for ps in series:
+        estimate = _bracket(engine, ps.n, constants)
         rows.append(
             {
                 "n": ps.n,

@@ -194,7 +194,6 @@ def test_criterion_04_splicing_inequalities_hold():
         logs = [p.value.log for p in series]
         errs = [p.value.err for p in series]
         M = constants.M
-        log_K = math.log(constants.K)
         for n in range(1, N):
             for m in range(1, N - n + 1):
                 slack = errs[n + m - 1] + errs[n - 1] + errs[m - 1]
@@ -207,9 +206,11 @@ def test_criterion_04_splicing_inequalities_hold():
                 assert logs[l + n - 1] >= logs[n - 1] + logs[l - M - 1] - slack, (
                     f"{name}: M-gap splice fails at l={l}, n={n}"
                 )
+        # K = S_M caps the other way, S_l <= K S_{l-M}, by
+        # submultiplicativity alone
         for l in range(M + 1, N + 1):
-            slack = errs[l - 1] + errs[l - M - 1] + constants.rounding_bound
-            assert logs[l - 1] <= log_K + logs[l - M - 1] + slack, (
+            slack = errs[l - 1] + errs[l - M - 1] + errs[M - 1]
+            assert logs[l - 1] <= logs[M - 1] + logs[l - M - 1] + slack, (
                 f"{name}: K cap fails at l={l}"
             )
         for l in range(1, N):

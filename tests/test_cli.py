@@ -187,9 +187,9 @@ class TestReports:
         assert [float(lower), float(upper)] == [doc["pressure"]["lower"], doc["pressure"]["upper"]]
 
     def test_exact_mode_csv_walks_at_most_twice(self, capsys, tmp_path, fixture_dir, monkeypatch):
-        """One exact engine serves the whole command: one walk to the
-        mixing index for the constants, one to the depth for the series
-        and the bracket, and no collapsed sweep."""
+        """One exact engine serves the whole command: the series walks
+        once to the depth, the constants and the bracket read that walk,
+        and no collapsed sweep is built."""
         walks, built = [], []
         walk, init = counting._prefix_words, counting.CollapsedEngine.__init__
         monkeypatch.setattr(counting, "_prefix_words", lambda fs, n: walks.append(n) or walk(fs, n))
@@ -206,7 +206,7 @@ class TestReports:
             "--csv", str(tmp_path / "series.csv"),
             "--no-timestamp",
         )
-        assert walks == [5, 12]
+        assert walks == [12]
         assert built == []
 
     def test_csv_bracket_holds_the_pressure(self, capsys, tmp_path, fixture_dir):

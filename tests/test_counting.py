@@ -167,6 +167,12 @@ class TestExactEngine:
             eng.partition(8)
         assert eng.partition(5).word_count == partition_sum(fibonacci, 5, THETA_32).word_count
 
+    @pytest.mark.parametrize("budget, reached", [(3, 4), (20, 6), (40, 7)])
+    def test_budget_names_the_word_length_reached(self, fibonacci, budget, reached):
+        # the walk is depth first, so its first nodes have lengths 1, 2, ...
+        with pytest.raises(ResourceError, match=f"at word length {reached} of 8; use collapsed mode"):
+            ExactEngine(fibonacci, THETA_32, node_budget=budget).partition(8)
+
     def test_series_walks_once(self, parity, monkeypatch):
         walks = []
         walk = counting._prefix_words

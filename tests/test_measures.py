@@ -133,7 +133,7 @@ class TestGibbsScan:
             gibbs_scan(fs, THETA_32, level=10, n_max=2, node_budget=1)
 
     def test_levels_are_swept_once(self, fibonacci):
-        """S_{M-1}, S_M and S_L are read off the held levels, so the scan
+        """S_{M-1} and S_L are read off the held levels, so the scan
         fits the budget of one sweep to its level."""
         eng = CollapsedEngine(fibonacci, THETA_32)
         eng.levels(18)
@@ -193,6 +193,11 @@ class TestAdditivityScan:
     def test_budget_guard(self, parity):
         with pytest.raises(ResourceError):
             additivity_scan(parity, max_len=12, node_budget=50)
+
+    def test_budget_names_the_lengths_scanned(self, parity):
+        # both sweeps fit in 400 nodes; the pairs overrun it
+        with pytest.raises(ResourceError, match="ends of length 3 against starts of length 8, max_len 12;"):
+            additivity_scan(parity, max_len=12, node_budget=400)
 
     def test_rejects_bad_length(self, parity):
         with pytest.raises(PreconditionError):

@@ -6,7 +6,15 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from carpetdim.counting import CollapsedEngine, ExactEngine, dn_count, image_word_counts, partition_series
+from carpetdim import counting
+from carpetdim.counting import (
+    CollapsedEngine,
+    ExactEngine,
+    LogReal,
+    dn_count,
+    image_word_counts,
+    partition_series,
+)
 from carpetdim.errors import (
     NonMixingError,
     NotFullShiftError,
@@ -56,13 +64,20 @@ def assert_splices(fs, theta, N):
             ), f"K_tilde splice fails at l={l}, n={n}, theta={theta}"
 
 
+def mixing_system(request, name):
+    """The factor system of a fixture, carpets converted."""
+    fs = request.getfixturevalue(name)
+    return carpet_to_factor(fs)[0] if isinstance(fs, CarpetSpec) else fs
+
+
 class TestSuperadditiveConstants:
     def test_full_shift_constants(self, torus_32):
         fs, _ = carpet_to_factor(torus_32)
-        constants = superadditive_constants(CollapsedEngine(fs, THETA_32))
+        engine = CollapsedEngine(fs, THETA_32)
+        constants = superadditive_constants(engine)
         assert constants.M == 1
         # S_1 = 2 * 3^theta = 4 up to float rounding at this geometry
-        assert constants.K == pytest.approx(4.0, rel=1e-12)
+        assert math.exp(engine.partition(1).value.log) == pytest.approx(4.0, rel=1e-12)
         # M = 1: the splicing constant is S_0 = 1, full shifts being
         # exactly multiplicative
         assert constants.K_tilde == 1.0
@@ -81,6 +96,15 @@ class TestSuperadditiveConstants:
         fs = random_mixing_system(random.Random(seed))
         for theta in (THETA_32, 0.5, 1.0):
             assert_splices(fs, theta, 20)
+
+    @pytest.mark.parametrize("system, walks", [("torus_32", []), ("fibonacci", [1]), ("parity", [4])])
+    def test_reads_sums_only_to_m_minus_1(self, request, monkeypatch, system, walks):
+        fs = mixing_system(request, system)
+        seen = []
+        walk = counting._prefix_words
+        monkeypatch.setattr(counting, "_prefix_words", lambda fs, n: seen.append(n) or walk(fs, n))
+        superadditive_constants(ExactEngine(fs, THETA_32))
+        assert seen == walks
 
     def test_non_mixing_raises(self):
         fs = make_factor(["a", "b"], [("a", "b"), ("b", "a")], {"a": "x", "b": "x"})
@@ -106,6 +130,30 @@ class TestPressureInterval:
         for a in estimates:
             for b in estimates:
                 assert a.lower <= b.upper + 1e-12
+
+    @pytest.mark.parametrize("engine_type", [CollapsedEngine, ExactEngine])
+    @pytest.mark.parametrize("system, M", [("torus_32", 1), ("fibonacci", 2), ("parity", 5)])
+    def test_each_end_pads_only_its_own_terms(self, request, engine_type, system, M):
+        """upper = (log S_n + e_n) / n and lower = (log S_n - e_n - e_K -
+        log K_tilde) / n, e_K being the tracked error of S_{M-1}, 0 at M = 1."""
+        fs = mixing_system(request, system)
+        engine = engine_type(fs, THETA_32)
+        n = 12
+        est = pressure_interval(engine, n)
+        # both engines keep what they read, so these are the sums the bracket used
+        s_n = engine.partition(n).value
+        k = engine.partition(M - 1).value if M > 1 else LogReal(0.0, 0.0)
+        assert est.constants.M == M
+        assert (est.constants.log_K_tilde, est.constants.rounding_bound) == (k.log, k.err)
+        assert est.upper == (s_n.log + s_n.err) / n
+        assert est.lower == (s_n.log - (s_n.err + k.err) - k.log) / n
+        assert est.rounding_bound == s_n.err + k.err
+
+    def test_takes_no_constants(self, fibonacci):
+        """The constant is always read off the bracket's own engine."""
+        engine = CollapsedEngine(fibonacci, THETA_32)
+        with pytest.raises(TypeError):
+            pressure_interval(engine, 12, constants=superadditive_constants(engine))
 
     def test_exact_mode_agrees(self, parity):
         col = pressure_interval(CollapsedEngine(parity, THETA_32), 8)
