@@ -14,9 +14,7 @@ from .counting import (
     ExactEngine,
     LogReal,
     PartitionSum,
-    brute_force_count,
     dn_count,
-    image_word_counts,
     is_image_point,
     partition_series,
     partition_sum,
@@ -64,16 +62,14 @@ from .sft import (
     Sft,
     StructureReport,
     carpet_to_factor,
-    induced_factor,
     singleton_clumps,
     validate_sft,
 )
 from .specfile import (
     SCHEMA_VERSION,
-    carpet_doc,
-    factor_system_doc,
     load_system,
     parse_system,
+    system_doc,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +82,6 @@ __all__ = [
     "CarpetSpec",
     "EventuallyPeriodicPoint",
     "validate_sft",
-    "induced_factor",
     "singleton_clumps",
     "carpet_to_factor",
     "CarpetDimError",
@@ -101,8 +96,6 @@ __all__ = [
     "CollapsedEngine",
     "ExactEngine",
     "preimage_count",
-    "brute_force_count",
-    "image_word_counts",
     "partition_sum",
     "partition_series",
     "dn_count",
@@ -135,6 +128,5 @@ __all__ = [
     "SCHEMA_VERSION",
     "parse_system",
     "load_system",
-    "factor_system_doc",
-    "carpet_doc",
+    "system_doc",
 ]

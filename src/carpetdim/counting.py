@@ -40,8 +40,6 @@ __all__ = [
     "ENGINES",
     "make_engine",
     "preimage_count",
-    "brute_force_count",
-    "image_word_counts",
     "partition_sum",
     "partition_series",
     "dn_count",
@@ -118,57 +116,6 @@ def preimage_count(fs: FactorSystem, word: tuple[str, ...]) -> int:
         raise PreconditionError("word must be nonempty")
     end = _lifts(fs, word)
     return sum(end[1]) if end else 0
-
-
-def brute_force_count(fs: FactorSystem, word: tuple[str, ...], limit: int = 12) -> int:
-    """Independent oracle for ``preimage_count``: explicit DFS, no matrices."""
-    if not word:
-        raise PreconditionError("word must be nonempty")
-    if len(word) > limit:
-        raise PreconditionError(
-            f"brute-force oracle refuses words longer than {limit}"
-        )
-    idx = fs.image_index
-    if any(letter not in idx for letter in word):
-        return 0
-    sft = fs.source
-    fibers_by_letter = [
-        set(fs.fibers[idx[letter]]) for letter in word
-    ]
-    total = 0
-    stack = [(0, x) for x in sorted(fibers_by_letter[0], reverse=True)]
-    while stack:
-        depth, x = stack.pop()
-        if depth == len(word) - 1:
-            total += 1
-            continue
-        for y in sft.successor_sets[x]:
-            if y in fibers_by_letter[depth + 1]:
-                stack.append((depth + 1, y))
-    return total
-
-
-def image_word_counts(fs: FactorSystem, n: int) -> dict[tuple[str, ...], int]:
-    """All occurring image words of length n with their lift counts.
-
-    Enumerates source paths one by one and buckets them by image word,
-    so it is matrix-free and doubles as an exhaustive oracle.  Cost is
-    the number of source words of length n; keep n small.
-    """
-    if n < 1:
-        raise PreconditionError("word length must be >= 1")
-    sft = fs.source
-    letter_of = [fs.letter_map[s] for s in sft.symbols]
-    out: dict[tuple[str, ...], int] = {}
-    stack = [(x,) for x in range(sft.alphabet_size)]
-    while stack:
-        path = stack.pop()
-        if len(path) == n:
-            key = tuple(letter_of[i] for i in path)
-            out[key] = out.get(key, 0) + 1
-        else:
-            stack.extend(path + (y,) for y in sft.successor_sets[path[-1]])
-    return out
 
 
 def _extensions(fs: FactorSystem, state: tuple[int, tuple[int, ...]]) -> list[tuple[int, int]]:

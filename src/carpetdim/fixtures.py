@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 
 from .sft import CarpetSpec, FactorSystem, Sft
-from .specfile import carpet_doc, factor_system_doc, write_document
+from .specfile import system_doc, write_document
 
 __all__ = [
     "parity_oscillation",
@@ -199,14 +199,12 @@ def write_fixture_files(out_dir) -> list[str]:
     """Write every fixture as a spec document; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for name, builder in sorted(FIXTURE_BUILDERS.items()):
-        doc = factor_system_doc(builder(), name=name, comment=_FIXTURE_COMMENTS[name])
-        path = os.path.join(out_dir, f"{name}.json")
-        write_document(doc, path)
-        written.append(path)
-    for name, builder in sorted(_CARPET_BUILDERS.items()):
-        doc = carpet_doc(builder(), name=name, comment=_CARPET_COMMENTS[name])
-        path = os.path.join(out_dir, f"{name}.json")
-        write_document(doc, path)
-        written.append(path)
+    for builders, comments in (
+        (FIXTURE_BUILDERS, _FIXTURE_COMMENTS),
+        (_CARPET_BUILDERS, _CARPET_COMMENTS),
+    ):
+        for name, builder in sorted(builders.items()):
+            path = os.path.join(out_dir, f"{name}.json")
+            write_document(system_doc(builder(), name=name, comment=comments[name]), path)
+            written.append(path)
     return written

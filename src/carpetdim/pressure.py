@@ -23,7 +23,6 @@ from .counting import (
     LogReal,
     _read,
     dn_count,
-    is_image_point,
     make_engine,
     partition_series,
 )
@@ -377,7 +376,12 @@ def compensation_at_periodic(
         raise PreconditionError("compensation evaluation requires an irreducible source")
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    if not is_image_point(fs, point):
+    # d > 0 exactly when the point is in the image: an infinite lift's
+    # length-depth prefix ends on a viable symbol, so it is counted, and a
+    # counted prefix ends on a viable symbol, so it extends to an
+    # infinite lift
+    d = dn_count(fs, point, depth)
+    if d == 0:
         raise PreconditionError(
             "point is not in the image subshift (its tail has no infinite lift)"
         )
@@ -394,7 +398,6 @@ def compensation_at_periodic(
     spectral = CompensationEstimate(
         point=point, value=math.log(rho) / q, method="spectral"
     )
-    d = dn_count(fs, point, depth)
     series = CompensationEstimate(
         point=point, value=math.log(d) / depth, method="series", depth=depth
     )

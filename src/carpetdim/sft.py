@@ -29,7 +29,6 @@ __all__ = [
     "CarpetSpec",
     "EventuallyPeriodicPoint",
     "validate_sft",
-    "induced_factor",
     "singleton_clumps",
     "carpet_to_factor",
 ]
@@ -328,19 +327,6 @@ class FactorSystem:
         return tuple(
             self.source.symbols[x] for x in self.fibers[self.image_index[letter]]
         )
-
-
-def induced_factor(sft: Sft, letter_map: Mapping[str, str]) -> FactorSystem:
-    """Materialize the factor system for a letter map on ``sft``.
-
-    Examples
-    --------
-    >>> s = Sft(("p", "q"), ((1, 1), (1, 0)))
-    >>> fs = induced_factor(s, {"p": "x", "q": "x"})
-    >>> fs.image_alphabet
-    ('x',)
-    """
-    return FactorSystem(sft, dict(letter_map))
 
 
 def singleton_clumps(fs: FactorSystem) -> list[str]:

@@ -20,8 +20,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "parse_system",
     "load_system",
-    "factor_system_doc",
-    "carpet_doc",
+    "system_doc",
     "dump_document",
     "write_document",
 ]
@@ -142,48 +141,32 @@ def load_system(path) -> Union[FactorSystem, CarpetSpec]:
     return parse_system(data)
 
 
-def factor_system_doc(
-    fs: FactorSystem,
+def system_doc(
+    system: Union[FactorSystem, CarpetSpec],
     name: Optional[str] = None,
     comment: Optional[str] = None,
 ) -> dict:
-    """Document for a factor system; edges sorted for stable output."""
-    sft = fs.source
-    edges = sorted(
-        [sft.symbols[i], sft.symbols[j]]
-        for i in range(sft.alphabet_size)
-        for j in range(sft.alphabet_size)
-        if sft.matrix[i][j]
-    )
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "factor_system",
-        "symbols": list(sft.symbols),
-        "edges": edges,
-        "letter_map": {s: fs.letter_map[s] for s in sft.symbols},
-    }
-    if name is not None:
-        doc["name"] = name
-    if comment is not None:
-        doc["comment"] = comment
-    return doc
-
-
-def carpet_doc(
-    spec: CarpetSpec,
-    name: Optional[str] = None,
-    comment: Optional[str] = None,
-) -> dict:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "carpet",
-        "l": spec.l,
-        "m": spec.m,
-        "digits": [list(d) for d in spec.digits],
-        "transitions": "full"
-        if spec.is_full_shift()
-        else [list(t) for t in spec.transitions],
-    }
+    """The document ``parse_system`` reads back as ``system``; a factor
+    system's edges are sorted for stable output."""
+    doc = {"schema": SCHEMA_VERSION}
+    if isinstance(system, FactorSystem):
+        names = system.source.symbols
+        doc.update(
+            kind="factor_system",
+            symbols=list(names),
+            edges=sorted(
+                [names[i], names[j]] for i, out in enumerate(system.source.successor_sets) for j in out
+            ),
+            letter_map={s: system.letter_map[s] for s in names},
+        )
+    else:
+        doc.update(
+            kind="carpet",
+            l=system.l,
+            m=system.m,
+            digits=[list(d) for d in system.digits],
+            transitions="full" if system.is_full_shift() else [list(t) for t in system.transitions],
+        )
     if name is not None:
         doc["name"] = name
     if comment is not None:

@@ -12,7 +12,7 @@ from carpetdim.fixtures import (
     linear_lift_growth,
     parity_oscillation,
 )
-from carpetdim.sft import CarpetSpec, FactorSystem, Sft, carpet_to_factor, induced_factor, validate_sft
+from carpetdim.sft import CarpetSpec, FactorSystem, Sft, carpet_to_factor, validate_sft
 
 # Exponent used throughout for the (l=3, m=2) geometry.
 THETA_32 = math.log(2) / math.log(3)
@@ -20,7 +20,7 @@ THETA_32 = math.log(2) / math.log(3)
 
 def make_factor(symbols, edges, letter_map) -> FactorSystem:
     """One-call construction of a factor system from plain literals."""
-    return induced_factor(Sft.from_edges(symbols, edges), letter_map)
+    return FactorSystem(Sft.from_edges(symbols, edges), dict(letter_map))
 
 
 def random_mixing_system(rng):

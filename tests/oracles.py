@@ -8,6 +8,7 @@ viability fixed points cannot hide in the oracle as well.
 import itertools
 import math
 
+from carpetdim.errors import PreconditionError
 from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem
 
 
@@ -113,3 +114,54 @@ def structure_oracle(matrix):
         power = [[sum(power[i][t] * matrix[t][j] for t in range(k)) for j in range(k)]
                  for i in range(k)]
     return irreducible, mixing_index is not None, mixing_index, period
+
+
+def brute_force_count(fs: FactorSystem, word: tuple[str, ...], limit: int = 12) -> int:
+    """Independent oracle for ``preimage_count``: explicit DFS, no matrices."""
+    if not word:
+        raise PreconditionError("word must be nonempty")
+    if len(word) > limit:
+        raise PreconditionError(
+            f"brute-force oracle refuses words longer than {limit}"
+        )
+    idx = fs.image_index
+    if any(letter not in idx for letter in word):
+        return 0
+    sft = fs.source
+    fibers_by_letter = [
+        set(fs.fibers[idx[letter]]) for letter in word
+    ]
+    total = 0
+    stack = [(0, x) for x in sorted(fibers_by_letter[0], reverse=True)]
+    while stack:
+        depth, x = stack.pop()
+        if depth == len(word) - 1:
+            total += 1
+            continue
+        for y in sft.successor_sets[x]:
+            if y in fibers_by_letter[depth + 1]:
+                stack.append((depth + 1, y))
+    return total
+
+
+def image_word_counts(fs: FactorSystem, n: int) -> dict[tuple[str, ...], int]:
+    """All occurring image words of length n with their lift counts.
+
+    Enumerates source paths one by one and buckets them by image word,
+    so it is matrix-free and doubles as an exhaustive oracle.  Cost is
+    the number of source words of length n; keep n small.
+    """
+    if n < 1:
+        raise PreconditionError("word length must be >= 1")
+    sft = fs.source
+    letter_of = [fs.letter_map[s] for s in sft.symbols]
+    out: dict[tuple[str, ...], int] = {}
+    stack = [(x,) for x in range(sft.alphabet_size)]
+    while stack:
+        path = stack.pop()
+        if len(path) == n:
+            key = tuple(letter_of[i] for i in path)
+            out[key] = out.get(key, 0) + 1
+        else:
+            stack.extend(path + (y,) for y in sft.successor_sets[path[-1]])
+    return out

@@ -13,9 +13,7 @@ import pytest
 
 from carpetdim.counting import (
     CollapsedEngine,
-    brute_force_count,
     dn_count,
-    image_word_counts,
     is_image_point,
     partition_series,
     partition_sum,
@@ -46,13 +44,13 @@ from carpetdim.pressure import (
 from carpetdim.sft import (
     CarpetSpec,
     EventuallyPeriodicPoint,
+    FactorSystem,
     Sft,
     carpet_to_factor,
-    induced_factor,
 )
 
 from conftest import THETA_32, make_factor
-from oracles import extendable_prefix_oracle
+from oracles import brute_force_count, extendable_prefix_oracle, image_word_counts
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -131,7 +129,7 @@ def _essential_random_system(rng):
         draws = [f"L{i}" for i in range(n_letters)]
         draws += [f"L{rng.randrange(n_letters)}" for _ in range(len(symbols) - n_letters)]
         rng.shuffle(draws)
-        return induced_factor(sft, dict(zip(symbols, draws)))
+        return FactorSystem(sft, dict(zip(symbols, draws)))
 
 
 def _transfer_positive_words(fs, n):

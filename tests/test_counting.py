@@ -12,9 +12,7 @@ from carpetdim import counting
 from carpetdim.counting import (
     CollapsedEngine,
     ExactEngine,
-    brute_force_count,
     dn_count,
-    image_word_counts,
     is_image_point,
     partition_series,
     partition_sum,
@@ -28,7 +26,7 @@ from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, linear_lift_gro
 from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
-from oracles import extendable_prefix_oracle, product_count_oracle
+from oracles import brute_force_count, extendable_prefix_oracle, image_word_counts, product_count_oracle
 
 
 class TestPreimageCount:

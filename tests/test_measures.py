@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from carpetdim.counting import CollapsedEngine, image_word_counts, preimage_count
+from carpetdim.counting import CollapsedEngine, preimage_count
 from carpetdim.errors import NonMixingError, PreconditionError, ResourceError
 from carpetdim.fixtures import full_torus
 from carpetdim.measures import (
@@ -20,6 +20,7 @@ from carpetdim.measures import (
 from carpetdim.sft import CarpetSpec, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_restricted_carpet
+from oracles import image_word_counts
 
 
 def marginal_oracle(fs, theta, level, depth):

@@ -12,7 +12,6 @@ from carpetdim.counting import (
     ExactEngine,
     LogReal,
     dn_count,
-    image_word_counts,
     partition_series,
 )
 from carpetdim.errors import (
@@ -324,6 +323,9 @@ class TestCompensation:
     def test_rejects_point_outside_image(self, parity):
         with pytest.raises(PreconditionError, match="not in the image"):
             compensation_at_periodic(parity, EventuallyPeriodicPoint((), ("1",)))
+        # the tail 2^inf lifts, but the head 1 1 does not
+        with pytest.raises(PreconditionError, match="not in the image"):
+            compensation_at_periodic(parity, EventuallyPeriodicPoint(("1", "1"), ("2",)))
 
     def test_rejects_reducible_source(self):
         fs = make_factor(

@@ -9,20 +9,18 @@ from carpetdim.counting import (
     _EPS,
     _log_sum_exp,
     CollapsedEngine,
-    brute_force_count,
     dn_count,
-    image_word_counts,
     is_image_point,
     partition_sum,
     preimage_count,
 )
 from carpetdim.fixtures import column_carpet_21
 from carpetdim.measures import additivity_scan
-from carpetdim.sft import EventuallyPeriodicPoint, Sft, carpet_to_factor, induced_factor
-from carpetdim.specfile import dump_document, factor_system_doc, parse_system
+from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_factor
+from carpetdim.specfile import dump_document, parse_system, system_doc
 
 from conftest import THETA_32, make_factor
-from oracles import extendable_prefix_oracle, product_count_oracle
+from oracles import brute_force_count, extendable_prefix_oracle, image_word_counts, product_count_oracle
 
 
 def _prune_to_essential(matrix, k):
@@ -59,7 +57,7 @@ def factor_systems(draw, max_states=5):
         )
     )
     letter_map = {s: f"L{assignment[i]}" for i, s in enumerate(symbols)}
-    return induced_factor(sft, letter_map)
+    return FactorSystem(sft, dict(letter_map))
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,10 +132,10 @@ def test_extendable_prefix_counts_match_oracle(fs, cycle, preperiod, n):
 @settings(max_examples=60, deadline=None)
 @given(fs=factor_systems())
 def test_spec_documents_round_trip(fs):
-    doc = factor_system_doc(fs)
+    doc = system_doc(fs)
     assert parse_system(doc) == fs
     # serialization is stable under a second pass
-    again = factor_system_doc(parse_system(doc))
+    again = system_doc(parse_system(doc))
     assert dump_document(again) == dump_document(doc)
 
 

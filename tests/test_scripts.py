@@ -1,11 +1,14 @@
-"""The experiment scripts and the benchmark's trace hooks run against the library."""
+"""The experiment scripts, the benchmark's trace hooks and the public
+names run against the library."""
 
 import csv
 import importlib.util
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import carpetdim
 from carpetdim.fixtures import FIXTURE_BUILDERS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +51,17 @@ def test_trace_hooks_resolve():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_exports_resolve():
+    """Every name in ``carpetdim.__all__`` and in each submodule's
+    ``__all__`` is defined there, and none is listed twice."""
+    modules = [carpetdim] + [
+        importlib.import_module(f"carpetdim.{info.name}")
+        for info in pkgutil.iter_modules(carpetdim.__path__)
+    ]
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

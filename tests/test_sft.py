@@ -12,7 +12,6 @@ from carpetdim.sft import (
     FactorSystem,
     Sft,
     carpet_to_factor,
-    induced_factor,
     singleton_clumps,
     strongly_connected_components,
     validate_sft,

@@ -8,11 +8,10 @@ from carpetdim.errors import SpecError
 from carpetdim.sft import CarpetSpec
 from carpetdim.specfile import (
     SCHEMA_VERSION,
-    carpet_doc,
     dump_document,
-    factor_system_doc,
     load_system,
     parse_system,
+    system_doc,
     write_document,
 )
 
@@ -118,22 +117,22 @@ class TestParseSystem:
 
 class TestRoundTrips:
     def test_factor_system_round_trip(self, parity):
-        doc = factor_system_doc(parity, name="parity", comment="demo")
+        doc = system_doc(parity, name="parity", comment="demo")
         again = parse_system(json.loads(dump_document(doc)))
         assert again == parity
 
     def test_carpet_round_trip(self, carpet_21):
-        doc = carpet_doc(carpet_21, name="carpet")
+        doc = system_doc(carpet_21, name="carpet")
         again = parse_system(json.loads(dump_document(doc)))
         assert again == carpet_21
 
     def test_restricted_carpet_round_trip(self):
         spec = CarpetSpec(4, 2, ((0, 0), (1, 1), (3, 0)), transitions=((0, 1), (1, 2), (2, 0)))
-        again = parse_system(json.loads(dump_document(carpet_doc(spec))))
+        again = parse_system(json.loads(dump_document(system_doc(spec))))
         assert again == spec
 
     def test_document_edges_are_sorted(self, fibonacci):
-        doc = factor_system_doc(fibonacci)
+        doc = system_doc(fibonacci)
         assert doc["edges"] == sorted(doc["edges"])
 
 
@@ -151,7 +150,7 @@ class TestSerialization:
 
     def test_write_and_load_round_trip(self, tmp_path, bipartite):
         path = tmp_path / "system.json"
-        write_document(factor_system_doc(bipartite), path)
+        write_document(system_doc(bipartite), path)
         assert load_system(path) == bipartite
 
     def test_load_missing_file(self, tmp_path):
