@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from carpetdim.counting import CollapsedEngine, dn_count, is_image_point
+from carpetdim.counting import CollapsedEngine, dn_count
 from carpetdim.fixtures import FIXTURE_BUILDERS
 from carpetdim.measures import additivity_scan, cesaro_defect, gibbs_scan, uniqueness_report
 from carpetdim.pressure import compensation_at_periodic, pressure_interval
@@ -46,7 +46,7 @@ def survey(name, fs, args):
         f"mixing index M={report.mixing_index}"
     )
     est = pressure_interval(CollapsedEngine(fs, args.theta), args.depth)
-    print(f"  constants: K~={est.constants.K_tilde:.6g}")
+    print(f"  constants: K~={math.exp(est.constants.log_K_tilde):.6g}")
     print(
         f"  pressure at n={args.depth}: [{est.lower:.9f}, {est.upper:.9f}] "
         f"width {est.upper - est.lower:.3e}"
@@ -64,12 +64,13 @@ def survey(name, fs, args):
     defect = cesaro_defect(fs, args.theta, level=args.depth, n_terms=args.depth - 8, probe_depth=2)
     print(f"  cesaro defect at {args.depth - 8} terms: {defect:.6e}")
     point = EventuallyPeriodicPoint((), ("2",))
-    if is_image_point(fs, point):
+    d = dn_count(fs, point, 12)
+    if d:  # a counted prefix extends to an infinite lift, so the point is in the image
         spectral, series = compensation_at_periodic(fs, point, depth=12)
         print(
             f"  compensation at 2^inf: spectral {spectral.value:.9f}, "
             f"series {series.value:.9f} at depth {series.depth}, "
-            f"lift prefixes {dn_count(fs, point, 12)}"
+            f"lift prefixes {d}"
         )
     print()
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -115,7 +116,7 @@ def _emit(config, payload: dict) -> int:
 def _constants_doc(constants) -> dict:
     return {
         "M": constants.M,
-        "K_tilde": constants.K_tilde,
+        "K_tilde": math.exp(constants.log_K_tilde),
     }
 
 
@@ -178,8 +179,11 @@ def _cmd_pressure(config) -> int:
     theta = _theta(config, carpet)
     engine = make_engine(fs, theta, config.mode, config.node_budget)
     if config.csv_path:
-        _write_series_csv(config.csv_path, convergence_rows(engine, config.depth))
-    estimate = pressure_interval(engine, config.depth)
+        rows = convergence_rows(engine, config.depth)
+        _write_series_csv(config.csv_path, rows)
+        estimate = rows[-1]
+    else:
+        estimate = pressure_interval(engine, config.depth)
     payload = {
         "theta": theta,
         "n": estimate.n,
@@ -198,15 +202,9 @@ def _write_series_csv(path, rows):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "log_Sn", "words", "upper_bound", "lower_bound"])
-            for row in rows:
+            for est in rows:
                 writer.writerow(
-                    [
-                        row["n"],
-                        "%.17g" % row["log_Sn"],
-                        row["words"],
-                        "%.17g" % row["upper_bound"],
-                        "%.17g" % row["lower_bound"],
-                    ]
+                    [est.n, "%.17g" % est.log_Sn, est.words, "%.17g" % est.upper, "%.17g" % est.lower]
                 )
     except OSError as exc:
         raise SpecError(f"cannot write CSV to {path}: {exc}") from exc

@@ -260,8 +260,8 @@ class CollapsedEngine:
     - for the child terms lw + d: log g is off by eps log g, so
       theta log g by eps d, and the product rounds by eps/2 d; the add
       rounds by eps/2 T.  That is eps (2 D + T + 1), D being the
-      largest d the engine has met and the 1 covering second-order
-      terms, and nothing while D = 0, as lw + 0.0 is exact.
+      largest d of the edges the step reads and the 1 covering
+      second-order terms, and nothing while D = 0, as lw + 0.0 is exact.
     - for a key reached more than once, hi + log(fsum(exp(t - hi))):
       t - hi rounds by eps/2 (hi - lo) <= eps/2 T, exp by eps and fsum
       by eps/2, all relative, so by as much in the log; the log adds
@@ -279,17 +279,19 @@ class CollapsedEngine:
     log x over each state's pairs: 1.5 eps T for theta log x and
     eps (2 T + 2) for the merge, within eps (4 T + 2), T being the
     largest seed.  It charges each level above it as a step with
-    merges, and a held level ``depth`` its own theta log(sum of
-    vector), eps (2 T + 1).
+    merges, D being the largest d of the kept lists that level reads,
+    and a held level ``depth`` its own theta log(sum of vector),
+    eps (2 T + 1).
 
     The jump multiplies matrices of such entries, each matrix with one
     bound on the error of all its logs.  The row starts from the
     level's E.  The one-step entries d are each off by at most 1.5 eps
-    d, as in a step, so by eps 2 D, which is nothing when every g is 1.
-    A product of factors off by e and f has entries log-sum-exp(x + y),
-    off by e + f, plus eps/2 T for the adds x + y and eps (2 T + 2) for
-    the merge, T now being the product's largest finite log, which
-    bounds every term.  That is eps (2.5 T + 2) per product, charged
+    d, as in a step, so by eps 2 D, D now being the largest d of the
+    one-step map, which is nothing when every g is 1.  A product of
+    factors off by e and f has entries log-sum-exp(x + y), off by
+    e + f, plus eps/2 T for the adds x + y and eps (2 T + 2) for the
+    merge, T now being the product's largest finite log, which bounds
+    every term.  That is eps (2.5 T + 2) per product, charged
     whether or not an entry merges.
     """
 
@@ -390,10 +392,13 @@ class CollapsedEngine:
         visited = self.visited - paid
         nxt: dict = {}
         merged: dict = {}  # key -> all its terms, for keys reached twice
+        top_d = 0.0  # the largest d of the edges read
         for state, (lw, words) in level.items():
             kids = children(state)
             visited += len(kids)
             for key, d in kids:
+                if d > top_d:
+                    top_d = d
                 old = nxt.get(key)
                 if old is None:
                     nxt[key] = (lw + d, words)
@@ -407,12 +412,12 @@ class CollapsedEngine:
         self.visited = visited
         self.collapsed_nodes += len(nxt)
         top = max(nxt.values(), default=(0.0,))[0]
-        return nxt, err + self._step_error(top, bool(merged))
+        return nxt, err + self._step_error(top, bool(merged), top_d)
 
-    def _step_error(self, top: float, merged: bool) -> float:
+    def _step_error(self, top: float, merged: bool, d: float) -> float:
         """What one step adds to a level's error bound, ``top`` being the
-        level's largest log; derived in the class docstring."""
-        d = max(self._dlogs.values())
+        level's largest log and ``d`` the largest log factor of the edges
+        it read; derived in the class docstring."""
         charge = 2.0 * d + top + 1.0 if d else 0.0
         if merged:
             charge += 2.0 * top + 2.0
@@ -460,7 +465,7 @@ class CollapsedEngine:
             for key, d in kids:
                 one_step[i][where[key]] = (d, 1)
         row, steps = [[level[s] for s in keys]], n - k
-        map_err = 2.0 * _EPS * max(self._dlogs.values())
+        map_err = 2.0 * _EPS * max((d for r in one_step for d, m in r if m), default=0.0)
         while steps:
             if steps & 1:
                 row, charge = _log_matmul(row, one_step)
@@ -567,7 +572,8 @@ class CollapsedEngine:
             for level in reversed(levels[:-1]):
                 below = sums
                 sums = {s: _log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
-                err += self._step_error(max(sums.values(), default=0.0), True)
+                top_d = max((d for s in level for _, d in edges[s]), default=0.0)
+                err += self._step_error(max(sums.values(), default=0.0), True, top_d)
                 out.append(sums)
                 errs.append(err)
             out.reverse()

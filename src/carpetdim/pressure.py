@@ -70,12 +70,10 @@ class SuperadditiveConstants:
        so S_{l+n+M-1} <= S_{M-1} * S_{l+n}.
 
     ``log_K_tilde`` is the float log S_{M-1} and ``rounding_bound`` its
-    tracked error, both 0 when M = 1; ``K_tilde`` is its exponential,
-    for reports only.
+    tracked error, both 0 when M = 1.
     """
 
     M: int
-    K_tilde: float
     log_K_tilde: float
     rounding_bound: float
 
@@ -84,6 +82,7 @@ class SuperadditiveConstants:
 class PressureEstimate:
     """A bracket [lower, upper] for the pressure, valid at this single n.
 
+    ``words`` counts the occurring image words of length n.
     ``rounding_bound`` is the lower end's pad, the tracked errors of
     log S_n and of log K_tilde together; the upper end is padded by the
     error of log S_n alone.
@@ -92,7 +91,7 @@ class PressureEstimate:
     n: int
     upper: float
     lower: float
-    theta: float
+    words: int
     constants: SuperadditiveConstants
     log_Sn: float
     rounding_bound: float
@@ -142,13 +141,11 @@ def mixing_index(fs: FactorSystem) -> int:
 
 def superadditive_constants(engine: CollapsedEngine | ExactEngine) -> SuperadditiveConstants:
     """M and K_tilde = S_{M-1} for the engine's system, whose source
-    must be mixing, read off the engine's partition sums S_1..S_{M-1}
-    at its theta; no sum is read when M = 1."""
+    must be mixing, read off the engine's partition sum S_{M-1} at its
+    theta; no sum is read when M = 1."""
     M = mixing_index(engine.fs)
-    s_prev = partition_series(engine, M - 1)[-1].value if M > 1 else LogReal(0.0)
-    return SuperadditiveConstants(
-        M=M, K_tilde=math.exp(s_prev.log), log_K_tilde=s_prev.log, rounding_bound=s_prev.err
-    )
+    s_prev = engine.partition(M - 1).value if M > 1 else LogReal(0.0)
+    return SuperadditiveConstants(M=M, log_K_tilde=s_prev.log, rounding_bound=s_prev.err)
 
 
 def pressure_interval(engine: CollapsedEngine | ExactEngine, n: int) -> PressureEstimate:
@@ -171,13 +168,14 @@ def pressure_interval(engine: CollapsedEngine | ExactEngine, n: int) -> Pressure
 
 def _bracket(engine, n: int, constants: SuperadditiveConstants) -> PressureEstimate:
     # pressure_interval's bracket; the caller reads the constants off this engine
-    s_n = engine.partition(n).value
+    ps = engine.partition(n)
+    s_n = ps.value
     pad = s_n.err + constants.rounding_bound
     return PressureEstimate(
         n=n,
         upper=(s_n.log + s_n.err) / n,
         lower=(s_n.log - pad - constants.log_K_tilde) / n,
-        theta=engine.theta,
+        words=ps.word_count,
         constants=constants,
         log_Sn=s_n.log,
         rounding_bound=pad,
@@ -230,12 +228,11 @@ def hausdorff_dimension(
     )
 
 
-def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[dict]:
+def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[PressureEstimate]:
     """Pressure brackets at every depth 1..n_max from one pass of the
-    engine (``partition_series``), each as by ``pressure_interval``: a
-    row carries n, log S_n, the occurring-word count and the upper and
-    lower bounds valid at that n, so the last row is the bracket
-    reported at n_max.  Feeds the CSV series and the convergence plots.
+    engine (``partition_series``), each built as by ``pressure_interval``
+    with the constant read once, so the last is the bracket reported at
+    n_max.  Feeds the CSV series and the convergence plots.
 
     The series steps the collapsed engine through every level, so it
     never takes the squaring jump that ``pressure_interval`` alone may
@@ -249,19 +246,7 @@ def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[
     # constant is read off that walk
     series = partition_series(engine, n_max)
     constants = superadditive_constants(engine)
-    rows = []
-    for ps in series:
-        estimate = _bracket(engine, ps.n, constants)
-        rows.append(
-            {
-                "n": ps.n,
-                "log_Sn": estimate.log_Sn,
-                "words": ps.word_count,
-                "upper_bound": estimate.upper,
-                "lower_bound": estimate.lower,
-            }
-        )
-    return rows
+    return [_bracket(engine, ps.n, constants) for ps in series]
 
 
 def _float_matrix(matrix: Sequence[Sequence[object]]) -> tuple[list[list[float]], int]:

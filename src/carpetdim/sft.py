@@ -99,6 +99,11 @@ class Sft:
             tuple(j for j, e in enumerate(row) if e) for row in self.matrix
         )
 
+    @cached_property
+    def structure(self) -> "StructureReport":
+        """The shift's ``StructureReport``, derived once (``validate_sft``)."""
+        return _structure(self)
+
     def word_count(self, n: int) -> int:
         """Exact number of length-n words, via integer matrix powers."""
         if n < 1:
@@ -179,7 +184,8 @@ def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[int]:
 
 
 def validate_sft(sft: Sft) -> StructureReport:
-    """Report irreducibility, period, mixing, and the minimal mixing power.
+    """Report irreducibility, period, mixing, and the minimal mixing power,
+    derived once per shift and kept on it (``Sft.structure``).
 
     Examples
     --------
@@ -191,6 +197,10 @@ def validate_sft(sft: Sft) -> StructureReport:
     >>> (r.irreducible, r.mixing, r.period)
     (True, False, 2)
     """
+    return sft.structure
+
+
+def _structure(sft: Sft) -> StructureReport:
     # One pass over the boolean powers A^m (row i of A^m as a bitmask).
     # Every simple cycle has length <= k, so the m <= k with a nonzero
     # diagonal in A^m give the period as their gcd, and the union of

@@ -209,6 +209,26 @@ class TestReports:
         assert walks == [12]
         assert built == []
 
+    def test_csv_checks_structure_once(self, capsys, tmp_path, fixture_dir, monkeypatch):
+        """--csv reports the series' last record, so the splicing constant
+        and the structure check behind it are read once per command."""
+        checks, constants = [], []
+        check, splice = pressure.validate_sft, pressure.superadditive_constants
+        monkeypatch.setattr(pressure, "validate_sft", lambda sft: checks.append(1) or check(sft))
+        monkeypatch.setattr(
+            pressure, "superadditive_constants", lambda eng: constants.append(1) or splice(eng)
+        )
+        run_json(
+            capsys,
+            "pressure",
+            "--spec", str(fixture_dir / "parity_oscillation.json"),
+            "--theta", THETA_ARG,
+            "--depth", "14",
+            "--csv", str(tmp_path / "series.csv"),
+            "--no-timestamp",
+        )
+        assert checks == constants == [1]
+
     def test_csv_bracket_holds_the_pressure(self, capsys, tmp_path, fixture_dir):
         """The series steps every level, so its bracket can be wider than
         the squaring jump's; on the full 3x2 torus both hold log 4 and

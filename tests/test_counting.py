@@ -635,3 +635,13 @@ class TestTrackedErrorAgainstOracle:
         for eng in engines:
             eng.levels(8)
         assert sum(any(g > 1 for g in eng._dlogs) for eng in engines) >= 4
+
+    def test_bounds_depend_only_on_the_levels_read(self, fibonacci):
+        """A level's rounding charge takes the largest d of the edges it
+        reads, so sweeping deeper first leaves backward(10)'s bounds as
+        they were."""
+        fresh = CollapsedEngine(fibonacci, THETA_32)
+        fresh.levels(10)
+        deep = CollapsedEngine(fibonacci, THETA_32)
+        deep.levels(18)
+        assert fresh.backward(10)[1] == deep.backward(10)[1]

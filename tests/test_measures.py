@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from carpetdim import sft
 from carpetdim.counting import CollapsedEngine, preimage_count
 from carpetdim.errors import NonMixingError, PreconditionError, ResourceError
-from carpetdim.fixtures import full_torus
+from carpetdim.fixtures import fibonacci_fiber, full_torus
 from carpetdim.measures import (
     DEFAULT_REFUTATION_THRESHOLD,
     additivity_scan,
@@ -113,12 +114,21 @@ class TestGibbsScan:
         env = gibbs_scan(fs, spec.theta(), level=level, n_max=n_max)
         assert env.contained, (env.C1_lower, env.min_ratio, env.max_ratio, env.C2_upper)
 
+    def test_structure_derived_once(self, monkeypatch):
+        """The mixing index and the splicing constant both ask for the
+        source's structure; the report is derived once and kept on it."""
+        built = []
+        build = sft._structure
+        monkeypatch.setattr(sft, "_structure", lambda shift: built.append(1) or build(shift))
+        gibbs_scan(fibonacci_fiber(), THETA_32, level=14, n_max=6)
+        assert built == [1]
+
     def test_envelope_constants_use_pressure_interval(self, fibonacci):
         env = gibbs_scan(fibonacci, THETA_32, level=13, n_max=5)
         pe = env.pressure_interval_used
         constants = pe.constants
-        c1 = math.exp(-(constants.M - 1) * pe.upper) / constants.K_tilde
-        c2 = constants.K_tilde * math.exp(env.n_max * (pe.upper - pe.lower))
+        c1 = math.exp(-(constants.M - 1) * pe.upper) / math.exp(constants.log_K_tilde)
+        c2 = math.exp(constants.log_K_tilde) * math.exp(env.n_max * (pe.upper - pe.lower))
         # the ends are the derived ones, padded outward for rounding only
         assert env.C1_lower == pytest.approx(c1, rel=1e-12)
         assert env.C2_upper == pytest.approx(c2, rel=1e-12)

@@ -79,13 +79,13 @@ class TestSuperadditiveConstants:
         assert math.exp(engine.partition(1).value.log) == pytest.approx(4.0, rel=1e-12)
         # M = 1: the splicing constant is S_0 = 1, full shifts being
         # exactly multiplicative
-        assert constants.K_tilde == 1.0
+        assert math.exp(constants.log_K_tilde) == 1.0
         assert constants.log_K_tilde == 0.0
 
     def test_fixture_constants_positive(self, any_fixture):
         constants = superadditive_constants(CollapsedEngine(any_fixture, THETA_32))
         assert constants.M >= 1
-        assert constants.K_tilde >= 1.0
+        assert math.exp(constants.log_K_tilde) >= 1.0
         assert constants.rounding_bound > 0.0
         for theta in (THETA_32, 1.0):
             assert_splices(any_fixture, theta, 20)
@@ -236,14 +236,22 @@ class TestHausdorffDimension:
 class TestConvergenceRows:
     def test_rows_shape_and_consistency(self, bipartite):
         rows = convergence_rows(CollapsedEngine(bipartite, THETA_32), 8)
-        assert [r["n"] for r in rows] == list(range(1, 9))
+        assert [r.n for r in rows] == list(range(1, 9))
         series = partition_series(CollapsedEngine(bipartite, THETA_32), 8)
         for row, ps in zip(rows, series):
-            assert row["log_Sn"] == pytest.approx(ps.value.log, abs=1e-12)
-            assert row["words"] == ps.word_count
-            assert row["lower_bound"] < row["upper_bound"]
-            single = pressure_interval(CollapsedEngine(bipartite, THETA_32), row["n"])
-            assert row["upper_bound"] == pytest.approx(single.upper, abs=1e-10)
+            assert row.log_Sn == pytest.approx(ps.value.log, abs=1e-12)
+            assert row.words == ps.word_count
+            assert row.lower < row.upper
+            single = pressure_interval(CollapsedEngine(bipartite, THETA_32), row.n)
+            assert row.upper == pytest.approx(single.upper, abs=1e-10)
+
+    @pytest.mark.parametrize("engine_type", [CollapsedEngine, ExactEngine])
+    def test_last_row_is_the_reported_bracket(self, parity, engine_type):
+        """Read off one engine, the series' last record is the bracket
+        that ``pressure_interval`` reports at the same depth."""
+        eng = engine_type(parity, THETA_32)
+        rows = convergence_rows(eng, 12)
+        assert rows[-1] == pressure_interval(eng, 12)
 
 
 class TestPerronEigenvalue:
