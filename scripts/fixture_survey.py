@@ -45,13 +45,17 @@ def survey(name, fs, args):
         f"{len(fs.image_alphabet)} image letters, "
         f"mixing index M={report.mixing_index}"
     )
-    est = pressure_interval(CollapsedEngine(fs, args.theta), args.depth)
+    # one engine for three scans: the Gibbs scan holds levels 1..L-1, and
+    # with --depth at most --gibbs-level the pressure bracket and the
+    # Cesaro defect read S_n and their masses off them, sweeping no more
+    eng = CollapsedEngine(fs, args.theta)
+    env = gibbs_scan(eng, level=args.gibbs_level, n_max=args.gibbs_level - report.mixing_index - 1)
+    est = pressure_interval(eng, args.depth)
     print(f"  constants: K~={math.exp(est.constants.log_K_tilde):.6g}")
     print(
         f"  pressure at n={args.depth}: [{est.lower:.9f}, {est.upper:.9f}] "
         f"width {est.upper - est.lower:.3e}"
     )
-    env = gibbs_scan(fs, args.theta, level=args.gibbs_level, n_max=args.gibbs_level - report.mixing_index - 1)
     print(
         f"  gibbs ratios in [{env.min_ratio:.6g}, {env.max_ratio:.6g}], "
         f"envelope [{env.C1_lower:.6g}, {env.C2_upper:.6g}], "
@@ -61,7 +65,7 @@ def survey(name, fs, args):
     unique = uniqueness_report(fs, scan)
     print(f"  additivity: {scan.verdict} (min ratio {scan.min_ratio:.6g})")
     print(f"  uniqueness: {unique.conclusion}")
-    defect = cesaro_defect(fs, args.theta, level=args.depth, n_terms=args.depth - 8, probe_depth=2)
+    defect = cesaro_defect(eng, level=args.depth, n_terms=args.depth - 8, probe_depth=2)
     print(f"  cesaro defect at {args.depth - 8} terms: {defect:.6e}")
     point = EventuallyPeriodicPoint((), ("2",))
     d = dn_count(fs, point, 12)

@@ -104,6 +104,15 @@ def _theta(config, carpet) -> float:
     return config.theta
 
 
+def _engine(config):
+    """The engine of the command's --mode under --node-budget, for the
+    input document at its theta (``_theta``).  gibbs and cesaro have no
+    --mode: they read held levels, which only the collapsed sweep keeps."""
+    fs, carpet = _system(config)
+    mode = getattr(config, "mode", "collapsed")
+    return make_engine(fs, _theta(config, carpet), mode, config.node_budget)
+
+
 def _emit(config, payload: dict) -> int:
     doc = {"schema": SCHEMA_VERSION, "command": config.command}
     doc.update(payload)
@@ -175,9 +184,7 @@ def _cmd_dimension(config) -> int:
 
 
 def _cmd_pressure(config) -> int:
-    fs, carpet = _system(config)
-    theta = _theta(config, carpet)
-    engine = make_engine(fs, theta, config.mode, config.node_budget)
+    engine = _engine(config)
     if config.csv_path:
         rows = convergence_rows(engine, config.depth)
         _write_series_csv(config.csv_path, rows)
@@ -185,7 +192,7 @@ def _cmd_pressure(config) -> int:
     else:
         estimate = pressure_interval(engine, config.depth)
     payload = {
-        "theta": theta,
+        "theta": engine.theta,
         "n": estimate.n,
         "log_Sn": estimate.log_Sn,
         "pressure": {"lower": estimate.lower, "upper": estimate.upper},
@@ -217,11 +224,7 @@ def _cmd_counts(config) -> int:
 
 
 def _cmd_gibbs(config) -> int:
-    fs, carpet = _system(config)
-    theta = _theta(config, carpet)
-    envelope = gibbs_scan(
-        fs, theta, config.level, config.n_max, node_budget=config.node_budget
-    )
+    envelope = gibbs_scan(_engine(config), config.level, config.n_max)
     pe = envelope.pressure_interval_used
     payload = {
         "gibbs": {
@@ -272,16 +275,7 @@ def _cmd_additivity(config) -> int:
 
 
 def _cmd_cesaro(config) -> int:
-    fs, carpet = _system(config)
-    theta = _theta(config, carpet)
-    defect = cesaro_defect(
-        fs,
-        theta,
-        config.level,
-        config.n_terms,
-        config.probe_depth,
-        node_budget=config.node_budget,
-    )
+    defect = cesaro_defect(_engine(config), config.level, config.n_terms, config.probe_depth)
     payload = {
         "cesaro": {
             "level": config.level,

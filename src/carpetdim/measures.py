@@ -8,7 +8,10 @@ levels kept: a mass sums count^theta over word extensions, which is
 the suffix sum of the word's state times g^theta, g being the gcd
 taken out of the word's count vector.  A word's state and g^theta come
 from a walk along the engine's kept child lists, whose edges carry
-theta log g.
+theta log g.  So the measure functions take a ``CollapsedEngine``,
+which fixes the system, theta and the node budget, and several of them
+given one engine read the levels it holds without sweeping again; an
+``ExactEngine`` holds no levels and raises PreconditionError.
 """
 
 from __future__ import annotations
@@ -129,14 +132,9 @@ class UniquenessReport:
     conclusion: str
 
 
-def nu_marginal(
-    fs: FactorSystem,
-    theta: float,
-    level: int,
-    depth: int,
-    node_budget: Optional[int] = None,
-) -> CylinderDistribution:
-    """Depth-``depth`` marginal of the level-``level`` partition measure.
+def nu_marginal(engine: CollapsedEngine, level: int, depth: int) -> CylinderDistribution:
+    """Depth-``depth`` marginal of the level-``level`` partition measure
+    of the engine's system at its theta.
 
     mass(w) = sum over length-``level`` words u extending w of
     count(u)^theta, divided by S_level.  The inner sum is the suffix
@@ -147,19 +145,13 @@ def nu_marginal(
         raise PreconditionError("depth must be >= 1")
     if level < depth:
         raise PreconditionError("level must be >= depth")
-    eng = CollapsedEngine(fs, theta, node_budget)
-    masses = {w: m for w, m in _shift_masses(eng, level, depth, [0])[0].items() if m > 0.0}
+    masses = {w: m for w, m in _shift_masses(engine, level, depth, [0])[0].items() if m > 0.0}
     return CylinderDistribution(depth=depth, kind="nu_l_marginal", masses=masses, level=level)
 
 
-def gibbs_scan(
-    fs: FactorSystem,
-    theta: float,
-    level: int,
-    n_max: int,
-    node_budget: Optional[int] = None,
-) -> GibbsEnvelope:
-    """Scan mass-versus-count ratios on all cylinders of length <= n_max.
+def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope:
+    """Scan mass-versus-count ratios on all cylinders of length <= n_max
+    under the level measure of the engine's system at its theta.
 
     For each occurring word w of length n the observed ratio is
     r(w) = mass_L(w) * e^(n P_hi) / count(w)^theta, L being ``level``
@@ -184,17 +176,17 @@ def gibbs_scan(
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    M = mixing_index(fs)
+    M = mixing_index(engine.fs)
     if level <= n_max + M:
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
     # levels first: S_{M-1} and S_L are then read off the held
     # levels 1..L-1, and level L is never built
-    eng = CollapsedEngine(fs, theta, node_budget)
-    eng.levels(level - 1)
-    estimate = pressure_interval(eng, level)
+    _held_levels(engine, level - 1)
+    estimate = pressure_interval(engine, level)
     constants = estimate.constants
-    total = eng.partition(level).value
-    back, errs = eng.backward(level)
+    total = engine.partition(level).value
+    back, errs = engine.backward(level)
+    theta = engine.theta
     p_hi, p_lo = estimate.upper, estimate.lower
     log = math.log
     lo, hi = math.inf, -math.inf
@@ -245,6 +237,13 @@ def _pad(end: LogReal, slack: float) -> float:
     return end.err + slack + _EPS * (abs(end.log) + 3.0)
 
 
+def _held_levels(engine, depth: int) -> list[dict]:
+    # the held levels 1..depth that masses read; an exact walk holds none
+    if not isinstance(engine, CollapsedEngine):
+        raise PreconditionError("cylinder masses read held levels, which only a CollapsedEngine keeps")
+    return engine.levels(depth)
+
+
 def _shift_masses(eng, level, probe_depth, positions):
     # masses[i][word] for each requested shift position i.  Paths over
     # the kept child lists start at the states of level i, whose last
@@ -256,7 +255,7 @@ def _shift_masses(eng, level, probe_depth, positions):
     # Level L = ``level`` is not built: a word that ends there takes its
     # last letter through the row sums, as S_L is read, its term then
     # being the path's plus theta log x.
-    levels = eng.levels(max(level - 1, 1))
+    levels = _held_levels(eng, max(level - 1, 1))
     total = eng.partition(level).value
     back, _ = eng.backward(level)
     edges, names, fs, theta = eng.edges, eng.fs.image_alphabet, eng.fs, eng.theta
@@ -284,7 +283,7 @@ def _shift_masses(eng, level, probe_depth, positions):
     return out
 
 
-def _cesaro_tables(fs, theta, level, n_terms, probe_depth, node_budget, positions):
+def _cesaro_tables(engine, level, n_terms, probe_depth, positions):
     # the shift masses an n_terms-term Cesaro average reads at positions
     if n_terms < 1:
         raise PreconditionError("n_terms must be >= 1")
@@ -292,18 +291,10 @@ def _cesaro_tables(fs, theta, level, n_terms, probe_depth, node_budget, position
         raise PreconditionError("probe depth must be >= 1")
     if level < n_terms + probe_depth:
         raise PreconditionError("level must be >= n_terms + probe_depth")
-    eng = CollapsedEngine(fs, theta, node_budget)
-    return _shift_masses(eng, level, probe_depth, positions)
+    return _shift_masses(engine, level, probe_depth, positions)
 
 
-def cesaro_average(
-    fs: FactorSystem,
-    theta: float,
-    level: int,
-    n_terms: int,
-    probe_depth: int,
-    node_budget: Optional[int] = None,
-) -> CylinderDistribution:
+def cesaro_average(engine: CollapsedEngine, level: int, n_terms: int, probe_depth: int) -> CylinderDistribution:
     """Average of the first ``n_terms`` shifts of the level measure.
 
     masses(w) = (1/N) * sum over i < N of the mass the level measure
@@ -311,7 +302,7 @@ def cesaro_average(
     probability distribution over depth-``probe_depth`` words, so the
     average is one as well.
     """
-    tables = _cesaro_tables(fs, theta, level, n_terms, probe_depth, node_budget, range(n_terms))
+    tables = _cesaro_tables(engine, level, n_terms, probe_depth, range(n_terms))
     masses: dict[tuple[str, ...], float] = {}
     for i in range(n_terms):
         for word, m in tables[i].items():
@@ -322,14 +313,7 @@ def cesaro_average(
     )
 
 
-def cesaro_defect(
-    fs: FactorSystem,
-    theta: float,
-    level: int,
-    n_terms: int,
-    probe_depth: int,
-    node_budget: Optional[int] = None,
-) -> float:
+def cesaro_defect(engine: CollapsedEngine, level: int, n_terms: int, probe_depth: int) -> float:
     """Shift-invariance defect of the ``n_terms``-term Cesaro average.
 
     The average telescopes: applying one shift changes it by
@@ -338,7 +322,7 @@ def cesaro_defect(
     exceed 2/N and shrinks as the averages converge toward an invariant
     measure.
     """
-    tables = _cesaro_tables(fs, theta, level, n_terms, probe_depth, node_budget, [0, n_terms])
+    tables = _cesaro_tables(engine, level, n_terms, probe_depth, [0, n_terms])
     first = tables[0]
     last = tables[n_terms]
     words = set(first) | set(last)

@@ -373,12 +373,14 @@ def compensation_at_periodic(
     idx = fs.image_index
     cycle = [idx[letter] for letter in point.cycle]
     q = len(cycle)
-    # row i of the product is the unit vector e_i read around the cycle
+    # row i of the product is the unit vector e_i read around the cycle.
+    # Its Perron root is >= 1: d > 0 gives the point an infinite lift,
+    # which passes the fiber of cycle[0] once per period, so every power
+    # of the product has a nonzero entry; it is not nilpotent, and a
+    # nonnegative integer matrix that is not nilpotent has root >= 1
     size, around = len(fs.fibers[cycle[0]]), cycle[1:] + cycle[:1]
     ends = [_read(fs, cycle[0], tuple(int(j == i) for j in range(size)), around) for i in range(size)]
     product = [end[1] if end else (0,) * size for end in ends]
-    if all(x == 0 for row in product for x in row):
-        raise PreconditionError("fiber-block product around the cycle is zero")
     rho = perron_eigenvalue(product)
     spectral = CompensationEstimate(
         point=point, value=math.log(rho) / q, method="spectral"

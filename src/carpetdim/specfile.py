@@ -136,7 +136,10 @@ def load_system(path) -> Union[FactorSystem, CarpetSpec]:
             data = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bytes that are not UTF-8 and
+        # integers past the interpreter's digit limit; RecursionError,
+        # arrays or objects nested too deep for the decoder
         raise SpecError(f"spec file {path} is not valid JSON: {exc}") from exc
     return parse_system(data)
 

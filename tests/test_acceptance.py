@@ -231,7 +231,7 @@ def test_criterion_05_gibbs_envelope_containment():
     1e-10 on full-shift carpets."""
     for build in (parity_oscillation, bipartite_fiber):
         fs = build()
-        env = gibbs_scan(fs, THETA_32, level=18, n_max=10)
+        env = gibbs_scan(CollapsedEngine(fs, THETA_32), level=18, n_max=10)
         assert env.contained, (
             f"{build.__name__}: ratios [{env.min_ratio!r}, {env.max_ratio!r}] "
             f"escape [{env.C1_lower!r}, {env.C2_upper!r}]"
@@ -239,7 +239,7 @@ def test_criterion_05_gibbs_envelope_containment():
     for l, m in ((3, 2), (4, 3)):
         fs, _ = carpet_to_factor(full_torus(l, m))
         theta = math.log(m) / math.log(l)
-        env = gibbs_scan(fs, theta, level=18, n_max=10)
+        env = gibbs_scan(CollapsedEngine(fs, theta), level=18, n_max=10)
         assert abs(env.min_ratio - 1.0) < 1e-10, env.min_ratio
         assert abs(env.max_ratio - 1.0) < 1e-10, env.max_ratio
 
@@ -347,9 +347,7 @@ def test_criterion_10_measure_level_diagnostics():
     documented conclusions for each bundled system."""
     fibonacci = fibonacci_fiber()
     defects = [
-        cesaro_defect(
-            fibonacci, THETA_32, level=n_terms + 8, n_terms=n_terms, probe_depth=2
-        )
+        cesaro_defect(CollapsedEngine(fibonacci, THETA_32), level=n_terms + 8, n_terms=n_terms, probe_depth=2)
         for n_terms in (4, 8, 16)
     ]
     assert defects[0] >= defects[1] >= defects[2], defects
@@ -368,5 +366,5 @@ def test_criterion_10_measure_level_diagnostics():
             f"{name}: {report.conclusion}"
         )
 
-    env = gibbs_scan(fibonacci, THETA_32, level=16, n_max=8)
+    env = gibbs_scan(CollapsedEngine(fibonacci, THETA_32), level=16, n_max=8)
     assert env.contained

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from carpetdim import sft
-from carpetdim.counting import CollapsedEngine, preimage_count
+from carpetdim.counting import CollapsedEngine, ExactEngine, preimage_count
 from carpetdim.errors import NonMixingError, PreconditionError, ResourceError
 from carpetdim.fixtures import fibonacci_fiber, full_torus
 from carpetdim.measures import (
@@ -18,6 +18,7 @@ from carpetdim.measures import (
     nu_marginal,
     uniqueness_report,
 )
+from carpetdim.pressure import pressure_interval
 from carpetdim.sft import CarpetSpec, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_restricted_carpet
@@ -38,21 +39,21 @@ def marginal_oracle(fs, theta, level, depth):
 class TestNuMarginal:
     def test_masses_sum_to_one(self, any_fixture):
         for depth in (1, 2, 3):
-            dist = nu_marginal(any_fixture, THETA_32, level=9, depth=depth)
+            dist = nu_marginal(CollapsedEngine(any_fixture, THETA_32), level=9, depth=depth)
             assert dist.total() == pytest.approx(1.0, abs=1e-10)
             assert all(m > 0 for m in dist.masses.values())
 
     def test_matches_enumeration_oracle(self, parity, fibonacci):
         for fs in (parity, fibonacci):
             for depth in (1, 2, 3):
-                dist = nu_marginal(fs, THETA_32, level=7, depth=depth)
+                dist = nu_marginal(CollapsedEngine(fs, THETA_32), level=7, depth=depth)
                 oracle = marginal_oracle(fs, THETA_32, 7, depth)
                 assert set(dist.masses) == set(oracle)
                 for word, mass in oracle.items():
                     assert dist.mass(word) == pytest.approx(mass, abs=1e-10)
 
     def test_level_one_marginal_is_the_letters(self, any_fixture):
-        dist = nu_marginal(any_fixture, THETA_32, level=1, depth=1)
+        dist = nu_marginal(CollapsedEngine(any_fixture, THETA_32), level=1, depth=1)
         oracle = marginal_oracle(any_fixture, THETA_32, 1, 1)
         assert set(dist.masses) == set(oracle)
         for word, mass in oracle.items():
@@ -60,8 +61,8 @@ class TestNuMarginal:
 
     def test_marginals_are_tree_consistent(self, bipartite):
         """Summing depth-(d+1) masses over the last letter gives depth d."""
-        shallow = nu_marginal(bipartite, THETA_32, level=8, depth=2)
-        deep = nu_marginal(bipartite, THETA_32, level=8, depth=3)
+        shallow = nu_marginal(CollapsedEngine(bipartite, THETA_32), level=8, depth=2)
+        deep = nu_marginal(CollapsedEngine(bipartite, THETA_32), level=8, depth=3)
         for word, mass in shallow.masses.items():
             children = sum(
                 m for w, m in deep.masses.items() if w[:2] == word
@@ -69,27 +70,27 @@ class TestNuMarginal:
             assert children == pytest.approx(mass, abs=1e-10)
 
     def test_mass_of_absent_word_is_zero(self, parity):
-        dist = nu_marginal(parity, THETA_32, level=6, depth=2)
+        dist = nu_marginal(CollapsedEngine(parity, THETA_32), level=6, depth=2)
         assert dist.mass(("1", "1")) == 0.0
 
     def test_preconditions(self, parity):
         with pytest.raises(PreconditionError):
-            nu_marginal(parity, THETA_32, level=3, depth=0)
+            nu_marginal(CollapsedEngine(parity, THETA_32), level=3, depth=0)
         with pytest.raises(PreconditionError):
-            nu_marginal(parity, THETA_32, level=2, depth=3)
+            nu_marginal(CollapsedEngine(parity, THETA_32), level=2, depth=3)
 
 
 class TestGibbsScan:
     def test_envelope_contains_fixture_ratios(self, parity, bipartite):
         for fs in (parity, bipartite):
-            env = gibbs_scan(fs, THETA_32, level=14, n_max=6)
+            env = gibbs_scan(CollapsedEngine(fs, THETA_32), level=14, n_max=6)
             assert env.contained
             assert env.C1_lower <= env.min_ratio <= env.max_ratio <= env.C2_upper
             assert env.level == 14 and env.n_max == 6
 
     def test_full_shift_ratios_are_flat(self):
         fs, _ = carpet_to_factor(full_torus(3, 2))
-        env = gibbs_scan(fs, THETA_32, level=14, n_max=6)
+        env = gibbs_scan(CollapsedEngine(fs, THETA_32), level=14, n_max=6)
         assert env.min_ratio == pytest.approx(1.0, abs=1e-10)
         assert env.max_ratio == pytest.approx(1.0, abs=1e-10)
 
@@ -111,7 +112,7 @@ class TestGibbsScan:
         """K_tilde = 1 puts both ends at 1, so only the rounding padding
         keeps the flat ratios inside."""
         fs, _ = carpet_to_factor(spec)
-        env = gibbs_scan(fs, spec.theta(), level=level, n_max=n_max)
+        env = gibbs_scan(CollapsedEngine(fs, spec.theta()), level=level, n_max=n_max)
         assert env.contained, (env.C1_lower, env.min_ratio, env.max_ratio, env.C2_upper)
 
     def test_structure_derived_once(self, monkeypatch):
@@ -120,11 +121,11 @@ class TestGibbsScan:
         built = []
         build = sft._structure
         monkeypatch.setattr(sft, "_structure", lambda shift: built.append(1) or build(shift))
-        gibbs_scan(fibonacci_fiber(), THETA_32, level=14, n_max=6)
+        gibbs_scan(CollapsedEngine(fibonacci_fiber(), THETA_32), level=14, n_max=6)
         assert built == [1]
 
     def test_envelope_constants_use_pressure_interval(self, fibonacci):
-        env = gibbs_scan(fibonacci, THETA_32, level=13, n_max=5)
+        env = gibbs_scan(CollapsedEngine(fibonacci, THETA_32), level=13, n_max=5)
         pe = env.pressure_interval_used
         constants = pe.constants
         c1 = math.exp(-(constants.M - 1) * pe.upper) / math.exp(constants.log_K_tilde)
@@ -136,12 +137,12 @@ class TestGibbsScan:
 
     def test_level_must_clear_scan_depth(self, fibonacci):
         with pytest.raises(PreconditionError, match="level"):
-            gibbs_scan(fibonacci, THETA_32, level=6, n_max=6)
+            gibbs_scan(CollapsedEngine(fibonacci, THETA_32), level=6, n_max=6)
 
     def test_non_mixing_rejected(self):
         fs = make_factor(["a", "b"], [("a", "b"), ("b", "a")], {"a": "x", "b": "x"})
         with pytest.raises(NonMixingError):  # before any sweep, so no budget error
-            gibbs_scan(fs, THETA_32, level=10, n_max=2, node_budget=1)
+            gibbs_scan(CollapsedEngine(fs, THETA_32, 1), level=10, n_max=2)
 
     def test_levels_are_swept_once(self, fibonacci):
         """S_{M-1} and S_L are read off the held levels, so the scan
@@ -149,10 +150,41 @@ class TestGibbsScan:
         eng = CollapsedEngine(fibonacci, THETA_32)
         eng.levels(18)
         assert eng.visited == 582
-        env = gibbs_scan(fibonacci, THETA_32, 18, 10, node_budget=eng.visited)
+        env = gibbs_scan(CollapsedEngine(fibonacci, THETA_32, eng.visited), 18, 10)
         assert env.contained
         with pytest.raises(ResourceError, match="at level 18 of 18"):
-            gibbs_scan(fibonacci, THETA_32, 18, 10, node_budget=eng.visited - 1)
+            gibbs_scan(CollapsedEngine(fibonacci, THETA_32, eng.visited - 1), 18, 10)
+
+
+class TestSharedEngine:
+    def test_one_engine_serves_each_reader(self, any_fixture):
+        """The Gibbs scan holds levels 1..17; the bracket and the defect
+        at level 18 read them without visiting a node and agree with
+        fresh engines."""
+        eng = CollapsedEngine(any_fixture, THETA_32)
+        env = gibbs_scan(eng, 18, 10)
+        visited = eng.visited
+        est = pressure_interval(eng, 18)
+        defect = cesaro_defect(eng, 18, 8, 2)
+        assert eng.visited == visited
+        assert env == gibbs_scan(CollapsedEngine(any_fixture, THETA_32), 18, 10)
+        assert est == pressure_interval(CollapsedEngine(any_fixture, THETA_32), 18)
+        assert defect == cesaro_defect(CollapsedEngine(any_fixture, THETA_32), 18, 8, 2)
+
+    @pytest.mark.parametrize(
+        "scan, args",
+        [
+            (gibbs_scan, (14, 6)),
+            (nu_marginal, (8, 2)),
+            (cesaro_average, (10, 4, 2)),
+            (cesaro_defect, (10, 4, 2)),
+        ],
+        ids=["gibbs_scan", "nu_marginal", "cesaro_average", "cesaro_defect"],
+    )
+    def test_exact_engine_refused(self, fibonacci, scan, args):
+        """Masses read held levels, and the exact walk holds none."""
+        with pytest.raises(PreconditionError, match="CollapsedEngine"):
+            scan(ExactEngine(fibonacci, THETA_32), *args)
 
 
 class TestAdditivityScan:
@@ -222,15 +254,13 @@ class TestAdditivityScan:
 
 class TestCesaro:
     def test_average_masses_sum_to_one(self, fibonacci):
-        dist = cesaro_average(fibonacci, THETA_32, level=10, n_terms=4, probe_depth=2)
+        dist = cesaro_average(CollapsedEngine(fibonacci, THETA_32), level=10, n_terms=4, probe_depth=2)
         assert dist.kind == "cesaro"
         assert dist.total() == pytest.approx(1.0, abs=1e-9)
 
     def test_defect_shrinks_with_more_terms(self, fibonacci):
         defects = [
-            cesaro_defect(
-                fibonacci, THETA_32, level=n_terms + 8, n_terms=n_terms, probe_depth=2
-            )
+            cesaro_defect(CollapsedEngine(fibonacci, THETA_32), level=n_terms + 8, n_terms=n_terms, probe_depth=2)
             for n_terms in (4, 8, 16)
         ]
         assert defects[0] >= defects[1] >= defects[2]
@@ -239,16 +269,16 @@ class TestCesaro:
     def test_defect_obeys_telescoping_bound(self, parity):
         """The N-term average moves by at most (two end masses)/N per shift."""
         n_terms = 6
-        defect = cesaro_defect(parity, THETA_32, level=12, n_terms=n_terms, probe_depth=2)
+        defect = cesaro_defect(CollapsedEngine(parity, THETA_32), level=12, n_terms=n_terms, probe_depth=2)
         assert 0.0 <= defect <= 2.0 / n_terms
 
     def test_preconditions(self, parity):
         with pytest.raises(PreconditionError):
-            cesaro_defect(parity, THETA_32, level=3, n_terms=4, probe_depth=2)
+            cesaro_defect(CollapsedEngine(parity, THETA_32), level=3, n_terms=4, probe_depth=2)
         with pytest.raises(PreconditionError):
-            cesaro_defect(parity, THETA_32, level=9, n_terms=0, probe_depth=2)
+            cesaro_defect(CollapsedEngine(parity, THETA_32), level=9, n_terms=0, probe_depth=2)
         with pytest.raises(PreconditionError):
-            cesaro_average(parity, THETA_32, level=9, n_terms=2, probe_depth=0)
+            cesaro_average(CollapsedEngine(parity, THETA_32), level=9, n_terms=2, probe_depth=0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -269,7 +299,7 @@ class TestRestrictedCarpetsAgainstEnumeration:
     def test_nu_marginal(self, seed):
         fs, theta = self.system(seed)
         for depth in (1, 2, 3):
-            dist = nu_marginal(fs, theta, level=self.LEVEL, depth=depth)
+            dist = nu_marginal(CollapsedEngine(fs, theta), level=self.LEVEL, depth=depth)
             oracle = marginal_oracle(fs, theta, self.LEVEL, depth)
             assert set(dist.masses) == set(oracle)
             for word, mass in oracle.items():
@@ -280,7 +310,7 @@ class TestRestrictedCarpetsAgainstEnumeration:
         buckets = image_word_counts(fs, self.LEVEL)
         total = sum(c**theta for c in buckets.values())
         for n_terms, probe in ((3, 2), (2, 3), (4, 1)):
-            dist = cesaro_average(fs, theta, level=self.LEVEL, n_terms=n_terms, probe_depth=probe)
+            dist = cesaro_average(CollapsedEngine(fs, theta), level=self.LEVEL, n_terms=n_terms, probe_depth=probe)
             oracle = {}
             for word, count in buckets.items():
                 for i in range(n_terms):
@@ -295,7 +325,7 @@ class TestRestrictedCarpetsAgainstEnumeration:
         Cesaro defect at level == n_terms + probe_depth, whose last shift
         ends there."""
         fs, theta = self.system(seed)
-        dist = nu_marginal(fs, theta, level=self.LEVEL, depth=self.LEVEL)
+        dist = nu_marginal(CollapsedEngine(fs, theta), level=self.LEVEL, depth=self.LEVEL)
         oracle = marginal_oracle(fs, theta, self.LEVEL, self.LEVEL)
         assert set(dist.masses) == set(oracle)
         for word, mass in oracle.items():
@@ -309,7 +339,7 @@ class TestRestrictedCarpetsAgainstEnumeration:
                     w = word[i : i + probe]
                     end[w] = end.get(w, 0.0) + count**theta / total
             defect = max(abs(ends[1].get(w, 0.0) - ends[0].get(w, 0.0)) for w in set(ends[0]) | set(ends[1]))
-            got = cesaro_defect(fs, theta, level=self.LEVEL, n_terms=n_terms, probe_depth=probe)
+            got = cesaro_defect(CollapsedEngine(fs, theta), level=self.LEVEL, n_terms=n_terms, probe_depth=probe)
             assert got == pytest.approx(defect / n_terms, abs=1e-12)
 
     def test_additivity_witness_attains_min_ratio(self, seed):
@@ -370,7 +400,7 @@ class TestScansAgainstEnumeration:
 
     def test_gibbs_ratio_extremes(self, parity, bipartite, fibonacci):
         for fs, level, n_max in ((parity, 14, 6), (bipartite, 12, 6), (fibonacci, 10, 5)):
-            env = gibbs_scan(fs, THETA_32, level=level, n_max=n_max)
+            env = gibbs_scan(CollapsedEngine(fs, THETA_32), level=level, n_max=n_max)
             buckets = image_word_counts(fs, level)
             total = sum(c**THETA_32 for c in buckets.values())
             masses = {}
@@ -387,7 +417,7 @@ class TestScansAgainstEnumeration:
 
     def test_cesaro_masses(self, parity, fibonacci):
         for fs, level, n_terms, probe in ((parity, 9, 4, 2), (fibonacci, 10, 3, 3)):
-            dist = cesaro_average(fs, THETA_32, level=level, n_terms=n_terms, probe_depth=probe)
+            dist = cesaro_average(CollapsedEngine(fs, THETA_32), level=level, n_terms=n_terms, probe_depth=probe)
             buckets = image_word_counts(fs, level)
             total = sum(c**THETA_32 for c in buckets.values())
             oracle = {}

@@ -16,7 +16,8 @@ from carpetdim.counting import (
 )
 from carpetdim.fixtures import column_carpet_21
 from carpetdim.measures import additivity_scan
-from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_factor
+from carpetdim.pressure import compensation_at_periodic
+from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_factor, validate_sft
 from carpetdim.specfile import dump_document, parse_system, system_doc
 
 from conftest import THETA_32, make_factor
@@ -127,6 +128,31 @@ def test_extendable_prefix_counts_match_oracle(fs, cycle, preperiod, n):
     count = dn_count(fs, point, n)
     assert count == extendable_prefix_oracle(fs, point, n)
     assert (count > 0) == is_image_point(fs, point)
+
+
+@st.composite
+def image_points(draw):
+    """An irreducible system and an eventually periodic point of its image."""
+    fs = draw(factor_systems())
+    assume(validate_sft(fs.source).irreducible)
+    letters = st.sampled_from(fs.image_alphabet)
+    point = EventuallyPeriodicPoint(
+        tuple(draw(st.lists(letters, max_size=2))), tuple(draw(st.lists(letters, min_size=1, max_size=3)))
+    )
+    assume(is_image_point(fs, point))
+    return fs, point
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=image_points())
+def test_compensation_spectral_is_finite_and_nonnegative(case):
+    """A point of the image has an infinite lift, so the fiber-block
+    product around its cycle is not nilpotent and its Perron root is
+    at least 1."""
+    fs, point = case
+    spectral, _ = compensation_at_periodic(fs, point, depth=6)
+    assert math.isfinite(spectral.value)
+    assert spectral.value >= -1e-9
 
 
 @settings(max_examples=60, deadline=None)

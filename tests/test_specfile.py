@@ -157,8 +157,18 @@ class TestSerialization:
         with pytest.raises(SpecError, match="cannot read"):
             load_system(tmp_path / "absent.json")
 
-    def test_load_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b"\xff\xfe\x00x",  # not UTF-8
+            b"[" * 200_000,  # nested past the decoder's recursion limit
+            b'{"schema": 1, "kind": "carpet", "l": ' + b"9" * 5_000 + b', "m": 2, "digits": [[0, 0]]}',
+        ],
+        ids=["truncated", "not-utf8", "deep-nesting", "huge-integer"],
+    )
+    def test_load_invalid_json(self, tmp_path, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
+        path.write_bytes(content)
         with pytest.raises(SpecError, match="not valid JSON"):
             load_system(path)
