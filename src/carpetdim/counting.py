@@ -163,7 +163,17 @@ class PartitionSum:
 
 def _log_sum_exp(terms: list[float]) -> float:
     """log of the sum of e^t over ``terms``: the largest term plus the log
-    of one ``fsum`` of exponentials in (0, 1]; -inf for no finite term."""
+    of one ``fsum`` of exponentials in (0, 1]; -inf for no finite term.
+    Two terms take the closed form hi + log(1.0 + e^(lo - hi)), the same
+    float: e^0.0 is exactly 1.0, and ``fsum`` of two floats is their
+    correctly rounded sum, as is 1.0 + e^(lo - hi)."""
+    if len(terms) == 2:
+        hi, lo = terms
+        if lo > hi:
+            hi, lo = lo, hi
+        if lo == _NEG_INF:
+            return hi
+        return hi + math.log(1.0 + math.exp(lo - hi))
     if len(terms) == 1:
         return terms[0]
     hi = max(terms, default=_NEG_INF)
@@ -245,9 +255,10 @@ class CollapsedEngine:
     drops its levels, and the jump, call the kernel afresh.
     ``backward`` and the cylinder-mass walks of ``measures`` read the
     kept lists and build none, taking a last letter into the level
-    not built through the row sums (``_extensions``), so the kernel
-    stays the one rule that turns a state into its children; walks
-    along single words step exact count vectors with ``_read``.
+    not built through the row sums (``_extensions``, which
+    ``_read_sum`` and ``backward`` take inline), so the kernel stays
+    the one rule that turns a state into its children; walks along
+    single words step exact count vectors with ``_read``.
 
     Rounding.  Each held level keeps one bound E on the absolute error
     of every log weight in it.  Every weight sums products of gcd^theta
@@ -267,7 +278,10 @@ class CollapsedEngine:
       by eps/2, all relative, so by as much in the log; the log adds
       eps T, its result being at most T, and the final add eps/2 T.
       That is eps (2 T + 2).  A log-sum-exp moves by at most the
-      largest error of its terms, so E itself passes through.
+      largest error of its terms, so E itself passes through.  Two
+      terms take hi + log(1.0 + exp(lo - hi)), which is the same float:
+      exp(0.0) is exactly 1.0, and fsum of two floats rounds their sum
+      correctly, as the add does.  So the charge is unchanged.
 
     The read of S_k sums the terms lw + theta log x of level k - 1 the
     same way, x being an exact integer >= 1.  theta log x rounds by 1.5
@@ -540,14 +554,17 @@ class CollapsedEngine:
         -inf when there are none; ``errs[k]`` bounds the error of every
         finite log in ``sums[k]``.
 
-        Level depth - 1 is seeded through the row sums, as ``partition``
-        reads S_depth, so ``levels(depth - 1)`` is all that must be held
-        and level ``depth`` is never built.  When level ``depth`` is held
-        as well, its own sums, theta log of the sum of each state's
-        vector, come last, so after ``levels(depth)`` the lists cover
-        levels 1..depth; ``depth`` defaults to the deepest held level.
-        The levels above the seed read the child lists the forward sweep
-        kept.  A depth whose levels are not held raises
+        Level depth - 1 is seeded through the row sums, read inline as
+        ``_read_sum`` reads them for S_depth, so ``levels(depth - 1)`` is
+        all that must be held and level ``depth`` is never built.  When
+        level ``depth`` is held as well, its own sums, theta log of the
+        sum of each state's vector, come last, so after
+        ``levels(depth)`` the lists cover levels 1..depth; ``depth``
+        defaults to the deepest held level.  The levels above the seed
+        read the child lists the forward sweep kept, one loop per level
+        that builds its sums and takes the largest log and the largest
+        d of the lists read as it goes, the two maxima its error charge
+        needs.  A depth whose levels are not held raises
         PreconditionError."""
         held = self._held
         if depth is None:
@@ -561,19 +578,34 @@ class CollapsedEngine:
         out: list[dict] = []
         errs: list[float] = []
         if depth > 1:
-            levels = [level for level, _ in held[: depth - 1]]
-            sums = {
-                s: _log_sum_exp([theta * log(x) for _, x in _extensions(self.fs, s)])
-                for s in levels[-1]
-            }
-            err = _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+            # the seed: each state's pairs (b, x) as ``_read_sum`` takes
+            # them.  Every log here is >= 0, so both maxima start at 0.0.
+            rows = self.fs.fiber_row_sums
+            sums, top = {}, 0.0
+            for state in held[depth - 2][0]:
+                terms = []
+                for _, r in rows[state[0]]:
+                    x = sum(map(mul, state[1], r))
+                    if x:
+                        terms.append(theta * log(x))
+                t = sums[state] = _log_sum_exp(terms)
+                if t > top:
+                    top = t
+            err = _EPS * (4.0 * top + 2.0)
             out.append(sums)
             errs.append(err)
-            for level in reversed(levels[:-1]):
-                below = sums
-                sums = {s: _log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
-                top_d = max((d for s in level for _, d in edges[s]), default=0.0)
-                err += self._step_error(max(sums.values(), default=0.0), True, top_d)
+            for level, _ in reversed(held[: depth - 2]):
+                below, sums, top, top_d = sums, {}, 0.0, 0.0
+                for state in level:
+                    terms = []
+                    for key, d in edges[state]:
+                        if d > top_d:
+                            top_d = d
+                        terms.append(below[key] + d)
+                    t = sums[state] = _log_sum_exp(terms)
+                    if t > top:
+                        top = t
+                err += self._step_error(top, True, top_d)
                 out.append(sums)
                 errs.append(err)
             out.reverse()

@@ -354,6 +354,18 @@ def _first_seen(levels: list[dict]) -> list[list]:
     return out
 
 
+def _first_pair(fs: FactorSystem, u_key, v_level: list, low: float):
+    # the first start of the block (u, v_level) in sweep order whose
+    # ratio is the block's minimum ``low``, as the scan computes it
+    a, u_dir = u_key
+    u_count = sum(u_dir)
+    for b, v_dir in v_level:
+        cols = fs.fiber_supports[a].get(b)
+        num = sum(map(mul, _advance(u_dir, cols), v_dir)) if cols else 0
+        if num and num / (u_count * sum(v_dir)) == low:
+            return b, v_dir
+
+
 def additivity_scan(
     fs: FactorSystem,
     max_len: int,
@@ -374,7 +386,20 @@ def additivity_scan(
     length cap, which the running minimum of ``min_trend`` already
     covers, so each state is scanned at its first level only (for a
     full shift, level 1 only) and the budget is charged for the pairs
-    scanned.
+    scanned, each end state against every start level in turn, so an
+    overrun names the lengths of the block that crossed it.
+
+    The scan goes column by column.  The start states are grouped once
+    by first letter, each group holding one column per symbol of the
+    letter's fiber, the states' counts and each level's slice.  For an
+    end state and a letter, the numerators count(uv) over the gcds are
+    the row of u's vector through the fiber block times those columns,
+    summed column by column; the ratio of each pair is then
+    num / (count(u) count(v)) as an exact integer division, each level's
+    minimum is taken over its slice and the maximum over the group at
+    once.  The witness block is the first (u, v level) in scan order
+    that attains the minimum, and its pair the block's first one in
+    sweep order, found by rescanning that block alone.
 
     The ratio never exceeds 1 (counts are submultiplicative).  The
     verdict is ``refuted-up-to-{max_len}`` when the minimum falls under
@@ -403,7 +428,21 @@ def additivity_scan(
     # each state only at the first level that holds it: a later copy
     # repeats its ratios under a larger cap
     new_ends = _first_seen(ends)
-    new_starts = [[(b, v_dir, sum(v_dir)) for b, v_dir in level] for level in _first_seen(starts)]
+    new_starts = _first_seen(starts)
+    n_starts = sum(map(len, new_starts))
+    # the starts by first letter, in scan order: letter b -> (one column
+    # per symbol of b's fiber, the starts' counts, (jv, lo, hi) for each
+    # level jv that holds starts[lo:hi])
+    groups: dict = {}
+    for jv, v_level in enumerate(new_starts, 1):
+        for b, v_dir in v_level:
+            dirs, counts, slices = groups.setdefault(b, ([], [], []))
+            if not slices or slices[-1][0] != jv:
+                slices.append([jv, len(dirs), len(dirs)])
+            dirs.append(v_dir)
+            counts.append(sum(v_dir))
+            slices[-1][2] += 1
+    groups = {b: (list(zip(*dirs)), counts, slices) for b, (dirs, counts, slices) in groups.items()}
 
     min_ratio = math.inf
     max_ratio = -math.inf
@@ -411,39 +450,59 @@ def additivity_scan(
     cap_min = [math.inf] * (max_len + 1)
     for ju, u_level in enumerate(new_ends, 1):
         for a, u_dir in u_level:
-            rows = {b: _advance(u_dir, cols) for b, cols in supports[a].items()}
+            if work + n_starts > budget:
+                for jv, v_level in enumerate(new_starts, 1):
+                    work += len(v_level)
+                    if work > budget:
+                        raise ResourceError(
+                            f"node budget exceeded ({budget} nodes) scanning ends of "
+                            f"length {ju} against starts of length {jv}, max_len {max_len}; "
+                            f"lower max_len or raise the budget"
+                        )
+            work += n_starts
             u_count = sum(u_dir)
-            for jv, v_level in enumerate(new_starts, 1):
-                work += len(v_level)
-                if work > budget:
-                    raise ResourceError(
-                        f"node budget exceeded ({budget} nodes) scanning ends of "
-                        f"length {ju} against starts of length {jv}, max_len {max_len}; "
-                        f"lower max_len or raise the budget"
-                    )
-                # the block's minimum and its first pair, in scan order
-                low, arg = math.inf, None
-                for b, v_dir, v_count in v_level:
-                    row = rows.get(b)
-                    if row is None:
+            lows = [math.inf] * (max_len + 1)  # the minimum of each block (u, jv)
+            for b, cols in supports[a].items():
+                group = groups.get(b)
+                if group is None:
+                    continue
+                v_cols, v_counts, slices = group
+                # count(uv) over the gcds for every start v of letter b,
+                # one column of the starts per symbol of b's fiber
+                nums = None
+                for c, col in zip(_advance(u_dir, cols), v_cols):
+                    if not c:
                         continue
-                    num = sum(map(mul, row, v_dir))
-                    if not num:
-                        continue
-                    ratio = num / (u_count * v_count)
-                    if ratio > max_ratio:
-                        max_ratio = ratio
-                    if ratio < low:
-                        low, arg = ratio, (b, v_dir)
+                    if nums is None:
+                        nums = col if c == 1 else [c * x for x in col]
+                    else:
+                        nums = [n + c * x for n, x in zip(nums, col)]
+                if nums is None:
+                    continue
+                ratios = [n / (u_count * v) for n, v in zip(nums, v_counts)]
+                low_of = high_of = ratios
+                if 0 in nums:  # a concatenation that does not occur is no pair
+                    low_of = [r if n else math.inf for r, n in zip(ratios, nums)]
+                    high_of = [r if n else -math.inf for r, n in zip(ratios, nums)]
+                high = max(high_of)
+                if high > max_ratio:
+                    max_ratio = high
+                for jv, lo, hi in slices:
+                    low = min(low_of[lo:hi])
+                    if low < lows[jv]:
+                        lows[jv] = low
+            for jv in range(1, max_len + 1):
+                low = lows[jv]
                 cap = max(ju, jv)
                 if low < cap_min[cap]:
                     cap_min[cap] = low
                 if low < min_ratio:
                     min_ratio = low
-                    best = (ju, (a, u_dir), jv, arg)
+                    best = (ju, (a, u_dir), jv)
     witness = None
     if best is not None:
-        ju, u_key, jv, v_key = best
+        ju, u_key, jv = best
+        v_key = _first_pair(fs, u_key, new_starts[jv - 1], min_ratio)
         names = fs.image_alphabet
         u = _representative(front.edges, ends[: ju - 1], u_key)
         v = _representative(back.edges, starts[: jv - 1], v_key)[::-1]

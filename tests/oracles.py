@@ -1,15 +1,27 @@
-"""Test-side oracles, implemented independently of the library internals.
+"""Test-side oracles.
 
-Everything here works from the raw transition matrix and letter map by
-explicit enumeration, so a bug in the library's vector recursions or
-viability fixed points cannot hide in the oracle as well.
+Most work from the raw transition matrix and letter map by explicit
+enumeration, independently of the library internals, so a bug in the
+library's vector recursions or viability fixed points cannot hide in
+the oracle as well.  The last three are reference forms of the engine's
+read paths, written state by state and pair by pair with one ``fsum``
+log-sum-exp: the faster forms must return exactly the same floats.
 """
 
 import itertools
 import math
+from operator import mul
 
-from carpetdim.errors import PreconditionError
-from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem
+from carpetdim.counting import _EPS, CollapsedEngine, _advance, _extensions, resolve_node_budget
+from carpetdim.errors import PreconditionError, ResourceError
+from carpetdim.measures import (
+    DEFAULT_REFUTATION_THRESHOLD,
+    AdditivityScanReport,
+    _first_seen,
+    _representative,
+    _strictly_decreasing_run,
+)
+from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft
 
 
 def product_count_oracle(fs: FactorSystem, word) -> int:
@@ -165,3 +177,115 @@ def image_word_counts(fs: FactorSystem, n: int) -> dict[tuple[str, ...], int]:
         else:
             stack.extend(path + (y,) for y in sft.successor_sets[path[-1]])
     return out
+
+
+def fsum_log_sum_exp(terms):
+    """log of the sum of e^t over ``terms`` as one ``fsum`` of
+    exponentials in (0, 1] after the largest term, for any number of
+    terms; -inf for no finite term."""
+    if len(terms) == 1:
+        return terms[0]
+    hi = max(terms, default=-math.inf)
+    if hi == -math.inf:
+        return hi
+    return hi + math.log(math.fsum([math.exp(t - hi) for t in terms]))
+
+
+def backward_oracle(engine: CollapsedEngine, depth: int):
+    """``CollapsedEngine.backward(depth)`` state by state: the seed from
+    each state's ``_extensions``, each level above it one comprehension
+    over the kept child lists, and the level maxima its error charges
+    need taken in passes of their own.  Reads the held levels and kept
+    lists of an engine after ``levels(depth)`` or ``levels(depth - 1)``."""
+    held, edges, theta = engine._held, engine.edges, engine.theta
+    out, errs = [], []
+    if depth > 1:
+        levels = [level for level, _ in held[: depth - 1]]
+        sums = {
+            s: fsum_log_sum_exp([theta * math.log(x) for _, x in _extensions(engine.fs, s)])
+            for s in levels[-1]
+        }
+        err = _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+        out.append(sums)
+        errs.append(err)
+        for level in reversed(levels[:-1]):
+            below = sums
+            sums = {s: fsum_log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
+            top_d = max((d for s in level for _, d in edges[s]), default=0.0)
+            err += engine._step_error(max(sums.values(), default=0.0), True, top_d)
+            out.append(sums)
+            errs.append(err)
+        out.reverse()
+        errs.reverse()
+    if depth <= len(held):
+        sums = {s: theta * math.log(sum(s[1])) for s in held[depth - 1][0]}
+        out.append(sums)
+        errs.append(_EPS * (2.0 * max(sums.values(), default=0.0) + 1.0))
+    return out, errs
+
+
+def additivity_scan_oracle(fs: FactorSystem, max_len: int, threshold=DEFAULT_REFUTATION_THRESHOLD,
+                           node_budget=None) -> AdditivityScanReport:
+    """``additivity_scan`` pair by pair: for each end state and each
+    start level, every start's ratio in turn, the block's first minimum
+    kept as the witness candidate.  The same sweeps, budget charges and
+    messages, so reports and errors must match exactly."""
+    budget = resolve_node_budget(node_budget)
+    rev = FactorSystem(Sft(fs.source.symbols, tuple(zip(*fs.source.matrix))), fs.letter_map)
+    front, back = CollapsedEngine(fs, 1.0, budget), CollapsedEngine(rev, 1.0, budget)
+    ends = front.levels(max_len)
+    back.visited = front.visited
+    starts = back.levels(max_len)
+    work = back.visited
+    supports = fs.fiber_supports
+    new_ends = _first_seen(ends)
+    new_starts = [[(b, v_dir, sum(v_dir)) for b, v_dir in level] for level in _first_seen(starts)]
+    min_ratio, max_ratio, best = math.inf, -math.inf, None
+    cap_min = [math.inf] * (max_len + 1)
+    for ju, u_level in enumerate(new_ends, 1):
+        for a, u_dir in u_level:
+            rows = {b: _advance(u_dir, cols) for b, cols in supports[a].items()}
+            u_count = sum(u_dir)
+            for jv, v_level in enumerate(new_starts, 1):
+                work += len(v_level)
+                if work > budget:
+                    raise ResourceError(
+                        f"node budget exceeded ({budget} nodes) scanning ends of "
+                        f"length {ju} against starts of length {jv}, max_len {max_len}; "
+                        f"lower max_len or raise the budget"
+                    )
+                low, arg = math.inf, None
+                for b, v_dir, v_count in v_level:
+                    row = rows.get(b)
+                    if row is None:
+                        continue
+                    num = sum(map(mul, row, v_dir))
+                    if not num:
+                        continue
+                    ratio = num / (u_count * v_count)
+                    max_ratio = max(max_ratio, ratio)
+                    if ratio < low:
+                        low, arg = ratio, (b, v_dir)
+                cap = max(ju, jv)
+                cap_min[cap] = min(cap_min[cap], low)
+                if low < min_ratio:
+                    min_ratio = low
+                    best = (ju, (a, u_dir), jv, arg)
+    witness = None
+    if best is not None:
+        ju, u_key, jv, v_key = best
+        names = fs.image_alphabet
+        u = _representative(front.edges, ends[: ju - 1], u_key)
+        v = _representative(back.edges, starts[: jv - 1], v_key)[::-1]
+        witness = (tuple(names[b] for b in u), tuple(names[b] for b in v))
+    trend = list(itertools.accumulate(cap_min[1:], min))
+    refuted = min_ratio < threshold and _strictly_decreasing_run(trend, 4) and witness is not None
+    return AdditivityScanReport(
+        max_len=max_len,
+        min_ratio=min_ratio,
+        max_ratio=max_ratio,
+        min_trend=tuple(trend),
+        verdict=f"refuted-up-to-{max_len}" if refuted else "consistent-with-almost-additive",
+        witness=witness,
+        threshold=threshold,
+    )

@@ -2,11 +2,13 @@
 
 import math
 import random
+import struct
 import weakref
 from collections import Counter
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carpetdim import counting
 from carpetdim.counting import (
@@ -26,7 +28,14 @@ from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, linear_lift_gro
 from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
-from oracles import brute_force_count, extendable_prefix_oracle, image_word_counts, product_count_oracle
+from oracles import (
+    backward_oracle,
+    brute_force_count,
+    extendable_prefix_oracle,
+    fsum_log_sum_exp,
+    image_word_counts,
+    product_count_oracle,
+)
 
 
 class TestPreimageCount:
@@ -645,3 +654,49 @@ class TestTrackedErrorAgainstOracle:
         deep = CollapsedEngine(fibonacci, THETA_32)
         deep.levels(18)
         assert fresh.backward(10)[1] == deep.backward(10)[1]
+
+
+# log weights near 1e300, spreads of e^-745 and past it (where the
+# smaller exponential underflows to 0.0), equal terms and -inf; never
+# -0.0, which no weight is, as sums of logs >= 0, and where hi and
+# hi + log(1.0) differ in sign only
+LOG_TERMS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300).map(lambda x: x + 0.0),
+    st.sampled_from([0.0, 745.0, 746.0, 1e300, -1e300, 1e300 - 1e284, -math.inf]),
+)
+
+
+def same_float(x, y):
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+class TestLogSumExp:
+    @settings(max_examples=500, deadline=None)
+    @given(a=LOG_TERMS, b=LOG_TERMS, spread=st.one_of(st.none(), st.floats(min_value=0.0, max_value=800.0)))
+    def test_two_terms_match_the_fsum_form(self, a, b, spread):
+        """The closed form of two terms is the fsum form's float, bit for
+        bit, in either order, for equal terms and at a drawn spread."""
+        if spread is not None and math.isfinite(a):
+            b = a - spread
+        for terms in ([a, b], [b, a], [a, a]):
+            assert same_float(counting._log_sum_exp(terms), fsum_log_sum_exp(terms)), terms
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[], [-math.inf], [-math.inf, -math.inf], [2.5], [0.0, -math.inf], [1.0, 2.0, 3.0], [7.0, -math.inf, 7.0]],
+    )
+    def test_other_counts_unchanged(self, terms):
+        assert same_float(counting._log_sum_exp(terms), fsum_log_sum_exp(terms))
+
+
+class TestBackwardAgainstOracle:
+    def test_same_sums_and_bounds(self, any_fixture):
+        """``backward(d)`` returns the state-by-state form's floats
+        exactly, after ``levels(d)`` (level d's own sums last) and after
+        ``levels(d - 1)`` (seeded through the row sums alone)."""
+        fs, theta = any_fixture, THETA_32
+        for depth in range(1, 13):
+            for held in range(max(depth - 1, 1), depth + 1):
+                eng = CollapsedEngine(fs, theta)
+                eng.levels(held)
+                assert eng.backward(depth) == backward_oracle(eng, depth)

@@ -2,15 +2,17 @@
 
 import math
 import random
+import re
 
 import pytest
 
 from carpetdim import sft
 from carpetdim.counting import CollapsedEngine, ExactEngine, preimage_count
 from carpetdim.errors import NonMixingError, PreconditionError, ResourceError
-from carpetdim.fixtures import fibonacci_fiber, full_torus
+from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, full_torus, linear_lift_growth, parity_oscillation
 from carpetdim.measures import (
     DEFAULT_REFUTATION_THRESHOLD,
+    _first_seen,
     additivity_scan,
     cesaro_average,
     cesaro_defect,
@@ -19,10 +21,36 @@ from carpetdim.measures import (
     uniqueness_report,
 )
 from carpetdim.pressure import pressure_interval
-from carpetdim.sft import CarpetSpec, carpet_to_factor
+from carpetdim.sft import CarpetSpec, FactorSystem, Sft, carpet_to_factor
 
-from conftest import THETA_32, make_factor, random_restricted_carpet
-from oracles import image_word_counts
+from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
+from oracles import additivity_scan_oracle, backward_oracle, image_word_counts
+
+
+def seeded_carpet(seed):
+    """The factor system of the seeded 4x2 restricted carpet."""
+    return carpet_to_factor(random_restricted_carpet(random.Random(seed)))[0]
+
+
+# The fixtures; seeded 4x2 restricted carpets, 1-3 with fibers [3, 3],
+# 28 with [2, 4] and 31 with [4, 2], whose start levels lose a letter
+# from lengths 2 and 3 on; and random mixing systems.  Carpet 31 and the
+# mixing systems meet ends and starts of one letter whose concatenation
+# does not occur.
+SCANNED_SYSTEMS = (
+    [
+        pytest.param(build, id=name)
+        for name, build in (
+            ("parity", parity_oscillation),
+            ("bipartite", bipartite_fiber),
+            ("fibonacci", fibonacci_fiber),
+            ("linear_lift", linear_lift_growth),
+        )
+    ]
+    + [pytest.param(lambda seed=seed: seeded_carpet(seed), id=f"carpet-{seed}") for seed in (1, 2, 3, 28, 31)]
+    + [pytest.param(lambda seed=seed: random_mixing_system(random.Random(seed)), id=f"mixing-{seed}")
+       for seed in (1, 3, 5)]
+)
 
 
 def marginal_oracle(fs, theta, level, depth):
@@ -242,6 +270,43 @@ class TestAdditivityScan:
         with pytest.raises(ResourceError, match="ends of length 3 against starts of length 8, max_len 12;"):
             additivity_scan(parity, max_len=12, node_budget=400)
 
+    @pytest.mark.parametrize("build", SCANNED_SYSTEMS)
+    def test_matches_the_pairwise_scan(self, build):
+        """The column scan returns the pair-by-pair scan's report exactly,
+        witness included, at every length cap."""
+        fs = build()
+        for max_len in range(1, 8):
+            assert additivity_scan(fs, max_len) == additivity_scan_oracle(fs, max_len)
+
+    @pytest.mark.parametrize(
+        "build, max_len",
+        [
+            pytest.param(parity_oscillation, 12, id="parity"),
+            pytest.param(lambda: seeded_carpet(1), 5, id="carpet-1"),
+            pytest.param(lambda: seeded_carpet(31), 5, id="carpet-31"),
+        ],
+    )
+    def test_budget_crossing_at_each_start_length(self, build, max_len):
+        """Budgets that run out while the third end state is scanned, one
+        for each start it meets: the message names the lengths of the
+        block that crossed, as the pairwise scan's does, for every start
+        length that holds a state."""
+        fs = build()
+        rev = FactorSystem(Sft(fs.source.symbols, tuple(zip(*fs.source.matrix))), fs.letter_map)
+        front, back = CollapsedEngine(fs, 1.0), CollapsedEngine(rev, 1.0)
+        front.levels(max_len)
+        starts = [len(level) for level in _first_seen(back.levels(max_len))]
+        base = front.visited + back.visited + 2 * sum(starts)
+        named = set()
+        for budget in range(base, base + sum(starts)):
+            with pytest.raises(ResourceError) as got:
+                additivity_scan(fs, max_len, node_budget=budget)
+            with pytest.raises(ResourceError) as want:
+                additivity_scan_oracle(fs, max_len, node_budget=budget)
+            assert str(got.value) == str(want.value)
+            named.add(int(re.search(r"starts of length (\d+),", str(got.value)).group(1)))
+        assert named == {jv for jv, n in enumerate(starts, 1) if n}
+
     def test_rejects_bad_length(self, parity):
         with pytest.raises(PreconditionError):
             additivity_scan(parity, max_len=0)
@@ -342,6 +407,14 @@ class TestRestrictedCarpetsAgainstEnumeration:
             got = cesaro_defect(CollapsedEngine(fs, theta), level=self.LEVEL, n_terms=n_terms, probe_depth=probe)
             assert got == pytest.approx(defect / n_terms, abs=1e-12)
 
+    def test_backward_matches_the_state_by_state_form(self, seed):
+        fs, theta = self.system(seed)
+        for depth in range(1, self.LEVEL + 1):
+            for held in range(max(depth - 1, 1), depth + 1):
+                eng = CollapsedEngine(fs, theta)
+                eng.levels(held)
+                assert eng.backward(depth) == backward_oracle(eng, depth)
+
     def test_additivity_witness_attains_min_ratio(self, seed):
         fs, _ = self.system(seed)
         report = additivity_scan(fs, max_len=5)
@@ -429,17 +502,19 @@ class TestScansAgainstEnumeration:
             for w in set(oracle) | set(dist.masses):
                 assert dist.mass(w) == pytest.approx(oracle.get(w, 0.0), abs=1e-12)
 
-    def test_additivity_ratio_extremes(self, any_fixture):
+    @pytest.mark.parametrize("build", SCANNED_SYSTEMS)
+    def test_additivity_ratio_extremes(self, build):
+        fs = build()
         max_len = 5
-        report = additivity_scan(any_fixture, max_len=max_len)
-        words = [w for j in range(1, max_len + 1) for w in image_word_counts(any_fixture, j)]
+        report = additivity_scan(fs, max_len=max_len)
+        words = [w for j in range(1, max_len + 1) for w in image_word_counts(fs, j)]
         cap_min = {}
         ratios = []
         for u in words:
             for v in words:
-                joint = preimage_count(any_fixture, u + v)
+                joint = preimage_count(fs, u + v)
                 if joint:
-                    ratio = joint / (preimage_count(any_fixture, u) * preimage_count(any_fixture, v))
+                    ratio = joint / (preimage_count(fs, u) * preimage_count(fs, v))
                     ratios.append(ratio)
                     cap = max(len(u), len(v))
                     cap_min[cap] = min(cap_min.get(cap, math.inf), ratio)

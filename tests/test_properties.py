@@ -21,7 +21,14 @@ from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_
 from carpetdim.specfile import dump_document, parse_system, system_doc
 
 from conftest import THETA_32, make_factor
-from oracles import brute_force_count, extendable_prefix_oracle, image_word_counts, product_count_oracle
+from oracles import (
+    additivity_scan_oracle,
+    backward_oracle,
+    brute_force_count,
+    extendable_prefix_oracle,
+    image_word_counts,
+    product_count_oracle,
+)
 
 
 def _prune_to_essential(matrix, k):
@@ -230,6 +237,24 @@ def _assert_backward_sums_to_partition(fs, theta, depth):
 )
 def test_backward_suffix_sums_add_up_to_partition(fs, depth, theta):
     _assert_backward_sums_to_partition(fs, theta, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fs=factor_systems(),
+    depth=st.integers(min_value=1, max_value=7),
+    theta=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
+    max_len=st.integers(min_value=1, max_value=6),
+)
+def test_read_paths_match_their_reference_forms(fs, depth, theta, max_len):
+    """``backward`` after ``levels(depth - 1)`` or ``levels(depth)``, and
+    the additivity scan, return the floats of their state-by-state and
+    pair-by-pair forms exactly."""
+    for held in range(max(depth - 1, 1), depth + 1):
+        eng = CollapsedEngine(fs, theta)
+        eng.levels(held)
+        assert eng.backward(depth) == backward_oracle(eng, depth)
+    assert additivity_scan(fs, max_len) == additivity_scan_oracle(fs, max_len)
 
 
 @pytest.mark.parametrize("depth", [1, 4, 12])
