@@ -6,7 +6,7 @@ constraints).  A ``FactorSystem`` pairs an Sft with a one-block letter
 map onto an image alphabet.  The image subshift is sofic and is never
 presented on its own; every image-side quantity in this package is
 derived from the pair (transition matrix, letter map) through the fiber
-submatrices stored here.
+tables built here.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -67,11 +67,11 @@ class Sft:
             for entry in row:
                 if entry not in (0, 1):
                     raise SpecError("transition entries must be 0 or 1")
-        for i in range(k):
-            if not any(self.matrix[i]):
-                raise SpecError(f"symbol {self.symbols[i]!r} has no outgoing transition")
-            if not any(self.matrix[j][i] for j in range(k)):
-                raise SpecError(f"symbol {self.symbols[i]!r} has no incoming transition")
+        for name, row, column in zip(self.symbols, self.matrix, zip(*self.matrix)):
+            if not any(row):
+                raise SpecError(f"symbol {name!r} has no outgoing transition")
+            if not any(column):
+                raise SpecError(f"symbol {name!r} has no incoming transition")
 
     @classmethod
     def from_edges(cls, symbols: Sequence[str], edges: Sequence[tuple[str, str]]) -> "Sft":
@@ -246,9 +246,12 @@ class FactorSystem:
 
     ``letter_map`` sends every source symbol to an image letter; the
     image alphabet is exactly the range of the map, so no fiber is ever
-    empty.  ``fiber_blocks[(a, b)]`` is the submatrix of the transition
-    matrix with rows restricted to the fiber of ``a`` and columns to the
-    fiber of ``b``; products of these blocks drive all lift counting.
+    empty.  Block (a, b) is the 0/1 submatrix of the transition matrix
+    with rows in the fiber of ``a`` and columns in the fiber of ``b``.
+    Lift counting reads the nonzero blocks through two tables built
+    from the transitions, never a dense block: ``fiber_supports`` gives
+    each block's column supports, which step a count vector, and
+    ``fiber_row_sums`` its row sums, which give a stepped vector's sum.
     """
 
     source: Sft
@@ -293,30 +296,14 @@ class FactorSystem:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
-    def fiber_blocks(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
-        blocks = {}
-        A = self.source.matrix
-        for a, rows in enumerate(self.fibers):
-            for b, cols in enumerate(self.fibers):
-                blocks[(a, b)] = tuple(
-                    tuple(A[i][j] for j in cols) for i in rows
-                )
-        return blocks
-
-    @cached_property
     def fiber_supports(self) -> tuple[dict[int, tuple[tuple[int, ...], ...]], ...]:
-        """Per letter a, the letters b with a nonzero block (a, b), each
-        with the block's column supports: ``cols[j]`` lists the rows i
-        with a 1 in column j, so a count vector v over the fiber of a
-        steps to ``sum(v[i] for i in cols[j])`` over the columns j."""
-        supports: list[dict] = [{} for _ in self.fibers]
-        for (a, b), block in self.fiber_blocks.items():
-            if any(map(any, block)):
-                supports[a][b] = tuple(
-                    tuple(i for i, row in enumerate(block) if row[j])
-                    for j in range(len(block[0]))
-                )
-        return tuple(supports)
+        """Per letter a, the letters b with a nonzero block (a, b), in
+        letter order, each with the block's column supports: ``cols[j]``
+        lists the rows i with a 1 in column j, so a count vector v over
+        the fiber of a steps to ``sum(v[i] for i in cols[j])`` over the
+        columns j.  Built with ``fiber_row_sums`` in one pass over the
+        transitions out of each fiber."""
+        return self._fiber_tables[0]
 
     @cached_property
     def fiber_row_sums(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -324,11 +311,34 @@ class FactorSystem:
         r being the row sums of block (a, b): a count vector v over the
         fiber of a steps to a vector over the fiber of b that sums to
         ``sum(v[i] * r[i])``."""
-        blocks = self.fiber_blocks
-        return tuple(
-            tuple((b, tuple(map(sum, blocks[(a, b)]))) for b in supports)
-            for a, supports in enumerate(self.fiber_supports)
-        )
+        return self._fiber_tables[1]
+
+    @cached_property
+    def _fiber_tables(self) -> tuple[tuple, tuple]:
+        # block (a, b) is the transition matrix with rows in the fiber of
+        # a and columns in the fiber of b; a transition x -> y adds row
+        # x's position to y's column and one to x's row sum
+        fibers, succ = self.fibers, self.source.successor_sets
+        where = [(0, 0)] * self.source.alphabet_size  # symbol -> (letter, position in its fiber)
+        for b, fiber in enumerate(fibers):
+            for j, y in enumerate(fiber):
+                where[y] = (b, j)
+        supports, row_sums = [], []
+        for rows in fibers:
+            cols_of: dict[int, list] = {}
+            sums_of: dict[int, list] = {}
+            for i, x in enumerate(rows):
+                for y in succ[x]:
+                    b, j = where[y]
+                    if b not in cols_of:
+                        cols_of[b] = [[] for _ in fibers[b]]
+                        sums_of[b] = [0] * len(rows)
+                    cols_of[b][j].append(i)
+                    sums_of[b][i] += 1
+            order = sorted(cols_of)
+            supports.append({b: tuple(map(tuple, cols_of[b])) for b in order})
+            row_sums.append(tuple((b, tuple(sums_of[b])) for b in order))
+        return tuple(supports), tuple(row_sums)
 
     def fiber_symbols(self, letter: str) -> tuple[str, ...]:
         """Source symbol names above one image letter."""
@@ -430,7 +440,7 @@ def carpet_to_factor(spec: CarpetSpec) -> tuple[FactorSystem, float]:
     names = tuple(spec.digit_symbol(p) for p in spec.digits)
     n = len(names)
     if spec.is_full_shift():
-        matrix = tuple(tuple(1 for _ in range(n)) for _ in range(n))
+        matrix = ((1,) * n,) * n
     else:
         rows = [[0] * n for _ in range(n)]
         for i, j in spec.transitions:

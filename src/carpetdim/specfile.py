@@ -37,14 +37,27 @@ def _require(condition: bool, message: str):
         raise SpecError(message)
 
 
+# Messages that quote their input are formatted only once a check has
+# failed, so a valid document costs no formatting: a spec is read on
+# every call, and a restricted carpet lists dozens of pairs.
 def _check_int(value, label: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{label} must be an integer")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"{label} must be an integer")
     return value
 
 
 def _check_str(value, label: str) -> str:
-    _require(isinstance(value, str), f"{label} must be a string")
+    if not isinstance(value, str):
+        raise SpecError(f"{label} must be a string")
     return value
+
+
+def _int_pair(p, noun: str, shape: str, labels: tuple[str, str]) -> tuple[int, int]:
+    # "<noun> <item> must be <shape>" for an item that is not a
+    # two-element list, else its first non-integer slot's message
+    if not (isinstance(p, list) and len(p) == 2):
+        raise SpecError(f"{noun} {p!r} must be {shape}")
+    return _check_int(p[0], labels[0]), _check_int(p[1], labels[1])
 
 
 def parse_system(data) -> Union[FactorSystem, CarpetSpec]:
@@ -64,8 +77,8 @@ def parse_system(data) -> Union[FactorSystem, CarpetSpec]:
         allowed = _CARPET_FIELDS
     else:
         raise SpecError("'kind' must be 'factor_system' or 'carpet'")
-    unknown = sorted(set(data) - allowed)
-    _require(not unknown, f"unknown fields {unknown} for kind {kind!r}")
+    if not allowed.issuperset(data):
+        raise SpecError(f"unknown fields {sorted(set(data) - allowed)} for kind {kind!r}")
     for label in ("name", "comment"):
         if label in data:
             _check_str(data[label], label)
@@ -74,9 +87,14 @@ def parse_system(data) -> Union[FactorSystem, CarpetSpec]:
     return _parse_carpet(data)
 
 
+def _check_fields(data: dict, kind: str, required: tuple[str, ...]):
+    for field in required:
+        if field not in data:
+            raise SpecError(f"{kind} document is missing '{field}'")
+
+
 def _parse_factor_system(data) -> FactorSystem:
-    for required in ("symbols", "edges", "letter_map"):
-        _require(required in data, f"factor_system document is missing '{required}'")
+    _check_fields(data, "factor_system", ("symbols", "edges", "letter_map"))
     symbols = data["symbols"]
     _require(
         isinstance(symbols, list) and symbols and all(isinstance(s, str) for s in symbols),
@@ -86,10 +104,8 @@ def _parse_factor_system(data) -> FactorSystem:
     _require(isinstance(edges, list), "'edges' must be a list of [source, target] pairs")
     pairs = []
     for e in edges:
-        _require(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e),
-            f"edge {e!r} must be a [source, target] pair of strings",
-        )
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
+            raise SpecError(f"edge {e!r} must be a [source, target] pair of strings")
         pairs.append((e[0], e[1]))
     letter_map = data["letter_map"]
     _require(
@@ -102,30 +118,17 @@ def _parse_factor_system(data) -> FactorSystem:
 
 
 def _parse_carpet(data) -> CarpetSpec:
-    for required in ("l", "m", "digits"):
-        _require(required in data, f"carpet document is missing '{required}'")
+    _check_fields(data, "carpet", ("l", "m", "digits"))
     l = _check_int(data["l"], "'l'")
     m = _check_int(data["m"], "'m'")
     digits = data["digits"]
     _require(isinstance(digits, list) and digits, "'digits' must be a nonempty list")
-    cells = []
-    for d in digits:
-        _require(
-            isinstance(d, list) and len(d) == 2,
-            f"digit {d!r} must be an [a, b] pair",
-        )
-        cells.append((_check_int(d[0], "digit column"), _check_int(d[1], "digit row")))
+    cells = [_int_pair(d, "digit", "an [a, b] pair", ("digit column", "digit row")) for d in digits]
     transitions = data.get("transitions", "full")
     if transitions != "full":
         _require(isinstance(transitions, list), "'transitions' must be 'full' or a list of [i, j] pairs")
-        arcs = []
-        for t in transitions:
-            _require(
-                isinstance(t, list) and len(t) == 2,
-                f"transition {t!r} must be an [i, j] index pair",
-            )
-            arcs.append((_check_int(t[0], "transition source"), _check_int(t[1], "transition target")))
-        transitions = tuple(arcs)
+        labels = ("transition source", "transition target")
+        transitions = tuple(_int_pair(t, "transition", "an [i, j] index pair", labels) for t in transitions)
     return CarpetSpec(l, m, tuple(cells), transitions)
 
 

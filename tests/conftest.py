@@ -40,14 +40,17 @@ def random_mixing_system(rng):
 
 def random_restricted_carpet(rng, l=4, m=2, k=6, p=0.7):
     """A random l x m carpet with k digits covering every row, each of
-    the k * k transitions kept with probability p, redrawn until the
-    digit shift is mixing."""
+    the k * k transitions kept with probability p, redrawn until every
+    digit has a successor and a predecessor and the digit shift is
+    mixing."""
     cells = [(a, b) for b in range(m) for a in range(l)]
     while True:
         digits = tuple(rng.sample(cells, k))
         arcs = tuple((i, j) for i in range(k) for j in range(k) if rng.random() < p)
         if {b for _, b in digits} != set(range(m)):
             continue
+        if {i for i, _ in arcs} != set(range(k)) or {j for _, j in arcs} != set(range(k)):
+            continue  # every digit needs a successor and a predecessor
         spec = CarpetSpec(l, m, digits, arcs)
         if validate_sft(carpet_to_factor(spec)[0].source).mixing:
             return spec

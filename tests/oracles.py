@@ -24,6 +24,36 @@ from carpetdim.measures import (
 from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft
 
 
+def fiber_blocks(fs: FactorSystem) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """Every block (a, b) of the transition matrix, rows in the fiber of
+    a and columns in the fiber of b, dense and keyed in letter order:
+    the reference that ``fiber_supports`` and ``fiber_row_sums`` are
+    read off in ``fiber_tables_oracle``."""
+    A = fs.source.matrix
+    return {
+        (a, b): tuple(tuple(A[i][j] for j in cols) for i in rows)
+        for a, rows in enumerate(fs.fibers)
+        for b, cols in enumerate(fs.fibers)
+    }
+
+
+def fiber_tables_oracle(fs: FactorSystem) -> tuple[tuple, tuple]:
+    """(``fiber_supports``, ``fiber_row_sums``) rescanned from the dense
+    blocks of ``fiber_blocks``: the nonzero blocks in key order, each
+    with its column supports and its row sums."""
+    blocks = fiber_blocks(fs)
+    supports: list[dict] = [{} for _ in fs.fibers]
+    for (a, b), block in blocks.items():
+        if any(map(any, block)):
+            supports[a][b] = tuple(
+                tuple(i for i, row in enumerate(block) if row[j]) for j in range(len(block[0]))
+            )
+    row_sums = tuple(
+        tuple((b, tuple(map(sum, blocks[(a, b)]))) for b in found) for a, found in enumerate(supports)
+    )
+    return tuple(supports), row_sums
+
+
 def product_count_oracle(fs: FactorSystem, word) -> int:
     """Lift count by brute Cartesian product over the fibers.
 

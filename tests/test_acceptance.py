@@ -50,7 +50,7 @@ from carpetdim.sft import (
 )
 
 from conftest import THETA_32, make_factor
-from oracles import brute_force_count, extendable_prefix_oracle, image_word_counts
+from oracles import brute_force_count, extendable_prefix_oracle, fiber_blocks, image_word_counts
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -134,7 +134,7 @@ def _essential_random_system(rng):
 
 def _transfer_positive_words(fs, n):
     """All words the transfer recursion gives a nonzero count, by DFS."""
-    blocks = fs.fiber_blocks
+    blocks = fiber_blocks(fs)
     letters = fs.image_alphabet
     out = set()
 

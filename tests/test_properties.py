@@ -1,6 +1,7 @@
 """Property-based checks over randomly generated small systems."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,18 +15,19 @@ from carpetdim.counting import (
     partition_sum,
     preimage_count,
 )
-from carpetdim.fixtures import column_carpet_21
+from carpetdim.fixtures import column_carpet_21, full_torus
 from carpetdim.measures import additivity_scan
 from carpetdim.pressure import compensation_at_periodic
 from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_factor, validate_sft
 from carpetdim.specfile import dump_document, parse_system, system_doc
 
-from conftest import THETA_32, make_factor
+from conftest import THETA_32, make_factor, random_restricted_carpet
 from oracles import (
     additivity_scan_oracle,
     backward_oracle,
     brute_force_count,
     extendable_prefix_oracle,
+    fiber_tables_oracle,
     image_word_counts,
     product_count_oracle,
 )
@@ -268,3 +270,35 @@ def test_backward_suffix_sums_add_up_with_gcd_factors():
     fs = make_factor(["a", "b"], [(x, y) for x in "ab" for y in "ab"], {"a": "x", "b": "x"})
     eng = _assert_backward_sums_to_partition(fs, THETA_32, 9)
     assert any(g > 1 for g in eng._dlogs)
+
+
+def _assert_fiber_tables_match_dense_blocks(fs):
+    """``fiber_supports`` and ``fiber_row_sums`` equal the tables read
+    off the dense blocks, the order of every dict's keys included."""
+    supports, row_sums = fiber_tables_oracle(fs)
+    assert [list(d.items()) for d in fs.fiber_supports] == [list(d.items()) for d in supports]
+    assert fs.fiber_row_sums == row_sums
+
+
+@settings(max_examples=80, deadline=None)
+@given(fs=factor_systems(max_states=7))
+def test_fiber_tables_match_dense_blocks(fs):
+    _assert_fiber_tables_match_dense_blocks(fs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), shape=st.sampled_from([(4, 2, 6, 0.7), (7, 3, 14, 0.5)]))
+def test_fiber_tables_match_dense_blocks_on_carpets(seed, shape):
+    """Restricted carpets of the benchmark's two classes, drawn by seed."""
+    l, m, k, p = shape
+    fs, _ = carpet_to_factor(random_restricted_carpet(random.Random(seed), l, m, k, p))
+    _assert_fiber_tables_match_dense_blocks(fs)
+
+
+def test_fiber_tables_match_dense_blocks_on_fixtures(any_fixture):
+    _assert_fiber_tables_match_dense_blocks(any_fixture)
+
+
+@pytest.mark.parametrize("spec", [column_carpet_21(), full_torus(3, 2)], ids=["column_carpet_21", "full_torus_32"])
+def test_fiber_tables_match_dense_blocks_on_carpet_fixtures(spec):
+    _assert_fiber_tables_match_dense_blocks(carpet_to_factor(spec)[0])

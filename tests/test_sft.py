@@ -18,7 +18,7 @@ from carpetdim.sft import (
 )
 
 from conftest import make_factor
-from oracles import structure_oracle
+from oracles import fiber_blocks, structure_oracle
 
 
 class TestSft:
@@ -188,7 +188,7 @@ class TestFactorSystem:
 
     def test_fiber_blocks_are_submatrices(self, fibonacci):
         A = fibonacci.source.matrix
-        for (a, b), block in fibonacci.fiber_blocks.items():
+        for (a, b), block in fiber_blocks(fibonacci).items():
             rows = fibonacci.fibers[a]
             cols = fibonacci.fibers[b]
             assert block == tuple(tuple(A[i][j] for j in cols) for i in rows)

@@ -1,6 +1,7 @@
 """Document schema: strict parsing, round trips, deterministic output."""
 
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,32 @@ from carpetdim.specfile import (
     system_doc,
     write_document,
 )
+
+
+def exact(message):
+    """A ``match`` pattern that accepts ``message`` and nothing else."""
+    return "^" + re.escape(message) + "$"
+
+
+def _with_slot(pair, slot, value):
+    """A copy of ``pair`` with ``value`` in ``slot``."""
+    pair = list(pair)
+    pair[slot] = value
+    return pair
+
+
+def _int_slot_cases(field, labels, **rest):
+    """One exact-message case per non-integer in each slot of the one
+    pair that ``field`` gets, the document's other fields set by ``rest``."""
+    return [
+        pytest.param(
+            lambda d, v=[_with_slot([0, 1], slot, bad)]: d.update({field: v, **rest}),
+            exact(f"{labels[slot]} must be an integer"),
+            id=f"{labels[slot].replace(' ', '-')}-{type(bad).__name__}",
+        )
+        for slot in (0, 1)
+        for bad in (True, 0.5, "0")
+    ]
 
 
 def minimal_factor_doc():
@@ -81,6 +108,25 @@ class TestParseSystem:
             (lambda d: d.update(edges=[["a", "z"]]), "unknown symbol"),
             (lambda d: d.update(letter_map={"a": "x"}), "undefined on"),
             (lambda d: d.update(letter_map={"a": "x", "b": 1}), "letter_map"),
+            *[
+                pytest.param(
+                    lambda d, e=_with_slot(["a", "b"], slot, bad): d.update(edges=[e]),
+                    exact(f"edge {_with_slot(['a', 'b'], slot, bad)!r} must be a [source, target] pair of strings"),
+                    id=f"edge-slot{slot}-{type(bad).__name__}",
+                )
+                for slot in (0, 1)
+                for bad in (True, 0.5, 1)
+            ],
+            pytest.param(
+                lambda d: d.update(edges=[["a", "b", "a"]]),
+                exact("edge ['a', 'b', 'a'] must be a [source, target] pair of strings"),
+                id="edge-three-elements",
+            ),
+            pytest.param(
+                lambda d: d.update(edges=[("a", "b")]),
+                exact("edge ('a', 'b') must be a [source, target] pair of strings"),
+                id="edge-not-a-list",
+            ),
         ],
     )
     def test_factor_document_rejections(self, mutate, message):
@@ -102,6 +148,33 @@ class TestParseSystem:
             (lambda d: d.update(transitions=3), "'transitions' must be"),
             (lambda d: d.update(transitions=[[0, 1, 2]]), "index pair"),
             (lambda d: d.update(letter_map={}), "unknown fields"),
+            *_int_slot_cases("digits", ("digit column", "digit row")),
+            *_int_slot_cases("transitions", ("transition source", "transition target"), digits=[[0, 0], [1, 1]]),
+            pytest.param(
+                lambda d: d.update(digits=[[0, 0], [0, 1, 1]]),
+                exact("digit [0, 1, 1] must be an [a, b] pair"),
+                id="digit-three-elements",
+            ),
+            pytest.param(
+                lambda d: d.update(digits=[(0, 0)]),
+                exact("digit (0, 0) must be an [a, b] pair"),
+                id="digit-not-a-list",
+            ),
+            pytest.param(
+                lambda d: d.update(transitions=[[0, 1], [0, 1, 2]]),
+                exact("transition [0, 1, 2] must be an [i, j] index pair"),
+                id="transition-three-elements",
+            ),
+            pytest.param(
+                lambda d: d.update(transitions=["01"]),
+                exact("transition '01' must be an [i, j] index pair"),
+                id="transition-not-a-list",
+            ),
+            pytest.param(
+                lambda d: d.update(extra=1, kind="carpet"),
+                exact("unknown fields ['extra'] for kind 'carpet'"),
+                id="unknown-field",
+            ),
         ],
     )
     def test_carpet_document_rejections(self, mutate, message):
@@ -109,6 +182,20 @@ class TestParseSystem:
         mutate(doc)
         with pytest.raises(SpecError, match=message):
             parse_system(doc)
+
+    def test_pairs_accept_int_and_list_subclasses(self):
+        class Index(int):
+            pass
+
+        class Pair(list):
+            pass
+
+        doc = minimal_carpet_doc()
+        doc["digits"] = [Pair([Index(0), 0]), [1, Index(1)]]
+        doc["transitions"] = [Pair([0, 1]), [Index(1), Index(0)]]
+        spec = parse_system(doc)
+        assert spec.digits == ((0, 0), (1, 1))
+        assert spec.transitions == ((0, 1), (1, 0))
 
     def test_rejects_non_object(self):
         with pytest.raises(SpecError, match="JSON object"):
