@@ -113,12 +113,27 @@ def _engine(config):
     return make_engine(fs, _theta(config, carpet), mode, config.node_budget)
 
 
+class _ExactInts:
+    """Lifts Python's cap on the digits of an int turned into text (3.10.7
+    on) while output is written: counts are exact; input keeps the cap."""
+
+    def __enter__(self):
+        self.cap = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no cap
+        if self.cap:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.cap:
+            sys.set_int_max_str_digits(self.cap)
+
+
 def _emit(config, payload: dict) -> int:
     doc = {"schema": SCHEMA_VERSION, "command": config.command}
     doc.update(payload)
     if config.timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    sys.stdout.write(dump_document(doc))
+    with _ExactInts():
+        sys.stdout.write(dump_document(doc))
     return EXIT_OK
 
 
@@ -206,7 +221,7 @@ def _cmd_pressure(config) -> int:
 
 def _write_series_csv(path, rows):
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _ExactInts(), open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "log_Sn", "words", "upper_bound", "lower_bound"])
             for est in rows:

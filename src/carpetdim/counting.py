@@ -118,20 +118,6 @@ def preimage_count(fs: FactorSystem, word: tuple[str, ...]) -> int:
     return sum(end[1]) if end else 0
 
 
-def _extensions(fs: FactorSystem, state: tuple[int, tuple[int, ...]]) -> list[tuple[int, int]]:
-    """(b, x) for each letter b that extends a state (a, prim) with a
-    nonzero count vector, x = prim . r being that vector's sum, r the
-    row sums of block (a, b): the extension's lift count over the gcd
-    the state has divided out."""
-    a, prim = state
-    out = []
-    for b, r in fs.fiber_row_sums[a]:
-        x = sum(map(mul, prim, r))
-        if x:
-            out.append((b, x))
-    return out
-
-
 def _prefix_words(fs: FactorSystem, n: int):
     """Occurring image words of lengths 1..n with their exact count vectors.
 
@@ -230,12 +216,13 @@ class CollapsedEngine:
     the sum of words times those pairs.  This takes no gcd, key or
     merge; S_1 comes from the fiber sizes.  ``visited`` counts the
     states of level 1 and every nonzero edge, the jump's included, and
-    ``_charge`` holds it to the budget.  A read charges its pairs, which
-    are the edges out of level k - 1, unless level k is held and its
-    edges charged; a step over edges a read has charged charges them
-    no more (``_paid``).  So a sum or a series visits what it did when
-    it built its deepest level.  ``collapsed_nodes`` counts the states
-    built, which leaves out the level a read stands in for.
+    ``_charge`` holds it to the budget.  The first read of S_k, whoever
+    asks, charges its pairs, which are the edges out of level k - 1,
+    unless level k is held and its edges charged; a step over edges a
+    read has charged charges them no more (``_paid``).  So a sum or a
+    series visits what it did when it built its deepest level.
+    ``collapsed_nodes`` counts the states built, which leaves out the
+    level a read stands in for.
 
     One kernel, ``_children``, gives a state's children with the log
     factor d = theta * log g that each child's gcd g contributes.  The
@@ -254,11 +241,10 @@ class CollapsedEngine:
     at a deeper level reads it instead of rebuilding it; a sweep that
     drops its levels, and the jump, call the kernel afresh.
     ``backward`` and the cylinder-mass walks of ``measures`` read the
-    kept lists and build none, taking a last letter into the level
-    not built through the row sums (``_extensions``, which
-    ``_read_sum`` and ``backward`` take inline), so the kernel stays
-    the one rule that turns a state into its children; walks along
-    single words step exact count vectors with ``_read``.
+    kept lists and build none, taking a last letter into the level not
+    built through the row sums, so the kernel stays the one rule that
+    turns a state into its children; walks along single words step
+    exact count vectors with ``_read``.
 
     Rounding.  Each held level keeps one bound E on the absolute error
     of every log weight in it.  Every weight sums products of gcd^theta
@@ -289,12 +275,12 @@ class CollapsedEngine:
     all, S >= every term being the log of the sum, and the sum adds
     eps (2 S + 2).  S_k is so off by at most E_{k-1} + eps (4 S + 2),
     one step's charge less than a sum over a built level k would be.
-    ``backward`` seeds level depth - 1 with the log-sum-exp of theta
-    log x over each state's pairs: 1.5 eps T for theta log x and
-    eps (2 T + 2) for the merge, within eps (4 T + 2), T being the
-    largest seed.  It charges each level above it as a step with
-    merges, D being the largest d of the kept lists that level reads,
-    and a held level ``depth`` its own theta log(sum of vector),
+    ``backward`` seeds level depth - 1, in that same read, with the
+    log-sum-exp of theta log x over each state's pairs: 1.5 eps T for
+    theta log x and eps (2 T + 2) for the merge, within eps (4 T + 2),
+    T being the largest seed.  It charges each level above it as a step
+    with merges, D being the largest d of the kept lists that level
+    reads, and a held level ``depth`` its own theta log(sum of vector),
     eps (2 T + 1).
 
     The jump multiplies matrices of such entries, each matrix with one
@@ -494,36 +480,43 @@ class CollapsedEngine:
         if n < 1:
             raise PreconditionError("depth must be >= 1")
         if n not in self._sums:
-            self._sums[n] = self._read_sum(n)
+            self._read_sum(n)
         value, words = self._sums[n]
         return PartitionSum(n, value, words, self.visited, self.collapsed_nodes)
 
-    def _read_sum(self, n: int) -> tuple[LogReal, int]:
-        """S_n and its word count, read off level n - 1 through the row
-        sums without building level n, as derived in the class
-        docstring; S_1 from the fiber sizes.  The loop takes the x of
-        ``_extensions`` inline, as this is the sweep's last pass over its
-        largest level."""
+    def _read_sum(self, n: int, seeds: Optional[dict] = None) -> None:
+        """Read S_n and its word count into ``_sums`` off level n - 1
+        through the row sums (class docstring); S_1 from the fiber sizes.
+        Given ``seeds``, also map each state of level n - 1 to the
+        log-sum-exp of its theta log x, ``backward``'s seed.  Only a first
+        read, whoever asks, stores the sum and charges as derived there."""
+        fresh = n not in self._sums
         theta, log, fibers = self.theta, math.log, self.fs.fibers
         if n == 1:
             if not self._held:  # every held store was swept from level 1
                 self._reach(1, False, 1)
-            return _summed([theta * log(len(f)) for f in fibers], 0.0), len(fibers)
+            self._sums[1] = _summed([theta * log(len(f)) for f in fibers], 0.0), len(fibers)
+            return
         self._reach(n - 1, False, n)
         held, first = self._held, self._first
         level, err = held[n - 1 - first]
-        charge = n - first == len(held)  # level n is not held
+        charge = fresh and n - first == len(held)  # level n is not held
         rows = self.fs.fiber_row_sums
         terms: list[float] = []
         words = 0
         visited = before = self.visited
-        for (a, prim), (lw, m) in level.items():
-            pairs = 0
+        for state, (lw, m) in level.items():
+            a, prim = state
+            logs = []  # theta log x of the state's pairs
             for _, r in rows[a]:
                 x = sum(map(mul, prim, r))
                 if x:
-                    terms.append(lw + theta * log(x))
-                    pairs += 1
+                    t = theta * log(x)
+                    logs.append(t)
+                    terms.append(lw + t)
+            if seeds is not None:
+                seeds[state] = _log_sum_exp(logs)
+            pairs = len(logs)
             words += m * pairs
             if charge:
                 visited += pairs
@@ -532,7 +525,8 @@ class CollapsedEngine:
         if charge:
             self.visited = visited
             self._paid = (n - 1, visited - before)
-        return _summed(terms, err), words
+        if fresh:
+            self._sums[n] = _summed(terms, err), words
 
     def series(self, n_max: int) -> list[PartitionSum]:
         """S_1 .. S_{n_max}, sweeping on one level at a time."""
@@ -554,18 +548,17 @@ class CollapsedEngine:
         -inf when there are none; ``errs[k]`` bounds the error of every
         finite log in ``sums[k]``.
 
-        Level depth - 1 is seeded through the row sums, read inline as
-        ``_read_sum`` reads them for S_depth, so ``levels(depth - 1)`` is
-        all that must be held and level ``depth`` is never built.  When
-        level ``depth`` is held as well, its own sums, theta log of the
-        sum of each state's vector, come last, so after
-        ``levels(depth)`` the lists cover levels 1..depth; ``depth``
-        defaults to the deepest held level.  The levels above the seed
-        read the child lists the forward sweep kept, one loop per level
-        that builds its sums and takes the largest log and the largest
-        d of the lists read as it goes, the two maxima its error charge
-        needs.  A depth whose levels are not held raises
-        PreconditionError."""
+        Level depth - 1 is seeded by the read of S_depth (``_read_sum``),
+        charged if it is the first, so ``levels(depth - 1)`` is all that
+        must be held and level ``depth`` is never built.  When level
+        ``depth`` is held as well, its own sums, theta log of the sum of
+        each state's vector, come last, so after ``levels(depth)`` the
+        lists cover levels 1..depth; ``depth`` defaults to the deepest
+        held level.  The levels above the seed read the child lists the
+        forward sweep kept, one loop per level that builds its sums and
+        takes the largest log and the largest d of the lists read as it
+        goes, the two maxima its error charge needs.  A depth whose
+        levels are not held raises PreconditionError."""
         held = self._held
         if depth is None:
             depth = len(held)
@@ -578,20 +571,9 @@ class CollapsedEngine:
         out: list[dict] = []
         errs: list[float] = []
         if depth > 1:
-            # the seed: each state's pairs (b, x) as ``_read_sum`` takes
-            # them.  Every log here is >= 0, so both maxima start at 0.0.
-            rows = self.fs.fiber_row_sums
-            sums, top = {}, 0.0
-            for state in held[depth - 2][0]:
-                terms = []
-                for _, r in rows[state[0]]:
-                    x = sum(map(mul, state[1], r))
-                    if x:
-                        terms.append(theta * log(x))
-                t = sums[state] = _log_sum_exp(terms)
-                if t > top:
-                    top = t
-            err = _EPS * (4.0 * top + 2.0)
+            sums: dict = {}  # the seed, from the read of S_depth
+            self._read_sum(depth, sums)
+            err = _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
             out.append(sums)
             errs.append(err)
             for level, _ in reversed(held[: depth - 2]):

@@ -26,7 +26,6 @@ from .counting import (
     CollapsedEngine,
     LogReal,
     _advance,
-    _extensions,
     _log_sum_exp,
     resolve_node_budget,
 )
@@ -179,13 +178,13 @@ def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope
     M = mixing_index(engine.fs)
     if level <= n_max + M:
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
-    # levels first: S_{M-1} and S_L are then read off the held
-    # levels 1..L-1, and level L is never built
+    # levels first, then the backward pass, whose seed comes from the
+    # read of S_L; S_{M-1} and S_L are then read without a sweep
     _held_levels(engine, level - 1)
+    back, errs = engine.backward(level)
     estimate = pressure_interval(engine, level)
     constants = estimate.constants
     total = engine.partition(level).value
-    back, errs = engine.backward(level)
     theta = engine.theta
     p_hi, p_lo = estimate.upper, estimate.lower
     log = math.log
@@ -254,17 +253,17 @@ def _shift_masses(eng, level, probe_depth, positions):
     # i + 1 out of the terms: a mass is one log-sum-exp of unmerged ones.
     # Level L = ``level`` is not built: a word that ends there takes its
     # last letter through the row sums, as S_L is read, its term then
-    # being the path's plus theta log x.
+    # being the path's plus theta log x, even if level L is held.
     levels = _held_levels(eng, max(level - 1, 1))
+    back, _ = eng.backward(level)  # reads S_L with the seed
     total = eng.partition(level).value
-    back, _ = eng.backward(level)
-    edges, names, fs, theta = eng.edges, eng.fs.image_alphabet, eng.fs, eng.theta
+    edges, names, rows, theta = eng.edges, eng.fs.image_alphabet, eng.fs.fiber_row_sums, eng.theta
     log = math.log
     out: dict[int, dict[tuple[str, ...], float]] = {}
     for i in positions:
         start = max(i - 1, 0)
         depth = i + probe_depth  # the level the word ends at
-        last = depth > len(back)  # level L, whose suffix sums are not held
+        last = 1 < depth == level  # level L; at level 1 the suffix sums are held
         terms: dict[tuple[int, ...], list[float]] = {}
         for state, (lw, _) in levels[start].items():
             paths = [((state[0],), state, 0.0)]
@@ -272,8 +271,10 @@ def _shift_masses(eng, level, probe_depth, positions):
                 paths = [(word + (key[0],), key, t + d) for word, s, t in paths for key, d in edges[s]]
             for word, end, t in paths:
                 if last:
-                    for b, x in _extensions(fs, end):
-                        terms.setdefault((word + (b,))[-probe_depth:], []).append(lw + (t + theta * log(x)))
+                    for b, r in rows[end[0]]:
+                        x = sum(map(mul, end[1], r))
+                        if x:
+                            terms.setdefault((word + (b,))[-probe_depth:], []).append(lw + (t + theta * log(x)))
                 else:
                     terms.setdefault(word[-probe_depth:], []).append(lw + (back[depth - 1][end] + t))
         out[i] = {

@@ -55,13 +55,13 @@ def render_carpet(spec: CarpetSpec, k: int, resolution: int = 0) -> RasterImage:
     """
     if k < 1:
         raise PreconditionError("level must be >= 1")
-    cells_w = spec.l ** k
-    cells_h = spec.m ** k
-    if cells_w * cells_h > RENDER_CELL_BUDGET:
+    # l m >= 2, so a level past the budget's bit length is over it
+    if k >= RENDER_CELL_BUDGET.bit_length() or (spec.l * spec.m) ** k > RENDER_CELL_BUDGET:
         raise ResourceError(
-            f"render budget exceeded: {cells_w} x {cells_h} cells "
+            f"render budget exceeded: {spec.l}^{k} x {spec.m}^{k} cells "
             f"over the {RENDER_CELL_BUDGET}-cell budget"
         )
+    cells_w, cells_h = spec.l ** k, spec.m ** k
     scale = 1
     if resolution > 0:
         scale = max(1, resolution // cells_w)

@@ -12,7 +12,7 @@ import itertools
 import math
 from operator import mul
 
-from carpetdim.counting import _EPS, CollapsedEngine, _advance, _extensions, resolve_node_budget
+from carpetdim.counting import _EPS, CollapsedEngine, _advance, resolve_node_budget
 from carpetdim.errors import PreconditionError, ResourceError
 from carpetdim.measures import (
     DEFAULT_REFUTATION_THRESHOLD,
@@ -223,16 +223,19 @@ def fsum_log_sum_exp(terms):
 
 def backward_oracle(engine: CollapsedEngine, depth: int):
     """``CollapsedEngine.backward(depth)`` state by state: the seed from
-    each state's ``_extensions``, each level above it one comprehension
-    over the kept child lists, and the level maxima its error charges
-    need taken in passes of their own.  Reads the held levels and kept
+    each state's vector stepped through its blocks and summed, each
+    level above it one comprehension over the kept child lists, and the
+    level maxima its error charges need taken in passes of their own.  Reads the held levels and kept
     lists of an engine after ``levels(depth)`` or ``levels(depth - 1)``."""
     held, edges, theta = engine._held, engine.edges, engine.theta
+    supports = engine.fs.fiber_supports
     out, errs = [], []
     if depth > 1:
         levels = [level for level, _ in held[: depth - 1]]
         sums = {
-            s: fsum_log_sum_exp([theta * math.log(x) for _, x in _extensions(engine.fs, s)])
+            s: fsum_log_sum_exp([
+                theta * math.log(x) for cols in supports[s[0]].values() if (x := sum(_advance(s[1], cols)))
+            ])
             for s in levels[-1]
         }
         err = _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)

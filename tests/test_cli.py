@@ -32,6 +32,17 @@ def fixture_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def restore_digit_cap():
+    """Python's cap on the digits of an int turned into text, put back
+    after the test; skips where this Python has no cap."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no cap on the digits of an int")
+    cap = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -148,6 +159,39 @@ class TestReports:
         )
         assert doc["count"] == 1  # odd run of 2s pins the lift
         assert doc["word"] == ["1", "2", "2", "2", "1"]
+
+    def test_counts_past_the_digit_cap(self, capsys, fixture_dir, restore_digit_cap):
+        """The report carries the exact count 3^12000, 5,726 digits, past
+        the default cap of 4,300, which it lifts only while it is written."""
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run_cli(
+            capsys,
+            "counts",
+            "--spec", str(fixture_dir / "full_torus_32.json"),
+            "--word", "1" * 12000,
+            "--no-timestamp",
+        )
+        assert code == EXIT_OK, err
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert json.loads(out)["count"] == 3**12000
+
+    def test_csv_words_past_the_digit_cap(self, capsys, tmp_path, fixture_dir, restore_digit_cap):
+        """The CSV's words column is exact past the cap too: 2^2200 has
+        663 digits, over the least cap Python allows."""
+        sys.set_int_max_str_digits(640)
+        csv_path = tmp_path / "series.csv"
+        run_json(
+            capsys,
+            "pressure",
+            "--spec", str(fixture_dir / "full_torus_32.json"),
+            "--depth", "2200",
+            "--csv", str(csv_path),
+            "--no-timestamp",
+        )
+        assert sys.get_int_max_str_digits() == 640
+        sys.set_int_max_str_digits(0)
+        assert int(csv_path.read_text().splitlines()[-1].split(",")[2]) == 2**2200
 
     def test_pressure_with_csv(self, capsys, tmp_path, fixture_dir):
         csv_path = tmp_path / "series.csv"
@@ -498,6 +542,22 @@ class TestExitCodes:
             "--output", "never-written.pbm",
         )
         assert code == EXIT_RESOURCE
+
+    def test_render_of_a_huge_level_exits_cleanly(self, tmp_path, fixture_dir):
+        """The level is held to the budget before l^k is built, and the
+        message names the powers, not their digits."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "carpetdim", "render",
+             "--spec", str(fixture_dir / "column_carpet_21.json"),
+             "--level", "100000", "--output", str(tmp_path / "never-written.pbm")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_RESOURCE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "error: render budget exceeded: 3^100000 x 2^100000 cells over the 67108864-cell budget\n"
+        )
 
 
 def test_module_entry_point(tmp_path):

@@ -530,6 +530,41 @@ class TestRowSumRead:
         assert all(e <= f for e, f in zip(short_errs, errs[:-1])) and len(short_errs) == depth - 1
         assert eng.collapsed_nodes == sum(map(len, held))
 
+    @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
+    def test_backward_reads_the_sum_as_partition_does(self, build, depth):
+        """``backward(depth)`` seeds itself from the read of S_depth, which
+        charges its pairs on whichever call reads it first: after it the
+        engine holds S_depth, ``visited`` and ``collapsed_nodes`` as after
+        ``partition(depth)``, the later call changes none of them, and
+        both orders give the same sums."""
+        fs, theta = build()
+        back_first, sum_first = CollapsedEngine(fs, theta), CollapsedEngine(fs, theta)
+        for eng in (back_first, sum_first):
+            eng.levels(depth - 1)
+        back = back_first.backward(depth)
+        ps = sum_first.partition(depth)
+        assert (back_first.visited, back_first.collapsed_nodes) == (ps.visited_nodes, ps.collapsed_nodes)
+        assert back_first.partition(depth) == ps
+        assert sum_first.backward(depth) == back
+        assert (back_first.visited, back_first.collapsed_nodes) == (sum_first.visited, sum_first.collapsed_nodes)
+
+    @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
+    def test_backward_is_held_to_the_budget_of_the_read(self, build, depth):
+        """A first read through ``backward`` stops at the budget with the
+        message ``partition`` gives."""
+        fs, theta = build()
+        eng = CollapsedEngine(fs, theta)
+        eng.partition(depth)
+        messages = []
+        for read in (CollapsedEngine.partition, CollapsedEngine.backward):
+            short = CollapsedEngine(fs, theta, node_budget=eng.visited - 1)
+            short.levels(depth - 1)
+            with pytest.raises(ResourceError) as raised:
+                read(short, depth)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert f"at level {depth} of {depth}" in messages[0]
+
     def test_first_sum_keeps_the_held_level(self, fibonacci):
         """S_1 comes from the fiber sizes, so reading it leaves the level a
         sweep holds in place for the next sum."""

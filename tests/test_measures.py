@@ -184,6 +184,20 @@ class TestGibbsScan:
             gibbs_scan(CollapsedEngine(fibonacci, THETA_32, eng.visited - 1), 18, 10)
 
 
+class _PassCounter(dict):
+    """A held level that counts the loops over its states."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
 class TestSharedEngine:
     def test_one_engine_serves_each_reader(self, any_fixture):
         """The Gibbs scan holds levels 1..17; the bracket and the defect
@@ -198,6 +212,35 @@ class TestSharedEngine:
         assert env == gibbs_scan(CollapsedEngine(any_fixture, THETA_32), 18, 10)
         assert est == pressure_interval(CollapsedEngine(any_fixture, THETA_32), 18)
         assert defect == cesaro_defect(CollapsedEngine(any_fixture, THETA_32), 18, 8, 2)
+
+    @pytest.mark.parametrize("level", [8, 10])
+    def test_masses_do_not_depend_on_the_levels_held(self, fibonacci, level):
+        """A word that ends at the level takes its last letter through the
+        row sums also when the engine holds that level, so the masses are
+        the same floats whether or not it swept deeper first."""
+        deep = CollapsedEngine(fibonacci, THETA_32)
+        deep.levels(level + 4)
+        fresh = nu_marginal(CollapsedEngine(fibonacci, THETA_32), level, level)
+        assert nu_marginal(deep, level, level).masses == fresh.masses
+
+    @pytest.mark.parametrize(
+        "scan, args",
+        [(gibbs_scan, (14, 6)), (nu_marginal, (10, 4)), (cesaro_defect, (10, 4, 2))],
+        ids=["gibbs_scan", "nu_marginal", "cesaro_defect"],
+    )
+    def test_the_level_below_the_read_is_read_once(self, fibonacci, scan, args):
+        """S_L and the backward seed come from one pass over level L - 1,
+        and the scan visits what it does on a fresh engine."""
+        level = args[0]
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        eng.levels(level - 1)
+        below, err = eng._held[level - 2]
+        counted = _PassCounter(below)
+        eng._held[level - 2] = (counted, err)
+        fresh = CollapsedEngine(fibonacci, THETA_32)
+        assert scan(eng, *args) == scan(fresh, *args)
+        assert counted.passes == 1
+        assert (eng.visited, eng.collapsed_nodes) == (fresh.visited, fresh.collapsed_nodes)
 
     @pytest.mark.parametrize(
         "scan, args",
