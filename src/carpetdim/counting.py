@@ -18,12 +18,14 @@ gives the suffix sums that cylinder masses need.  The deepest level is
 never built: a prefix's extension by one letter has the count
 g * (prim . r), r holding the row sums of a fiber block, so S_n and the
 last suffix sums are read off level n - 1.
+
+``LogReal`` and ``PartitionSum`` are ``NamedTuple`` records, so each
+compares equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional
@@ -136,8 +138,7 @@ def _prefix_words(fs: FactorSystem, n: int):
                     stack.append((word + (b2,), nxt))
 
 
-@dataclass(frozen=True)
-class PartitionSum:
+class PartitionSum(NamedTuple):
     """log S_n plus the word count and search-effort counters."""
 
     n: int

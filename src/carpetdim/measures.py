@@ -12,14 +12,16 @@ theta log g.  So the measure functions take a ``CollapsedEngine``,
 which fixes the system, theta and the node budget, and several of them
 given one engine read the levels it holds without sweeping again; an
 ``ExactEngine`` holds no levels and raises PreconditionError.
+
+The result records are ``NamedTuple``s, so each compares equal to a
+plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .counting import (
     _EPS,
@@ -55,8 +57,7 @@ __all__ = [
 DEFAULT_REFUTATION_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class CylinderDistribution:
+class CylinderDistribution(NamedTuple):
     """A probability assignment to depth-n image cylinders.
 
     ``kind`` records the construction: ``nu_l_marginal`` for the depth-n
@@ -77,8 +78,7 @@ class CylinderDistribution:
         return self.masses.get(tuple(word), 0.0)
 
 
-@dataclass(frozen=True)
-class GibbsEnvelope:
+class GibbsEnvelope(NamedTuple):
     """Observed cylinder-mass ratios against their theoretical envelope.
 
     The scanned ratio is mass(w) * e^(n P) / count(w)^theta with the
@@ -101,8 +101,7 @@ class GibbsEnvelope:
         return self.C1_lower <= self.min_ratio and self.max_ratio <= self.C2_upper
 
 
-@dataclass(frozen=True)
-class AdditivityScanReport:
+class AdditivityScanReport(NamedTuple):
     """Concatenation-ratio extremes count(uv) / (count(u) count(v)).
 
     ``min_trend[k-1]`` is the minimum ratio over all pairs with both
@@ -121,8 +120,7 @@ class AdditivityScanReport:
     threshold: float
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Verdict record for uniqueness of the full-dimension measure."""
 
     singleton_clump: bool
@@ -253,12 +251,14 @@ def _shift_masses(eng, level, probe_depth, positions):
     # i + 1 out of the terms: a mass is one log-sum-exp of unmerged ones.
     # Level L = ``level`` is not built: a word that ends there takes its
     # last letter through the row sums, as S_L is read, its term then
-    # being the path's plus theta log x, even if level L is held.
+    # being the path's plus theta log x, even if level L is held; the
+    # (letter, theta log x) pairs are taken once per end state.
     levels = _held_levels(eng, max(level - 1, 1))
     back, _ = eng.backward(level)  # reads S_L with the seed
     total = eng.partition(level).value
     edges, names, rows, theta = eng.edges, eng.fs.image_alphabet, eng.fs.fiber_row_sums, eng.theta
     log = math.log
+    tails: dict[tuple, list[tuple[int, float]]] = {}  # end state at level L - 1 -> its pairs
     out: dict[int, dict[tuple[str, ...], float]] = {}
     for i in positions:
         start = max(i - 1, 0)
@@ -271,10 +271,15 @@ def _shift_masses(eng, level, probe_depth, positions):
                 paths = [(word + (key[0],), key, t + d) for word, s, t in paths for key, d in edges[s]]
             for word, end, t in paths:
                 if last:
-                    for b, r in rows[end[0]]:
-                        x = sum(map(mul, end[1], r))
-                        if x:
-                            terms.setdefault((word + (b,))[-probe_depth:], []).append(lw + (t + theta * log(x)))
+                    tail = tails.get(end)
+                    if tail is None:
+                        tail = tails[end] = []
+                        for b, r in rows[end[0]]:
+                            x = sum(map(mul, end[1], r))
+                            if x:
+                                tail.append((b, theta * log(x)))
+                    for b, y in tail:
+                        terms.setdefault((word + (b,))[-probe_depth:], []).append(lw + (t + y))
                 else:
                     terms.setdefault(word[-probe_depth:], []).append(lw + (back[depth - 1][end] + t))
         out[i] = {

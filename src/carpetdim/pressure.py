@@ -9,13 +9,15 @@ Dimension is pressure divided by log m.  The only inexactness is
 floating log conversion, and each end is padded by the tracked errors
 of the terms it reads: the upper end by that of log S_n, the lower end
 by those of log S_n and log K_tilde.
+
+The result records are ``NamedTuple``s, so each compares equal to a
+plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .counting import (
     CollapsedEngine,
@@ -51,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SuperadditiveConstants:
+class SuperadditiveConstants(NamedTuple):
     """The splicing constant of the superadditive lower pressure bound.
 
     M is the mixing index (the least M with A^M > 0) and K_tilde =
@@ -78,8 +79,7 @@ class SuperadditiveConstants:
     rounding_bound: float
 
 
-@dataclass(frozen=True)
-class PressureEstimate:
+class PressureEstimate(NamedTuple):
     """A bracket [lower, upper] for the pressure, valid at this single n.
 
     ``words`` counts the occurring image words of length n.
@@ -97,8 +97,7 @@ class PressureEstimate:
     rounding_bound: float
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(NamedTuple):
     """Hausdorff-dimension interval for a carpet at depth n."""
 
     alpha: float
@@ -110,8 +109,7 @@ class DimensionEstimate:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CompensationEstimate:
+class CompensationEstimate(NamedTuple):
     """A finite evaluation of the relative-pressure function at one point.
 
     ``spectral`` estimates the growth rate of lift counts around the

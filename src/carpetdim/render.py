@@ -4,11 +4,14 @@ Level k of a carpet is a union of cells of size l^-k by m^-k, one per
 allowed length-k digit word.  The render walks the digit graph once,
 so the filled-cell count equals the word count by construction, which
 the tests cross-check against the counting engine.
+
+``RasterImage`` is a ``NamedTuple``, so it compares equal to a plain
+tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError, ResourceError
 from .sft import CarpetSpec, carpet_to_factor
@@ -18,8 +21,7 @@ __all__ = ["RasterImage", "RENDER_CELL_BUDGET", "render_carpet", "write_pbm"]
 RENDER_CELL_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
-class RasterImage:
+class RasterImage(NamedTuple):
     """A black-and-white bitmap with rows packed eight pixels per byte.
 
     Origin is the unit square's top left, y increasing downward: the

@@ -9,16 +9,18 @@ derived from the pair (transition matrix, letter map) through the fiber
 tables built here.
 
 All types are immutable after construction and safe to share across
-threads.
+threads.  Each is a ``NamedTuple`` record, so it compares equal to a
+plain tuple of its fields (``FactorSystem`` to one of its source and
+letter map).  The four validated input types subclass theirs to check
+their fields in ``__new__`` and to hold cached tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, SpecError
 
@@ -34,8 +36,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sft:
+def _immutable(self, name, *value):
+    # __setattr__ and __delattr__ of the validated types, whose instances
+    # need a __dict__ for their cached tables
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _checked_make(cls, fields):
+    # NamedTuple's _make, which _replace calls, through the checks of __new__
+    return cls(*fields)
+
+
+class Sft(NamedTuple("Sft", [("symbols", tuple), ("matrix", tuple)])):
     """A vertex shift given by named symbols and a 0/1 transition matrix.
 
     ``matrix[i][j] == 1`` means symbol ``symbols[j]`` may follow symbol
@@ -52,26 +64,27 @@ class Sft:
     5
     """
 
-    symbols: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    __setattr__ = __delattr__ = _immutable
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __new__(cls, symbols: tuple[str, ...], matrix: tuple[tuple[int, ...], ...]):
+        if not symbols:
             raise SpecError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise SpecError("symbol names must be distinct")
-        k = len(self.symbols)
-        if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
+        k = len(symbols)
+        if len(matrix) != k or any(len(row) != k for row in matrix):
             raise SpecError("transition matrix must be square over the alphabet")
-        for row in self.matrix:
+        for row in matrix:
             for entry in row:
                 if entry not in (0, 1):
                     raise SpecError("transition entries must be 0 or 1")
-        for name, row, column in zip(self.symbols, self.matrix, zip(*self.matrix)):
+        for name, row, column in zip(symbols, matrix, zip(*matrix)):
             if not any(row):
                 raise SpecError(f"symbol {name!r} has no outgoing transition")
             if not any(column):
                 raise SpecError(f"symbol {name!r} has no incoming transition")
+        return super().__new__(cls, symbols, matrix)
 
     @classmethod
     def from_edges(cls, symbols: Sequence[str], edges: Sequence[tuple[str, str]]) -> "Sft":
@@ -119,8 +132,7 @@ class Sft:
         return sum(vec)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Connectivity facts about an Sft needed by the pressure bounds.
 
     ``mixing_index`` is the least M with every entry of A^M positive; it
@@ -240,8 +252,7 @@ def _or_rows(mask: int, rows: list[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FactorSystem:
+class FactorSystem(NamedTuple("FactorSystem", [("source", Sft), ("letter_map", Mapping)])):
     """An Sft together with a one-block letter map onto an image alphabet.
 
     ``letter_map`` sends every source symbol to an image letter; the
@@ -252,29 +263,31 @@ class FactorSystem:
     from the transitions, never a dense block: ``fiber_supports`` gives
     each block's column supports, which step a count vector, and
     ``fiber_row_sums`` its row sums, which give a stepped vector's sum.
+
+    Equality and hash read the letter map in source-symbol order
+    (``_map_items``), so the order of ``letter_map`` does not matter.
     """
 
-    source: Sft
-    letter_map: Mapping[str, str] = field(compare=False)
-    _map_items: tuple[tuple[str, str], ...] = field(init=False, repr=False)
+    __setattr__ = __delattr__ = _immutable
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        missing = [s for s in self.source.symbols if s not in self.letter_map]
+    def __new__(cls, source: Sft, letter_map: Mapping[str, str]):
+        missing = [s for s in source.symbols if s not in letter_map]
         if missing:
             raise SpecError(f"letter map undefined on symbols {missing}")
-        extra = [s for s in self.letter_map if s not in self.source.index]
+        extra = [s for s in letter_map if s not in source.index]
         if extra:
             raise SpecError(f"letter map mentions unknown symbols {extra}")
-        object.__setattr__(
-            self,
-            "_map_items",
-            tuple((s, self.letter_map[s]) for s in self.source.symbols),
-        )
+        self = super().__new__(cls, source, letter_map)
+        self.__dict__["_map_items"] = tuple((s, letter_map[s]) for s in source.symbols)
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, FactorSystem):
             return NotImplemented
         return self.source == other.source and self._map_items == other._map_items
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
 
     def __hash__(self):
         return hash((self.source, self._map_items))
@@ -362,8 +375,9 @@ def singleton_clumps(fs: FactorSystem) -> list[str]:
     )
 
 
-@dataclass(frozen=True)
-class CarpetSpec:
+class CarpetSpec(
+    NamedTuple("CarpetSpec", [("l", int), ("m", int), ("digits", tuple), ("transitions", object)])
+):
     """A self-affine carpet on the torus coded by a digit SFT.
 
     The torus map expands by ``l`` horizontally and ``m`` vertically with
@@ -373,28 +387,27 @@ class CarpetSpec:
     into ``digits``.
     """
 
-    l: int
-    m: int
-    digits: tuple[tuple[int, int], ...]
-    transitions: object = "full"
+    __setattr__ = __delattr__ = _immutable
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if not (self.l > self.m >= 2):
+    def __new__(cls, l: int, m: int, digits: tuple[tuple[int, int], ...], transitions: object = "full"):
+        if not (l > m >= 2):
             raise SpecError("carpet requires l > m >= 2")
-        if not self.digits:
+        if not digits:
             raise SpecError("carpet requires at least one digit")
         seen = set()
-        for a, b in self.digits:
-            if not (0 <= a < self.l and 0 <= b < self.m):
-                raise SpecError(f"digit ({a}, {b}) outside the {self.l}x{self.m} grid")
+        for a, b in digits:
+            if not (0 <= a < l and 0 <= b < m):
+                raise SpecError(f"digit ({a}, {b}) outside the {l}x{m} grid")
             if (a, b) in seen:
                 raise SpecError(f"duplicate digit ({a}, {b})")
             seen.add((a, b))
-        if self.transitions != "full":
-            n = len(self.digits)
-            for i, j in self.transitions:
+        if transitions != "full":
+            n = len(digits)
+            for i, j in transitions:
                 if not (0 <= i < n and 0 <= j < n):
                     raise SpecError(f"transition ({i}, {j}) outside the digit list")
+        return super().__new__(cls, l, m, digits, transitions)
 
     def alpha(self) -> float:
         """log l / log m - 1, strictly positive because l > m."""
@@ -453,8 +466,9 @@ def carpet_to_factor(spec: CarpetSpec) -> tuple[FactorSystem, float]:
     return FactorSystem(sft, letter_map), spec.alpha()
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicPoint:
+class EventuallyPeriodicPoint(
+    NamedTuple("EventuallyPeriodicPoint", [("preperiod", tuple), ("cycle", tuple)])
+):
     """An image point given by a finite preperiod and a repeating cycle.
 
     Membership in the image subshift is decided by the counting engine
@@ -462,12 +476,13 @@ class EventuallyPeriodicPoint:
     carries the combinatorial description.
     """
 
-    preperiod: tuple[str, ...]
-    cycle: tuple[str, ...]
+    __setattr__ = __delattr__ = _immutable
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if not self.cycle:
+    def __new__(cls, preperiod: tuple[str, ...], cycle: tuple[str, ...]):
+        if not cycle:
             raise SpecError("cycle word must be nonempty")
+        return super().__new__(cls, preperiod, cycle)
 
     def letter(self, i: int) -> str:
         """Letter at 0-based position i."""

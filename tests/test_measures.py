@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from carpetdim import sft
+from carpetdim import measures, sft
 from carpetdim.counting import CollapsedEngine, ExactEngine, preimage_count
 from carpetdim.errors import NonMixingError, PreconditionError, ResourceError
 from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, full_torus, linear_lift_growth, parity_oscillation
@@ -222,6 +222,16 @@ class TestSharedEngine:
         deep.levels(level + 4)
         fresh = nu_marginal(CollapsedEngine(fibonacci, THETA_32), level, level)
         assert nu_marginal(deep, level, level).masses == fresh.masses
+
+    def test_last_letter_is_read_once_per_end_state(self, fibonacci, monkeypatch):
+        """A word that ends at the level takes its last letter through the
+        row sums once per (state of level L - 1, letter), not once per
+        path: the 25 states of level 13 need 100 products, where the
+        paths to them would take 32,768."""
+        products = []
+        monkeypatch.setattr(measures, "mul", lambda a, b: products.append(1) or a * b)
+        nu_marginal(CollapsedEngine(fibonacci, THETA_32), 14, 14)
+        assert 0 < len(products) <= 100
 
     @pytest.mark.parametrize(
         "scan, args",
