@@ -545,9 +545,8 @@ class CollapsedEngine:
         one pass from level depth - 1 up, and one error bound per level.
         ``sums[k][s]`` is the float log of the sum of the final
         count^theta over the extensions to level ``depth`` of a prefix in
-        state s of level k + 1, the prefix's own gcd factored out, or
-        -inf when there are none; ``errs[k]`` bounds the error of every
-        finite log in ``sums[k]``.
+        state s of level k + 1, the prefix's own gcd factored out;
+        ``errs[k]`` bounds the error of every log in ``sums[k]``.
 
         Level depth - 1 is seeded by the read of S_depth (``_read_sum``),
         charged if it is the first, so ``levels(depth - 1)`` is all that

@@ -192,9 +192,9 @@ def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope
         # r = sub - log S_L - theta log(sum of vector) + n p_hi
         scale = n * p_hi
         big = 0.0
+        # Sft rejects stranded symbols, so every state has a child and
+        # every suffix sum is finite
         for (_, prim), sub in sums.items():
-            if sub == -math.inf:
-                continue
             x = theta * log(sum(prim))
             r = sub - total.log - x + scale
             if r < lo:
@@ -252,7 +252,8 @@ def _shift_masses(eng, level, probe_depth, positions):
     # Level L = ``level`` is not built: a word that ends there takes its
     # last letter through the row sums, as S_L is read, its term then
     # being the path's plus theta log x, even if level L is held; the
-    # (letter, theta log x) pairs are taken once per end state.
+    # (letter, theta log x) pairs are taken once per end state.  The
+    # paths built count against the node budget with the nodes visited.
     levels = _held_levels(eng, max(level - 1, 1))
     back, _ = eng.backward(level)  # reads S_L with the seed
     total = eng.partition(level).value
@@ -260,6 +261,7 @@ def _shift_masses(eng, level, probe_depth, positions):
     log = math.log
     tails: dict[tuple, list[tuple[int, float]]] = {}  # end state at level L - 1 -> its pairs
     out: dict[int, dict[tuple[str, ...], float]] = {}
+    room, built = eng.budget - eng.visited, 0
     for i in positions:
         start = max(i - 1, 0)
         depth = i + probe_depth  # the level the word ends at
@@ -267,8 +269,15 @@ def _shift_masses(eng, level, probe_depth, positions):
         terms: dict[tuple[int, ...], list[float]] = {}
         for state, (lw, _) in levels[start].items():
             paths = [((state[0],), state, 0.0)]
-            for _ in range(depth - 1 - start - last):
+            for length in range(2, depth - start + 1 - last):
                 paths = [(word + (key[0],), key, t + d) for word, s, t in paths for key, d in edges[s]]
+                built += len(paths)
+                if built > room:
+                    raise ResourceError(
+                        f"node budget exceeded ({eng.budget} nodes) building paths of word "
+                        f"length {length} of {depth - start} for the masses at position {i}; "
+                        f"lower the probe depth or raise the budget"
+                    )
             for word, end, t in paths:
                 if last:
                     tail = tails.get(end)
@@ -469,10 +478,9 @@ def additivity_scan(
             u_count = sum(u_dir)
             lows = [math.inf] * (max_len + 1)  # the minimum of each block (u, jv)
             for b, cols in supports[a].items():
-                group = groups.get(b)
-                if group is None:
-                    continue
-                v_cols, v_counts, slices = group
+                # level 1 of the transposed sweep holds every letter, so
+                # every letter has a group
+                v_cols, v_counts, slices = groups[b]
                 # count(uv) over the gcds for every start v of letter b,
                 # one column of the starts per symbol of b's fiber
                 nums = None

@@ -112,12 +112,13 @@ class DimensionEstimate(NamedTuple):
 class CompensationEstimate(NamedTuple):
     """A finite evaluation of the relative-pressure function at one point.
 
-    ``spectral`` estimates the growth rate of lift counts around the
-    periodic tail, log rho / q, by power iteration with no error bound;
-    ``series`` is the finite-depth slope of the extendable-prefix
-    counts.  The two presentations agree almost everywhere but not
-    necessarily pointwise, so reports carry both and never claim
-    equality.
+    ``spectral`` is the growth rate of lift counts around the periodic
+    tail, log rho / q, with rho the upper end of a Collatz-Wielandt
+    bracket of relative width at most 2^-42 (``perron_eigenvalue``) and
+    no error bound for its float rounding; ``series`` is the
+    finite-depth slope of the extendable-prefix counts.  The two
+    presentations agree almost everywhere but not necessarily
+    pointwise, so reports carry both and never claim equality.
     """
 
     point: EventuallyPeriodicPoint
@@ -264,20 +265,18 @@ def _float_matrix(matrix: Sequence[Sequence[object]]) -> tuple[list[list[float]]
     return out, shift
 
 
-def perron_eigenvalue(
-    matrix: Sequence[Sequence[object]],
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-) -> float:
-    """Spectral radius of a nonnegative square matrix by power iteration.
+def perron_eigenvalue(matrix: Sequence[Sequence[object]], max_iter: int = 200_000) -> float:
+    """Spectral radius of a nonnegative square matrix: the largest root
+    of its strongly connected components.
 
-    Deterministic all-ones start; iteration on each strongly connected
-    component with a +1 diagonal shift (which makes an irreducible
-    component primitive without moving its Perron vector).  Reducible
-    matrices return the maximum over components.  If a component has
-    not converged within ``max_iter`` iterations, ResourceError is
-    raised and names the last Collatz-Wielandt bracket
-    [min (Ax)_i / x_i, max (Ax)_i / x_i]; no point inside it is returned.
+    On each component G, x <- (G + I)x / max runs from the all-ones
+    vector.  The +I makes an irreducible G primitive without moving its
+    Perron vector, so the Collatz-Wielandt bracket [min ((G + I)x)_i /
+    x_i, max ((G + I)x)_i / x_i], which holds rho(G) + 1, closes on it.
+    Once its width is at most 2^-42 of its upper end, that end minus 1
+    is returned, computed in float arithmetic on the matrix as scaled by
+    ``_float_matrix``.  If a bracket is still wider after ``max_iter``
+    steps, ResourceError names it; no point inside it is returned.
     """
     k = len(matrix)
     if k == 0 or any(len(row) != k for row in matrix):
@@ -295,41 +294,30 @@ def perron_eigenvalue(
     best = 0.0
     for cid in set(comp):
         nodes = [i for i in range(k) if comp[i] == cid]
-        internal = [
-            (i, j) for i in nodes for j in succ[i] if comp[j] == cid
-        ]
-        if not internal:
-            continue
-        if len(nodes) == 1:
-            i = nodes[0]
-            best = max(best, floats[i][i])
-            continue
         sub = [[floats[i][j] for j in nodes] for i in nodes]
-        best = max(best, _power_iterate(sub, tol, max_iter, shift))
+        best = max(best, _power_iterate(sub, max_iter, shift))
     return math.ldexp(best, shift) if shift else best
 
 
-def _power_iterate(sub: list[list[float]], tol: float, max_iter: int, shift: int) -> float:
+_WIDTH = 2.0**-42  # the stop: the bracket's width relative to its upper end
+
+
+def _power_iterate(sub: list[list[float]], max_iter: int, shift: int) -> float:
     # the Perron root of sub, which is the matrix scaled by 2^-shift
     s = len(sub)
     shifted = [
         [sub[i][j] + (1.0 if i == j else 0.0) for j in range(s)] for i in range(s)
     ]
     x = [1.0] * s
-    prev = None
     lo = hi = 0.0
     for _ in range(max_iter):
         y = [sum(shifted[i][j] * x[j] for j in range(s)) for i in range(s)]
         quotients = [y[i] / x[i] for i in range(s) if x[i] > 0.0]
         lo, hi = min(quotients), max(quotients)
-        num = sum(x[i] * y[i] for i in range(s))
-        den = sum(x[i] * x[i] for i in range(s))
-        rayleigh = num / den
+        if hi - lo <= _WIDTH * hi:
+            return hi - 1.0
         norm = max(y)
         x = [v / norm for v in y]
-        if prev is not None and abs(rayleigh - prev) < tol * max(1.0, abs(rayleigh)):
-            return rayleigh - 1.0
-        prev = rayleigh
     raise ResourceError(
         f"power iteration did not converge in {max_iter} iterations; the last "
         f"Collatz-Wielandt bracket of the Perron root is "
@@ -348,11 +336,11 @@ def compensation_at_periodic(
     Perron root of the fiber-block product around the cycle divided by
     the cycle length, which is exactly the exponential growth rate of
     the lift counts along the tail.  The reported value is not exact:
-    the root is a Rayleigh quotient from ``perron_eigenvalue``, stopped
-    when two successive quotients agree to 1e-13 relative, and no error
-    bound comes with it.  The series value is the depth-n slope
-    log(extendable-prefix count) / n.  No pointwise equality between
-    the two is claimed.
+    the root is the upper end of a Collatz-Wielandt bracket of relative
+    width at most 2^-42 from ``perron_eigenvalue``, computed in float
+    arithmetic on the scaled product, and its rounding is not bounded.
+    The series value is the depth-n slope log(extendable-prefix count)
+    / n.  No pointwise equality between the two is claimed.
     """
     report = validate_sft(fs.source)
     if not report.irreducible:

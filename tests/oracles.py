@@ -10,6 +10,7 @@ log-sum-exp: the faster forms must return exactly the same floats.
 
 import itertools
 import math
+from fractions import Fraction
 from operator import mul
 
 from carpetdim.counting import _EPS, CollapsedEngine, _advance, resolve_node_budget
@@ -156,6 +157,46 @@ def structure_oracle(matrix):
         power = [[sum(power[i][t] * matrix[t][j] for t in range(k)) for j in range(k)]
                  for i in range(k)]
     return irreducible, mixing_index is not None, mixing_index, period
+
+
+def perron_bracket_oracle(matrix, width=Fraction(1, 2**48), max_steps=2000):
+    """An exact bracket (lower, upper) of the spectral radius of a
+    nonnegative integer matrix, as two Fractions.
+
+    Each strongly connected component C, found from explicit
+    reachability, is irreducible, so C + I is primitive and holds rho(C)
+    + 1 in the Collatz-Wielandt bracket [min (w_i / v_i), max (w_i /
+    v_i)] of every positive v, w = (C + I)v.  The integer vectors v =
+    (C + I)^t 1 stay positive; the steps stop once the bracket is at
+    most ``width`` of its upper end, or after ``max_steps``.  The root
+    of the matrix is the largest over the components, so the ends are
+    the largest lower and the largest upper end, each minus 1.
+    """
+    k = len(matrix)
+    reach = []
+    for start in range(k):
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for w in range(k):
+                if matrix[v][w] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    lower = upper = Fraction(0)
+    for comp in {frozenset(j for j in reach[i] if i in reach[j]) for i in range(k)}:
+        nodes = sorted(comp)
+        shifted = [[matrix[i][j] + (i == j) for j in nodes] for i in nodes]
+        v = [1] * len(nodes)
+        for _ in range(max_steps):
+            w = [sum(map(mul, row, v)) for row in shifted]
+            ratios = [Fraction(a, b) for a, b in zip(w, v)]
+            lo, hi = min(ratios), max(ratios)
+            if hi - lo <= width * hi:
+                break
+            v = w
+        lower, upper = max(lower, lo - 1), max(upper, hi - 1)
+    return lower, upper
 
 
 def brute_force_count(fs: FactorSystem, word: tuple[str, ...], limit: int = 12) -> int:

@@ -345,6 +345,20 @@ class TestReports:
             assert doc["series"]["depth"] == depth
         assert doc["gap"] >= 0.0
 
+    def test_compensation_of_a_slowly_settling_block(self, capsys, tmp_path):
+        """Letter 2's fiber a, b, c, d carries a block whose power
+        iterates settle slowly; its Perron root is 1.5589798779817508
+        (bisection of the characteristic polynomial x^4 - x^3 - 2x + 1)."""
+        fiber = [["a", "a"], ["a", "d"], ["b", "a"], ["b", "c"], ["c", "d"], ["d", "b"]]
+        hub = [["x", s] for s in "abcdx"] + [[s, "x"] for s in "abcd"]
+        spec = tmp_path / "five.json"
+        spec.write_text(json.dumps({
+            "schema": 1, "kind": "factor_system", "symbols": ["a", "b", "c", "d", "x"],
+            "edges": fiber + hub, "letter_map": {"a": "2", "b": "2", "c": "2", "d": "2", "x": "1"},
+        }))
+        doc = run_json(capsys, "compensation", "--spec", str(spec), "--cycle", "2", "--no-timestamp")
+        assert doc["spectral"] == pytest.approx(0.44403168298897633, abs=1e-12)
+
     def test_render_writes_pbm(self, capsys, tmp_path, fixture_dir):
         out = tmp_path / "carpet.pbm"
         doc = run_json(
@@ -502,10 +516,26 @@ class TestExitCodes:
         assert out == "" and "node budget exceeded" in err
         assert not csv_path.exists()
 
+    def test_cesaro_paths_count_against_the_budget(self, capsys, fixture_dir):
+        """The paths that build the probe words' masses count against the
+        node budget with the nodes the sweep visited."""
+        code, out, err = run_cli(
+            capsys,
+            "cesaro",
+            "--spec", str(fixture_dir / "column_carpet_21.json"),
+            "--level", "24",
+            "--n-terms", "1",
+            "--probe-depth", "12",
+            "--node-budget", "1000",
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "node budget exceeded" in err and "word length" in err
+
     def test_unconverged_perron_root_exits_resource(self, capsys, fixture_dir, monkeypatch):
         iterate = pressure._power_iterate
         monkeypatch.setattr(
-            pressure, "_power_iterate", lambda sub, tol, max_iter, shift: iterate(sub, tol, 1, shift)
+            pressure, "_power_iterate", lambda sub, max_iter, shift: iterate(sub, 1, shift)
         )
         code, out, err = run_cli(
             capsys,

@@ -272,6 +272,13 @@ class TestPerronEigenvalue:
     def test_nilpotent_is_zero(self):
         assert perron_eigenvalue(((0, 1), (0, 0))) == 0.0
 
+    def test_slowly_settling_block(self):
+        """Two successive Rayleigh quotients of this matrix agree long
+        before they reach the root, 1.5589798779817508 by bisection of
+        the characteristic polynomial x^4 - x^3 - 2x + 1."""
+        matrix = ((1, 0, 0, 1), (1, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0))
+        assert perron_eigenvalue(matrix) == pytest.approx(1.5589798779817508, rel=2.0**-40)
+
     def test_reducible_takes_component_max(self):
         matrix = ((2, 1), (0, 3))
         assert perron_eigenvalue(matrix) == pytest.approx(3.0, abs=1e-12)

@@ -17,7 +17,7 @@ from carpetdim.counting import (
 )
 from carpetdim.fixtures import column_carpet_21, full_torus
 from carpetdim.measures import additivity_scan
-from carpetdim.pressure import compensation_at_periodic
+from carpetdim.pressure import compensation_at_periodic, perron_eigenvalue
 from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_factor, validate_sft
 from carpetdim.specfile import dump_document, parse_system, system_doc
 
@@ -29,6 +29,7 @@ from oracles import (
     extendable_prefix_oracle,
     fiber_tables_oracle,
     image_word_counts,
+    perron_bracket_oracle,
     product_count_oracle,
 )
 
@@ -162,6 +163,25 @@ def test_compensation_spectral_is_finite_and_nonnegative(case):
     spectral, _ = compensation_at_periodic(fs, point, depth=6)
     assert math.isfinite(spectral.value)
     assert spectral.value >= -1e-9
+
+
+@st.composite
+def nonnegative_matrices(draw, max_size=8):
+    """A square matrix of size 1..max_size, 0/1 or with entries up to 3."""
+    k = draw(st.integers(min_value=1, max_value=max_size))
+    top = draw(st.sampled_from([1, 3]))
+    entries = draw(st.lists(st.integers(0, top), min_size=k * k, max_size=k * k))
+    return tuple(tuple(entries[i * k:(i + 1) * k]) for i in range(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=nonnegative_matrices())
+def test_perron_root_lies_in_the_exact_bracket(matrix):
+    """The float root lies in the exact Collatz-Wielandt bracket of the
+    integer powers, widened by 2^-40 of its upper end."""
+    lower, upper = perron_bracket_oracle(matrix)
+    pad = 2.0**-40 * float(upper)
+    assert float(lower) - pad <= perron_eigenvalue(matrix) <= float(upper) + pad
 
 
 @settings(max_examples=60, deadline=None)
