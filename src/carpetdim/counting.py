@@ -680,66 +680,38 @@ def partition_series(engine, n_max: int) -> list[PartitionSum]:
     return engine.series(n_max)
 
 
-def _cycle_viable(fs: FactorSystem, cycle: tuple[str, ...]) -> list[set[int]]:
-    # Greatest fixed point of "has a successor in the next fiber" on the
-    # product of the source graph with the cyclic tail automaton.
-    idx = fs.image_index
-    q = len(cycle)
-    for letter in cycle:
-        if letter not in idx:
-            return [set() for _ in range(q)]
-    fibers = [set(fs.fibers[idx[letter]]) for letter in cycle]
-    viable = [set(f) for f in fibers]
-    succ = fs.source.successor_sets
-    changed = True
-    while changed:
-        changed = False
-        for j in range(q):
-            nxt = viable[(j + 1) % q]
-            keep = {
-                x for x in viable[j]
-                if any(y in nxt for y in succ[x])
-            }
-            if keep != viable[j]:
-                viable[j] = keep
-                changed = True
-    return viable
-
-
 def viable_sets(fs: FactorSystem, point: EventuallyPeriodicPoint, upto: int) -> list[set[int]]:
     """Viable lift symbols at positions 0..upto-1 of the point.
 
     A symbol is viable at position i when some infinite lift of the tail
-    from position i starts there.  Empty set at position 0 means the
-    point is not in the image subshift.
+    from position i starts there.  One rule gives the sets: a symbol of
+    a letter's fiber is viable when it has a viable successor at the
+    next position, and an unknown letter has an empty fiber.  Around the
+    cycle the rule runs from the full fibers to its greatest fixed
+    point, then once back through the preperiod.  Empty set at position
+    0 means the point is not in the image subshift.
     """
     if upto < 1:
         raise PreconditionError("need at least one position")
     idx = fs.image_index
-    r = len(point.preperiod)
-    q = len(point.cycle)
-    cyc = _cycle_viable(fs, point.cycle)
     succ = fs.source.successor_sets
 
-    def tail_viable(i: int) -> set[int]:
-        return cyc[(i - r) % q]
+    def back(symbols, nxt: set[int]) -> set[int]:
+        return {x for x in symbols if any(y in nxt for y in succ[x])}
 
-    sets: dict[int, set[int]] = {}
-    top = max(upto, r + 1)
-    for i in range(top, -1, -1):
-        if i >= r:
-            sets[i] = tail_viable(i)
-            continue
-        letter = point.preperiod[i]
-        if letter not in idx:
-            sets[i] = set()
-            continue
-        fiber = fs.fibers[idx[letter]]
-        nxt = sets[i + 1]
-        sets[i] = {
-            x for x in fiber if any(y in nxt for y in succ[x])
-        }
-    return [sets[i] for i in range(upto)]
+    def fiber(letter: str) -> set[int]:
+        return set(fs.fibers[idx[letter]]) if letter in idx else set()
+
+    q = len(point.cycle)
+    cycle, before = [fiber(letter) for letter in point.cycle], None
+    while cycle != before:
+        before = cycle[:]
+        for j in reversed(range(q)):
+            cycle[j] = back(cycle[j], cycle[(j + 1) % q])
+    sets = [cycle[0]]
+    for letter in reversed(point.preperiod):
+        sets.append(back(fiber(letter), sets[-1]))
+    return (sets[:0:-1] + cycle * (upto // q + 1))[:upto]
 
 
 def is_image_point(fs: FactorSystem, point: EventuallyPeriodicPoint) -> bool:

@@ -31,4 +31,6 @@ class NotFullShiftError(PreconditionError):
 
 
 class ResourceError(CarpetDimError):
-    """A configured node or pixel budget was exhausted (never silently)."""
+    """A configured node or pixel budget was exhausted, the Perron
+    iteration hit its step cap, or a Perron root lies past the float
+    range (never silently)."""

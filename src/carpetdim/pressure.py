@@ -115,7 +115,8 @@ class CompensationEstimate(NamedTuple):
     ``spectral`` is the growth rate of lift counts around the periodic
     tail, log rho / q, with rho the upper end of a Collatz-Wielandt
     bracket of relative width at most 2^-42 (``perron_eigenvalue``) and
-    no error bound for its float rounding; ``series`` is the
+    no error bound for its float rounding, read from the scaled root plus
+    its binary exponent so any cycle length fits; ``series`` is the
     finite-depth slope of the extendable-prefix counts.  The two
     presentations agree almost everywhere but not necessarily
     pointwise, so reports carry both and never claim equality.
@@ -265,7 +266,7 @@ def _float_matrix(matrix: Sequence[Sequence[object]]) -> tuple[list[list[float]]
     return out, shift
 
 
-def perron_eigenvalue(matrix: Sequence[Sequence[object]], max_iter: int = 200_000) -> float:
+def perron_eigenvalue(matrix: Sequence[Sequence[object]]) -> float:
     """Spectral radius of a nonnegative square matrix: the largest root
     of its strongly connected components.
 
@@ -275,18 +276,27 @@ def perron_eigenvalue(matrix: Sequence[Sequence[object]], max_iter: int = 200_00
     x_i, max ((G + I)x)_i / x_i], which holds rho(G) + 1, closes on it.
     Once its width is at most 2^-42 of its upper end, that end minus 1
     is returned, computed in float arithmetic on the matrix as scaled by
-    ``_float_matrix``.  If a bracket is still wider after ``max_iter``
-    steps, ResourceError names it; no point inside it is returned.
+    ``_float_matrix``.  If a bracket is still wider after ``_MAX_ITER``
+    steps, ResourceError names it; no point inside it is returned.  So
+    does a root past the float range, naming its binary exponent.
     """
     k = len(matrix)
     if k == 0 or any(len(row) != k for row in matrix):
         raise PreconditionError("matrix must be square and nonempty")
-    if max_iter < 1:
-        raise PreconditionError("max_iter must be >= 1")
     for row in matrix:
         for x in row:
             if x < 0 or (isinstance(x, float) and math.isnan(x)):
                 raise PreconditionError("matrix must be nonnegative")
+    r, e = _perron_root(matrix)
+    try:
+        return math.ldexp(r, e)
+    except OverflowError:
+        raise ResourceError(f"the Perron root {_scaled(r, e)} is past the float range") from None
+
+
+def _perron_root(matrix: Sequence[Sequence[object]]) -> tuple[float, int]:
+    # the spectral radius as (r, e): r * 2^e, which may be past the float range
+    k = len(matrix)
     floats, shift = _float_matrix(matrix)
     # adjacency from the original entries so scaling can't drop an edge
     succ = [[j for j in range(k) if matrix[i][j]] for i in range(k)]
@@ -295,14 +305,24 @@ def perron_eigenvalue(matrix: Sequence[Sequence[object]], max_iter: int = 200_00
     for cid in set(comp):
         nodes = [i for i in range(k) if comp[i] == cid]
         sub = [[floats[i][j] for j in nodes] for i in nodes]
-        best = max(best, _power_iterate(sub, max_iter, shift))
-    return math.ldexp(best, shift) if shift else best
+        best = max(best, _power_iterate(sub, shift))
+    return best, shift
+
+
+def _scaled(x: float, e: int) -> str:
+    # x * 2^e as a float's repr, or past the float range as m * 2**n with 1 <= m < 2
+    try:
+        return repr(math.ldexp(x, e))
+    except OverflowError:
+        m, b = math.frexp(x)
+        return f"{2.0 * m!r} * 2**{b - 1 + e}"
 
 
 _WIDTH = 2.0**-42  # the stop: the bracket's width relative to its upper end
+_MAX_ITER = 200_000  # the cap on steps per component
 
 
-def _power_iterate(sub: list[list[float]], max_iter: int, shift: int) -> float:
+def _power_iterate(sub: list[list[float]], shift: int) -> float:
     # the Perron root of sub, which is the matrix scaled by 2^-shift
     s = len(sub)
     shifted = [
@@ -310,7 +330,7 @@ def _power_iterate(sub: list[list[float]], max_iter: int, shift: int) -> float:
     ]
     x = [1.0] * s
     lo = hi = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y = [sum(shifted[i][j] * x[j] for j in range(s)) for i in range(s)]
         quotients = [y[i] / x[i] for i in range(s) if x[i] > 0.0]
         lo, hi = min(quotients), max(quotients)
@@ -319,9 +339,9 @@ def _power_iterate(sub: list[list[float]], max_iter: int, shift: int) -> float:
         norm = max(y)
         x = [v / norm for v in y]
     raise ResourceError(
-        f"power iteration did not converge in {max_iter} iterations; the last "
+        f"power iteration did not converge in {_MAX_ITER} iterations; the last "
         f"Collatz-Wielandt bracket of the Perron root is "
-        f"[{math.ldexp(lo - 1.0, shift)!r}, {math.ldexp(hi - 1.0, shift)!r}]"
+        f"[{_scaled(lo - 1.0, shift)}, {_scaled(hi - 1.0, shift)}]"
     )
 
 
@@ -339,6 +359,8 @@ def compensation_at_periodic(
     the root is the upper end of a Collatz-Wielandt bracket of relative
     width at most 2^-42 from ``perron_eigenvalue``, computed in float
     arithmetic on the scaled product, and its rounding is not bounded.
+    It is read as (log r + e log 2) / q from the scaled root r and its
+    binary exponent e, so no float holds the root at any cycle length.
     The series value is the depth-n slope log(extendable-prefix count)
     / n.  No pointwise equality between the two is claimed.
     """
@@ -367,9 +389,9 @@ def compensation_at_periodic(
     size, around = len(fs.fibers[cycle[0]]), cycle[1:] + cycle[:1]
     ends = [_read(fs, cycle[0], tuple(int(j == i) for j in range(size)), around) for i in range(size)]
     product = [end[1] if end else (0,) * size for end in ends]
-    rho = perron_eigenvalue(product)
+    r, e = _perron_root(product)
     spectral = CompensationEstimate(
-        point=point, value=math.log(rho) / q, method="spectral"
+        point=point, value=(math.log(r) + e * math.log(2.0)) / q, method="spectral"
     )
     series = CompensationEstimate(
         point=point, value=math.log(d) / depth, method="series", depth=depth

@@ -123,6 +123,36 @@ def extendable_prefix_oracle(
     return len(prefixes)
 
 
+def viable_sets_oracle(
+    fs: FactorSystem, point: EventuallyPeriodicPoint, upto: int
+) -> list[set[int]]:
+    """Viable lift symbols at positions 0..upto-1, by bounded path search.
+
+    x is viable at position i when a lift path starting at x at
+    position i survives L = r + q * |symbols| + 1 letters, its reachable
+    set carried forward letter by letter.  Such a path spends at least
+    q * |symbols| + 1 letters in the cycle, so some (symbol, phase) pair
+    repeats on it and the loop between the two visits repeats forever:
+    an infinite lift.  Conversely an infinite lift survives any length.
+    """
+    idx = fs.image_index
+    succ = fs.source.successor_sets
+    span = len(point.preperiod) + len(point.cycle) * fs.source.alphabet_size + 1
+
+    def fiber(i):
+        letter = point.letter(i)
+        return set(fs.fibers[idx[letter]]) if letter in idx else set()
+
+    def survives(x, i):
+        reach = {x}
+        for j in range(i + 1, i + span):
+            here = fiber(j)
+            reach = {y for s in reach for y in succ[s] if y in here}
+        return bool(reach)
+
+    return [{x for x in fiber(i) if survives(x, i)} for i in range(upto)]
+
+
 def structure_oracle(matrix):
     """(irreducible, mixing, mixing index or None, period) of a 0/1
     matrix, from explicit walks and integer matrix powers.

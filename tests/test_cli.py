@@ -359,6 +359,25 @@ class TestReports:
         doc = run_json(capsys, "compensation", "--spec", str(spec), "--cycle", "2", "--no-timestamp")
         assert doc["spectral"] == pytest.approx(0.44403168298897633, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "fixture, letters, value",
+        [("fibonacci_fiber", 1_500, 0.48121182505960347), ("bipartite_fiber", 2_100, 0.34657359027997264)],
+    )
+    def test_compensation_of_a_cycle_whose_root_is_past_the_float_range(
+        self, capsys, fixture_dir, fixture, letters, value
+    ):
+        """The product around these cycles has a Perron root past 2^1024;
+        spectral is read from the scaled root and its binary exponent, so
+        it is log phi and log 2 / 2 as at short cycles."""
+        doc = run_json(
+            capsys,
+            "compensation",
+            "--spec", str(fixture_dir / f"{fixture}.json"),
+            "--cycle", "2" * letters,
+            "--no-timestamp",
+        )
+        assert doc["spectral"] == pytest.approx(value, abs=1e-12)
+
     def test_render_writes_pbm(self, capsys, tmp_path, fixture_dir):
         out = tmp_path / "carpet.pbm"
         doc = run_json(
@@ -533,10 +552,7 @@ class TestExitCodes:
         assert "node budget exceeded" in err and "word length" in err
 
     def test_unconverged_perron_root_exits_resource(self, capsys, fixture_dir, monkeypatch):
-        iterate = pressure._power_iterate
-        monkeypatch.setattr(
-            pressure, "_power_iterate", lambda sub, max_iter, shift: iterate(sub, 1, shift)
-        )
+        monkeypatch.setattr(pressure, "_MAX_ITER", 1)
         code, out, err = run_cli(
             capsys,
             "compensation",

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from carpetdim import counting
+from carpetdim import counting, pressure
 from carpetdim.counting import (
     CollapsedEngine,
     ExactEngine,
@@ -295,15 +295,32 @@ class TestPerronEigenvalue:
         with pytest.raises(PreconditionError):
             perron_eigenvalue(())
 
-    def test_iteration_cap_raises_with_bracket(self):
+    def test_huge_integer_entries_past_the_float_scale(self):
+        """Entries past 2^512 are scaled down before float conversion,
+        and the root scaled back up while it fits a float."""
+        assert perron_eigenvalue(((2**900, 1), (1, 0))) == 8.452712498170644e270
+
+    def test_root_past_the_float_range_raises(self):
+        """A root of 2^1100 has no float; the error names its binary
+        exponent rather than overflowing."""
+        with pytest.raises(ResourceError, match=r"1\.0 \* 2\*\*1100"):
+            perron_eigenvalue(((2**1100,),))
+
+    def test_iteration_cap_raises_with_bracket(self, monkeypatch):
         """Hitting the cap is an error naming the last bracket, not a
         midpoint returned as if it had converged."""
+        monkeypatch.setattr(pressure, "_MAX_ITER", 1)
         with pytest.raises(ResourceError, match="Collatz-Wielandt") as info:
-            perron_eigenvalue(((1, 1), (1, 0)), max_iter=1)
+            perron_eigenvalue(((1, 1), (1, 0)))
         # one step from the all-ones vector: quotients 2 and 1
         assert "[1.0, 2.0]" in str(info.value)
-        with pytest.raises(PreconditionError):
-            perron_eigenvalue(((1, 1), (1, 0)), max_iter=0)
+
+    def test_iteration_cap_names_a_bracket_past_the_float_range(self, monkeypatch):
+        """The bracket's ends are printed with their binary exponents
+        when they have no float, rather than overflowing."""
+        monkeypatch.setattr(pressure, "_MAX_ITER", 1)
+        with pytest.raises(ResourceError, match=r"\[1\.0 \* 2\*\*1090, 1\.0 \* 2\*\*1100\]"):
+            perron_eigenvalue(((0, 2**1100), (2**1090, 0)))
 
 
 class TestCompensation:

@@ -14,14 +14,22 @@ from carpetdim.counting import (
     is_image_point,
     partition_sum,
     preimage_count,
+    viable_sets,
 )
-from carpetdim.fixtures import column_carpet_21, full_torus
+from carpetdim.fixtures import (
+    bipartite_fiber,
+    column_carpet_21,
+    fibonacci_fiber,
+    full_torus,
+    linear_lift_growth,
+    parity_oscillation,
+)
 from carpetdim.measures import additivity_scan
 from carpetdim.pressure import compensation_at_periodic, perron_eigenvalue
 from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_factor, validate_sft
 from carpetdim.specfile import dump_document, parse_system, system_doc
 
-from conftest import THETA_32, make_factor, random_restricted_carpet
+from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
 from oracles import (
     additivity_scan_oracle,
     backward_oracle,
@@ -31,6 +39,7 @@ from oracles import (
     image_word_counts,
     perron_bracket_oracle,
     product_count_oracle,
+    viable_sets_oracle,
 )
 
 
@@ -138,6 +147,36 @@ def test_extendable_prefix_counts_match_oracle(fs, cycle, preperiod, n):
     count = dn_count(fs, point, n)
     assert count == extendable_prefix_oracle(fs, point, n)
     assert (count > 0) == is_image_point(fs, point)
+
+
+FACTOR_FIXTURES = (parity_oscillation, bipartite_fiber, fibonacci_fiber, linear_lift_growth)
+
+
+@st.composite
+def points_over_any_letters(draw):
+    """A factor fixture or a random mixing system, and an eventually
+    periodic point over its image letters and one unknown letter."""
+    pick = draw(st.integers(0, len(FACTOR_FIXTURES)))
+    if pick < len(FACTOR_FIXTURES):
+        fs = FACTOR_FIXTURES[pick]()
+    else:
+        fs = random_mixing_system(random.Random(draw(st.integers(0, 2**32 - 1))))
+    letters = st.sampled_from(fs.image_alphabet + ("?",))
+    point = EventuallyPeriodicPoint(
+        tuple(draw(st.lists(letters, max_size=3))), tuple(draw(st.lists(letters, min_size=1, max_size=4)))
+    )
+    return fs, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=points_over_any_letters())
+def test_viable_sets_match_bounded_path_search(case):
+    """The greatest fixed point around the cycle and the pass back
+    through the preperiod give the sets that a path search finds, at
+    every position through the second pass around the cycle."""
+    fs, point = case
+    upto = len(point.preperiod) + 2 * len(point.cycle) + 3
+    assert viable_sets(fs, point, upto) == viable_sets_oracle(fs, point, upto)
 
 
 @st.composite
