@@ -17,6 +17,8 @@ plain tuple of its fields.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .counting import (
@@ -113,13 +115,14 @@ class CompensationEstimate(NamedTuple):
     """A finite evaluation of the relative-pressure function at one point.
 
     ``spectral`` is the growth rate of lift counts around the periodic
-    tail, log rho / q, with rho the upper end of a Collatz-Wielandt
-    bracket of relative width at most 2^-42 (``perron_eigenvalue``) and
-    no error bound for its float rounding, read from the scaled root plus
-    its binary exponent so any cycle length fits; ``series`` is the
-    finite-depth slope of the extendable-prefix counts.  The two
-    presentations agree almost everywhere but not necessarily
-    pointwise, so reports carry both and never claim equality.
+    tail, log rho / q, with rho the upper end of an exact
+    Collatz-Wielandt bracket of relative width at most 2^-42
+    (``perron_eigenvalue``), so it lies at most -log(1 - 2^-42) / q
+    above the true rate, up to the rounding of the one log taken of
+    that exact ratio; ``series`` is the finite-depth slope of the
+    extendable-prefix counts.  The two presentations agree almost
+    everywhere but not necessarily pointwise, so reports carry both and
+    never claim equality.
     """
 
     point: EventuallyPeriodicPoint
@@ -188,14 +191,16 @@ def mcmullen_closed_form(spec: CarpetSpec) -> float:
     With every transition allowed the lift count of an image word
     factorizes over its letters, and the dimension reduces to
     log_m(sum over rows j of t_j^(log_l m)) with t_j the number of
-    selected digits in row j.
+    selected digits in row j.  The sum runs over the rows that hold a
+    digit, in row order, so its cost does not grow with m.
     """
     if not spec.is_full_shift():
         raise NotFullShiftError(
             "closed form requires the full digit shift (transitions == 'full')"
         )
     theta = spec.theta()
-    total = sum(t ** theta for t in spec.row_occupancy() if t)
+    rows = Counter(b for _, b in spec.digits)
+    total = sum(rows[b] ** theta for b in sorted(rows))
     return math.log(total) / math.log(spec.m)
 
 
@@ -249,99 +254,92 @@ def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[
     return [_bracket(engine, ps.n, constants) for ps in series]
 
 
-def _float_matrix(matrix: Sequence[Sequence[object]]) -> tuple[list[list[float]], int]:
-    # Scale huge integer entries down by a power of two before float
-    # conversion; returns (float matrix, binary exponent of the scale).
-    max_bits = 0
-    for row in matrix:
-        for x in row:
-            if isinstance(x, int) and x > 0:
-                max_bits = max(max_bits, x.bit_length())
-    shift = max(0, max_bits - 512)
-    out = []
-    for row in matrix:
-        out.append(
-            [float(x >> shift) if (shift and isinstance(x, int)) else float(x) for x in row]
-        )
-    return out, shift
-
-
 def perron_eigenvalue(matrix: Sequence[Sequence[object]]) -> float:
     """Spectral radius of a nonnegative square matrix: the largest root
-    of its strongly connected components.
+    of its strongly connected components, rounded once to a float.
 
-    On each component G, x <- (G + I)x / max runs from the all-ones
-    vector.  The +I makes an irreducible G primitive without moving its
-    Perron vector, so the Collatz-Wielandt bracket [min ((G + I)x)_i /
-    x_i, max ((G + I)x)_i / x_i], which holds rho(G) + 1, closes on it.
-    Once its width is at most 2^-42 of its upper end, that end minus 1
-    is returned, computed in float arithmetic on the matrix as scaled by
-    ``_float_matrix``.  If a bracket is still wider after ``_MAX_ITER``
-    steps, ResourceError names it; no point inside it is returned.  So
-    does a root past the float range, naming its binary exponent.
+    The entries are read exactly, a float as its dyadic ratio, and
+    brought to integers by their common denominator.  On each component
+    G the integer vector x runs from the all-ones vector through x <-
+    (G + cI)x, c being the ceiling of the bracket's current upper end,
+    cut back to keep 64 bits in its smallest coordinate.  Every positive
+    x puts rho(G) in the Collatz-Wielandt bracket [min (Gx)_i / x_i, max
+    (Gx)_i / x_i], so the cut costs no validity.  c > 0 makes G + cI
+    primitive, so the bracket closes, and c >= rho(G) takes a root at
+    -rho(G), a bipartite block's, to the bottom of G + cI.  Once its
+    exact width is at most 2^-42 of its upper end, that end is the
+    component's root, an exact ratio.  If a bracket is still wider after
+    ``_MAX_ITER`` steps, ResourceError names it; no point inside it is
+    returned.  So does a root past the float range, naming its binary
+    exponent.
     """
     k = len(matrix)
     if k == 0 or any(len(row) != k for row in matrix):
         raise PreconditionError("matrix must be square and nonempty")
     for row in matrix:
         for x in row:
-            if x < 0 or (isinstance(x, float) and math.isnan(x)):
-                raise PreconditionError("matrix must be nonnegative")
-    r, e = _perron_root(matrix)
+            if x < 0 or (isinstance(x, float) and not math.isfinite(x)):
+                raise PreconditionError("matrix must be nonnegative and finite")
+    num, den = _perron_root(matrix)
     try:
-        return math.ldexp(r, e)
+        return num / den
     except OverflowError:
-        raise ResourceError(f"the Perron root {_scaled(r, e)} is past the float range") from None
+        raise ResourceError(f"the Perron root {_scaled(num, den)} is past the float range") from None
 
 
-def _perron_root(matrix: Sequence[Sequence[object]]) -> tuple[float, int]:
-    # the spectral radius as (r, e): r * 2^e, which may be past the float range
+def _perron_root(matrix: Sequence[Sequence[object]]) -> tuple[int, int]:
+    # the spectral radius as an exact ratio num / den
     k = len(matrix)
-    floats, shift = _float_matrix(matrix)
-    # adjacency from the original entries so scaling can't drop an edge
-    succ = [[j for j in range(k) if matrix[i][j]] for i in range(k)]
+    ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
+    den = math.lcm(*(d for row in ratios for _, d in row))
+    ints = [[n * (den // d) for n, d in row] for row in ratios]
+    succ = [[j for j in range(k) if ints[i][j]] for i in range(k)]
     comp = strongly_connected_components(succ)
-    best = 0.0
+    best = (0, 1)
     for cid in set(comp):
         nodes = [i for i in range(k) if comp[i] == cid]
-        sub = [[floats[i][j] for j in nodes] for i in nodes]
-        best = max(best, _power_iterate(sub, shift))
-    return best, shift
+        root = _power_iterate([[ints[i][j] for j in nodes] for i in nodes], den)
+        if root[0] * best[1] > best[0] * root[1]:
+            best = root
+    return best
 
 
-def _scaled(x: float, e: int) -> str:
-    # x * 2^e as a float's repr, or past the float range as m * 2**n with 1 <= m < 2
+def _scaled(num: int, den: int) -> str:
+    # num / den as a float's repr, or past the float range as m * 2**e with 1 <= m <= 2
     try:
-        return repr(math.ldexp(x, e))
+        return repr(num / den)
     except OverflowError:
-        m, b = math.frexp(x)
-        return f"{2.0 * m!r} * 2**{b - 1 + e}"
+        e = num.bit_length() - den.bit_length()
+        m = num / (den << e)
+        return f"{m!r} * 2**{e}" if m >= 1.0 else f"{2.0 * m!r} * 2**{e - 1}"
 
 
-_WIDTH = 2.0**-42  # the stop: the bracket's width relative to its upper end
+_WIDTH = 42  # the stop: the bracket's width is at most 2^-_WIDTH of its upper end
 _MAX_ITER = 200_000  # the cap on steps per component
 
 
-def _power_iterate(sub: list[list[float]], shift: int) -> float:
-    # the Perron root of sub, which is the matrix scaled by 2^-shift
-    s = len(sub)
-    shifted = [
-        [sub[i][j] + (1.0 if i == j else 0.0) for j in range(s)] for i in range(s)
-    ]
-    x = [1.0] * s
-    lo = hi = 0.0
+def _power_iterate(sub: list[list[int]], den: int) -> tuple[int, int]:
+    # the Perron root of the irreducible block sub / den as an exact ratio:
+    # the upper end of its Collatz-Wielandt bracket at the stop
+    x = [1] * len(sub)
     for _ in range(_MAX_ITER):
-        y = [sum(shifted[i][j] * x[j] for j in range(s)) for i in range(s)]
-        quotients = [y[i] / x[i] for i in range(s) if x[i] > 0.0]
-        lo, hi = min(quotients), max(quotients)
-        if hi - lo <= _WIDTH * hi:
-            return hi - 1.0
-        norm = max(y)
-        x = [v / norm for v in y]
+        y = [sum(map(mul, row, x)) for row in sub]
+        lo = hi = (y[0], x[0])
+        for end in zip(y, x):
+            if end[0] * hi[1] > hi[0] * end[1]:
+                hi = end
+            elif end[0] * lo[1] < lo[0] * end[1]:
+                lo = end
+        if (hi[0] * lo[1] - lo[0] * hi[1]) << _WIDTH <= hi[0] * lo[1]:
+            return hi[0], hi[1] * den
+        c = -(-hi[0] // hi[1])
+        x = [a + c * b for a, b in zip(y, x)]
+        cut = max(0, min(x).bit_length() - 64)
+        x = [v >> cut for v in x]
     raise ResourceError(
         f"power iteration did not converge in {_MAX_ITER} iterations; the last "
         f"Collatz-Wielandt bracket of the Perron root is "
-        f"[{_scaled(lo - 1.0, shift)}, {_scaled(hi - 1.0, shift)}]"
+        f"[{_scaled(lo[0], lo[1] * den)}, {_scaled(hi[0], hi[1] * den)}]"
     )
 
 
@@ -355,13 +353,12 @@ def compensation_at_periodic(
     Returns (spectral, series).  The spectral quantity is log of the
     Perron root of the fiber-block product around the cycle divided by
     the cycle length, which is exactly the exponential growth rate of
-    the lift counts along the tail.  The reported value is not exact:
-    the root is the upper end of a Collatz-Wielandt bracket of relative
-    width at most 2^-42 from ``perron_eigenvalue``, computed in float
-    arithmetic on the scaled product, and its rounding is not bounded.
-    It is read as (log r + e log 2) / q from the scaled root r and its
-    binary exponent e, so no float holds the root at any cycle length.
-    The series value is the depth-n slope log(extendable-prefix count)
+    the lift counts along the tail.  The root is taken, as in
+    ``perron_eigenvalue``, on the exact integer product: it is the upper
+    end of an exact Collatz-Wielandt bracket of relative width at most
+    2^-42, an exact ratio.  The one rounding is the log of that ratio,
+    taken with a power of two split off by bit lengths, so no float
+    holds the root at any cycle length.  The series value is the depth-n slope log(extendable-prefix count)
     / n.  No pointwise equality between the two is claimed.
     """
     report = validate_sft(fs.source)
@@ -389,10 +386,12 @@ def compensation_at_periodic(
     size, around = len(fs.fibers[cycle[0]]), cycle[1:] + cycle[:1]
     ends = [_read(fs, cycle[0], tuple(int(j == i) for j in range(size)), around) for i in range(size)]
     product = [end[1] if end else (0,) * size for end in ends]
-    r, e = _perron_root(product)
-    spectral = CompensationEstimate(
-        point=point, value=(math.log(r) + e * math.log(2.0)) / q, method="spectral"
-    )
+    num, den = _perron_root(product)
+    # one log of the exact root: 2^cut is split off by bit lengths, so
+    # that a root of any size fits a float
+    cut = max(0, num.bit_length() - den.bit_length() - 1)
+    log_root = math.log(num / (den << cut)) + cut * math.log(2.0)
+    spectral = CompensationEstimate(point=point, value=log_root / q, method="spectral")
     series = CompensationEstimate(
         point=point, value=math.log(d) / depth, method="series", depth=depth
     )

@@ -149,6 +149,18 @@ class TestReports:
         dim = doc["dimension"]
         assert dim["lower"] <= dim["closed_form"] <= dim["upper"]
 
+    def test_closed_form_of_a_carpet_with_many_rows(self, capsys, tmp_path):
+        """The closed form sums over the rows that hold a digit, so a
+        carpet with m = 10^15 rows reports log 2 / log m rather than
+        running out of memory on a list of m row counts."""
+        spec = tmp_path / "wide_rows.json"
+        spec.write_text(json.dumps({
+            "schema": 1, "kind": "carpet", "l": 10**15 + 1, "m": 10**15,
+            "digits": [[0, 0], [1, 5]], "transitions": "full",
+        }))
+        doc = run_json(capsys, "dimension", "--spec", str(spec), "--depth", "3", "--no-timestamp")
+        assert doc["dimension"]["closed_form"] == pytest.approx(math.log(2) / math.log(10**15), rel=1e-15)
+
     def test_counts_report(self, capsys, fixture_dir):
         doc = run_json(
             capsys,
@@ -367,7 +379,7 @@ class TestReports:
         self, capsys, fixture_dir, fixture, letters, value
     ):
         """The product around these cycles has a Perron root past 2^1024;
-        spectral is read from the scaled root and its binary exponent, so
+        spectral is one log of the exact root, split by bit lengths, so
         it is log phi and log 2 / 2 as at short cycles."""
         doc = run_json(
             capsys,

@@ -296,9 +296,27 @@ class TestPerronEigenvalue:
             perron_eigenvalue(())
 
     def test_huge_integer_entries_past_the_float_scale(self):
-        """Entries past 2^512 are scaled down before float conversion,
-        and the root scaled back up while it fits a float."""
+        """Entries past 2^512 are read as exact integers, and the root
+        is rounded to a float once, while it fits one."""
         assert perron_eigenvalue(((2**900, 1), (1, 0))) == 8.452712498170644e270
+
+    def test_entries_spanning_orders_of_magnitude(self):
+        """A bipartite block with roots +-sqrt(10^9): the shift by the
+        ceiling of the upper end damps the root at -rho in one step,
+        where a shift by 1 settles at a rate of about 1 - 2/rho."""
+        root = perron_eigenvalue(((0, 10**6), (1000, 0)))
+        assert root == pytest.approx(math.sqrt(1e9), rel=2.0**-40)
+
+    def test_float_entries_are_read_exactly(self):
+        """Float entries enter as their dyadic ratios; the root of this
+        block is (1 + sqrt 5) / 4."""
+        root = perron_eigenvalue(((0.5, 0.25), (1.0, 0.0)))
+        assert root == pytest.approx((1.0 + math.sqrt(5.0)) / 4.0, rel=2.0**-40)
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, entry):
+        with pytest.raises(PreconditionError, match="finite"):
+            perron_eigenvalue(((1, entry), (1, 0)))
 
     def test_root_past_the_float_range_raises(self):
         """A root of 2^1100 has no float; the error names its binary
