@@ -31,6 +31,5 @@ class NotFullShiftError(PreconditionError):
 
 
 class ResourceError(CarpetDimError):
-    """A configured node or pixel budget was exhausted, the Perron
-    iteration hit its step cap, or a Perron root lies past the float
-    range (never silently)."""
+    """A configured node or pixel budget was exhausted, or a Perron
+    root lies past the float range (never silently)."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .counting import (
@@ -36,7 +35,6 @@ from .sft import (
     EventuallyPeriodicPoint,
     FactorSystem,
     carpet_to_factor,
-    strongly_connected_components,
     validate_sft,
 )
 
@@ -115,14 +113,13 @@ class CompensationEstimate(NamedTuple):
     """A finite evaluation of the relative-pressure function at one point.
 
     ``spectral`` is the growth rate of lift counts around the periodic
-    tail, log rho / q, with rho the upper end of an exact
-    Collatz-Wielandt bracket of relative width at most 2^-42
-    (``perron_eigenvalue``), so it lies at most -log(1 - 2^-42) / q
-    above the true rate, up to the rounding of the one log taken of
-    that exact ratio; ``series`` is the finite-depth slope of the
-    extendable-prefix counts.  The two presentations agree almost
-    everywhere but not necessarily pointwise, so reports carry both and
-    never claim equality.
+    tail, log rho / q, with rho the upper end of an exact bisection
+    bracket at most 2^-54 of its lower end wide (``perron_eigenvalue``),
+    so it lies at most log(1 + 2^-54) / q above the true rate, up to the
+    one rounding, the log of that exact ratio; ``series`` is the
+    finite-depth slope of the extendable-prefix counts.  The two agree
+    almost everywhere but not necessarily pointwise, so reports carry
+    both and never claim equality.
     """
 
     point: EventuallyPeriodicPoint
@@ -255,23 +252,20 @@ def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[
 
 
 def perron_eigenvalue(matrix: Sequence[Sequence[object]]) -> float:
-    """Spectral radius of a nonnegative square matrix: the largest root
-    of its strongly connected components, rounded once to a float.
+    """Spectral radius of a nonnegative square matrix, rounded once to a
+    float.
 
     The entries are read exactly, a float as its dyadic ratio, and
-    brought to integers by their common denominator.  On each component
-    G the integer vector x runs from the all-ones vector through x <-
-    (G + cI)x, c being the ceiling of the bracket's current upper end,
-    cut back to keep 64 bits in its smallest coordinate.  Every positive
-    x puts rho(G) in the Collatz-Wielandt bracket [min (Gx)_i / x_i, max
-    (Gx)_i / x_i], so the cut costs no validity.  c > 0 makes G + cI
-    primitive, so the bracket closes, and c >= rho(G) takes a root at
-    -rho(G), a bipartite block's, to the bottom of G + cI.  Once its
-    exact width is at most 2^-42 of its upper end, that end is the
-    component's root, an exact ratio.  If a bracket is still wider after
-    ``_MAX_ITER`` steps, ResourceError names it; no point inside it is
-    returned.  So does a root past the float range, naming its binary
-    exponent.
+    brought to integers A by their common denominator.  The test is the
+    M-matrix criterion (Berman and Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, Thm 6.2.3): c > rho(A) exactly when every
+    leading principal minor of cI - A is positive, for reducible A too.
+    Bisection on that test, first on the binary exponent and then 54
+    times on the dyadic grid below it, leaves rho in a bracket at most
+    2^-54 of its lower end wide, and its upper end, an exact ratio, is
+    the root.  That is a quarter of an ulp, so the one rounding returns
+    rho itself whenever rho is a float.  A root past the float range
+    raises ResourceError naming its binary exponent.
     """
     k = len(matrix)
     if k == 0 or any(len(row) != k for row in matrix):
@@ -287,21 +281,53 @@ def perron_eigenvalue(matrix: Sequence[Sequence[object]]) -> float:
         raise ResourceError(f"the Perron root {_scaled(num, den)} is past the float range") from None
 
 
+_WIDTH = 54  # steps below the binary exponent: a bracket 2^-_WIDTH of its lower end wide
+
+
 def _perron_root(matrix: Sequence[Sequence[object]]) -> tuple[int, int]:
-    # the spectral radius as an exact ratio num / den
-    k = len(matrix)
+    # the spectral radius as an exact ratio num / den, the bracket's upper end
     ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
     den = math.lcm(*(d for row in ratios for _, d in row))
     ints = [[n * (den // d) for n, d in row] for row in ratios]
-    succ = [[j for j in range(k) if ints[i][j]] for i in range(k)]
-    comp = strongly_connected_components(succ)
-    best = (0, 1)
-    for cid in set(comp):
-        nodes = [i for i in range(k) if comp[i] == cid]
-        root = _power_iterate([[ints[i][j] for j in nodes] for i in nodes], den)
-        if root[0] * best[1] > best[0] * root[1]:
-            best = root
-    return best
+    # a nonnegative integer matrix that is not nilpotent has rho >= 1
+    if _above(ints, 1, 1):
+        return 0, 1
+    # 2^lo <= rho < 2^hi; the largest row sum bounds rho
+    lo, hi = 0, max(map(sum, ints)).bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _above(ints, 1 << mid, 1):
+            hi = mid
+        else:
+            lo = mid
+    # 2^lo * a / 2^_WIDTH <= rho < 2^lo * b / 2^_WIDTH
+    a, b = 1 << _WIDTH, 2 << _WIDTH
+    while b - a > 1:
+        mid = (a + b) // 2
+        if _above(ints, mid << lo, 1 << _WIDTH):
+            b = mid
+        else:
+            a = mid
+    return b << lo, den << _WIDTH
+
+
+def _above(ints: list[list[int]], num: int, dd: int) -> bool:
+    # whether num / dd > rho(ints): fraction-free (Bareiss) elimination on
+    # num*I - dd*ints without pivoting, whose pivots are its leading
+    # principal minors; each division is exact, as the earlier pivots are
+    # positive
+    k = len(ints)
+    m = [[(num if i == j else 0) - dd * x for j, x in enumerate(row)] for i, row in enumerate(ints)]
+    prev = 1
+    for p in range(k):
+        pivot = m[p][p]
+        if pivot <= 0:
+            return False
+        for i in range(p + 1, k):
+            for j in range(p + 1, k):
+                m[i][j] = (m[i][j] * pivot - m[i][p] * m[p][j]) // prev
+        prev = pivot
+    return True
 
 
 def _scaled(num: int, den: int) -> str:
@@ -312,35 +338,6 @@ def _scaled(num: int, den: int) -> str:
         e = num.bit_length() - den.bit_length()
         m = num / (den << e)
         return f"{m!r} * 2**{e}" if m >= 1.0 else f"{2.0 * m!r} * 2**{e - 1}"
-
-
-_WIDTH = 42  # the stop: the bracket's width is at most 2^-_WIDTH of its upper end
-_MAX_ITER = 200_000  # the cap on steps per component
-
-
-def _power_iterate(sub: list[list[int]], den: int) -> tuple[int, int]:
-    # the Perron root of the irreducible block sub / den as an exact ratio:
-    # the upper end of its Collatz-Wielandt bracket at the stop
-    x = [1] * len(sub)
-    for _ in range(_MAX_ITER):
-        y = [sum(map(mul, row, x)) for row in sub]
-        lo = hi = (y[0], x[0])
-        for end in zip(y, x):
-            if end[0] * hi[1] > hi[0] * end[1]:
-                hi = end
-            elif end[0] * lo[1] < lo[0] * end[1]:
-                lo = end
-        if (hi[0] * lo[1] - lo[0] * hi[1]) << _WIDTH <= hi[0] * lo[1]:
-            return hi[0], hi[1] * den
-        c = -(-hi[0] // hi[1])
-        x = [a + c * b for a, b in zip(y, x)]
-        cut = max(0, min(x).bit_length() - 64)
-        x = [v >> cut for v in x]
-    raise ResourceError(
-        f"power iteration did not converge in {_MAX_ITER} iterations; the last "
-        f"Collatz-Wielandt bracket of the Perron root is "
-        f"[{_scaled(lo[0], lo[1] * den)}, {_scaled(hi[0], hi[1] * den)}]"
-    )
 
 
 def compensation_at_periodic(
@@ -354,12 +351,12 @@ def compensation_at_periodic(
     Perron root of the fiber-block product around the cycle divided by
     the cycle length, which is exactly the exponential growth rate of
     the lift counts along the tail.  The root is taken, as in
-    ``perron_eigenvalue``, on the exact integer product: it is the upper
-    end of an exact Collatz-Wielandt bracket of relative width at most
-    2^-42, an exact ratio.  The one rounding is the log of that ratio,
-    taken with a power of two split off by bit lengths, so no float
-    holds the root at any cycle length.  The series value is the depth-n slope log(extendable-prefix count)
-    / n.  No pointwise equality between the two is claimed.
+    ``perron_eigenvalue``, on the exact integer product P by bisection
+    on the signs of the leading principal minors of cI - P: an exact
+    ratio at most 2^-54 of the root above it.  The one rounding is its
+    log, with a power of two split off by bit lengths, so no float holds
+    the root at any cycle length.  The series value is the depth-n slope
+    log(extendable-prefix count) / n.  No pointwise equality is claimed.
     """
     report = validate_sft(fs.source)
     if not report.irreducible:

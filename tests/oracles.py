@@ -229,6 +229,27 @@ def perron_bracket_oracle(matrix, width=Fraction(1, 2**48), max_steps=2000):
     return lower, upper
 
 
+def leading_minors_positive(matrix, c) -> bool:
+    """Whether every leading principal minor of cI - A is positive, for a
+    nonnegative matrix A and a rational c.
+
+    Plain Gaussian elimination in Fractions, without pivoting: its k-th
+    pivot is the ratio of the k-th to the (k-1)-th leading minor, so
+    while the earlier minors are positive, the k-th is positive exactly
+    when the k-th pivot is.  By the M-matrix criterion this holds exactly
+    when c > rho(A).
+    """
+    k = len(matrix)
+    rows = [[Fraction(c) * (i == j) - Fraction(x) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+    for p in range(k):
+        if rows[p][p] <= 0:
+            return False
+        for i in range(p + 1, k):
+            f = rows[i][p] / rows[p][p]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[p])]
+    return True
+
+
 def brute_force_count(fs: FactorSystem, word: tuple[str, ...], limit: int = 12) -> int:
     """Independent oracle for ``preimage_count``: explicit DFS, no matrices."""
     if not word:

@@ -563,19 +563,6 @@ class TestExitCodes:
         assert out == ""
         assert "node budget exceeded" in err and "word length" in err
 
-    def test_unconverged_perron_root_exits_resource(self, capsys, fixture_dir, monkeypatch):
-        monkeypatch.setattr(pressure, "_MAX_ITER", 1)
-        code, out, err = run_cli(
-            capsys,
-            "compensation",
-            "--spec", str(fixture_dir / "fibonacci_fiber.json"),
-            "--cycle", "2",
-            "--depth", "10",
-        )
-        assert code == EXIT_RESOURCE
-        assert out == ""
-        assert "Collatz-Wielandt bracket" in err
-
     def test_out_of_memory_exits_resource(self, capsys, fixture_dir, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -2,9 +2,10 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from carpetdim.counting import (
     _EPS,
@@ -37,6 +38,7 @@ from oracles import (
     extendable_prefix_oracle,
     fiber_tables_oracle,
     image_word_counts,
+    leading_minors_positive,
     perron_bracket_oracle,
     product_count_oracle,
     viable_sets_oracle,
@@ -221,6 +223,25 @@ def test_perron_root_lies_in_the_exact_bracket(matrix):
     lower, upper = perron_bracket_oracle(matrix)
     pad = 2.0**-40 * float(upper)
     assert float(lower) - pad <= perron_eigenvalue(matrix) <= float(upper) + pad
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=nonnegative_matrices())
+@example(matrix=((1, 0, 0, 1), (1, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)))
+def test_perron_root_is_within_2_to_the_minus_50_by_leading_minors(matrix):
+    """The float root f is 0 exactly on a nilpotent matrix; otherwise
+    f(1 + 2^-50) lies above rho and f(1 - 2^-50) does not, read off the
+    signs of the leading principal minors of cI - A in exact Fractions."""
+    root = perron_eigenvalue(matrix)
+    k = len(matrix)
+    power = [list(row) for row in matrix]
+    for _ in range(k - 1):
+        power = [[sum(power[i][t] * matrix[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    assert (root == 0.0) == (not any(map(any, power)))
+    if root:
+        f, step = Fraction(root), Fraction(1, 2**50)
+        assert leading_minors_positive(matrix, f * (1 + step))
+        assert not leading_minors_positive(matrix, f * (1 - step))
 
 
 @settings(max_examples=60, deadline=None)
