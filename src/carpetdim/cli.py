@@ -384,7 +384,8 @@ def _parser() -> _Parser:
         "--csv",
         dest="csv_path",
         help="also write the depth 1..n series as CSV; the series steps every level, so "
-        "the reported bracket, its last row, can be wider than without --csv",
+        "the reported bracket, its last row, can differ in its last digits from, or be "
+        "wider than, the bracket without --csv",
     )
 
     p = add("counts", _cmd_counts, "exact lift count of one image word")

@@ -15,8 +15,12 @@ scalar c^theta.  Collapsed mode therefore sweeps the prefix tree one
 level at a time and merges the prefixes of a level by (last letter,
 gcd-normalized count vector); a backward pass over the kept levels
 gives the suffix sums that cylinder masses need.  The deepest level is
-never built: a prefix's extension by one letter has the count
-g * (prim . r), r holding the row sums of a fiber block, so S_n and the
+never built.  Lift counts join exactly at any cut: a word u ending in
+letter a and a word w starting with it overlap in one word of count
+end_u . start_w.  So an engine built with ``join``, as ``make_engine``
+builds it, reads S_n by pairing a level k of the sweep with a level j
+of the same sweep over the transposed source, k + j = n + 1; the row
+sums of the fiber blocks are its level 2, and with them S_n and the
 last suffix sums are read off level n - 1.
 
 ``LogReal`` and ``PartitionSum`` are ``NamedTuple`` records, so each
@@ -169,11 +173,28 @@ def _log_sum_exp(terms: list[float]) -> float:
     return hi + math.log(math.fsum([math.exp(t - hi) for t in terms]))
 
 
-def _summed(terms: list[float], err: float) -> LogReal:
-    """The log-sum-exp of logs >= 0 that are off by ``err`` before their
-    last log-times-theta and add, charged as in ``CollapsedEngine``."""
+def _summed(terms: list[float], err: float, rate: float = 4.0) -> LogReal:
+    """The log-sum-exp S of logs >= 0 that are off by ``err`` before their
+    last log-times-theta and add, charged eps (rate S + 2) as derived in
+    ``CollapsedEngine``: rate 4 for terms lw + theta log x, 4.5 for a
+    joined read's (lw_u + lw_w) + theta log x."""
     out = _log_sum_exp(terms)
-    return LogReal(out, err + _EPS * (4.0 * out + 2.0))
+    return LogReal(out, err + _EPS * (rate * out + 2.0))
+
+
+def _dots(vec: tuple[int, ...], cols) -> Optional[list]:
+    """The dot products of ``vec`` with vectors given column by column,
+    ``cols[i]`` holding coordinate i of each; None for a zero ``vec``.
+    Both junction pairings, the joined read of S_n and
+    ``measures.additivity_scan``, take their counts here."""
+    out = None
+    for c, col in zip(vec, cols):
+        if c:
+            if out is None:
+                out = col if c == 1 else [c * x for x in col]
+            else:
+                out = [y + c * x for y, x in zip(out, col)]
+    return out
 
 
 def _log_matmul(a: list, b: list) -> tuple[list, float]:
@@ -198,6 +219,20 @@ def _log_matmul(a: list, b: list) -> tuple[list, float]:
     return out, _EPS * (2.5 * top + 2.0)
 
 
+class _OverBudget(ResourceError):
+    """The node budget ran out while building ``level`` on the way to
+    ``depth`` with ``held`` states held; ``backward`` is the backward
+    level of a join, which the message then names too."""
+
+    def __init__(self, budget: int, level: int, depth: int, held: int, backward: Optional[int] = None):
+        where = f"level {level}" if backward is None else f"level {level} and backward level {backward}"
+        super().__init__(
+            f"node budget exceeded ({budget} nodes) at {where} of {depth} "
+            f"with {held} states held; raise the budget or lower the depth"
+        )
+        self.level, self.held = level, held
+
+
 class CollapsedEngine:
     """Level-synchronous sweep over the collapsed prefix tree.
 
@@ -209,21 +244,63 @@ class CollapsedEngine:
     which is exact because extensions of proportional vectors have
     proportional counts.
 
-    Level k is never built to read S_k.  A state (a, prim) of level
-    k - 1 extends by letter b to a vector that sums to x = prim . r,
-    r holding the row sums of the 0/1 block (a, b) (``fiber_row_sums``),
-    so S_k = sum over level k - 1 of e^(log weight) * sum over b of
-    x^theta, over the pairs with x > 0, and the words of level k number
-    the sum of words times those pairs.  This takes no gcd, key or
-    merge; S_1 comes from the fiber sizes.  ``visited`` counts the
-    states of level 1 and every nonzero edge, the jump's included, and
-    ``_charge`` holds it to the budget.  The first read of S_k, whoever
-    asks, charges its pairs, which are the edges out of level k - 1,
-    unless level k is held and its edges charged; a step over edges a
-    read has charged charges them no more (``_paid``).  So a sum or a
-    series visits what it did when it built its deepest level.
-    ``collapsed_nodes`` counts the states built, which leaves out the
-    level a read stands in for.
+    Level n is never built to read S_n; it is a join.  A forward state
+    u = (a, prim_u) of level k stands for words ending in letter a, and
+    a backward state w = (a, prim_w) of level j of the sweep over
+    ``fs.transposed`` for words starting with it, read right to left.
+    Their overlap on a has count g_u g_w x with x = prim_u . prim_w, so
+    S_n, n = k + j - 1, is the sum over letters a and over such pairs
+    with x > 0 of e^(lw_u + lw_w) x^theta, and the words of length n
+    number the sum of m_u m_w over those pairs.  B_2, the backward level
+    2, is the row-sum table (``fiber_row_sums``): each row r of block
+    (a, b) is a state of log weight 0.0 and one word, as a state
+    (a, prim) of level n - 1 extends by letter b to a vector that sums
+    to prim . r.  That read, off level n - 1 with B_2, takes no gcd, key
+    or merge, and ``_read_sum`` takes it row by row, a letter having a
+    few rows; a held level n - 1 is always read so, which serves
+    ``levels``, ``backward``'s seed, and the scans of ``measures``.  A
+    backward level past it has many starts per letter, so
+    ``_join_sum`` groups them by first letter, one column per fiber
+    symbol, and takes each forward state's counts column by column
+    (``_dots``).  S_1 comes from the fiber sizes.
+
+    The split.  Built with ``join``, as ``make_engine`` builds every
+    collapsed engine, a read whose level n - 1 is not held walks (k, j)
+    from (1, 2) one move at a time, each advancing the side whose level
+    has fewer states, ties forward (``_walk``).  The walk depends on the
+    system alone, so the split of n extends that of n - 1, and reading
+    S_1, S_2, ... in turn moves it once per sum.  The walk goes on from
+    the split held, or afresh from (1, 2) for a shallower sum or once
+    its levels are gone.  A forward side no larger than B_2 at every
+    move takes them all, on the path of a read off level n - 1, which
+    covers every full shift (one state per letter against the letter
+    pairs).  A forward side whose key set repeats and that is no
+    larger than the backward level takes every move left, so it goes to
+    level n + 1 - j in one ``_reach``, which may jump.  The backward side
+    steps a second engine, ``_back``, that holds one level.  Without
+    ``join``, the default, every read sweeps forward to level n - 1 and
+    reads it at j = 2, so a fresh S_n visits the states of level 1 and
+    the edges out of levels 1..n - 1 unless it jumps: the count that
+    ``perfbench/carpets.py`` models to fix the work of its picks.
+
+    ``visited`` counts the states of level 1 and every nonzero edge, the
+    jump's included, of both sweeps, and the pairs read, against one
+    budget (``_charge``); a budget message past B_2 names the forward
+    and the backward level.  The first read of S_n, whoever asks,
+    charges its pairs, unless level n is held and its edges charged; at
+    j = 2 the pairs are the edges out of level n - 1, and a step over
+    them charges them no more (``_paid``).  So a sum visits its two
+    sweeps to its split and its pairs.  ``collapsed_nodes`` counts the
+    states both sweeps build, which leaves out the levels a join stands
+    in for.
+
+    ``series`` does not walk: a join's pairs serve one sum, and each of
+    S_1 .. S_n would pay its own, more than the one forward sweep whose
+    steps reuse the pairs of the reads at j = 2.  So a series holds
+    levels 1 .. n - 1 in turn, visits what a fresh read off level n - 1
+    does, and takes neither the jump nor a join.  Its S_n agrees with a
+    fresh read's within both errors and is the same float when that
+    read's split stays at j = 2 and it does not jump.
 
     One kernel, ``_children``, gives a state's children with the log
     factor d = theta * log g that each child's gcd g contributes.  The
@@ -231,11 +308,12 @@ class CollapsedEngine:
     g = 1, where no rounding is charged.
 
     One driver, ``_reach``, sweeps on from the held levels.  ``levels``
-    holds every level from 1; ``partition`` holds only the last, level
-    n - 1, and once a step returns the key set it started from, raises
-    that linear map to a power when that costs less than stepping.  An
-    S_k whose level k - 1 is held is read without sweeping, and one
-    ``backward`` pass over held levels gives the suffix sums.
+    holds every level from 1; ``partition`` holds only the last, the
+    forward level of its split, and once a step returns the key set it
+    started from, raises that linear map to a power when that costs
+    less than stepping.  An S_n whose level n - 1 is held is read
+    without sweeping, and one ``backward`` pass over held levels gives
+    the suffix sums.
     ``_reach`` picks a step's child source once: while every level is
     held, each state's child list is kept from its first build for as
     long as the levels are held (``edges``), so a state that comes back
@@ -270,16 +348,20 @@ class CollapsedEngine:
       exp(0.0) is exactly 1.0, and fsum of two floats rounds their sum
       correctly, as the add does.  So the charge is unchanged.
 
-    The read of S_k sums the terms lw + theta log x of level k - 1 the
-    same way, x being an exact integer >= 1.  theta log x rounds by 1.5
-    eps of itself and the add by eps/2 of the term, at most 2 eps S in
-    all, S >= every term being the log of the sum, and the sum adds
-    eps (2 S + 2).  S_k is so off by at most E_{k-1} + eps (4 S + 2),
-    one step's charge less than a sum over a built level k would be.
-    ``backward`` seeds level depth - 1, in that same read, with the
-    log-sum-exp of theta log x over each state's pairs: 1.5 eps T for
-    theta log x and eps (2 T + 2) for the merge, within eps (4 T + 2),
-    T being the largest seed.  It charges each level above it as a step
+    The read of S_n sums the terms (lw_u + lw_w) + theta log x the same
+    way, x being an exact integer >= 1, lw_u off by E_F, the error bound
+    of the forward level, and lw_w by E_B, that of the backward one.
+    theta log x rounds by 1.5 eps of itself, and each of the two adds by
+    eps/2 of its result, at most 2.5 eps S in all, S >= every term being
+    the log of the sum; the sum adds eps (2 S + 2).  S_n is so off by at
+    most E_F + E_B + eps (4.5 S + 2).  At j = 2, lw_w = 0.0 and E_B = 0
+    drop out with the add: the read off level n - 1 adds lw + theta log
+    x and is off by at most E_{n-1} + eps (4 S + 2), one step's charge
+    less than a sum over a built level n would be.  ``backward`` seeds
+    level depth - 1, in that same read, with the log-sum-exp of theta
+    log x over each state's pairs: 1.5 eps T for theta log x and
+    eps (2 T + 2) for the merge, within eps (4 T + 2), T being the
+    largest seed.  It charges each level above it as a step
     with merges, D being the largest d of the kept lists that level
     reads, and a held level ``depth`` its own theta log(sum of vector),
     eps (2 T + 1).
@@ -296,11 +378,12 @@ class CollapsedEngine:
     whether or not an entry merges.
     """
 
-    def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
+    def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None, join: bool = False):
         if not (0.0 < theta <= 1.0):
             raise PreconditionError("theta must be in (0, 1]")
         self.fs = fs
         self.theta = theta
+        self.join = join  # read an unheld S_n as a join (class docstring)
         self.budget = resolve_node_budget(node_budget)
         self.visited = 0
         self.collapsed_nodes = 0
@@ -311,6 +394,8 @@ class CollapsedEngine:
         self._paid = (0, 0)  # (level k, its edges that a read of S_{k+1} charged)
         self._edges: Optional[dict] = None  # state -> child list, while level 1 is held
         self._dlogs: dict[int, float] = {1: 0.0}  # g -> theta * log g
+        self._split = (1, 2)  # the walk's forward level k and backward level j
+        self._back: Optional[CollapsedEngine] = None  # the sweep of fs.transposed
 
     def _charge(self, visited: int, k: int, depth: int, held: int) -> None:
         """Record ``visited``; past the budget, say how far the sweep got:
@@ -318,10 +403,7 @@ class CollapsedEngine:
         the held store plus the children of level k built so far."""
         self.visited = visited
         if visited > self.budget:
-            raise ResourceError(
-                f"node budget exceeded ({self.budget} nodes) at level {k} of {depth} "
-                f"with {held} states held; raise the budget or lower the depth"
-            )
+            raise _OverBudget(self.budget, k, depth, held)
 
     def _reach(self, n: int, keep: bool, depth: int) -> None:
         """Hold level n on the way to level ``depth``, which budget
@@ -487,10 +569,13 @@ class CollapsedEngine:
 
     def _read_sum(self, n: int, seeds: Optional[dict] = None) -> None:
         """Read S_n and its word count into ``_sums`` off level n - 1
-        through the row sums (class docstring); S_1 from the fiber sizes.
-        Given ``seeds``, also map each state of level n - 1 to the
-        log-sum-exp of its theta log x, ``backward``'s seed.  Only a first
-        read, whoever asks, stores the sum and charges as derived there."""
+        through the row sums, where a held level n - 1, an engine without
+        ``join`` or the walk's split puts it, else as the join of that
+        split (``_join_sum``); S_1 from the fiber sizes (class
+        docstring).  Given ``seeds``, which only a held level n - 1
+        serves, also map each state of level n - 1 to the log-sum-exp of
+        its theta log x, ``backward``'s seed.  Only a first read, whoever
+        asks, stores the sum and charges as derived there."""
         fresh = n not in self._sums
         theta, log, fibers = self.theta, math.log, self.fs.fibers
         if n == 1:
@@ -498,8 +583,16 @@ class CollapsedEngine:
                 self._reach(1, False, 1)
             self._sums[1] = _summed([theta * log(len(f)) for f in fibers], 0.0), len(fibers)
             return
-        self._reach(n - 1, False, n)
         held, first = self._held, self._first
+        if not first <= n - 1 < first + len(held):
+            if not self.join:
+                self._reach(n - 1, False, n)
+            else:
+                k, j = self._walk(n)
+                if j > 2:
+                    self._join_sum(n, k, j)
+                    return
+            held, first = self._held, self._first
         level, err = held[n - 1 - first]
         charge = fresh and n - first == len(held)  # level n is not held
         rows = self.fs.fiber_row_sums
@@ -529,9 +622,108 @@ class CollapsedEngine:
         if fresh:
             self._sums[n] = _summed(terms, err), words
 
+    def _join_sum(self, n: int, k: int, j: int) -> None:
+        """Store and charge the first read of S_n as the join of forward
+        level k with the backward level j > 2 that the walk holds (class
+        docstring).  B_2's few rows per letter are read row by row in
+        ``_read_sum``; a backward level's starts of one letter are many,
+        so they are grouped once, one column per fiber symbol, and each
+        forward state takes their counts column by column (``_dots``)."""
+        theta, log = self.theta, math.log
+        held = self._held
+        level, err = held[k - self._first]
+        starts, start_err = self._back._held[-1]
+        groups: list = [([], [], []) for _ in self.fs.fibers]
+        for (a, prim), (lw, m) in starts.items():
+            prims, lws, ms = groups[a]
+            prims.append(prim)
+            lws.append(lw)
+            ms.append(m)
+        groups = [(tuple(zip(*prims)), lws, ms) for prims, lws, ms in groups]
+        terms: list[float] = []
+        words = 0
+        visited = self.visited
+        for (a, prim), (lw, m) in level.items():
+            cols, lws, ms = groups[a]
+            pairs = paired = 0  # the pairs with x > 0, and the words of their starts
+            for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
+                if x:
+                    terms.append(lw + lw_w + theta * log(x))
+                    pairs += 1
+                    paired += m_w
+            words += m * paired
+            visited += pairs
+            if visited > self.budget:
+                self.visited = visited
+                raise _OverBudget(self.budget, k, n, sum(len(h) for h, _ in held) + len(starts), j)
+        self.visited = visited
+        self._sums[n] = _summed(terms, err + start_err, 4.5), words
+
+    def _walk(self, n: int) -> tuple[int, int]:
+        """Move the split (k, j) on to k + j = n + 1, holding forward level
+        k and backward level j, and return it: one move at a time, each
+        advancing the side with fewer states, ties forward.  The walk goes
+        on from the split held, or afresh from (1, 2) when that split is
+        past n or its levels are gone.  A forward side whose key set
+        repeats, and that is no larger, takes every move left, so it is
+        reached in one ``_reach``, which may jump.  A budget message past
+        B_2 names both levels and counts both sides' states."""
+        k, j = self._split
+        back = self._back
+        held, first = self._held, self._first
+        if k + j > n + 1 or not first <= k < first + len(held) or (
+            j > 2 and back._first + len(back._held) - 1 != j
+        ):
+            k, j = 1, 2
+            self._reach(1, False, n)
+        table = sum(map(len, self.fs.fiber_row_sums))  # the states of B_2
+        while k + j <= n:
+            held, first = self._held, self._first
+            starts = len(self._back._held[-1][0]) if j > 2 else table
+            if len(held[k - first][0]) <= starts:
+                last = first + len(held) - 1
+                target = n + 1 - j if k == last and self._stationary_edges else k + 1
+                try:
+                    self._reach(target, False, n)
+                except _OverBudget as exc:
+                    if j == 2:
+                        raise
+                    raise _OverBudget(self.budget, exc.level, n, exc.held + starts, j) from None
+                k = target
+            else:
+                try:
+                    self._step_back(j + 1, n)
+                except _OverBudget as exc:
+                    forward = sum(len(h) for h, _ in held)
+                    raise _OverBudget(self.budget, k, n, exc.held + forward, exc.level) from None
+                j += 1
+            self._split = (k, j)
+        return k, j
+
+    def _step_back(self, j: int, n: int) -> None:
+        """Hold backward level j, one level past the one held, on the
+        engine of the transposed system, against this engine's budget,
+        visits and node count."""
+        back = self._back
+        if back is None:
+            back = self._back = CollapsedEngine(self.fs.transposed, self.theta, self.budget)
+        back.visited, nodes = self.visited, back.collapsed_nodes
+        try:
+            back._reach(j, False, n)
+        finally:
+            self.visited = back.visited
+            self.collapsed_nodes += back.collapsed_nodes - nodes
+
     def series(self, n_max: int) -> list[PartitionSum]:
-        """S_1 .. S_{n_max}, sweeping on one level at a time."""
-        return [self.partition(n) for n in range(1, n_max + 1)]
+        """S_1 .. S_{n_max} off one forward sweep: each S_n not yet read is
+        read off level n - 1, held one level at a time, and its pairs are
+        the edges of the next step (class docstring)."""
+        out = []
+        for n in range(1, n_max + 1):
+            if n > 1 and n not in self._sums:
+                self._reach(n - 1, False, n)
+            out.append(self.partition(n))
+        return out
 
     def levels(self, depth: int) -> list[dict]:
         """Levels 1..depth, all held, going on from the levels already
@@ -611,11 +803,12 @@ class ExactEngine:
     ``_summed`` charges.
     """
 
-    def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
+    def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None, join: bool = False):
         if not (0.0 < theta <= 1.0):
             raise PreconditionError("theta must be in (0, 1]")
         self.fs = fs
         self.theta = theta
+        self.join = join  # read an unheld S_n as a join (class docstring)
         self.budget = resolve_node_budget(node_budget)
         self.visited = 0
         self._sums: list[tuple[LogReal, int]] = []  # (S_k, words) for k = 1..depth walked
@@ -655,9 +848,12 @@ ENGINES = {"collapsed": CollapsedEngine, "exact": ExactEngine}
 def make_engine(
     fs: FactorSystem, theta: float, mode: str, node_budget: Optional[int] = None
 ) -> CollapsedEngine | ExactEngine:
-    """The engine of ``mode``, a key of ``ENGINES``, for the system at theta."""
+    """The engine of ``mode``, a key of ``ENGINES``, for the system at
+    theta; a collapsed one reads an unheld S_n as a join."""
     if mode not in ENGINES:
         raise PreconditionError(f"unknown mode {mode!r}")
+    if mode == "collapsed":
+        return CollapsedEngine(fs, theta, node_budget, join=True)
     return ENGINES[mode](fs, theta, node_budget)
 
 

@@ -28,6 +28,7 @@ from .counting import (
     CollapsedEngine,
     LogReal,
     _advance,
+    _dots,
     _log_sum_exp,
     resolve_node_budget,
 )
@@ -38,7 +39,7 @@ from .pressure import (
     pressure_interval,
     superadditive_constants,  # not called here; perfbench/tracing.py patches this name
 )
-from .sft import FactorSystem, Sft, singleton_clumps, validate_sft
+from .sft import FactorSystem, singleton_clumps, validate_sft
 
 __all__ = [
     "CylinderDistribution",
@@ -432,8 +433,7 @@ def additivity_scan(
     # ends: (last letter, direction of the ending count vector);
     # starts: (first letter, direction of the starting count vector),
     # from the transposed source, whose sweep reads words right to left
-    rev = FactorSystem(Sft(fs.source.symbols, tuple(zip(*fs.source.matrix))), fs.letter_map)
-    front, back = CollapsedEngine(fs, 1.0, budget), CollapsedEngine(rev, 1.0, budget)
+    front, back = CollapsedEngine(fs, 1.0, budget), CollapsedEngine(fs.transposed, 1.0, budget)
     ends = front.levels(max_len)
     back.visited = front.visited  # one budget for both sweeps and the pairs
     starts = back.levels(max_len)
@@ -483,14 +483,7 @@ def additivity_scan(
                 v_cols, v_counts, slices = groups[b]
                 # count(uv) over the gcds for every start v of letter b,
                 # one column of the starts per symbol of b's fiber
-                nums = None
-                for c, col in zip(_advance(u_dir, cols), v_cols):
-                    if not c:
-                        continue
-                    if nums is None:
-                        nums = col if c == 1 else [c * x for x in col]
-                    else:
-                        nums = [n + c * x for n, x in zip(nums, col)]
+                nums = _dots(_advance(u_dir, cols), v_cols)
                 if nums is None:
                     continue
                 ratios = [n / (u_count * v) for n, v in zip(nums, v_counts)]

@@ -146,55 +146,6 @@ class StructureReport(NamedTuple):
     period: int
 
 
-def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[int]:
-    # Iterative Tarjan; graphs here are tiny but recursion-free keeps
-    # the routine safe for generated inputs.
-    k = len(succ)
-    index = [None] * k
-    low = [0] * k
-    on_stack = [False] * k
-    comp = [-1] * k
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(k):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
-
-
 def validate_sft(sft: Sft) -> StructureReport:
     """Report irreducibility, period, mixing, and the minimal mixing power,
     derived once per shift and kept on it (``Sft.structure``).
@@ -352,6 +303,14 @@ class FactorSystem(NamedTuple("FactorSystem", [("source", Sft), ("letter_map", M
             supports.append({b: tuple(map(tuple, cols_of[b])) for b in order})
             row_sums.append(tuple((b, tuple(sums_of[b])) for b in order))
         return tuple(supports), tuple(row_sums)
+
+    @cached_property
+    def transposed(self) -> "FactorSystem":
+        """The system on the transposed source under the same letter map,
+        built once with its fiber tables.  Its words are this system's
+        read right to left, so a state of its sweep holds the direction
+        of a word's starting count vector."""
+        return FactorSystem(Sft(self.source.symbols, tuple(zip(*self.source.matrix))), self.letter_map)
 
     def fiber_symbols(self, letter: str) -> tuple[str, ...]:
         """Source symbol names above one image letter."""

@@ -6,6 +6,7 @@ import struct
 import weakref
 from collections import Counter
 from decimal import Decimal, localcontext
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,11 +200,30 @@ class TestNodeBudget:
             partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=5)
 
     def test_collapsed_budget_names_the_level_reached(self, fibonacci):
+        """An engine without the join sweeps forward: levels 1..5 take 2
+        + 4 + 6 + 10 + 14 = 36 visits, level 6 another 18.  The joined
+        walk of ``partition_sum`` to S_20 builds forward levels 1..4 (2 +
+        4 + 6 + 10 visits) and backward levels 1..4 (2 + 4 + 8 + 12), 48
+        in all; forward level 5's 14 edges then overrun 50.  Forward
+        level 4 (7 states), the first children of level 5 and backward
+        level 4 (8 states) are held."""
         with pytest.raises(ResourceError, match="node budget") as info:
-            partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=50)
-        # levels 1..5 take 2 + 4 + 6 + 10 + 14 = 36 visits, level 6 another 18
+            CollapsedEngine(fibonacci, THETA_32, node_budget=50).partition(20)
         assert "at level 6 of 20 with" in str(info.value)
         assert "states held" in str(info.value)
+        with pytest.raises(ResourceError, match="node budget") as info:
+            partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=50)
+        assert "at level 5 and backward level 4 of 20 with 18 states held" in str(info.value)
+        # a backward step names its level second: after forward levels
+        # 1..3 (12 visits) and backward levels 1..2 (6), backward level
+        # 3's 8 edges overrun 20
+        with pytest.raises(ResourceError, match="at level 3 and backward level 3 of 20 with 13 states held"):
+            partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=20)
+        # the walk ends at (9, 12): the sweeps take 132 + 210 visits, so
+        # the first pair overruns 342, forward level 9 (17 states) and
+        # backward level 12 (16) held
+        with pytest.raises(ResourceError, match="at level 9 and backward level 12 of 20 with 33 states held"):
+            partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=342)
 
     def test_budget_message_counts_every_held_level(self, fibonacci):
         """levels(18) holds levels 1..17 (290 states) while it builds the
@@ -344,6 +364,13 @@ class TestCollapsedEngine:
         assert eng.visited == 30 + 5  # stopped at the first state of the map
 
     def test_held_levels_are_read_and_extended(self, fibonacci):
+        """A held level n - 1 is read through the row sums.  A fresh S_4
+        of ``partition_sum`` splits at (3, 2), the same read; a fresh
+        joined S_6 joins forward level 4 with backward level 3, the same
+        sum over other terms, so it agrees within both errors.  Going on
+        to level 9 visits what a fresh sweep to level 8 does: 2 roots
+        and 4 + 6 + 10 + 14 + 18 + 22 + 26 + 30 edges out of levels
+        1..8."""
         eng = CollapsedEngine(fibonacci, THETA_32)
         shallow = eng.levels(6)
         visited = eng.visited
@@ -351,9 +378,16 @@ class TestCollapsedEngine:
         assert eng.visited == visited  # a held level is read, not swept
         assert (held.value.log, held.value.err) == (fresh.value.log, fresh.value.err)
         assert held.word_count == fresh.word_count == 2**4
+        joined = CollapsedEngine(fibonacci, THETA_32, join=True)
+        held, fresh, exact = eng.partition(6), joined.partition(6), partition_sum(fibonacci, 6, THETA_32, "exact")
+        assert eng.visited == visited
+        assert joined._split == (4, 3)
+        assert held.word_count == fresh.word_count == exact.word_count == 2**6
+        for a, b in ((held, fresh), (held, exact), (fresh, exact)):
+            assert abs(a.value.log - b.value.log) <= a.value.err + b.value.err
         deep = eng.levels(9)
         assert deep[:6] == shallow
-        assert eng.visited == CollapsedEngine(fibonacci, THETA_32).partition(9).visited_nodes
+        assert eng.visited == CollapsedEngine(fibonacci, THETA_32).partition(9).visited_nodes == 132
 
 
 def fibonacci_sweep():
@@ -384,6 +418,23 @@ def count_children(monkeypatch):
 
     monkeypatch.setattr(CollapsedEngine, "_children", counted)
     return calls
+
+
+def joined_counts(fs, theta, k, j):
+    """(visits, states built) of a fresh read of S_(k + j - 1) that
+    joins forward level k with backward level j, counted from sweeps
+    that hold every level: each side's roots and the edges out of its
+    levels below the split, plus the pairs (u, w) of one letter whose
+    count prim_u . prim_w is nonzero.  At j = 2 the pairs are level k's
+    edges through the row sums, and only the forward side builds."""
+    fwd = CollapsedEngine(fs, theta)
+    if j == 2:
+        held = fwd.levels(k + 1)
+        return fwd.visited, sum(map(len, held[:k]))
+    bwd = CollapsedEngine(fs.transposed, theta)
+    ends, starts = fwd.levels(k)[-1], bwd.levels(j)[-1]
+    pairs = sum(1 for a, u in ends for b, w in starts if a == b and sum(map(mul, u, w)))
+    return fwd.visited + bwd.visited + pairs, fwd.collapsed_nodes + bwd.collapsed_nodes
 
 
 class TestKeptEdges:
@@ -419,25 +470,33 @@ class TestKeptEdges:
         assert len(shallow) == depth - 2
 
     @pytest.mark.parametrize(
-        "build, depth, visited, states, built",
+        "build, depth, visited, states, built, split, joined",
         [
-            pytest.param(fibonacci_sweep, 18, 582, 325, 290, id="fibonacci-18"),
-            pytest.param(restricted_carpet_1, 10, 886, 728, 442, id="restricted-carpet-10"),
+            pytest.param(fibonacci_sweep, 18, 582, 325, 290, (8, 11), (400, 169), id="fibonacci-18"),
+            pytest.param(restricted_carpet_1, 10, 886, 728, 442, (6, 5), (644, 144), id="restricted-carpet-10"),
         ],
     )
-    def test_counters_unchanged(self, build, depth, visited, states, built):
+    def test_counters_unchanged(self, build, depth, visited, states, built, split, joined):
         """A kept child list still counts its edges each time it is read,
         and the read of S_depth off level depth - 1 counts the edges out
         of it as a step would, so a kept sweep visits what a sweep that
         drops its levels does.  ``collapsed_nodes`` counts the states
         built: every level of the kept sweep, levels 1..depth - 1 of the
-        dropped one, which never builds level ``depth``."""
+        dropped one, which never builds level ``depth``.  A joined read
+        of S_depth builds neither: fibonacci's walk ends at forward level
+        8 and backward level 11 (102 + 180 visits, 65 + 104 states) and
+        reads 118 pairs; the restricted carpet's at (6, 5) (106 + 58
+        visits, 92 + 52 states) and reads 480 pairs."""
         fs, theta = build()
         kept, dropped = CollapsedEngine(fs, theta), CollapsedEngine(fs, theta)
         kept.levels(depth)
         dropped.partition(depth)
         assert (kept.visited, kept.collapsed_nodes) == (visited, states)
         assert (dropped.visited, dropped.collapsed_nodes) == (visited, built)
+        eng = CollapsedEngine(fs, theta, join=True)
+        eng.partition(depth)
+        assert eng._split == split
+        assert (eng.visited, eng.collapsed_nodes) == joined_counts(fs, theta, *split) == joined
 
     @pytest.mark.parametrize(
         "build, depth, budget, message",
@@ -471,6 +530,19 @@ class TestKeptEdges:
                 eng.backward(depth)
         assert eng._edges is None
 
+    def test_a_join_keeps_the_held_levels(self, fibonacci):
+        """A joined S_6 pairs held level 4 with backward level 3, so levels
+        1..4 stay held; S_12 goes on forward and drops them."""
+        eng = CollapsedEngine(fibonacci, THETA_32, join=True)
+        eng.levels(4)
+        eng.partition(6)
+        assert eng._split == (4, 3)
+        assert len(eng.backward()[0]) == 4
+        eng.partition(12)
+        with pytest.raises(PreconditionError, match="not held"):
+            eng.backward()
+        assert eng._edges is None
+
     def test_a_dropped_engine_is_freed_at_once(self, fibonacci):
         """The kept child lists form no reference cycle with the engine,
         so its levels go when its last reference does, not at a later
@@ -496,9 +568,35 @@ class TestKeptEdges:
             assert eng.backward() == expected
 
 
+READ_SYSTEMS = [
+    pytest.param(random_mixing_system(random.Random(seed)), id=f"mixing-{seed}") for seed in range(4)
+] + [
+    pytest.param(build(), id=build.__name__)
+    for build in (parity_oscillation, bipartite_fiber, fibonacci_fiber, linear_lift_growth)
+] + [
+    pytest.param(carpet_to_factor(random_restricted_carpet(random.Random(seed)))[0], id=f"restricted-{seed}")
+    for seed in (1, 2)
+]
+
+
 class TestRowSumRead:
     """S_n is read off level n - 1 through the row sums of the fiber
-    blocks, and level n is never built."""
+    blocks, or, with ``join``, as the join of a forward and a backward
+    level where level n - 1 is not held; level n is never built."""
+
+    @pytest.mark.parametrize("build", [parity_oscillation, bipartite_fiber, fibonacci_fiber, linear_lift_growth])
+    def test_series_is_one_forward_sweep(self, build):
+        """A series to depth 120 reads each S_n off level n - 1 and takes
+        no join, even on a joined engine: it visits the roots and the
+        edges out of levels 1..119, as a sweep holding every level to
+        120 does, and its last sum is that sweep's read of S_120."""
+        fs = build()
+        eng, kept = CollapsedEngine(fs, THETA_32, join=True), CollapsedEngine(fs, THETA_32)
+        last = eng.series(120)[-1]
+        kept.levels(120)
+        assert eng._back is None
+        assert last.visited_nodes == kept.visited
+        assert last[:3] == kept.partition(120)[:3]
 
     @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
     def test_partition_builds_no_state_of_its_level(self, monkeypatch, build, depth):
@@ -510,6 +608,26 @@ class TestRowSumRead:
         # a sweep that drops its levels builds each level's children afresh
         assert calls == Counter(state for level in held[: depth - 2] for state in level)
         assert eng.collapsed_nodes == sum(len(level) for level in held[: depth - 1])
+
+    @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
+    def test_joined_read_builds_no_state_of_its_level(self, monkeypatch, build, depth):
+        """Both sides of the split (k, j) build their levels up to it and
+        no further, each level's children afresh, as sweeps that drop
+        their levels do."""
+        fs, theta = build()
+        probe = CollapsedEngine(fs, theta, join=True)
+        probe.partition(depth)
+        k, j = probe._split
+        assert k + j == depth + 1 and j > 2
+        ends = CollapsedEngine(fs, theta).levels(k)
+        starts = CollapsedEngine(fs.transposed, theta).levels(j)
+        calls = count_children(monkeypatch)
+        eng = CollapsedEngine(fs, theta, join=True)
+        eng.partition(depth)
+        assert calls == Counter(state for level in ends[: k - 1] for state in level) + Counter(
+            state for level in starts[: j - 1] for state in level
+        )
+        assert eng.collapsed_nodes == sum(map(len, ends)) + sum(map(len, starts))
 
     @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
     def test_backward_builds_no_state_of_its_level(self, monkeypatch, build, depth):
@@ -567,20 +685,21 @@ class TestRowSumRead:
 
     def test_first_sum_keeps_the_held_level(self, fibonacci):
         """S_1 comes from the fiber sizes, so reading it leaves the level a
-        sweep holds in place for the next sum."""
+        sweep holds in place for the next sum.  On a joined engine it
+        leaves the split in place: S_13 goes on from S_12's split by one
+        move, as on an engine that never read S_1."""
         eng = CollapsedEngine(fibonacci, THETA_32)
         eng.partition(12)
         assert eng.partition(1).word_count == 2
         assert eng.partition(13).visited_nodes == CollapsedEngine(fibonacci, THETA_32).partition(13).visited_nodes
+        eng, twin = CollapsedEngine(fibonacci, THETA_32, join=True), CollapsedEngine(fibonacci, THETA_32, join=True)
+        eng.partition(12)
+        twin.partition(12)
+        assert eng.partition(1).word_count == 2
+        assert eng.partition(13) == twin.partition(13)
+        assert eng._split == twin._split == (7, 7)
 
-    @pytest.mark.parametrize(
-        "fs",
-        [pytest.param(random_mixing_system(random.Random(seed)), id=f"mixing-{seed}") for seed in range(4)]
-        + [pytest.param(build(), id=build.__name__) for build in
-           (parity_oscillation, bipartite_fiber, fibonacci_fiber, linear_lift_growth)]
-        + [pytest.param(carpet_to_factor(random_restricted_carpet(random.Random(seed)))[0],
-                        id=f"restricted-{seed}") for seed in (1, 2)],
-    )
+    @pytest.mark.parametrize("fs", READ_SYSTEMS)
     def test_read_agrees_with_exact_and_stepped_sums(self, fs):
         """For n = 1..10: the word count and S_n within both tracked
         errors of the exact walk's and of the sum over a built level n,
@@ -606,6 +725,106 @@ class TestRowSumRead:
                 [lw + theta * math.log(sum(prim)) for (_, prim), (lw, _) in held[n - 1].items()], level_err
             )
             assert abs(ps.value.log - built.log) <= ps.value.err + built.err
+
+    @pytest.mark.parametrize("fs", READ_SYSTEMS)
+    def test_joined_read_agrees_with_exact_and_held_sums(self, fs):
+        """For n = 1..10 on joined engines: the word count and S_n within
+        both tracked errors of the exact walk's and of the sum over a
+        built level n, and the visits and states of the walk's two
+        sweeps and its pairs (``joined_counts``).  One engine reading n
+        = 1..10 in turn reads the same value.  An engine holding level
+        n - 1 reads the same value when the split is at j = 2, and past
+        it the same sum over other terms, within both errors."""
+        theta = THETA_32
+        exact, kept = ExactEngine(fs, theta), CollapsedEngine(fs, theta)
+        walked = CollapsedEngine(fs, theta, join=True)
+        held = kept.levels(10)
+        for n in range(1, 11):
+            eng = CollapsedEngine(fs, theta, join=True)
+            ps = eng.partition(n)
+            k, j = eng._split
+            if n > 1:
+                assert k + j == n + 1
+                assert (ps.visited_nodes, ps.collapsed_nodes) == joined_counts(fs, theta, k, j)
+            assert walked.partition(n)[:3] == ps[:3]
+            read = kept.partition(n)
+            assert read.word_count == ps.word_count
+            if j == 2:
+                assert read.value == ps.value
+            else:
+                assert abs(read.value.log - ps.value.log) <= read.value.err + ps.value.err
+            ex = exact.partition(n)
+            assert ps.word_count == ex.word_count == sum(m for _, m in held[n - 1].values())
+            assert abs(ps.value.log - ex.value.log) <= ps.value.err + ex.value.err
+            level_err = kept._held[n - 1][1]
+            built = counting._summed(
+                [lw + theta * math.log(sum(prim)) for (_, prim), (lw, _) in held[n - 1].items()], level_err
+            )
+            assert abs(ps.value.log - built.log) <= ps.value.err + built.err
+
+
+class JumpCounter(CollapsedEngine):
+    """A ``CollapsedEngine`` that counts its squaring jumps."""
+
+    jumps = 0
+
+    def _jump(self, *args):
+        self.jumps += 1
+        return super()._jump(*args)
+
+
+def seeded_carpet(rng, *shape):
+    spec = random_restricted_carpet(rng, *shape)
+    return carpet_to_factor(spec)[0], spec.theta()
+
+
+JOIN_SYSTEMS = {
+    "mixing": lambda rng: (random_mixing_system(rng), THETA_32),
+    "4x2": lambda rng: seeded_carpet(rng),
+    "7x3": lambda rng: seeded_carpet(rng, 7, 3, 6, 0.5),
+}
+# the depth to which the exact walk is the reference: a 7x3 carpet has
+# up to 3^n image words, so past 9 the reference is a held read instead
+EXACT_DEPTHS = {"mixing": 14, "4x2": 14, "7x3": 9}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(JOIN_SYSTEMS)), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14))
+def test_joined_read_matches_exact_and_series(kind, seed, n):
+    """A fresh S_n, joined wherever its walk passes B_2, has the exact
+    word count and a log within both tracked errors of the reference.
+    A series reads S_n off level n - 1 exactly as an engine holding
+    levels 1..n - 1 does, and visits what a fresh read off that level
+    does; it agrees with the fresh S_n within both errors, exactly when
+    that read neither joins nor jumps.  Reading S_1 .. S_n in turn
+    moves the split as the fresh read does and reads it exactly."""
+    fs, theta = JOIN_SYSTEMS[kind](random.Random(seed))
+    fresh, stepped = JumpCounter(fs, theta, join=True), JumpCounter(fs, theta, join=True)
+    ps = fresh.partition(n)
+    series = stepped.series(n)[-1]
+    held = CollapsedEngine(fs, theta)
+    held.levels(n - 1 or 1)
+    assert stepped.jumps == 0
+    assert series[:3] == held.partition(n)[:3]
+    assert series.visited_nodes == (joined_counts(fs, theta, n - 1, 2)[0] if n > 1 else len(fs.fibers))
+    assert series.word_count == ps.word_count
+    if fresh.jumps or fresh._split[1] > 2:
+        assert abs(series.value.log - ps.value.log) <= series.value.err + ps.value.err
+    else:
+        assert series[:3] == ps[:3]
+    walked = JumpCounter(fs, theta, join=True)
+    for i in range(1, n + 1):
+        last = walked.partition(i)
+    if not (walked.jumps or fresh.jumps):
+        assert last[:3] == ps[:3]
+    if n <= EXACT_DEPTHS[kind]:
+        ref = ExactEngine(fs, theta).partition(n)
+    else:
+        held = CollapsedEngine(fs, theta)
+        held.levels(n - 1)
+        ref = held.partition(n)
+    assert ps.word_count == ref.word_count
+    assert abs(ps.value.log - ref.value.log) <= ps.value.err + ref.value.err
 
 
 def test_trivial_identity_counts():

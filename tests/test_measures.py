@@ -21,7 +21,7 @@ from carpetdim.measures import (
     uniqueness_report,
 )
 from carpetdim.pressure import pressure_interval
-from carpetdim.sft import CarpetSpec, FactorSystem, Sft, carpet_to_factor
+from carpetdim.sft import CarpetSpec, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
 from oracles import additivity_scan_oracle, backward_oracle, image_word_counts
@@ -202,7 +202,10 @@ class TestSharedEngine:
     def test_one_engine_serves_each_reader(self, any_fixture):
         """The Gibbs scan holds levels 1..17; the bracket and the defect
         at level 18 read them without visiting a node and agree with
-        fresh engines."""
+        fresh engines.  A fresh joined bracket pairs a forward and a
+        backward level, while the held one reads S_18 off level 17: the
+        same sum over other terms, so the two agree within both errors,
+        with each other and with the exact walk."""
         eng = CollapsedEngine(any_fixture, THETA_32)
         env = gibbs_scan(eng, 18, 10)
         visited = eng.visited
@@ -212,6 +215,15 @@ class TestSharedEngine:
         assert env == gibbs_scan(CollapsedEngine(any_fixture, THETA_32), 18, 10)
         assert est == pressure_interval(CollapsedEngine(any_fixture, THETA_32), 18)
         assert defect == cesaro_defect(CollapsedEngine(any_fixture, THETA_32), 18, 8, 2)
+        joined = CollapsedEngine(any_fixture, THETA_32, join=True)
+        fresh = pressure_interval(joined, 18)
+        assert joined._split[1] > 2
+        assert (fresh.n, fresh.words, fresh.constants) == (est.n, est.words, est.constants)
+        sums = [eng.partition(18), joined.partition(18), ExactEngine(any_fixture, THETA_32).partition(18)]
+        assert sums[0].word_count == sums[2].word_count == est.words
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            a, b = sums[a].value, sums[b].value
+            assert abs(a.log - b.log) <= a.err + b.err
 
     @pytest.mark.parametrize("level", [8, 10])
     def test_masses_do_not_depend_on_the_levels_held(self, fibonacci, level):
@@ -345,8 +357,7 @@ class TestAdditivityScan:
         block that crossed, as the pairwise scan's does, for every start
         length that holds a state."""
         fs = build()
-        rev = FactorSystem(Sft(fs.source.symbols, tuple(zip(*fs.source.matrix))), fs.letter_map)
-        front, back = CollapsedEngine(fs, 1.0), CollapsedEngine(rev, 1.0)
+        front, back = CollapsedEngine(fs, 1.0), CollapsedEngine(fs.transposed, 1.0)
         front.levels(max_len)
         starts = [len(level) for level in _first_seen(back.levels(max_len))]
         base = front.visited + back.visited + 2 * sum(starts)

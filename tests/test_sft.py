@@ -13,7 +13,6 @@ from carpetdim.sft import (
     Sft,
     carpet_to_factor,
     singleton_clumps,
-    strongly_connected_components,
     validate_sft,
 )
 
@@ -168,13 +167,6 @@ class TestStructure:
         assert got == structure_oracle(matrix)
         assert report.mixing == (report.irreducible and report.period == 1)
 
-    def test_scc_partition(self):
-        succ = [(0, 1), (0,), (3,), (2,)]
-        comp = strongly_connected_components(succ)
-        assert comp[0] == comp[1]
-        assert comp[2] == comp[3]
-        assert comp[0] != comp[2]
-
 
 class TestFactorSystem:
     def test_image_alphabet_sorted_and_fibers(self, parity):
@@ -192,6 +184,19 @@ class TestFactorSystem:
             rows = fibonacci.fibers[a]
             cols = fibonacci.fibers[b]
             assert block == tuple(tuple(A[i][j] for j in cols) for i in rows)
+
+    def test_transposed_reads_words_right_to_left(self, any_fixture):
+        """The transposed system is built once, keeps the fibers, and its
+        blocks are the transposes of this system's: a word's lifts are
+        its reversal's lifts there."""
+        fs = any_fixture
+        rev = fs.transposed
+        assert rev is fs.transposed
+        assert rev.source.matrix == tuple(zip(*fs.source.matrix))
+        assert (rev.image_alphabet, rev.fibers) == (fs.image_alphabet, fs.fibers)
+        blocks = fiber_blocks(fs)
+        assert fiber_blocks(rev) == {(b, a): tuple(zip(*block)) for (a, b), block in blocks.items()}
+        assert rev.transposed == fs
 
     def test_letter_map_must_cover_alphabet(self):
         sft = Sft(("a", "b"), ((1, 1), (1, 0)))
