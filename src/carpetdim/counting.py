@@ -255,14 +255,18 @@ class CollapsedEngine:
     2, is the row-sum table (``fiber_row_sums``): each row r of block
     (a, b) is a state of log weight 0.0 and one word, as a state
     (a, prim) of level n - 1 extends by letter b to a vector that sums
-    to prim . r.  That read, off level n - 1 with B_2, takes no gcd, key
-    or merge, and ``_read_sum`` takes it row by row, a letter having a
-    few rows; a held level n - 1 is always read so, which serves
-    ``levels``, ``backward``'s seed, and the scans of ``measures``.  A
-    backward level past it has many starts per letter, so
-    ``_join_sum`` groups them by first letter, one column per fiber
-    symbol, and takes each forward state's counts column by column
-    (``_dots``).  S_1 comes from the fiber sizes.
+    to prim . r.  A held level n - 1 is always read with B_2, which
+    serves ``levels``, ``backward``'s seed, and the scans of
+    ``measures``.  S_1 comes from the fiber sizes.
+
+    One reader, ``_read_sum``, takes every S_n from its split (k, j),
+    with one set of sums and one charge, and one inner loop for each
+    kind of start level, picked by j.  B_2 has a few rows per letter, so
+    a state takes them row by row, with no gcd, key or merge.  A swept
+    level j > 2 has many starts per letter, so they are grouped by first
+    letter, one column per fiber symbol, and a state takes their counts
+    column by column (``_dots``).  Each loop is the faster one on its own
+    side, so neither is folded into the other.
 
     The split.  Built with ``join``, as ``make_engine`` builds every
     collapsed engine, a read whose level n - 1 is not held walks (k, j)
@@ -568,14 +572,17 @@ class CollapsedEngine:
         return PartitionSum(n, value, words, self.visited, self.collapsed_nodes)
 
     def _read_sum(self, n: int, seeds: Optional[dict] = None) -> None:
-        """Read S_n and its word count into ``_sums`` off level n - 1
-        through the row sums, where a held level n - 1, an engine without
-        ``join`` or the walk's split puts it, else as the join of that
-        split (``_join_sum``); S_1 from the fiber sizes (class
-        docstring).  Given ``seeds``, which only a held level n - 1
-        serves, also map each state of level n - 1 to the log-sum-exp of
-        its theta log x, ``backward``'s seed.  Only a first read, whoever
-        asks, stores the sum and charges as derived there."""
+        """Read S_n and its word count into ``_sums`` at the split (k, j),
+        k + j = n + 1: (n - 1, 2) where a held level n - 1 or an engine
+        without ``join`` puts it, else ``_walk``'s; S_1 from the fiber
+        sizes.  j picks the inner loop, each the faster on its side (class
+        docstring): B_2's rows one by one, or a swept level's starts in
+        columns through ``_dots``.  Given ``seeds``, which only a held
+        level n - 1 serves, also map each state of level n - 1 to the
+        log-sum-exp of its theta log x, ``backward``'s seed.  Only a first
+        read, whoever asks, stores the sum and charges its pairs, unless
+        level n is held and its edges charged; at j = 2 they are
+        ``_paid``, so the step over them charges them no more."""
         fresh = n not in self._sums
         theta, log, fibers = self.theta, math.log, self.fs.fibers
         if n == 1:
@@ -584,80 +591,70 @@ class CollapsedEngine:
             self._sums[1] = _summed([theta * log(len(f)) for f in fibers], 0.0), len(fibers)
             return
         held, first = self._held, self._first
-        if not first <= n - 1 < first + len(held):
-            if not self.join:
-                self._reach(n - 1, False, n)
-            else:
+        k, j = n - 1, 2
+        if not first <= k < first + len(held):
+            if self.join:
                 k, j = self._walk(n)
-                if j > 2:
-                    self._join_sum(n, k, j)
-                    return
+            else:
+                self._reach(k, False, n)
             held, first = self._held, self._first
-        level, err = held[n - 1 - first]
-        charge = fresh and n - first == len(held)  # level n is not held
-        rows = self.fs.fiber_row_sums
+        level, err = held[k - first]
+        charge = fresh and n >= first + len(held)  # level n is not held
         terms: list[float] = []
         words = 0
         visited = before = self.visited
-        for state, (lw, m) in level.items():
-            a, prim = state
-            logs = []  # theta log x of the state's pairs
-            for _, r in rows[a]:
-                x = sum(map(mul, prim, r))
-                if x:
-                    t = theta * log(x)
-                    logs.append(t)
-                    terms.append(lw + t)
-            if seeds is not None:
-                seeds[state] = _log_sum_exp(logs)
-            pairs = len(logs)
-            words += m * pairs
-            if charge:
+        if j == 2:
+            rows = self.fs.fiber_row_sums
+            starts, start_err = (), 0.0
+            for state, (lw, m) in level.items():
+                a, prim = state
+                logs = []  # theta log x of the state's pairs
+                for _, r in rows[a]:
+                    x = sum(map(mul, prim, r))
+                    if x:
+                        t = theta * log(x)
+                        logs.append(t)
+                        terms.append(lw + t)
+                if seeds is not None:
+                    seeds[state] = _log_sum_exp(logs)
+                pairs = len(logs)
+                words += m * pairs
+                if charge:
+                    visited += pairs
+                    if visited > self.budget:
+                        break
+        else:
+            starts, start_err = self._back._held[-1]
+            groups: list = [([], [], []) for _ in fibers]
+            for (a, prim), (lw, m) in starts.items():
+                prims, lws, ms = groups[a]
+                prims.append(prim)
+                lws.append(lw)
+                ms.append(m)
+            groups = [(tuple(zip(*prims)), lws, ms) for prims, lws, ms in groups]
+            for (a, prim), (lw, m) in level.items():
+                cols, lws, ms = groups[a]
+                pairs = paired = 0  # the pairs with x > 0, and the words of their starts
+                for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
+                    if x:
+                        terms.append(lw + lw_w + theta * log(x))
+                        pairs += 1
+                        paired += m_w
+                words += m * paired
                 visited += pairs
                 if visited > self.budget:
-                    self._charge(visited, n, n, sum(len(h) for h, _ in held))
+                    break
         if charge:
             self.visited = visited
-            self._paid = (n - 1, visited - before)
-        if fresh:
-            self._sums[n] = _summed(terms, err), words
-
-    def _join_sum(self, n: int, k: int, j: int) -> None:
-        """Store and charge the first read of S_n as the join of forward
-        level k with the backward level j > 2 that the walk holds (class
-        docstring).  B_2's few rows per letter are read row by row in
-        ``_read_sum``; a backward level's starts of one letter are many,
-        so they are grouped once, one column per fiber symbol, and each
-        forward state takes their counts column by column (``_dots``)."""
-        theta, log = self.theta, math.log
-        held = self._held
-        level, err = held[k - self._first]
-        starts, start_err = self._back._held[-1]
-        groups: list = [([], [], []) for _ in self.fs.fibers]
-        for (a, prim), (lw, m) in starts.items():
-            prims, lws, ms = groups[a]
-            prims.append(prim)
-            lws.append(lw)
-            ms.append(m)
-        groups = [(tuple(zip(*prims)), lws, ms) for prims, lws, ms in groups]
-        terms: list[float] = []
-        words = 0
-        visited = self.visited
-        for (a, prim), (lw, m) in level.items():
-            cols, lws, ms = groups[a]
-            pairs = paired = 0  # the pairs with x > 0, and the words of their starts
-            for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
-                if x:
-                    terms.append(lw + lw_w + theta * log(x))
-                    pairs += 1
-                    paired += m_w
-            words += m * paired
-            visited += pairs
             if visited > self.budget:
-                self.visited = visited
-                raise _OverBudget(self.budget, k, n, sum(len(h) for h, _ in held) + len(starts), j)
-        self.visited = visited
-        self._sums[n] = _summed(terms, err + start_err, 4.5), words
+                in_store = sum(len(h) for h, _ in held) + len(starts)
+                if j == 2:
+                    raise _OverBudget(self.budget, n, n, in_store)
+                raise _OverBudget(self.budget, k, n, in_store, j)
+            if j == 2:
+                self._paid = (k, visited - before)
+        if fresh:
+            self._sums[n] = _summed(terms, err + start_err, 4.0 if j == 2 else 4.5), words
 
     def _walk(self, n: int) -> tuple[int, int]:
         """Move the split (k, j) on to k + j = n + 1, holding forward level
@@ -666,8 +663,10 @@ class CollapsedEngine:
         on from the split held, or afresh from (1, 2) when that split is
         past n or its levels are gone.  A forward side whose key set
         repeats, and that is no larger, takes every move left, so it is
-        reached in one ``_reach``, which may jump.  A budget message past
-        B_2 names both levels and counts both sides' states."""
+        reached in one ``_reach``, which may jump.  A backward move steps
+        ``_back``, the engine of ``fs.transposed`` that holds one level,
+        against this engine's budget, visits and node count.  A budget
+        message past B_2 names both levels and counts both sides' states."""
         k, j = self._split
         back = self._back
         held, first = self._held, self._first
@@ -679,7 +678,7 @@ class CollapsedEngine:
         table = sum(map(len, self.fs.fiber_row_sums))  # the states of B_2
         while k + j <= n:
             held, first = self._held, self._first
-            starts = len(self._back._held[-1][0]) if j > 2 else table
+            starts = len(back._held[-1][0]) if j > 2 else table
             if len(held[k - first][0]) <= starts:
                 last = first + len(held) - 1
                 target = n + 1 - j if k == last and self._stationary_edges else k + 1
@@ -691,28 +690,20 @@ class CollapsedEngine:
                     raise _OverBudget(self.budget, exc.level, n, exc.held + starts, j) from None
                 k = target
             else:
+                if back is None:
+                    back = self._back = CollapsedEngine(self.fs.transposed, self.theta, self.budget)
+                back.visited, nodes = self.visited, back.collapsed_nodes
                 try:
-                    self._step_back(j + 1, n)
+                    back._reach(j + 1, False, n)
                 except _OverBudget as exc:
                     forward = sum(len(h) for h, _ in held)
                     raise _OverBudget(self.budget, k, n, exc.held + forward, exc.level) from None
+                finally:
+                    self.visited = back.visited
+                    self.collapsed_nodes += back.collapsed_nodes - nodes
                 j += 1
             self._split = (k, j)
         return k, j
-
-    def _step_back(self, j: int, n: int) -> None:
-        """Hold backward level j, one level past the one held, on the
-        engine of the transposed system, against this engine's budget,
-        visits and node count."""
-        back = self._back
-        if back is None:
-            back = self._back = CollapsedEngine(self.fs.transposed, self.theta, self.budget)
-        back.visited, nodes = self.visited, back.collapsed_nodes
-        try:
-            back._reach(j, False, n)
-        finally:
-            self.visited = back.visited
-            self.collapsed_nodes += back.collapsed_nodes - nodes
 
     def series(self, n_max: int) -> list[PartitionSum]:
         """S_1 .. S_{n_max} off one forward sweep: each S_n not yet read is
@@ -803,12 +794,11 @@ class ExactEngine:
     ``_summed`` charges.
     """
 
-    def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None, join: bool = False):
+    def __init__(self, fs: FactorSystem, theta: float, node_budget: Optional[int] = None):
         if not (0.0 < theta <= 1.0):
             raise PreconditionError("theta must be in (0, 1]")
         self.fs = fs
         self.theta = theta
-        self.join = join  # read an unheld S_n as a join (class docstring)
         self.budget = resolve_node_budget(node_budget)
         self.visited = 0
         self._sums: list[tuple[LogReal, int]] = []  # (S_k, words) for k = 1..depth walked

@@ -616,6 +616,78 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["command"] == "fixtures"
 
 
+EXTREME_MEMORY_B = 512 << 20  # the address space of each extreme call
+EXTREME_TIMEOUT_S = 60
+_FIB = ["--spec", "{dir}/fibonacci_fiber.json", "--theta", THETA_ARG]
+_COLUMN = ["--spec", "{dir}/column_carpet_21.json"]
+# extreme but valid arguments, each with the exit code it ends in
+EXTREME_CALLS = {
+    "counts_of_4342_digits": (EXIT_OK, ["counts", "--spec", "{dir}/full_torus_32.json", "--word", "0" * 9100]),
+    "render_level_40": (EXIT_RESOURCE, ["render", *_COLUMN, "--level", "40", "--output", "{dir}/never.pbm"]),
+    "carpet_of_1e15_rows": (EXIT_OK, ["dimension", "--spec", "{dir}/wide_rows.json", "--depth", "3"]),
+    "compensation_of_2100_letters": (
+        EXIT_OK, ["compensation", "--spec", "{dir}/bipartite_fiber.json", "--cycle", "2" * 2100]),
+    "cesaro_probe_over_budget": (
+        EXIT_RESOURCE,
+        ["cesaro", *_COLUMN, "--level", "24", "--n-terms", "1", "--probe-depth", "18", "--node-budget", "1000"]),
+    "dimension_budget_1": (EXIT_RESOURCE, ["dimension", *_COLUMN, "--depth", "12", "--node-budget", "1"]),
+    "pressure_budget_1": (EXIT_RESOURCE, ["pressure", *_FIB, "--depth", "12", "--node-budget", "1"]),
+    "gibbs_budget_1": (EXIT_RESOURCE, ["gibbs", *_FIB, "--level", "14", "--n-max", "6", "--node-budget", "1"]),
+    "cesaro_budget_1": (EXIT_RESOURCE, ["cesaro", *_FIB, "--level", "14", "--n-terms", "6", "--node-budget", "1"]),
+    "additivity_budget_1": (
+        EXIT_RESOURCE, ["additivity", "--spec", "{dir}/parity_oscillation.json", "--max-len", "8", "--node-budget", "1"]),
+    "pressure_theta_5e-324": (
+        EXIT_OK, ["pressure", "--spec", "{dir}/fibonacci_fiber.json", "--theta", "5e-324", "--depth", "12"]),
+    "gibbs_theta_5e-324": (
+        EXIT_OK,
+        ["gibbs", "--spec", "{dir}/fibonacci_fiber.json", "--theta", "5e-324", "--level", "14", "--n-max", "6"]),
+    "dimension_depth_100000": (EXIT_OK, ["dimension", "--spec", "{dir}/full_torus_32.json", "--depth", "100000"]),
+}
+
+
+@pytest.fixture(scope="module")
+def extreme_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("extreme")
+    write_fixture_files(out)
+    (out / "wide_rows.json").write_text(json.dumps({
+        "schema": 1, "kind": "carpet", "l": 10**15 + 1, "m": 10**15,
+        "digits": [[0, 0], [1, 5]], "transitions": "full",
+    }))
+    return out
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (EXTREME_MEMORY_B, EXTREME_MEMORY_B))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize("name", list(EXTREME_CALLS))
+def test_extreme_arguments_end_cleanly(name, extreme_dir):
+    """Each command at arguments that are extreme but valid, in a fresh
+    process under a 512 MB address space and a timeout, ends in a JSON
+    report or a clean exit 1, 2 or 3, never in a traceback.  The report
+    is read with the cap on an int's digits lifted, as the CLI writes it."""
+    code, argv = EXTREME_CALLS[name]
+    argv = [arg.format(dir=extreme_dir) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "carpetdim", *argv, "--no-timestamp"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        timeout=EXTREME_TIMEOUT_S,
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_SPEC, EXIT_PRECONDITION, EXIT_RESOURCE), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code == EXIT_OK:
+        with cli._ExactInts():
+            assert json.loads(proc.stdout)["command"] == argv[0]
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
 @st.composite
 def spec_documents(draw):
     """A small factor system or carpet document in which every symbol
