@@ -13,15 +13,16 @@ per-symbol count vector propagates linearly, hence two prefixes with
 proportional vectors generate subtrees whose sums differ by the exact
 scalar c^theta.  Collapsed mode therefore sweeps the prefix tree one
 level at a time and merges the prefixes of a level by (last letter,
-gcd-normalized count vector); a backward pass over the kept levels
-gives the suffix sums that cylinder masses need.  The deepest level is
-never built.  Lift counts join exactly at any cut: a word u ending in
-letter a and a word w starting with it overlap in one word of count
-end_u . start_w.  So an engine built with ``join``, as ``make_engine``
-builds it, reads S_n by pairing a level k of the sweep with a level j
-of the same sweep over the transposed source, k + j = n + 1; the row
-sums of the fiber blocks are its level 2, and with them S_n and the
-last suffix sums are read off level n - 1.
+gcd-normalized count vector); a backward pass over the kept levels,
+seeded by a join, gives the suffix sums that cylinder masses need.
+The deepest level is never built.  Lift counts join exactly at any
+cut: a word u ending in letter a and a word w starting with it
+overlap in one word of count end_u . start_w.  So an engine built
+with ``join``, as ``make_engine`` builds it, reads S_n by pairing a
+level k of the sweep with a level j of the same sweep over the
+transposed source, k + j = n + 1; the row sums of the fiber blocks
+are its level 2, and with them S_n and the last suffix sums are read
+off level n - 1.
 
 ``LogReal`` and ``PartitionSum`` are ``NamedTuple`` records, so each
 compares equal to a plain tuple of its fields.
@@ -256,8 +257,8 @@ class CollapsedEngine:
     (a, b) is a state of log weight 0.0 and one word, as a state
     (a, prim) of level n - 1 extends by letter b to a vector that sums
     to prim . r.  A held level n - 1 is always read with B_2, which
-    serves ``levels``, ``backward``'s seed, and the scans of
-    ``measures``.  S_1 comes from the fiber sizes.
+    serves ``levels`` and ``backward``'s default seed.  S_1 comes from
+    the fiber sizes.
 
     One reader, ``_read_sum``, takes every S_n from its split (k, j),
     with one set of sums and one charge, and one inner loop for each
@@ -281,11 +282,25 @@ class CollapsedEngine:
     pairs).  A forward side whose key set repeats and that is no
     larger than the backward level takes every move left, so it goes to
     level n + 1 - j in one ``_reach``, which may jump.  The backward side
-    steps a second engine, ``_back``, that holds one level.  Without
+    steps a second engine, ``_back``, that holds one level here.  Without
     ``join``, the default, every read sweeps forward to level n - 1 and
     reads it at j = 2, so a fresh S_n visits the states of level 1 and
     the edges out of levels 1..n - 1 unless it jumps: the count that
     ``perfbench/carpets.py`` models to fix the work of its picks.
+
+    The seeded split.  ``backward(depth, upto)``, with or without
+    ``join``, needs suffix sums on levels 1..upto only, so it pairs the
+    same way: its walk starts at (upto, 2), whatever levels are held,
+    and follows the same rule to k + j = depth + 1, keeping every
+    forward level it reaches, whose kept child lists the pass above the
+    seed reads, and every level of ``_back``.  So its split depends on
+    the system, ``depth`` and ``upto`` alone, a second seeded read at
+    that split visits nothing while those levels stay held, and a
+    partition read's split is left as it was.  The read of S_depth at
+    that split also gives each state u of level k its seed, the
+    log-sum-exp of lw_w + theta log x over its pairs: its suffix sum,
+    as the pairs of u are its extensions to level depth grouped by
+    their last j letters.
 
     ``visited`` counts the states of level 1 and every nonzero edge, the
     jump's included, of both sweeps, and the pairs read, against one
@@ -362,13 +377,17 @@ class CollapsedEngine:
     drop out with the add: the read off level n - 1 adds lw + theta log
     x and is off by at most E_{n-1} + eps (4 S + 2), one step's charge
     less than a sum over a built level n would be.  ``backward`` seeds
-    level depth - 1, in that same read, with the log-sum-exp of theta
-    log x over each state's pairs: 1.5 eps T for theta log x and
-    eps (2 T + 2) for the merge, within eps (4 T + 2), T being the
-    largest seed.  It charges each level above it as a step
-    with merges, D being the largest d of the kept lists that level
-    reads, and a held level ``depth`` its own theta log(sum of vector),
-    eps (2 T + 1).
+    forward level k, in that same read, with the log-sum-exp of the
+    terms lw_w + theta log x over each state's pairs, lw_w being 0.0
+    at j = 2.  Every term is >= 0 and at most its state's seed, so at
+    most T, the largest seed.  theta log x rounds by 1.5 eps of itself
+    and the add by eps/2 of its result, exact at j = 2, at most 2 eps T
+    together; the merge adds eps (2 T + 2), and E_B passes through.  So
+    a seed is off by at most E_B + eps (4 T + 2): the charge of a seed
+    at j = 2, where E_B = 0, plus the bound of backward level j.  It
+    charges each level above it as a step with merges, D being the
+    largest d of the kept lists that level reads, and a held level
+    ``depth`` its own theta log(sum of vector), eps (2 T + 1).
 
     The jump multiplies matrices of such entries, each matrix with one
     bound on the error of all its logs.  The row starts from the
@@ -571,27 +590,28 @@ class CollapsedEngine:
         value, words = self._sums[n]
         return PartitionSum(n, value, words, self.visited, self.collapsed_nodes)
 
-    def _read_sum(self, n: int, seeds: Optional[dict] = None) -> None:
+    def _read_sum(self, n: int, seeds: Optional[dict] = None, split: Optional[tuple[int, int]] = None) -> float:
         """Read S_n and its word count into ``_sums`` at the split (k, j),
-        k + j = n + 1: (n - 1, 2) where a held level n - 1 or an engine
-        without ``join`` puts it, else ``_walk``'s; S_1 from the fiber
-        sizes.  j picks the inner loop, each the faster on its side (class
-        docstring): B_2's rows one by one, or a swept level's starts in
-        columns through ``_dots``.  Given ``seeds``, which only a held
-        level n - 1 serves, also map each state of level n - 1 to the
-        log-sum-exp of its theta log x, ``backward``'s seed.  Only a first
-        read, whoever asks, stores the sum and charges its pairs, unless
-        level n is held and its edges charged; at j = 2 they are
-        ``_paid``, so the step over them charges them no more."""
+        k + j = n + 1: ``split`` where ``backward`` gives it, else (n - 1,
+        2) where a held level n - 1 or an engine without ``join`` puts it,
+        else ``_walk``'s; S_1 from the fiber sizes.  j picks the inner
+        loop, each the faster on its side (class docstring): B_2's rows
+        one by one, or a swept level's starts in columns through ``_dots``.
+        Given ``seeds``, also map each state of level k to the log-sum-exp
+        of lw_w + theta log x over its pairs, ``backward``'s seed.  Returns
+        E_B, the error bound of the backward level (0.0 for B_2).
+        Only a first read, whoever asks, stores the sum and charges its
+        pairs, unless level n is held and its edges charged; at j = 2 they
+        are ``_paid``, so the step over them charges them no more."""
         fresh = n not in self._sums
         theta, log, fibers = self.theta, math.log, self.fs.fibers
         if n == 1:
             if not self._held:  # every held store was swept from level 1
                 self._reach(1, False, 1)
             self._sums[1] = _summed([theta * log(len(f)) for f in fibers], 0.0), len(fibers)
-            return
+            return 0.0
         held, first = self._held, self._first
-        k, j = n - 1, 2
+        k, j = split or (n - 1, 2)
         if not first <= k < first + len(held):
             if self.join:
                 k, j = self._walk(n)
@@ -624,7 +644,8 @@ class CollapsedEngine:
                     if visited > self.budget:
                         break
         else:
-            starts, start_err = self._back._held[-1]
+            back = self._back
+            starts, start_err = back._held[j - back._first]
             groups: list = [([], [], []) for _ in fibers]
             for (a, prim), (lw, m) in starts.items():
                 prims, lws, ms = groups[a]
@@ -635,11 +656,22 @@ class CollapsedEngine:
             for (a, prim), (lw, m) in level.items():
                 cols, lws, ms = groups[a]
                 pairs = paired = 0  # the pairs with x > 0, and the words of their starts
-                for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
-                    if x:
-                        terms.append(lw + lw_w + theta * log(x))
-                        pairs += 1
-                        paired += m_w
+                if seeds is None:  # a fresh read's loop, kept free of seed work
+                    for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
+                        if x:
+                            terms.append(lw + lw_w + theta * log(x))
+                            pairs += 1
+                            paired += m_w
+                else:
+                    logs = []  # lw_w + theta log x of the state's pairs
+                    for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
+                        if x:
+                            t = theta * log(x)
+                            terms.append(lw + lw_w + t)
+                            logs.append(lw_w + t)
+                            paired += m_w
+                    seeds[a, prim] = _log_sum_exp(logs)
+                    pairs = len(logs)
                 words += m * paired
                 visited += pairs
                 if visited > self.budget:
@@ -655,35 +687,45 @@ class CollapsedEngine:
                 self._paid = (k, visited - before)
         if fresh:
             self._sums[n] = _summed(terms, err + start_err, 4.0 if j == 2 else 4.5), words
+        return start_err
 
-    def _walk(self, n: int) -> tuple[int, int]:
+    def _walk(self, n: int, start: Optional[tuple[int, int]] = None) -> tuple[int, int]:
         """Move the split (k, j) on to k + j = n + 1, holding forward level
         k and backward level j, and return it: one move at a time, each
-        advancing the side with fewer states, ties forward.  The walk goes
-        on from the split held, or afresh from (1, 2) when that split is
-        past n or its levels are gone.  A forward side whose key set
-        repeats, and that is no larger, takes every move left, so it is
-        reached in one ``_reach``, which may jump.  A backward move steps
-        ``_back``, the engine of ``fs.transposed`` that holds one level,
-        against this engine's budget, visits and node count.  A budget
-        message past B_2 names both levels and counts both sides' states."""
-        k, j = self._split
-        back = self._back
-        held, first = self._held, self._first
-        if k + j > n + 1 or not first <= k < first + len(held) or (
-            j > 2 and back._first + len(back._held) - 1 != j
-        ):
-            k, j = 1, 2
-            self._reach(1, False, n)
+        advancing the side with fewer states, ties forward.  A partition
+        read's walk goes on from the split held, or afresh from (1, 2)
+        when that split is past n or its levels are gone, and records the
+        split it reaches.  ``backward``'s walk starts at ``start``, (upto,
+        2) with levels 1..upto held, keeps every forward level it reaches
+        (``levels``) and records nothing, so its split depends on the
+        system, n and upto alone.  A forward side whose key set repeats,
+        and that is no larger, takes every move left, so it is reached in
+        one ``_reach``, which may jump unless it keeps its levels.  A
+        backward move steps ``_back``, the engine of ``fs.transposed``,
+        which holds one level on a partition read's walk and every level
+        on ``backward``'s, against this engine's budget, visits and node
+        count.  A budget message past B_2 names both levels and counts
+        both sides' states."""
+        back, keep = self._back, start is not None
+        if keep:
+            k, j = start
+        else:
+            k, j = self._split
+            held, first = self._held, self._first
+            if k + j > n + 1 or not first <= k < first + len(held) or (
+                j > 2 and not back._first <= j < back._first + len(back._held)
+            ):
+                k, j = 1, 2
+                self._reach(1, False, n)
         table = sum(map(len, self.fs.fiber_row_sums))  # the states of B_2
         while k + j <= n:
             held, first = self._held, self._first
-            starts = len(back._held[-1][0]) if j > 2 else table
+            starts = len(back._held[j - back._first][0]) if j > 2 else table
             if len(held[k - first][0]) <= starts:
                 last = first + len(held) - 1
                 target = n + 1 - j if k == last and self._stationary_edges else k + 1
                 try:
-                    self._reach(target, False, n)
+                    self._reach(target, keep, n)
                 except _OverBudget as exc:
                     if j == 2:
                         raise
@@ -694,7 +736,7 @@ class CollapsedEngine:
                     back = self._back = CollapsedEngine(self.fs.transposed, self.theta, self.budget)
                 back.visited, nodes = self.visited, back.collapsed_nodes
                 try:
-                    back._reach(j + 1, False, n)
+                    back._reach(j + 1, keep, n)
                 except _OverBudget as exc:
                     forward = sum(len(h) for h, _ in held)
                     raise _OverBudget(self.budget, k, n, exc.held + forward, exc.level) from None
@@ -702,7 +744,8 @@ class CollapsedEngine:
                     self.visited = back.visited
                     self.collapsed_nodes += back.collapsed_nodes - nodes
                 j += 1
-            self._split = (k, j)
+            if not keep:
+                self._split = (k, j)
         return k, j
 
     def series(self, n_max: int) -> list[PartitionSum]:
@@ -723,43 +766,57 @@ class CollapsedEngine:
         self._reach(depth, True, depth)
         return [level for level, _ in self._held[:depth]]
 
-    def backward(self, depth: Optional[int] = None) -> tuple[list[dict], list[float]]:
-        """Suffix sums to level ``depth`` over the held levels 1..depth - 1,
-        one pass from level depth - 1 up, and one error bound per level.
+    def backward(self, depth: Optional[int] = None, upto: Optional[int] = None) -> tuple[list[dict], list[float]]:
+        """Suffix sums to level ``depth`` over the held levels 1..``upto``,
+        one pass from the seed up, and one error bound per level.
         ``sums[k][s]`` is the float log of the sum of the final
         count^theta over the extensions to level ``depth`` of a prefix in
         state s of level k + 1, the prefix's own gcd factored out;
         ``errs[k]`` bounds the error of every log in ``sums[k]``.
 
-        Level depth - 1 is seeded by the read of S_depth (``_read_sum``),
-        charged if it is the first, so ``levels(depth - 1)`` is all that
-        must be held and level ``depth`` is never built.  When level
-        ``depth`` is held as well, its own sums, theta log of the sum of
-        each state's vector, come last, so after ``levels(depth)`` the
-        lists cover levels 1..depth; ``depth`` defaults to the deepest
-        held level.  The levels above the seed read the child lists the
-        forward sweep kept, one loop per level that builds its sums and
-        takes the largest log and the largest d of the lists read as it
-        goes, the two maxima its error charge needs.  A depth whose
-        levels are not held raises PreconditionError."""
+        The seed is the read of S_depth (``_read_sum``) at a split (k, j),
+        charged if it is the first, which maps each state of forward level
+        k to the log-sum-exp of lw_w + theta log x over its pairs with
+        backward level j.  ``upto`` defaults to depth - 1, whose split is
+        (depth - 1, 2): level depth - 1 is read with the row sums, so
+        ``levels(depth - 1)`` is all that must be held and level ``depth``
+        is never built.  A smaller ``upto`` walks the split from (upto, 2)
+        by ``_walk``'s rule, keeping the forward levels it reaches, so the
+        split depends on the system, ``depth`` and ``upto`` alone, and
+        ``levels(upto)`` is all that must be held.  When level ``depth``
+        is held as well and ``upto`` is the default, its own sums, theta
+        log of the sum of each state's vector, come last, so after
+        ``levels(depth)`` the lists cover levels 1..depth; ``depth``
+        defaults to the deepest held level.  The levels above the seed
+        read the child lists the forward sweep kept, one loop per level
+        that builds its sums and takes the largest log and the largest d
+        of the lists read as it goes, the two maxima its error charge
+        needs; the sums of levels past ``upto`` are dropped.  Levels
+        1..upto that are not held raise PreconditionError."""
         held = self._held
         if depth is None:
             depth = len(held)
-        if self._first != 1 or not 1 <= depth <= len(held) + 1:
+        if upto is None:
+            upto = depth - 1
+        elif not 1 <= upto < depth:
+            raise PreconditionError(f"backward to level {depth} returns levels 1..upto, upto in 1..{depth - 1}")
+        if self._first != 1 or depth < 1 or upto > len(held):
             raise PreconditionError(
-                f"backward to level {depth} reads levels 1..{max(depth - 1, 1)} "
+                f"backward to level {depth} reads levels 1..{max(upto, 1)} "
                 f"held by levels(); they are not held"
             )
-        edges, theta, log = self._edges, self.theta, math.log
+        theta, log = self.theta, math.log
         out: list[dict] = []
         errs: list[float] = []
         if depth > 1:
             sums: dict = {}  # the seed, from the read of S_depth
-            self._read_sum(depth, sums)
-            err = _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+            k, j = self._walk(depth, (upto, 2))
+            err = self._read_sum(depth, sums, (k, j))
+            err += _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
             out.append(sums)
             errs.append(err)
-            for level, _ in reversed(held[: depth - 2]):
+            edges = self._edges
+            for level, _ in reversed(self._held[: k - 1]):
                 below, sums, top, top_d = sums, {}, 0.0, 0.0
                 for state in level:
                     terms = []
@@ -775,7 +832,8 @@ class CollapsedEngine:
                 errs.append(err)
             out.reverse()
             errs.reverse()
-        if depth <= len(held):
+            del out[upto:], errs[upto:]
+        if upto == depth - 1 and depth <= len(held):
             sums = {s: theta * log(sum(s[1])) for s in held[depth - 1][0]}
             out.append(sums)
             errs.append(_EPS * (2.0 * max(sums.values(), default=0.0) + 1.0))

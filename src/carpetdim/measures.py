@@ -8,9 +8,13 @@ levels kept: a mass sums count^theta over word extensions, which is
 the suffix sum of the word's state times g^theta, g being the gcd
 taken out of the word's count vector.  A word's state and g^theta come
 from a walk along the engine's kept child lists, whose edges carry
-theta log g.  So the measure functions take a ``CollapsedEngine``,
-which fixes the system, theta and the node budget, and several of them
-given one engine read the levels it holds without sweeping again; an
+theta log g.  The suffix sums come from ``backward(L, upto)``, upto
+being the deepest level a scan reads: its seed joins a held forward
+level with a level of the sweep over the transposed source, so a scan
+builds levels 1..upto and those of the split, not every level below L.
+So the measure functions take a ``CollapsedEngine``, which fixes the
+system, theta and the node budget, and several of them given one
+engine read the levels it holds without sweeping again; an
 ``ExactEngine`` holds no levels and raises PreconditionError.
 
 The result records are ``NamedTuple``s, so each compares equal to a
@@ -136,8 +140,10 @@ def nu_marginal(engine: CollapsedEngine, level: int, depth: int) -> CylinderDist
 
     mass(w) = sum over length-``level`` words u extending w of
     count(u)^theta, divided by S_level.  The inner sum is the suffix
-    sum of w's state from one backward pass over the kept levels, so
-    the marginal at any depth costs little more than S_level itself.
+    sum of w's state from one backward pass over levels 1..depth, seeded
+    at the split ``backward(level, depth)`` walks to (levels 1..level - 1
+    and the row sums when depth is the level), so the marginal at any
+    depth costs little more than a joined read of S_level.
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
@@ -167,9 +173,11 @@ def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope
       S_L <= S_{L-n-M+1} S_{n+M-1} and S_k <= K_tilde e^(k P) (Fekete),
       r(w) >= C1 = e^(-(M-1) P_hi) / K_tilde.
 
-    Both ends are then padded outward by the tracked log errors of the
-    scanned suffix sums, of S_L, of the ratio's own float arithmetic and
-    of the constants.  Requires a mixing source and level > n_max + M,
+    The suffix sums come from ``backward(L, upto)``, upto = max(n_max,
+    M - 2): the scan reads levels 1..n_max, and S_{M-1} is read off held
+    level M - 2.  Both ends are then padded outward by the tracked log
+    errors of the scanned suffix sums, of S_L, of the ratio's own float
+    arithmetic and of the constants.  Requires a mixing source and level > n_max + M,
     so every suffix crosses a mixing window.
     """
     if n_max < 1:
@@ -178,9 +186,11 @@ def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope
     if level <= n_max + M:
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
     # levels first, then the backward pass, whose seed comes from the
-    # read of S_L; S_{M-1} and S_L are then read without a sweep
-    _held_levels(engine, level - 1)
-    back, errs = engine.backward(level)
+    # read of S_L; S_{M-1}, off held level M - 2, and S_L are then read
+    # without a sweep
+    upto = max(n_max, M - 2)
+    _held_levels(engine, upto)
+    back, errs = engine.backward(level, upto)
     estimate = pressure_interval(engine, level)
     constants = estimate.constants
     total = engine.partition(level).value
@@ -255,8 +265,9 @@ def _shift_masses(eng, level, probe_depth, positions):
     # being the path's plus theta log x, even if level L is held; the
     # (letter, theta log x) pairs are taken once per end state.  The
     # paths built count against the node budget with the nodes visited.
-    levels = _held_levels(eng, max(level - 1, 1))
-    back, _ = eng.backward(level)  # reads S_L with the seed
+    upto = min(level - 1, max(positions) + probe_depth)  # the deepest suffix sums read
+    levels = _held_levels(eng, max(upto, 1))
+    back, _ = eng.backward(level, upto or None)  # reads S_L with the seed; level 1 has none
     total = eng.partition(level).value
     edges, names, rows, theta = eng.edges, eng.fs.image_alphabet, eng.fs.fiber_row_sums, eng.theta
     log = math.log

@@ -3,13 +3,17 @@
 Most work from the raw transition matrix and letter map by explicit
 enumeration, independently of the library internals, so a bug in the
 library's vector recursions or viability fixed points cannot hide in
-the oracle as well.  The last three are reference forms of the engine's
-read paths, written state by state and pair by pair with one ``fsum``
-log-sum-exp: the faster forms must return exactly the same floats.
+the oracle as well; ``extension_log_sum`` so checks a suffix sum against
+every extension word.  ``backward_oracle`` (with the split of
+``split_oracle``) and ``additivity_scan_oracle`` are reference forms of
+the engine's read paths, written state by state and pair by pair with
+one ``fsum`` log-sum-exp: the faster forms must return exactly the same
+floats.
 """
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 
@@ -313,24 +317,69 @@ def fsum_log_sum_exp(terms):
     return hi + math.log(math.fsum([math.exp(t - hi) for t in terms]))
 
 
-def backward_oracle(engine: CollapsedEngine, depth: int):
-    """``CollapsedEngine.backward(depth)`` state by state: the seed from
-    each state's vector stepped through its blocks and summed, each
-    level above it one comprehension over the kept child lists, and the
-    level maxima its error charges need taken in passes of their own.  Reads the held levels and kept
-    lists of an engine after ``levels(depth)`` or ``levels(depth - 1)``."""
-    held, edges, theta = engine._held, engine.edges, engine.theta
-    supports = engine.fs.fiber_supports
+def split_oracle(fs: FactorSystem, theta: float, depth: int, upto: int) -> tuple[int, int]:
+    """The split (k, j), k + j = depth + 1, of ``backward(depth, upto)``:
+    from (upto, 2), one move at a time, the side whose level has fewer
+    states advances, ties forward.  Level sizes come from fresh sweeps
+    of the source and of its transpose that hold every level; B_2 has
+    one state per nonzero fiber block."""
+    ends = CollapsedEngine(fs, theta).levels(depth)
+    starts = CollapsedEngine(fs.transposed, theta).levels(depth)
+    table = sum(1 for block in fiber_blocks(fs).values() if any(map(any, block)))
+    k, j = upto, 2
+    while k + j <= depth:
+        if len(ends[k - 1]) <= (table if j == 2 else len(starts[j - 1])):
+            k += 1
+        else:
+            j += 1
+    return k, j
+
+
+def backward_oracle(engine: CollapsedEngine, depth: int, upto=None):
+    """``CollapsedEngine.backward(depth, upto)`` state by state.  The seed
+    at the split (k, j) of ``split_oracle``: at j = 2, each state's
+    vector stepped through its blocks and summed, theta log of each sum;
+    past it, each state's pairs with backward level j of a fresh sweep
+    of the transposed source, lw_w + theta log (prim_u . prim_w), and
+    that level's error bound E_B added to the seed's.  Each level above
+    the seed is one comprehension over the kept child lists of a fresh
+    forward sweep that holds levels 1..k, and the level maxima its error
+    charges need are taken in passes of their own.  With ``upto`` left
+    out, level ``depth``'s own sums come last when ``engine`` holds it."""
+    fs, theta = engine.fs, engine.theta
+    held = engine._held
+    if upto is None:
+        upto = depth - 1
+        own = depth <= len(held)  # the engine holds level depth
+    else:
+        own = False
+    supports = fs.fiber_supports
     out, errs = [], []
     if depth > 1:
-        levels = [level for level, _ in held[: depth - 1]]
-        sums = {
-            s: fsum_log_sum_exp([
-                theta * math.log(x) for cols in supports[s[0]].values() if (x := sum(_advance(s[1], cols)))
-            ])
-            for s in levels[-1]
-        }
-        err = _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+        k, j = split_oracle(fs, theta, depth, upto)
+        fwd = CollapsedEngine(fs, theta)
+        levels, edges = fwd.levels(k), fwd.edges
+        if j == 2:
+            sums = {
+                s: fsum_log_sum_exp([
+                    theta * math.log(x) for cols in supports[s[0]].values() if (x := sum(_advance(s[1], cols)))
+                ])
+                for s in levels[-1]
+            }
+            e_b = 0.0
+        else:
+            back = CollapsedEngine(fs.transposed, theta)
+            starts = back.levels(j)[-1]
+            e_b = back._held[j - 1][1]
+            sums = {
+                (a, u): fsum_log_sum_exp([
+                    lw + theta * math.log(x)
+                    for (b, w), (lw, _) in starts.items()
+                    if b == a and (x := sum(map(mul, u, w)))
+                ])
+                for a, u in levels[-1]
+            }
+        err = e_b + _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
         out.append(sums)
         errs.append(err)
         for level in reversed(levels[:-1]):
@@ -340,13 +389,37 @@ def backward_oracle(engine: CollapsedEngine, depth: int):
             err += engine._step_error(max(sums.values(), default=0.0), True, top_d)
             out.append(sums)
             errs.append(err)
-        out.reverse()
-        errs.reverse()
-    if depth <= len(held):
+        out = out[::-1][:upto]
+        errs = errs[::-1][:upto]
+    if own:
         sums = {s: theta * math.log(sum(s[1])) for s in held[depth - 1][0]}
         out.append(sums)
         errs.append(_EPS * (2.0 * max(sums.values(), default=0.0) + 1.0))
     return out, errs
+
+
+def extension_log_sum(fs: FactorSystem, theta: float, state, length: int, digits: int = 40) -> Decimal:
+    """log of the sum, over the image words v of ``length`` letters that
+    follow a word in ``state`` = (last letter, count vector), of the
+    count of the extension to the power theta, to ``digits`` digits:
+    every v enumerated, its count vector stepped through the dense fiber
+    blocks, each count^theta taken in ``Decimal``."""
+    blocks = fiber_blocks(fs)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = Decimal(0)
+        stack = [(state[0], state[1], length)]
+        while stack:
+            a, vec, left = stack.pop()
+            if not left:
+                total += (Decimal(sum(vec)).ln() * Decimal(theta)).exp()
+                continue
+            for b in range(len(fs.fibers)):
+                block = blocks[a, b]
+                nxt = tuple(sum(vec[i] * block[i][c] for i in range(len(vec))) for c in range(len(fs.fibers[b])))
+                if any(nxt):
+                    stack.append((b, nxt, left - 1))
+        return total.ln()
 
 
 def additivity_scan_oracle(fs: FactorSystem, max_len: int, threshold=DEFAULT_REFUTATION_THRESHOLD,

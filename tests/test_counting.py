@@ -33,9 +33,11 @@ from oracles import (
     backward_oracle,
     brute_force_count,
     extendable_prefix_oracle,
+    extension_log_sum,
     fsum_log_sum_exp,
     image_word_counts,
     product_count_oracle,
+    split_oracle,
 )
 
 
@@ -521,14 +523,25 @@ class TestKeptEdges:
         with pytest.raises(PreconditionError, match="not held"):
             eng.backward()
         eng.levels(4)
+        visited = eng.visited
         for depth in (0, 6):  # backward(5) reads levels 1..4, which are held
             with pytest.raises(PreconditionError, match="not held"):
                 eng.backward(depth)
-        eng.partition(6)  # goes on from level 4 to level 5 and drops levels 1..4
-        for depth in (None, 4, 6):
+        for depth, upto in ((7, 5), (12, 5)):  # a seeded read needs levels 1..upto
             with pytest.raises(PreconditionError, match="not held"):
-                eng.backward(depth)
+                eng.backward(depth, upto)
+        for upto in (-1, 0, 6):
+            with pytest.raises(PreconditionError, match="upto in 1..5"):
+                eng.backward(6, upto)
+        assert eng.visited == visited and eng._back is None and not eng._sums  # nothing was read
+        eng.partition(6)  # goes on from level 4 to level 5 and drops levels 1..4
+        for depth, upto in ((None, None), (4, None), (6, None), (12, 4), (12, 1)):
+            with pytest.raises(PreconditionError, match="not held"):
+                eng.backward(depth, upto)
         assert eng._edges is None
+        seeded = CollapsedEngine(fibonacci, THETA_32)
+        seeded.levels(4)
+        assert len(seeded.backward(12, 4)[0]) == 4  # levels 1..4 are all it needs
 
     def test_a_join_keeps_the_held_levels(self, fibonacci):
         """A joined S_6 pairs held level 4 with backward level 3, so levels
@@ -954,3 +967,52 @@ class TestBackwardAgainstOracle:
                 eng = CollapsedEngine(fs, theta)
                 eng.levels(held)
                 assert eng.backward(depth) == backward_oracle(eng, depth)
+
+    @pytest.mark.parametrize("fs", READ_SYSTEMS)
+    def test_seeded_sums_and_bounds(self, fs):
+        """``backward(12, upto)`` for every upto in 1..10 returns the floats
+        of the state-by-state form, whose seed pairs forward level k of
+        the split with backward level j of a fresh transposed sweep and
+        adds that level's bound E_B: levels 1..upto and nothing more,
+        whether the walk from (upto, 2) ends at j = 2 or past it."""
+        depth = 12
+        for upto in range(1, depth - 1):
+            eng = CollapsedEngine(fs, THETA_32)
+            eng.levels(upto)
+            back, errs = eng.backward(depth, upto)
+            assert (back, errs) == backward_oracle(eng, depth, upto)
+            assert len(back) == len(errs) == upto
+
+    def test_seeded_splits(self, fibonacci):
+        """The walk from (upto, 2) takes the side with fewer states, so
+        fibonacci's seeds at depth 12 pair level 6 with backward level 7
+        for upto <= 6, and each larger upto moves the split forward.  The
+        walk keeps both sides' levels, so a second seeded read visits
+        nothing."""
+        splits = [split_oracle(fibonacci, THETA_32, 12, upto) for upto in range(1, 11)]
+        assert splits == [(6, 7)] * 6 + [(7, 6), (8, 5), (9, 4), (10, 3)]
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        eng.levels(1)
+        first = eng.backward(12, 1)
+        assert len(eng._held) == 6 and (eng._back._first, len(eng._back._held)) == (1, 7)
+        visited = eng.visited
+        assert eng.backward(12, 1) == first and eng.visited == visited
+
+    @pytest.mark.parametrize("fs", READ_SYSTEMS)
+    def test_seeded_sums_are_the_extension_sums(self, fs):
+        """Each seeded suffix sum at depth 7 is within its bound of the
+        log of the sum of count^theta over every extension of its state to
+        level 7, enumerated word by word in 40-digit ``Decimal``."""
+        depth = 7
+        exact: dict = {}
+        for upto in range(1, depth - 1):
+            eng = CollapsedEngine(fs, THETA_32)
+            held = eng.levels(upto)
+            back, errs = eng.backward(depth, upto)
+            for i, (sums, err) in enumerate(zip(back, errs), 1):
+                assert sums.keys() == held[i - 1].keys()
+                for state, got in sums.items():
+                    key = (state, depth - i)
+                    if key not in exact:
+                        exact[key] = extension_log_sum(fs, THETA_32, state, depth - i)
+                    assert abs(Decimal(got) - exact[key]) <= Decimal(err)

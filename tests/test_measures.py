@@ -1,5 +1,6 @@
 """Measure diagnostics: marginals, envelope scans, additivity, uniqueness."""
 
+import itertools
 import math
 import random
 import re
@@ -24,7 +25,7 @@ from carpetdim.pressure import pressure_interval
 from carpetdim.sft import CarpetSpec, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
-from oracles import additivity_scan_oracle, backward_oracle, image_word_counts
+from oracles import additivity_scan_oracle, backward_oracle, image_word_counts, split_oracle
 
 
 def seeded_carpet(seed):
@@ -173,15 +174,17 @@ class TestGibbsScan:
             gibbs_scan(CollapsedEngine(fs, THETA_32, 1), level=10, n_max=2)
 
     def test_levels_are_swept_once(self, fibonacci):
-        """S_{M-1} and S_L are read off the held levels, so the scan
-        fits the budget of one sweep to its level."""
+        """S_{M-1} is read off a held level and S_L at the split (10, 9)
+        of the seeded ``backward(18, 10)``, so the scan fits the budget of
+        one sweep of each side to that split and its pairs: 420 visits,
+        where the sweep to level 17 and its read of S_18 took 582."""
+        assert split_oracle(fibonacci, THETA_32, 18, 10) == (10, 9)
         eng = CollapsedEngine(fibonacci, THETA_32)
-        eng.levels(18)
-        assert eng.visited == 582
-        env = gibbs_scan(CollapsedEngine(fibonacci, THETA_32, eng.visited), 18, 10)
-        assert env.contained
-        with pytest.raises(ResourceError, match="at level 18 of 18"):
-            gibbs_scan(CollapsedEngine(fibonacci, THETA_32, eng.visited - 1), 18, 10)
+        env = gibbs_scan(eng, 18, 10)
+        assert env.contained and eng.visited == 420
+        assert gibbs_scan(CollapsedEngine(fibonacci, THETA_32, 420), 18, 10) == env
+        with pytest.raises(ResourceError, match="at level 10 and backward level 9 of 18 with 114 states held"):
+            gibbs_scan(CollapsedEngine(fibonacci, THETA_32, 419), 18, 10)
 
 
 class _PassCounter(dict):
@@ -200,12 +203,16 @@ class _PassCounter(dict):
 
 class TestSharedEngine:
     def test_one_engine_serves_each_reader(self, any_fixture):
-        """The Gibbs scan holds levels 1..17; the bracket and the defect
-        at level 18 read them without visiting a node and agree with
-        fresh engines.  A fresh joined bracket pairs a forward and a
-        backward level, while the held one reads S_18 off level 17: the
-        same sum over other terms, so the two agree within both errors,
-        with each other and with the exact walk."""
+        """The Gibbs scan holds forward levels 1..10 and backward levels
+        1..9, its seeded split (10, 9); the bracket and the defect at
+        level 18 read them without visiting a node.  The scan and the
+        defect seed at that split on fresh engines too, and agree with
+        them float for float.  A fresh bracket reads S_18 off level 17,
+        or on a joined engine at the split its own walk from (1, 2)
+        reaches, whose forward side may jump: the same sum over other
+        terms, so each agrees with the seeded one within both errors, and
+        with the exact walk."""
+        assert split_oracle(any_fixture, THETA_32, 18, 10) == (10, 9)
         eng = CollapsedEngine(any_fixture, THETA_32)
         env = gibbs_scan(eng, 18, 10)
         visited = eng.visited
@@ -213,27 +220,44 @@ class TestSharedEngine:
         defect = cesaro_defect(eng, 18, 8, 2)
         assert eng.visited == visited
         assert env == gibbs_scan(CollapsedEngine(any_fixture, THETA_32), 18, 10)
-        assert est == pressure_interval(CollapsedEngine(any_fixture, THETA_32), 18)
         assert defect == cesaro_defect(CollapsedEngine(any_fixture, THETA_32), 18, 8, 2)
-        joined = CollapsedEngine(any_fixture, THETA_32, join=True)
-        fresh = pressure_interval(joined, 18)
+        held, joined = CollapsedEngine(any_fixture, THETA_32), CollapsedEngine(any_fixture, THETA_32, join=True)
+        fresh = [pressure_interval(held, 18), pressure_interval(joined, 18)]
         assert joined._split[1] > 2
-        assert (fresh.n, fresh.words, fresh.constants) == (est.n, est.words, est.constants)
-        sums = [eng.partition(18), joined.partition(18), ExactEngine(any_fixture, THETA_32).partition(18)]
-        assert sums[0].word_count == sums[2].word_count == est.words
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            a, b = sums[a].value, sums[b].value
+        for other in fresh:
+            assert (other.n, other.words, other.constants) == (est.n, est.words, est.constants)
+        exact = ExactEngine(any_fixture, THETA_32)
+        sums = [eng.partition(18), held.partition(18), joined.partition(18), exact.partition(18)]
+        assert sums[0].word_count == sums[3].word_count == est.words
+        for a, b in itertools.combinations(sums, 2):
+            a, b = a.value, b.value
             assert abs(a.log - b.log) <= a.err + b.err
 
     @pytest.mark.parametrize("level", [8, 10])
     def test_masses_do_not_depend_on_the_levels_held(self, fibonacci, level):
         """A word that ends at the level takes its last letter through the
-        row sums also when the engine holds that level, so the masses are
-        the same floats whether or not it swept deeper first."""
-        deep = CollapsedEngine(fibonacci, THETA_32)
-        deep.levels(level + 4)
-        fresh = nu_marginal(CollapsedEngine(fibonacci, THETA_32), level, level)
-        assert nu_marginal(deep, level, level).masses == fresh.masses
+        row sums also when the engine holds that level, and a shallower
+        probe seeds at the split that ``backward``'s walk reaches from
+        (upto, 2), which depends on the system, the level and upto alone:
+        so the masses are the same floats on a fresh engine, on one that
+        holds fewer levels than upto and on ones that swept deeper."""
+        def engines():
+            yield CollapsedEngine(fibonacci, THETA_32)
+            for held in (1, 2, level - 1, level + 4):
+                eng = CollapsedEngine(fibonacci, THETA_32)
+                eng.levels(held)
+                yield eng
+
+        probes = [
+            (nu_marginal, (level, level), level - 1),  # seeded at (level - 1, 2)
+            (nu_marginal, (level, 3), 3),
+            (cesaro_average, (level, 2, 3), 4),
+        ]
+        for scan, args, upto in probes:
+            if upto < level - 1:  # the probe goes through a seed past B_2
+                assert split_oracle(fibonacci, THETA_32, level, upto)[1] > 2
+            first, *rest = [scan(eng, *args).masses for eng in engines()]
+            assert all(masses == first for masses in rest)
 
     def test_last_letter_is_read_once_per_end_state(self, fibonacci, monkeypatch):
         """A word that ends at the level takes its last letter through the
@@ -246,23 +270,41 @@ class TestSharedEngine:
         assert 0 < len(products) <= 100
 
     @pytest.mark.parametrize(
-        "scan, args",
-        [(gibbs_scan, (14, 6)), (nu_marginal, (10, 4)), (cesaro_defect, (10, 4, 2))],
+        "scan, args, upto, split, counts",
+        [
+            (gibbs_scan, (14, 6), 6, (7, 8), (260, 112)),
+            (nu_marginal, (10, 4), 4, (6, 5), (148, 66)),
+            (cesaro_defect, (10, 4, 2), 6, (6, 5), (148, 66)),
+        ],
         ids=["gibbs_scan", "nu_marginal", "cesaro_defect"],
     )
-    def test_the_level_below_the_read_is_read_once(self, fibonacci, scan, args):
-        """S_L and the backward seed come from one pass over level L - 1,
-        and the scan visits what it does on a fresh engine."""
+    def test_the_level_below_the_read_is_read_once(self, fibonacci, scan, args, upto, split, counts):
+        """S_L and the backward seed come from one pass over forward level
+        k of the seeded split (k, j), reached from (upto, 2).  An engine
+        that already holds levels 1..L - 1 gives the fresh engine's scan,
+        float for float, and visits and builds what the fresh one does
+        past its forward sweep to level k: the backward sweep to level j
+        and the pairs.  The fresh scan's visits and states are pinned, and
+        a budget one visit short stops it at the pairs, naming both
+        levels."""
         level = args[0]
+        k, j = split
+        assert split_oracle(fibonacci, THETA_32, level, upto) == split
         eng = CollapsedEngine(fibonacci, THETA_32)
         eng.levels(level - 1)
-        below, err = eng._held[level - 2]
+        below, err = eng._held[k - 1]
         counted = _PassCounter(below)
-        eng._held[level - 2] = (counted, err)
-        fresh = CollapsedEngine(fibonacci, THETA_32)
+        eng._held[k - 1] = (counted, err)
+        before = (eng.visited, eng.collapsed_nodes)
+        fresh, sweep = CollapsedEngine(fibonacci, THETA_32), CollapsedEngine(fibonacci, THETA_32)
         assert scan(eng, *args) == scan(fresh, *args)
         assert counted.passes == 1
-        assert (eng.visited, eng.collapsed_nodes) == (fresh.visited, fresh.collapsed_nodes)
+        sweep.levels(k)
+        assert (fresh.visited, fresh.collapsed_nodes) == counts
+        assert eng.visited - before[0] == fresh.visited - sweep.visited
+        assert eng.collapsed_nodes - before[1] == fresh.collapsed_nodes - sweep.collapsed_nodes
+        with pytest.raises(ResourceError, match=f"at level {k} and backward level {j} of {level} "):
+            scan(CollapsedEngine(fibonacci, THETA_32, counts[0] - 1), *args)
 
     @pytest.mark.parametrize(
         "scan, args",
