@@ -655,27 +655,21 @@ class CollapsedEngine:
             groups = [(tuple(zip(*prims)), lws, ms) for prims, lws, ms in groups]
             for (a, prim), (lw, m) in level.items():
                 cols, lws, ms = groups[a]
-                pairs = paired = 0  # the pairs with x > 0, and the words of their starts
-                if seeds is None:  # a fresh read's loop, kept free of seed work
-                    for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
-                        if x:
-                            terms.append(lw + lw_w + theta * log(x))
-                            pairs += 1
-                            paired += m_w
-                else:
-                    logs = []  # lw_w + theta log x of the state's pairs
-                    for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
-                        if x:
-                            t = theta * log(x)
-                            terms.append(lw + lw_w + t)
-                            logs.append(lw_w + t)
-                            paired += m_w
+                logs = []  # lw_w + theta log x of the state's pairs
+                paired = 0  # the words of their starts
+                for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
+                    if x:
+                        t = theta * log(x)
+                        terms.append(lw + lw_w + t)
+                        logs.append(lw_w + t)
+                        paired += m_w
+                if seeds is not None:
                     seeds[a, prim] = _log_sum_exp(logs)
-                    pairs = len(logs)
                 words += m * paired
-                visited += pairs
-                if visited > self.budget:
-                    break
+                if charge:
+                    visited += len(logs)
+                    if visited > self.budget:
+                        break
         if charge:
             self.visited = visited
             if visited > self.budget:
@@ -704,8 +698,10 @@ class CollapsedEngine:
         backward move steps ``_back``, the engine of ``fs.transposed``,
         which holds one level on a partition read's walk and every level
         on ``backward``'s, against this engine's budget, visits and node
-        count.  A budget message past B_2 names both levels and counts
-        both sides' states."""
+        count; ``backward``'s walk then drops the child lists that
+        ``_back``'s steps kept, which nothing reads after it.  A budget
+        message past B_2 names both levels and counts both sides'
+        states."""
         back, keep = self._back, start is not None
         if keep:
             k, j = start
@@ -746,6 +742,8 @@ class CollapsedEngine:
                 j += 1
             if not keep:
                 self._split = (k, j)
+        if keep and back is not None and back._edges:
+            back._edges.clear()  # the seed reads backward level j, not its child lists
         return k, j
 
     def series(self, n_max: int) -> list[PartitionSum]:

@@ -233,6 +233,35 @@ class TestSharedEngine:
             a, b = a.value, b.value
             assert abs(a.log - b.log) <= a.err + b.err
 
+    def test_a_read_already_charged_is_not_cut_by_the_budget(self, fibonacci):
+        """A seeded read of an S_n already read charges nothing, so an
+        engine near its budget still reads every pair and seeds every
+        state.  The Gibbs scan takes 420 of a budget of 514, and the
+        defect then reads at the same split (10, 9), with just the room
+        its paths need: one less stops them, not the read."""
+        defect = cesaro_defect(CollapsedEngine(fibonacci, THETA_32), 18, 8, 2)
+        eng = CollapsedEngine(fibonacci, THETA_32, 514)
+        gibbs_scan(eng, 18, 10)
+        assert eng.visited == 420
+        assert cesaro_defect(eng, 18, 8, 2) == defect
+        assert eng.visited == 420
+        eng = CollapsedEngine(fibonacci, THETA_32, 513)
+        gibbs_scan(eng, 18, 10)
+        with pytest.raises(ResourceError, match="building paths of word length 3 of 3"):
+            cesaro_defect(eng, 18, 8, 2)
+
+    @pytest.mark.parametrize("join", [False, True], ids=["held", "joined"])
+    def test_a_scan_after_a_bracket_fits_its_budget(self, fibonacci, join):
+        """The bracket at level 18 reads S_18 first, so the Gibbs scan's
+        seeded read after it charges nothing: on an engine whose budget
+        is what the two take on an unlimited one, both give the unlimited
+        engine's results, float for float, and visit as much."""
+        unlimited = CollapsedEngine(fibonacci, THETA_32, join=join)
+        est, env = pressure_interval(unlimited, 18), gibbs_scan(unlimited, 18, 10)
+        eng = CollapsedEngine(fibonacci, THETA_32, unlimited.visited, join=join)
+        assert (pressure_interval(eng, 18), gibbs_scan(eng, 18, 10)) == (est, env)
+        assert eng.visited == unlimited.visited
+
     @pytest.mark.parametrize("level", [8, 10])
     def test_masses_do_not_depend_on_the_levels_held(self, fibonacci, level):
         """A word that ends at the level takes its last letter through the
