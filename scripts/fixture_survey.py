@@ -45,9 +45,12 @@ def survey(name, fs, args):
         f"{len(fs.image_alphabet)} image letters, "
         f"mixing index M={report.mixing_index}"
     )
-    # one engine for three scans: the Gibbs scan holds levels 1..L-1, and
-    # with --depth at most --gibbs-level the pressure bracket and the
-    # Cesaro defect read S_n and their masses off them, sweeping no more
+    # one engine for three scans: the Gibbs scan holds the levels its
+    # seeded split reaches, 10 to 13 of them at the defaults, and reads
+    # S_L; with --depth equal to --gibbs-level the pressure bracket reads
+    # that S_n and S_{M-1} off the held levels, sweeping nothing, and the
+    # Cesaro defect's seeded walk visits 6 to 54 more nodes on three of
+    # the four fixtures
     eng = CollapsedEngine(fs, args.theta)
     env = gibbs_scan(eng, level=args.gibbs_level, n_max=args.gibbs_level - report.mixing_index - 1)
     est = pressure_interval(eng, args.depth)

@@ -272,14 +272,13 @@ class CollapsedEngine:
     The split.  Built with ``join``, as ``make_engine`` builds every
     collapsed engine, a read whose level n - 1 is not held walks (k, j)
     from (1, 2) one move at a time, each advancing the side whose level
-    has fewer states, ties forward (``_walk``).  The walk depends on the
-    system alone, so the split of n extends that of n - 1, and reading
-    S_1, S_2, ... in turn moves it once per sum.  The walk goes on from
-    the split held, or afresh from (1, 2) for a shallower sum or once
-    its levels are gone.  A forward side no larger than B_2 at every
-    move takes them all, on the path of a read off level n - 1, which
-    covers every full shift (one state per letter against the letter
-    pairs).  A forward side whose key set repeats and that is no
+    has fewer states, ties forward (``_walk``).  Every such read walks
+    from (1, 2), whatever was read before, so its split depends on the
+    system and n alone, and no split is kept between reads; ``series``
+    reads S_1, S_2, ... in turn.  A forward side no larger than B_2 at
+    every move takes them all, on the path of a read off level n - 1,
+    which covers every full shift (one state per letter against the
+    letter pairs).  A forward side whose key set repeats and that is no
     larger than the backward level takes every move left, so it goes to
     level n + 1 - j in one ``_reach``, which may jump.  The backward side
     steps a second engine, ``_back``, that holds one level here.  Without
@@ -294,13 +293,12 @@ class CollapsedEngine:
     and follows the same rule to k + j = depth + 1, keeping every
     forward level it reaches, whose kept child lists the pass above the
     seed reads, and every level of ``_back``.  So its split depends on
-    the system, ``depth`` and ``upto`` alone, a second seeded read at
-    that split visits nothing while those levels stay held, and a
-    partition read's split is left as it was.  The read of S_depth at
-    that split also gives each state u of level k its seed, the
-    log-sum-exp of lw_w + theta log x over its pairs: its suffix sum,
-    as the pairs of u are its extensions to level depth grouped by
-    their last j letters.
+    the system, ``depth`` and ``upto`` alone, and a second seeded read
+    at that split visits nothing while those levels stay held.  The read
+    of S_depth at that split also gives each state u of level k its
+    seed, the log-sum-exp of lw_w + theta log x over its pairs: its
+    suffix sum, as the pairs of u are its extensions to level depth
+    grouped by their last j letters.
 
     ``visited`` counts the states of level 1 and every nonzero edge, the
     jump's included, of both sweeps, and the pairs read, against one
@@ -417,7 +415,6 @@ class CollapsedEngine:
         self._paid = (0, 0)  # (level k, its edges that a read of S_{k+1} charged)
         self._edges: Optional[dict] = None  # state -> child list, while level 1 is held
         self._dlogs: dict[int, float] = {1: 0.0}  # g -> theta * log g
-        self._split = (1, 2)  # the walk's forward level k and backward level j
         self._back: Optional[CollapsedEngine] = None  # the sweep of fs.transposed
 
     def _charge(self, visited: int, k: int, depth: int, held: int) -> None:
@@ -594,9 +591,10 @@ class CollapsedEngine:
         """Read S_n and its word count into ``_sums`` at the split (k, j),
         k + j = n + 1: ``split`` where ``backward`` gives it, else (n - 1,
         2) where a held level n - 1 or an engine without ``join`` puts it,
-        else ``_walk``'s; S_1 from the fiber sizes.  j picks the inner
-        loop, each the faster on its side (class docstring): B_2's rows
-        one by one, or a swept level's starts in columns through ``_dots``.
+        else ``_walk``'s from (1, 2); S_1 from the fiber sizes.  j picks
+        the inner loop, each the faster on its side (class docstring):
+        B_2's rows one by one, or a swept level's starts in columns
+        through ``_dots``.
         Given ``seeds``, also map each state of level k to the log-sum-exp
         of lw_w + theta log x over its pairs, ``backward``'s seed.  Returns
         E_B, the error bound of the backward level (0.0 for B_2).
@@ -614,7 +612,7 @@ class CollapsedEngine:
         k, j = split or (n - 1, 2)
         if not first <= k < first + len(held):
             if self.join:
-                k, j = self._walk(n)
+                k, j = self._walk(n, (1, 2), False)
             else:
                 self._reach(k, False, n)
             held, first = self._held, self._first
@@ -683,36 +681,25 @@ class CollapsedEngine:
             self._sums[n] = _summed(terms, err + start_err, 4.0 if j == 2 else 4.5), words
         return start_err
 
-    def _walk(self, n: int, start: Optional[tuple[int, int]] = None) -> tuple[int, int]:
-        """Move the split (k, j) on to k + j = n + 1, holding forward level
-        k and backward level j, and return it: one move at a time, each
-        advancing the side with fewer states, ties forward.  A partition
-        read's walk goes on from the split held, or afresh from (1, 2)
-        when that split is past n or its levels are gone, and records the
-        split it reaches.  ``backward``'s walk starts at ``start``, (upto,
-        2) with levels 1..upto held, keeps every forward level it reaches
-        (``levels``) and records nothing, so its split depends on the
-        system, n and upto alone.  A forward side whose key set repeats,
-        and that is no larger, takes every move left, so it is reached in
-        one ``_reach``, which may jump unless it keeps its levels.  A
+    def _walk(self, n: int, start: tuple[int, int], keep: bool) -> tuple[int, int]:
+        """Walk the split (k, j) from ``start`` to k + j = n + 1, holding
+        forward level k and backward level j, and return it: one move at
+        a time, each advancing the side with fewer states, ties forward.
+        A partition read starts at (1, 2), ``backward`` at (upto, 2) with
+        levels 1..upto held, and no split is kept between walks, so a
+        split depends on the system, n and the start alone.  With
+        ``keep``, as ``backward`` walks, every forward level reached stays
+        held (``levels``).  A forward side whose key set repeats, and
+        that is no larger, takes every move left, so it is reached in one
+        ``_reach``, which may jump unless it keeps its levels.  A
         backward move steps ``_back``, the engine of ``fs.transposed``,
-        which holds one level on a partition read's walk and every level
-        on ``backward``'s, against this engine's budget, visits and node
-        count; ``backward``'s walk then drops the child lists that
-        ``_back``'s steps kept, which nothing reads after it.  A budget
-        message past B_2 names both levels and counts both sides'
-        states."""
-        back, keep = self._back, start is not None
-        if keep:
-            k, j = start
-        else:
-            k, j = self._split
-            held, first = self._held, self._first
-            if k + j > n + 1 or not first <= k < first + len(held) or (
-                j > 2 and not back._first <= j < back._first + len(back._held)
-            ):
-                k, j = 1, 2
-                self._reach(1, False, n)
+        which holds one level without ``keep`` and every level with it,
+        against this engine's budget, visits and node count; a walk with
+        ``keep`` then drops the child lists that ``_back``'s steps kept,
+        which nothing reads after it.  A budget message past B_2 names
+        both levels and counts both sides' states."""
+        back, (k, j) = self._back, start
+        self._reach(k, keep, n)
         table = sum(map(len, self.fs.fiber_row_sums))  # the states of B_2
         while k + j <= n:
             held, first = self._held, self._first
@@ -740,8 +727,6 @@ class CollapsedEngine:
                     self.visited = back.visited
                     self.collapsed_nodes += back.collapsed_nodes - nodes
                 j += 1
-            if not keep:
-                self._split = (k, j)
         if keep and back is not None and back._edges:
             back._edges.clear()  # the seed reads backward level j, not its child lists
         return k, j
@@ -764,7 +749,7 @@ class CollapsedEngine:
         self._reach(depth, True, depth)
         return [level for level, _ in self._held[:depth]]
 
-    def backward(self, depth: Optional[int] = None, upto: Optional[int] = None) -> tuple[list[dict], list[float]]:
+    def backward(self, depth: int, upto: Optional[int] = None) -> tuple[list[dict], list[float]]:
         """Suffix sums to level ``depth`` over the held levels 1..``upto``,
         one pass from the seed up, and one error bound per level.
         ``sums[k][s]`` is the float log of the sum of the final
@@ -784,16 +769,13 @@ class CollapsedEngine:
         ``levels(upto)`` is all that must be held.  When level ``depth``
         is held as well and ``upto`` is the default, its own sums, theta
         log of the sum of each state's vector, come last, so after
-        ``levels(depth)`` the lists cover levels 1..depth; ``depth``
-        defaults to the deepest held level.  The levels above the seed
-        read the child lists the forward sweep kept, one loop per level
-        that builds its sums and takes the largest log and the largest d
-        of the lists read as it goes, the two maxima its error charge
-        needs; the sums of levels past ``upto`` are dropped.  Levels
-        1..upto that are not held raise PreconditionError."""
+        ``levels(depth)`` the lists cover levels 1..depth.  The levels
+        above the seed read the child lists the forward sweep kept, one
+        loop per level that builds its sums and takes the largest log and
+        the largest d of the lists read as it goes, the two maxima its
+        error charge needs; the sums of levels past ``upto`` are dropped.
+        Levels 1..upto that are not held raise PreconditionError."""
         held = self._held
-        if depth is None:
-            depth = len(held)
         if upto is None:
             upto = depth - 1
         elif not 1 <= upto < depth:
@@ -808,7 +790,7 @@ class CollapsedEngine:
         errs: list[float] = []
         if depth > 1:
             sums: dict = {}  # the seed, from the read of S_depth
-            k, j = self._walk(depth, (upto, 2))
+            k, j = self._walk(depth, (upto, 2), True)
             err = self._read_sum(depth, sums, (k, j))
             err += _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
             out.append(sums)

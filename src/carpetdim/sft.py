@@ -376,13 +376,6 @@ class CarpetSpec(
         """The partition-sum exponent 1 / (alpha + 1) = log m / log l."""
         return math.log(self.m) / math.log(self.l)
 
-    def row_occupancy(self) -> tuple[int, ...]:
-        """Number of selected digits in each of the m rows."""
-        counts = [0] * self.m
-        for _, b in self.digits:
-            counts[b] += 1
-        return tuple(counts)
-
     def is_full_shift(self) -> bool:
         return self.transitions == "full"
 

@@ -318,11 +318,12 @@ def fsum_log_sum_exp(terms):
 
 
 def split_oracle(fs: FactorSystem, theta: float, depth: int, upto: int) -> tuple[int, int]:
-    """The split (k, j), k + j = depth + 1, of ``backward(depth, upto)``:
-    from (upto, 2), one move at a time, the side whose level has fewer
-    states advances, ties forward.  Level sizes come from fresh sweeps
-    of the source and of its transpose that hold every level; B_2 has
-    one state per nonzero fiber block."""
+    """The split (k, j), k + j = depth + 1, of ``backward(depth, upto)``,
+    and at upto = 1 of a joined read of S_depth whose level depth - 1 is
+    not held: from (upto, 2), one move at a time, the side whose level
+    has fewer states advances, ties forward.  Level sizes come from
+    fresh sweeps of the source and of its transpose that hold every
+    level; B_2 has one state per nonzero fiber block."""
     ends = CollapsedEngine(fs, theta).levels(depth)
     starts = CollapsedEngine(fs.transposed, theta).levels(depth)
     table = sum(1 for block in fiber_blocks(fs).values() if any(map(any, block)))
@@ -332,6 +333,18 @@ def split_oracle(fs: FactorSystem, theta: float, depth: int, upto: int) -> tuple
             k += 1
         else:
             j += 1
+    return k, j
+
+
+def split_held(engine: CollapsedEngine, n: int) -> tuple[int, int]:
+    """The split (k, j) of ``split_oracle`` for a joined read of S_n,
+    checked to be where ``engine`` read it: it holds forward level k and,
+    past B_2, its ``_back`` holds backward level j."""
+    k, j = split_oracle(engine.fs, engine.theta, n, 1)
+    assert engine._first <= k < engine._first + len(engine._held)
+    if j > 2:
+        back = engine._back
+        assert back._first <= j < back._first + len(back._held)
     return k, j
 
 

@@ -37,6 +37,7 @@ from oracles import (
     fsum_log_sum_exp,
     image_word_counts,
     product_count_oracle,
+    split_held,
     split_oracle,
 )
 
@@ -383,7 +384,7 @@ class TestCollapsedEngine:
         joined = CollapsedEngine(fibonacci, THETA_32, join=True)
         held, fresh, exact = eng.partition(6), joined.partition(6), partition_sum(fibonacci, 6, THETA_32, "exact")
         assert eng.visited == visited
-        assert joined._split == (4, 3)
+        assert split_held(joined, 6) == (4, 3)
         assert held.word_count == fresh.word_count == exact.word_count == 2**6
         for a, b in ((held, fresh), (held, exact), (fresh, exact)):
             assert abs(a.value.log - b.value.log) <= a.value.err + b.value.err
@@ -456,7 +457,7 @@ class TestKeptEdges:
         back, errs = eng.backward(depth)
         assert not calls
         assert len(back) == len(errs) == depth
-        assert eng.backward() == (back, errs)
+        assert eng.backward(depth) == (back, errs)
 
     @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
     def test_going_on_builds_only_new_states(self, monkeypatch, build, depth):
@@ -497,7 +498,7 @@ class TestKeptEdges:
         assert (dropped.visited, dropped.collapsed_nodes) == (visited, built)
         eng = CollapsedEngine(fs, theta, join=True)
         eng.partition(depth)
-        assert eng._split == split
+        assert split_held(eng, depth) == split
         assert (eng.visited, eng.collapsed_nodes) == joined_counts(fs, theta, *split) == joined
 
     @pytest.mark.parametrize(
@@ -521,7 +522,7 @@ class TestKeptEdges:
     def test_backward_of_levels_not_held_is_rejected(self, fibonacci):
         eng = CollapsedEngine(fibonacci, THETA_32)
         with pytest.raises(PreconditionError, match="not held"):
-            eng.backward()
+            eng.backward(1)
         eng.levels(4)
         visited = eng.visited
         for depth in (0, 6):  # backward(5) reads levels 1..4, which are held
@@ -535,7 +536,7 @@ class TestKeptEdges:
                 eng.backward(6, upto)
         assert eng.visited == visited and eng._back is None and not eng._sums  # nothing was read
         eng.partition(6)  # goes on from level 4 to level 5 and drops levels 1..4
-        for depth, upto in ((None, None), (4, None), (6, None), (12, 4), (12, 1)):
+        for depth, upto in ((1, None), (4, None), (6, None), (12, 4), (12, 1)):
             with pytest.raises(PreconditionError, match="not held"):
                 eng.backward(depth, upto)
         assert eng._edges is None
@@ -549,11 +550,11 @@ class TestKeptEdges:
         eng = CollapsedEngine(fibonacci, THETA_32, join=True)
         eng.levels(4)
         eng.partition(6)
-        assert eng._split == (4, 3)
-        assert len(eng.backward()[0]) == 4
+        assert split_held(eng, 6) == (4, 3)
+        assert len(eng.backward(4)[0]) == 4
         eng.partition(12)
         with pytest.raises(PreconditionError, match="not held"):
-            eng.backward()
+            eng.backward(4)
         assert eng._edges is None
 
     def test_a_dropped_engine_is_freed_at_once(self, fibonacci):
@@ -562,7 +563,7 @@ class TestKeptEdges:
         garbage collection."""
         eng = CollapsedEngine(fibonacci, THETA_32)
         eng.levels(8)
-        eng.backward()
+        eng.backward(8)
         ref = weakref.ref(eng)
         del eng
         assert ref() is None
@@ -578,7 +579,7 @@ class TestKeptEdges:
         for stop in (lambda: eng.partition(12), lambda: eng.levels(12)):
             with pytest.raises(ResourceError):
                 stop()
-            assert eng.backward() == expected
+            assert eng.backward(6) == expected
 
 
 READ_SYSTEMS = [
@@ -630,7 +631,7 @@ class TestRowSumRead:
         fs, theta = build()
         probe = CollapsedEngine(fs, theta, join=True)
         probe.partition(depth)
-        k, j = probe._split
+        k, j = split_held(probe, depth)
         assert k + j == depth + 1 and j > 2
         ends = CollapsedEngine(fs, theta).levels(k)
         starts = CollapsedEngine(fs.transposed, theta).levels(j)
@@ -698,9 +699,10 @@ class TestRowSumRead:
 
     def test_first_sum_keeps_the_held_level(self, fibonacci):
         """S_1 comes from the fiber sizes, so reading it leaves the level a
-        sweep holds in place for the next sum.  On a joined engine it
-        leaves the split in place: S_13 goes on from S_12's split by one
-        move, as on an engine that never read S_1."""
+        sweep holds in place for the next sum.  On a joined engine S_13
+        walks afresh from (1, 2) to the split (7, 7), as on an engine that
+        never read S_1, and keeps nothing of S_12's walk: it adds what a
+        fresh read of S_13 visits."""
         eng = CollapsedEngine(fibonacci, THETA_32)
         eng.partition(12)
         assert eng.partition(1).word_count == 2
@@ -708,9 +710,12 @@ class TestRowSumRead:
         eng, twin = CollapsedEngine(fibonacci, THETA_32, join=True), CollapsedEngine(fibonacci, THETA_32, join=True)
         eng.partition(12)
         twin.partition(12)
+        visited = eng.visited
         assert eng.partition(1).word_count == 2
         assert eng.partition(13) == twin.partition(13)
-        assert eng._split == twin._split == (7, 7)
+        assert split_held(eng, 13) == split_held(twin, 13) == (7, 7)
+        fresh = CollapsedEngine(fibonacci, THETA_32, join=True).partition(13)
+        assert eng.visited - visited == fresh.visited_nodes
 
     @pytest.mark.parametrize("fs", READ_SYSTEMS)
     def test_read_agrees_with_exact_and_stepped_sums(self, fs):
@@ -755,7 +760,7 @@ class TestRowSumRead:
         for n in range(1, 11):
             eng = CollapsedEngine(fs, theta, join=True)
             ps = eng.partition(n)
-            k, j = eng._split
+            k, j = split_held(eng, n)
             if n > 1:
                 assert k + j == n + 1
                 assert (ps.visited_nodes, ps.collapsed_nodes) == joined_counts(fs, theta, k, j)
@@ -802,15 +807,23 @@ EXACT_DEPTHS = {"mixing": 14, "4x2": 14, "7x3": 9}
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(sorted(JOIN_SYSTEMS)), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14))
-def test_joined_read_matches_exact_and_series(kind, seed, n):
+@given(
+    kind=st.sampled_from(sorted(JOIN_SYSTEMS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 14),
+    deeper=st.integers(1, 4),
+)
+def test_joined_read_matches_exact_and_series(kind, seed, n, deeper):
     """A fresh S_n, joined wherever its walk passes B_2, has the exact
     word count and a log within both tracked errors of the reference.
     A series reads S_n off level n - 1 exactly as an engine holding
     levels 1..n - 1 does, and visits what a fresh read off that level
     does; it agrees with the fresh S_n within both errors, exactly when
-    that read neither joins nor jumps.  Reading S_1 .. S_n in turn
-    moves the split as the fresh read does and reads it exactly."""
+    that read neither joins nor jumps.  Every joined read walks from
+    (1, 2), so reading S_1 .. S_n in turn, or S_(n + deeper) first,
+    reads S_n at the fresh read's split and exactly as it does; only a
+    deeper read that leaves level n - 1 held has S_n read off it, as a
+    series does."""
     fs, theta = JOIN_SYSTEMS[kind](random.Random(seed))
     fresh, stepped = JumpCounter(fs, theta, join=True), JumpCounter(fs, theta, join=True)
     ps = fresh.partition(n)
@@ -821,15 +834,29 @@ def test_joined_read_matches_exact_and_series(kind, seed, n):
     assert series[:3] == held.partition(n)[:3]
     assert series.visited_nodes == (joined_counts(fs, theta, n - 1, 2)[0] if n > 1 else len(fs.fibers))
     assert series.word_count == ps.word_count
-    if fresh.jumps or fresh._split[1] > 2:
+    if fresh.jumps or split_held(fresh, n)[1] > 2:
         assert abs(series.value.log - ps.value.log) <= series.value.err + ps.value.err
     else:
         assert series[:3] == ps[:3]
     walked = JumpCounter(fs, theta, join=True)
     for i in range(1, n + 1):
         last = walked.partition(i)
-    if not (walked.jumps or fresh.jumps):
-        assert last[:3] == ps[:3]
+    assert last[:3] == ps[:3]
+    after = JumpCounter(fs, theta, join=True)
+    after.partition(n + deeper)
+    k = split_held(after, n + deeper)[0]
+    shallow = after.partition(n)
+    if k == n - 1:  # a held level n - 1 is read with the row sums
+        assert shallow.word_count == series.word_count
+        if after.jumps:
+            assert abs(shallow.value.log - series.value.log) <= shallow.value.err + series.value.err
+        else:
+            assert shallow.value == series.value
+    else:
+        assert shallow[:3] == ps[:3]
+    if n > 1:  # S_1 is read off the fiber sizes, at no split
+        for eng in (walked, after) if k != n - 1 else (walked,):
+            split_held(eng, n)  # asserts that it holds the oracle's split
     if n <= EXACT_DEPTHS[kind]:
         ref = ExactEngine(fs, theta).partition(n)
     else:

@@ -25,7 +25,7 @@ from carpetdim.pressure import pressure_interval
 from carpetdim.sft import CarpetSpec, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
-from oracles import additivity_scan_oracle, backward_oracle, image_word_counts, split_oracle
+from oracles import additivity_scan_oracle, backward_oracle, image_word_counts, split_held, split_oracle
 
 
 def seeded_carpet(seed):
@@ -223,7 +223,7 @@ class TestSharedEngine:
         assert defect == cesaro_defect(CollapsedEngine(any_fixture, THETA_32), 18, 8, 2)
         held, joined = CollapsedEngine(any_fixture, THETA_32), CollapsedEngine(any_fixture, THETA_32, join=True)
         fresh = [pressure_interval(held, 18), pressure_interval(joined, 18)]
-        assert joined._split[1] > 2
+        assert split_held(joined, 18)[1] > 2
         for other in fresh:
             assert (other.n, other.words, other.constants) == (est.n, est.words, est.constants)
         exact = ExactEngine(any_fixture, THETA_32)

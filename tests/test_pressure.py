@@ -212,7 +212,8 @@ class TestHausdorffDimension:
                 ctx.prec = 60
                 log_m = Decimal(spec.m).ln()
                 theta = log_m / Decimal(spec.l).ln()
-                rows = sum((theta * Decimal(t).ln()).exp() for t in spec.row_occupancy() if t)
+                counts = [sum(1 for _, r in spec.digits if r == b) for b in range(spec.m)]
+                rows = sum((theta * Decimal(t).ln()).exp() for t in counts if t)
                 closed = rows.ln() / log_m
                 assert Decimal(est.lower) <= closed <= Decimal(est.upper), (spec, depth)
             assert est.upper - est.lower < 4e-14

@@ -245,10 +245,6 @@ class TestCarpetSpec:
         assert carpet_21.theta() == pytest.approx(math.log(2) / math.log(3))
         assert math.isclose((carpet_21.alpha() + 1) * carpet_21.theta(), 1.0)
 
-    def test_row_occupancy(self, carpet_21):
-        # (0,0) and (1,0) at vertical level 0, (0,1) at level 1
-        assert carpet_21.row_occupancy() == (2, 1)
-
     def test_full_shift_flag(self, carpet_21):
         assert carpet_21.is_full_shift()
         restricted = CarpetSpec(3, 2, ((0, 0), (1, 1)), transitions=((0, 1), (1, 0)))
