@@ -174,13 +174,13 @@ def _log_sum_exp(terms: list[float]) -> float:
     return hi + math.log(math.fsum([math.exp(t - hi) for t in terms]))
 
 
-def _summed(terms: list[float], err: float, rate: float = 4.0) -> LogReal:
+def _summed(terms: list[float], err: float, rate: float = 4.0, add: float = 2.0) -> LogReal:
     """The log-sum-exp S of logs >= 0 that are off by ``err`` before their
-    last log-times-theta and add, charged eps (rate S + 2) as derived in
-    ``CollapsedEngine``: rate 4 for terms lw + theta log x, 4.5 for a
-    joined read's (lw_u + lw_w) + theta log x."""
+    last log-times-theta and add, charged eps (rate S + add) as derived
+    in ``CollapsedEngine``: eps (4 S + 2) for terms lw + theta log x,
+    eps (6.5 S + 4) for a joined read's lw_u + seed_u."""
     out = _log_sum_exp(terms)
-    return LogReal(out, err + _EPS * (rate * out + 2.0))
+    return LogReal(out, err + _EPS * (rate * out + add))
 
 
 def _dots(vec: tuple[int, ...], cols) -> Optional[list]:
@@ -223,13 +223,15 @@ def _log_matmul(a: list, b: list) -> tuple[list, float]:
 class _OverBudget(ResourceError):
     """The node budget ran out while building ``level`` on the way to
     ``depth`` with ``held`` states held; ``backward`` is the backward
-    level of a join, which the message then names too."""
+    level of a join, which the message then names too, and ``pairs``, if
+    any, the pairs a read of S_depth took before it stopped."""
 
-    def __init__(self, budget: int, level: int, depth: int, held: int, backward: Optional[int] = None):
+    def __init__(self, budget: int, level: int, depth: int, held: int, backward: Optional[int] = None, pairs: int = 0):
         where = f"level {level}" if backward is None else f"level {level} and backward level {backward}"
+        read = f" and {pairs} pairs read" if pairs else ""
         super().__init__(
             f"node budget exceeded ({budget} nodes) at {where} of {depth} "
-            f"with {held} states held; raise the budget or lower the depth"
+            f"with {held} states held{read}; raise the budget or lower the depth"
         )
         self.level, self.held = level, held
 
@@ -256,36 +258,41 @@ class CollapsedEngine:
     2, is the row-sum table (``fiber_row_sums``): each row r of block
     (a, b) is a state of log weight 0.0 and one word, as a state
     (a, prim) of level n - 1 extends by letter b to a vector that sums
-    to prim . r.  A held level n - 1 is always read with B_2, which
-    serves ``levels`` and ``backward``'s default seed.  S_1 comes from
-    the fiber sizes.
+    to prim . r.  S_1 comes from the fiber sizes.
 
-    One reader, ``_read_sum``, takes every S_n from its split (k, j),
-    with one set of sums and one charge, and one inner loop for each
-    kind of start level, picked by j.  B_2 has a few rows per letter, so
-    a state takes them row by row, with no gcd, key or merge.  A swept
-    level j > 2 has many starts per letter, so they are grouped by first
-    letter, one column per fiber symbol, and a state takes their counts
-    column by column (``_dots``).  Each loop is the faster one on its own
-    side, so neither is folded into the other.
+    One reader, ``_read_sum``, takes every S_n from the split (k, j)
+    its caller holds, with one set of sums and one epilogue, and one
+    inner loop for each kind of start level, picked by j.  B_2 has a few
+    rows per letter, so a state takes them row by row, with no gcd, key
+    or merge, one term per pair.  A swept level j > 2 has many starts
+    per letter, so they are grouped by first letter, one column per
+    fiber symbol, and a state takes their counts column by column
+    (``_dots``) and folds its pairs into one log-sum-exp, its seed; the
+    sum keeps one term per state, so its memory follows the states held
+    and not the pairs.  Each loop is the faster one on its own side, so
+    neither is folded into the other.
 
-    The split.  Built with ``join``, as ``make_engine`` builds every
-    collapsed engine, a read whose level n - 1 is not held walks (k, j)
-    from (1, 2) one move at a time, each advancing the side whose level
-    has fewer states, ties forward (``_walk``).  Every such read walks
-    from (1, 2), whatever was read before, so its split depends on the
-    system and n alone, and no split is kept between reads; ``series``
-    reads S_1, S_2, ... in turn.  A forward side no larger than B_2 at
-    every move takes them all, on the path of a read off level n - 1,
-    which covers every full shift (one state per letter against the
-    letter pairs).  A forward side whose key set repeats and that is no
-    larger than the backward level takes every move left, so it goes to
-    level n + 1 - j in one ``_reach``, which may jump.  The backward side
-    steps a second engine, ``_back``, that holds one level here.  Without
-    ``join``, the default, every read sweeps forward to level n - 1 and
-    reads it at j = 2, so a fresh S_n visits the states of level 1 and
-    the edges out of levels 1..n - 1 unless it jumps: the count that
-    ``perfbench/carpets.py`` models to fix the work of its picks.
+    The split.  The reader's caller picks it and makes it held, so the
+    reader neither sweeps nor walks: ``partition`` in one place,
+    ``series`` at (n - 1, 2) after its step, and ``backward`` at its
+    seeded split (below).  Built with ``join``, as ``make_engine`` builds
+    every collapsed engine, ``partition`` walks (k, j) from (1, 2) one
+    move at a time, each advancing the side whose level has fewer
+    states, ties forward (``_walk``), whatever the engine holds.  So the
+    split depends on the system and n alone, no split is kept between
+    reads, and a partition read of S_n does not depend on the partition
+    sums read before it.  A forward side no larger than B_2 at every
+    move takes them all, on the path of a read off level n - 1, which
+    covers every full shift (one state per letter against the letter
+    pairs).  A forward side whose key set repeats and that is no larger
+    than the backward level takes every move left, so it goes to level
+    n + 1 - j in one ``_reach``, which may jump.  The backward side steps
+    a second engine, ``_back``, that holds one level here.  Without
+    ``join``, the default, ``partition`` sweeps forward to level n - 1
+    and reads it at (n - 1, 2), so a fresh S_n visits the states of
+    level 1 and the edges out of levels 1..n - 1 unless it jumps: the
+    count that ``perfbench/carpets.py`` models to fix the work of its
+    picks.
 
     The seeded split.  ``backward(depth, upto)``, with or without
     ``join``, needs suffix sums on levels 1..upto only, so it pairs the
@@ -295,15 +302,16 @@ class CollapsedEngine:
     seed reads, and every level of ``_back``.  So its split depends on
     the system, ``depth`` and ``upto`` alone, and a second seeded read
     at that split visits nothing while those levels stay held.  The read
-    of S_depth at that split also gives each state u of level k its
-    seed, the log-sum-exp of lw_w + theta log x over its pairs: its
-    suffix sum, as the pairs of u are its extensions to level depth
-    grouped by their last j letters.
+    of S_depth at that split also hands over each state u's seed, the
+    log-sum-exp of lw_w + theta log x over its pairs: its suffix sum, as
+    the pairs of u are its extensions to level depth grouped by their
+    last j letters.
 
     ``visited`` counts the states of level 1 and every nonzero edge, the
     jump's included, of both sweeps, and the pairs read, against one
     budget (``_charge``); a budget message past B_2 names the forward
-    and the backward level.  The first read of S_n, whoever asks,
+    and the backward level, and one that stops a read counts the pairs
+    it took.  The first read of S_n, whoever asks,
     charges its pairs, unless level n is held and its edges charged; at
     j = 2 the pairs are the edges out of level n - 1, and a step over
     them charges them no more (``_paid``).  So a sum visits its two
@@ -328,9 +336,9 @@ class CollapsedEngine:
     holds every level from 1; ``partition`` holds only the last, the
     forward level of its split, and once a step returns the key set it
     started from, raises that linear map to a power when that costs
-    less than stepping.  An S_n whose level n - 1 is held is read
-    without sweeping, and one ``backward`` pass over held levels gives
-    the suffix sums.
+    less than stepping.  A walk reads the forward levels it reaches that
+    are held without sweeping, and one ``backward`` pass over held
+    levels gives the suffix sums.
     ``_reach`` picks a step's child source once: while every level is
     held, each state's child list is kept from its first build for as
     long as the levels are held (``edges``), so a state that comes back
@@ -365,27 +373,33 @@ class CollapsedEngine:
       exp(0.0) is exactly 1.0, and fsum of two floats rounds their sum
       correctly, as the add does.  So the charge is unchanged.
 
-    The read of S_n sums the terms (lw_u + lw_w) + theta log x the same
-    way, x being an exact integer >= 1, lw_u off by E_F, the error bound
-    of the forward level, and lw_w by E_B, that of the backward one.
-    theta log x rounds by 1.5 eps of itself, and each of the two adds by
-    eps/2 of its result, at most 2.5 eps S in all, S >= every term being
-    the log of the sum; the sum adds eps (2 S + 2).  S_n is so off by at
-    most E_F + E_B + eps (4.5 S + 2).  At j = 2, lw_w = 0.0 and E_B = 0
-    drop out with the add: the read off level n - 1 adds lw + theta log
-    x and is off by at most E_{n-1} + eps (4 S + 2), one step's charge
-    less than a sum over a built level n would be.  ``backward`` seeds
-    forward level k, in that same read, with the log-sum-exp of the
-    terms lw_w + theta log x over each state's pairs, lw_w being 0.0
-    at j = 2.  Every term is >= 0 and at most its state's seed, so at
-    most T, the largest seed.  theta log x rounds by 1.5 eps of itself
-    and the add by eps/2 of its result, exact at j = 2, at most 2 eps T
-    together; the merge adds eps (2 T + 2), and E_B passes through.  So
-    a seed is off by at most E_B + eps (4 T + 2): the charge of a seed
-    at j = 2, where E_B = 0, plus the bound of backward level j.  It
-    charges each level above it as a step with merges, D being the
-    largest d of the kept lists that level reads, and a held level
-    ``depth`` its own theta log(sum of vector), eps (2 T + 1).
+    The read of S_n sums its terms the same way, x being an exact
+    integer >= 1, lw_u off by E_F, the error bound of forward level k,
+    and lw_w by E_B, that of backward level j.  A state's seed is the
+    log-sum-exp of the terms lw_w + theta log x over its pairs, lw_w
+    being 0.0 at j = 2.  Every such term is >= 0 and at most its state's
+    seed, so at most T, the largest seed.  theta log x rounds by 1.5 eps
+    of itself and the add by eps/2 of its result, exact at j = 2, at
+    most 2 eps T together; the merge adds eps (2 T + 2), and E_B passes
+    through.  So a seed is off by at most E_B + eps (4 T + 2), with
+    E_B = 0 at j = 2.  Past B_2 the read sums lw_u + seed_u over the
+    states of level k.  lw_u >= 0, so every seed is at most its term and
+    T <= S, S >= every term being the log of the sum; the add rounds by
+    eps/2 S and the sum adds eps (2 S + 2), with E_F passing through.
+    S_n is so off by at most E_F + E_B + eps (6.5 S + 4).  At j = 2 the
+    read sums the terms lw + theta log x of each pair instead: theta
+    log x rounds by 1.5 eps of itself and the add by eps/2 S, and the
+    sum adds eps (2 S + 2), so the read off level n - 1 is off by at
+    most E_{n-1} + eps (4 S + 2), one step's charge less than a sum over
+    a built level n would be.  B_2 gives each state a few pairs, so
+    these terms follow the states too, and folding them as well would
+    charge eps (2.5 S + 2) more on every read off level n - 1, the one
+    every full shift takes: it widened the full-shift brackets of the
+    benchmark by 8.5% in the median and by up to 21%.  ``backward``
+    takes the seeds of its read of S_depth and charges each level above
+    them as a step with merges, D being the largest d of the kept lists
+    that level reads, and a held level ``depth`` its own theta log(sum
+    of vector), eps (2 T + 1).
 
     The jump multiplies matrices of such entries, each matrix with one
     bound on the error of all its logs.  The row starts from the
@@ -583,42 +597,43 @@ class CollapsedEngine:
         if n < 1:
             raise PreconditionError("depth must be >= 1")
         if n not in self._sums:
-            self._read_sum(n)
+            if n == 1:
+                if not self._held:  # every held store was swept from level 1
+                    self._reach(1, False, 1)
+                fibers = self.fs.fibers
+                self._sums[1] = _summed([self.theta * math.log(len(f)) for f in fibers], 0.0), len(fibers)
+            elif self.join:
+                self._read_sum(n, *self._walk(n, (1, 2), False))
+            else:
+                self._reach(n - 1, False, n)
+                self._read_sum(n, n - 1, 2)
         value, words = self._sums[n]
         return PartitionSum(n, value, words, self.visited, self.collapsed_nodes)
 
-    def _read_sum(self, n: int, seeds: Optional[dict] = None, split: Optional[tuple[int, int]] = None) -> float:
+    def _read_sum(self, n: int, k: int, j: int, seeds: Optional[dict] = None) -> float:
         """Read S_n and its word count into ``_sums`` at the split (k, j),
-        k + j = n + 1: ``split`` where ``backward`` gives it, else (n - 1,
-        2) where a held level n - 1 or an engine without ``join`` puts it,
-        else ``_walk``'s from (1, 2); S_1 from the fiber sizes.  j picks
-        the inner loop, each the faster on its side (class docstring):
-        B_2's rows one by one, or a swept level's starts in columns
-        through ``_dots``.
-        Given ``seeds``, also map each state of level k to the log-sum-exp
-        of lw_w + theta log x over its pairs, ``backward``'s seed.  Returns
-        E_B, the error bound of the backward level (0.0 for B_2).
+        k + j = n + 1, n >= 2, whose forward level k, and past B_2 whose
+        backward level j of ``_back``, the caller holds: ``partition``,
+        ``series`` and ``backward`` pick the split, and this reads it,
+        with no sweep and no walk.  j picks the inner loop, each the
+        faster on its side (class docstring): B_2's rows one by one, with
+        one term per pair, or a swept level's starts in columns through
+        ``_dots``, folding each state's pairs into its seed, the
+        log-sum-exp of lw_w + theta log x over them, for one term
+        lw_u + seed per state.
+        Given ``seeds``, also map each state of level k to its seed,
+        ``backward``'s.  Returns E_B, the error bound of the backward
+        level (0.0 for B_2).
         Only a first read, whoever asks, stores the sum and charges its
         pairs, unless level n is held and its edges charged; at j = 2 they
-        are ``_paid``, so the step over them charges them no more."""
+        are ``_paid``, so the step over them charges them no more.  A read
+        that the budget stops counts the pairs it took in its message."""
         fresh = n not in self._sums
-        theta, log, fibers = self.theta, math.log, self.fs.fibers
-        if n == 1:
-            if not self._held:  # every held store was swept from level 1
-                self._reach(1, False, 1)
-            self._sums[1] = _summed([theta * log(len(f)) for f in fibers], 0.0), len(fibers)
-            return 0.0
+        theta, log = self.theta, math.log
         held, first = self._held, self._first
-        k, j = split or (n - 1, 2)
-        if not first <= k < first + len(held):
-            if self.join:
-                k, j = self._walk(n, (1, 2), False)
-            else:
-                self._reach(k, False, n)
-            held, first = self._held, self._first
         level, err = held[k - first]
         charge = fresh and n >= first + len(held)  # level n is not held
-        terms: list[float] = []
+        terms: list[float] = []  # one per pair at j = 2, one per state past it
         words = 0
         visited = before = self.visited
         if j == 2:
@@ -644,7 +659,7 @@ class CollapsedEngine:
         else:
             back = self._back
             starts, start_err = back._held[j - back._first]
-            groups: list = [([], [], []) for _ in fibers]
+            groups: list = [([], [], []) for _ in self.fs.fibers]
             for (a, prim), (lw, m) in starts.items():
                 prims, lws, ms = groups[a]
                 prims.append(prim)
@@ -657,12 +672,12 @@ class CollapsedEngine:
                 paired = 0  # the words of their starts
                 for x, lw_w, m_w in zip(_dots(prim, cols) or (), lws, ms):
                     if x:
-                        t = theta * log(x)
-                        terms.append(lw + lw_w + t)
-                        logs.append(lw_w + t)
+                        logs.append(lw_w + theta * log(x))
                         paired += m_w
+                seed = _log_sum_exp(logs)
                 if seeds is not None:
-                    seeds[a, prim] = _log_sum_exp(logs)
+                    seeds[a, prim] = seed
+                terms.append(lw + seed)
                 words += m * paired
                 if charge:
                     visited += len(logs)
@@ -673,12 +688,12 @@ class CollapsedEngine:
             if visited > self.budget:
                 in_store = sum(len(h) for h, _ in held) + len(starts)
                 if j == 2:
-                    raise _OverBudget(self.budget, n, n, in_store)
-                raise _OverBudget(self.budget, k, n, in_store, j)
+                    raise _OverBudget(self.budget, n, n, in_store, pairs=visited - before)
+                raise _OverBudget(self.budget, k, n, in_store, j, visited - before)
             if j == 2:
                 self._paid = (k, visited - before)
         if fresh:
-            self._sums[n] = _summed(terms, err + start_err, 4.0 if j == 2 else 4.5), words
+            self._sums[n] = _summed(terms, err + start_err, *((4.0, 2.0) if j == 2 else (6.5, 4.0))), words
         return start_err
 
     def _walk(self, n: int, start: tuple[int, int], keep: bool) -> tuple[int, int]:
@@ -739,6 +754,7 @@ class CollapsedEngine:
         for n in range(1, n_max + 1):
             if n > 1 and n not in self._sums:
                 self._reach(n - 1, False, n)
+                self._read_sum(n, n - 1, 2)
             out.append(self.partition(n))
         return out
 
@@ -791,7 +807,7 @@ class CollapsedEngine:
         if depth > 1:
             sums: dict = {}  # the seed, from the read of S_depth
             k, j = self._walk(depth, (upto, 2), True)
-            err = self._read_sum(depth, sums, (k, j))
+            err = self._read_sum(depth, k, j, sums)
             err += _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
             out.append(sums)
             errs.append(err)

@@ -174,8 +174,8 @@ def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope
       r(w) >= C1 = e^(-(M-1) P_hi) / K_tilde.
 
     The suffix sums come from ``backward(L, upto)``, upto = max(n_max,
-    M - 2): the scan reads levels 1..n_max, and S_{M-1} is read off held
-    level M - 2.  Both ends are then padded outward by the tracked log
+    M - 2): the scan reads levels 1..n_max, and the walk of S_{M-1}
+    reads held forward levels 1..M - 2.  Both ends are then padded outward by the tracked log
     errors of the scanned suffix sums, of S_L, of the ratio's own float
     arithmetic and of the constants.  Requires a mixing source and level > n_max + M,
     so every suffix crosses a mixing window.
@@ -186,8 +186,8 @@ def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope
     if level <= n_max + M:
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
     # levels first, then the backward pass, whose seed comes from the
-    # read of S_L; S_{M-1}, off held level M - 2, and S_L are then read
-    # without a sweep
+    # read of S_L; S_{M-1}, whose walk reads held forward levels, and
+    # S_L are then read without a forward sweep
     upto = max(n_max, M - 2)
     _held_levels(engine, upto)
     back, errs = engine.backward(level, upto)

@@ -642,6 +642,30 @@ EXTREME_CALLS = {
         EXIT_OK,
         ["gibbs", "--spec", "{dir}/fibonacci_fiber.json", "--theta", "5e-324", "--level", "14", "--n-max", "6"]),
     "dimension_depth_100000": (EXIT_OK, ["dimension", "--spec", "{dir}/full_torus_32.json", "--depth", "100000"]),
+    "dimension_7x3_depth_16": (EXIT_OK, ["dimension", "--spec", "{dir}/7x3_0.json", "--depth", "16"]),
+}
+# the first 7x3 restricted carpet of perfbench's seed-1 plan: S_16 reads
+# 11.5M pairs, which held as one term each took about 900 MB
+CARPET_7X3_0 = {
+    "schema": 1, "kind": "carpet", "name": "7x3_0", "l": 7, "m": 3,
+    "digits": [[0, 0], [1, 0], [3, 0], [4, 0], [6, 0], [0, 1], [2, 1], [3, 1], [4, 1], [5, 1], [6, 1],
+               [1, 2], [2, 2], [4, 2]],
+    "transitions": [[i, j] for i, row in enumerate((
+        (0, 1, 2, 5, 6, 7, 9, 10, 11, 12, 13),
+        (1, 2, 3, 4, 7, 10, 11, 12),
+        (3, 4, 5, 7, 11, 13),
+        (1, 2, 3, 4, 6, 7, 8, 9, 10),
+        (2, 4, 5, 6, 8, 9, 11),
+        (0, 2, 4, 5, 7, 9, 10),
+        (0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13),
+        (0, 2, 3, 9, 12),
+        (0, 4, 8, 10, 11, 13),
+        (0, 1, 2, 4, 5, 8, 10, 12),
+        (0, 1, 2, 3, 5, 6, 11, 12),
+        (1, 11),
+        (0, 2, 3, 4, 7, 8, 9, 10, 11),
+        (1, 3, 4, 8, 10, 11),
+    )) for j in row],
 }
 
 
@@ -653,6 +677,7 @@ def extreme_dir(tmp_path_factory):
         "schema": 1, "kind": "carpet", "l": 10**15 + 1, "m": 10**15,
         "digits": [[0, 0], [1, 5]], "transitions": "full",
     }))
+    (out / "7x3_0.json").write_text(json.dumps(CARPET_7X3_0))
     return out
 
 

@@ -3,13 +3,14 @@
 import math
 import random
 import struct
+import tracemalloc
 import weakref
 from collections import Counter
 from decimal import Decimal, localcontext
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carpetdim import counting
 from carpetdim.counting import (
@@ -223,10 +224,16 @@ class TestNodeBudget:
         with pytest.raises(ResourceError, match="at level 3 and backward level 3 of 20 with 13 states held"):
             partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=20)
         # the walk ends at (9, 12): the sweeps take 132 + 210 visits, so
-        # the first pair overruns 342, forward level 9 (17 states) and
-        # backward level 12 (16) held
+        # the first state's 2 pairs overrun 342, forward level 9 (17
+        # states) and backward level 12 (16) held; at 345 the next
+        # state's 14 pairs overrun it, and the message counts all 16
         with pytest.raises(ResourceError, match="at level 9 and backward level 12 of 20 with 33 states held"):
             partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=342)
+        with pytest.raises(ResourceError, match="with 33 states held and 16 pairs read; raise the budget"):
+            partition_sum(fibonacci, 20, THETA_32, mode="collapsed", node_budget=345)
+        # a read off level 5 names the level it stands in for and its pairs
+        with pytest.raises(ResourceError, match="at level 6 of 6 with 9 states held and 6 pairs read; raise"):
+            CollapsedEngine(fibonacci, THETA_32, node_budget=40).partition(6)
 
     def test_budget_message_counts_every_held_level(self, fibonacci):
         """levels(18) holds levels 1..17 (290 states) while it builds the
@@ -813,6 +820,7 @@ EXACT_DEPTHS = {"mixing": 14, "4x2": 14, "7x3": 9}
     n=st.integers(1, 14),
     deeper=st.integers(1, 4),
 )
+@example(kind="4x2", seed=0, n=6, deeper=1)  # a deeper read that leaves level n - 1 held
 def test_joined_read_matches_exact_and_series(kind, seed, n, deeper):
     """A fresh S_n, joined wherever its walk passes B_2, has the exact
     word count and a log within both tracked errors of the reference.
@@ -820,10 +828,9 @@ def test_joined_read_matches_exact_and_series(kind, seed, n, deeper):
     levels 1..n - 1 does, and visits what a fresh read off that level
     does; it agrees with the fresh S_n within both errors, exactly when
     that read neither joins nor jumps.  Every joined read walks from
-    (1, 2), so reading S_1 .. S_n in turn, or S_(n + deeper) first,
-    reads S_n at the fresh read's split and exactly as it does; only a
-    deeper read that leaves level n - 1 held has S_n read off it, as a
-    series does."""
+    (1, 2), whatever the engine holds, so reading S_1 .. S_n in turn, or
+    S_(n + deeper) first, reads S_n at the fresh read's split and exactly
+    as it does, even where the deeper read leaves level n - 1 held."""
     fs, theta = JOIN_SYSTEMS[kind](random.Random(seed))
     fresh, stepped = JumpCounter(fs, theta, join=True), JumpCounter(fs, theta, join=True)
     ps = fresh.partition(n)
@@ -844,18 +851,9 @@ def test_joined_read_matches_exact_and_series(kind, seed, n, deeper):
     assert last[:3] == ps[:3]
     after = JumpCounter(fs, theta, join=True)
     after.partition(n + deeper)
-    k = split_held(after, n + deeper)[0]
-    shallow = after.partition(n)
-    if k == n - 1:  # a held level n - 1 is read with the row sums
-        assert shallow.word_count == series.word_count
-        if after.jumps:
-            assert abs(shallow.value.log - series.value.log) <= shallow.value.err + series.value.err
-        else:
-            assert shallow.value == series.value
-    else:
-        assert shallow[:3] == ps[:3]
+    assert after.partition(n)[:3] == ps[:3]
     if n > 1:  # S_1 is read off the fiber sizes, at no split
-        for eng in (walked, after) if k != n - 1 else (walked,):
+        for eng in (walked, after):
             split_held(eng, n)  # asserts that it holds the oracle's split
     if n <= EXACT_DEPTHS[kind]:
         ref = ExactEngine(fs, theta).partition(n)
@@ -865,6 +863,29 @@ def test_joined_read_matches_exact_and_series(kind, seed, n, deeper):
         ref = held.partition(n)
     assert ps.word_count == ref.word_count
     assert abs(ps.value.log - ref.value.log) <= ps.value.err + ref.value.err
+
+
+def test_joined_read_memory_follows_its_states():
+    """A read past B_2 folds each forward state's pairs into its seed and
+    keeps one term per state, so its peak stays within a constant times
+    the states held on both sides.  On this system S_16 pairs 413 states
+    50 times over; a term per pair, about 65 B each, would need over
+    3 kB per state."""
+    fs, theta = JOIN_SYSTEMS["7x3"](random.Random(5))
+    eng = CollapsedEngine(fs, theta, join=True)
+    k, j = eng._walk(16, (1, 2), False)
+    assert (k, j) == split_oracle(fs, theta, 16, 1) and j > 2
+    states = sum(len(level) for e in (eng, eng._back) for level, _ in e._held)
+    visited = eng.visited
+    tracemalloc.start()
+    try:
+        eng._read_sum(16, k, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eng.visited - visited > 40 * states  # the pairs read
+    assert peak < 200 * states
+    assert eng.partition(16)[:3] == CollapsedEngine(fs, theta, join=True).partition(16)[:3]
 
 
 def test_trivial_identity_counts():
