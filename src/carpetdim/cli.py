@@ -73,11 +73,11 @@ def _positive(text: str) -> int:
 
 def _letters(text: str) -> tuple[str, ...]:
     if "," in text:
-        parts = tuple(p.strip() for p in text.split(",") if p.strip())
+        parts = tuple(p.strip() for p in text.split(","))
     else:
         # bare token: one single-character letter per character
         parts = tuple(text.strip())
-    if not parts:
+    if not parts or not all(parts):  # "1,,2" and ",2" name no letter
         raise argparse.ArgumentTypeError(
             "expected comma-separated letters, or a bare string of "
             "single-character letters"

@@ -261,7 +261,7 @@ class CollapsedEngine:
     to prim . r.  S_1 comes from the fiber sizes.
 
     One reader, ``_read_sum``, takes every S_n from the split (k, j)
-    its caller holds, with one set of sums and one epilogue, and one
+    that ``_walk`` holds, with one set of sums and one epilogue, and one
     inner loop for each kind of start level, picked by j.  B_2 has a few
     rows per letter, so a state takes them row by row, with no gcd, key
     or merge, one term per pair.  A swept level j > 2 has many starts
@@ -272,40 +272,52 @@ class CollapsedEngine:
     and not the pairs.  Each loop is the faster one on its own side, so
     neither is folded into the other.
 
-    The split.  The reader's caller picks it and makes it held, so the
-    reader neither sweeps nor walks: ``partition`` in one place,
-    ``series`` at (n - 1, 2) after its step, and ``backward`` at its
-    seeded split (below).  Built with ``join``, as ``make_engine`` builds
-    every collapsed engine, ``partition`` walks (k, j) from (1, 2) one
-    move at a time, each advancing the side whose level has fewer
-    states, ties forward (``_walk``), whatever the engine holds.  So the
-    split depends on the system and n alone, no split is kept between
-    reads, and a partition read of S_n does not depend on the partition
-    sums read before it.  A forward side no larger than B_2 at every
-    move takes them all, on the path of a read off level n - 1, which
-    covers every full shift (one state per letter against the letter
-    pairs).  A forward side whose key set repeats and that is no larger
-    than the backward level takes every move left, so it goes to level
-    n + 1 - j in one ``_reach``, which may jump.  The backward side steps
-    a second engine, ``_back``, that holds one level here.  Without
-    ``join``, the default, ``partition`` sweeps forward to level n - 1
-    and reads it at (n - 1, 2), so a fresh S_n visits the states of
-    level 1 and the edges out of levels 1..n - 1 unless it jumps: the
-    count that ``perfbench/carpets.py`` models to fix the work of its
-    picks.
+    The split.  Every read of S_n, n >= 2, is a start, then ``_walk``,
+    then ``_read_sum``.  ``_walk`` alone picks the split: it moves (k, j)
+    from the start to k + j = n + 1 one move at a time, each advancing
+    the side whose level has fewer states, ties forward, whatever the
+    engine holds, and holds both levels; the reader neither sweeps nor
+    walks.  The caller names one of three starts:
+
+    - (1, 2) for ``partition`` built with ``join``, as ``make_engine``
+      builds every collapsed engine.  So the split depends on the system
+      and n alone, no split is kept between reads, and a partition read
+      of S_n does not depend on the partition sums read before it.  A
+      forward side no larger than B_2 at every move takes them all, on
+      the path of a read off level n - 1, which covers every full shift
+      (one state per letter against the letter pairs).  A forward side
+      whose key set repeats and that is no larger than the backward
+      level takes every move left, so it goes to level n + 1 - j in one
+      ``_reach``, which may jump.  The backward side steps a second
+      engine, ``_back``, that holds one level here.
+    - (n - 1, 2) for ``series``, and for ``partition`` without ``join``,
+      the default.  The walk makes no move: it sweeps forward to level
+      n - 1, and the read is off that level through B_2.  So a fresh S_n
+      visits the states of level 1 and the edges out of levels
+      1..n - 1 unless the sweep jumps: the count that
+      ``perfbench/carpets.py`` models to fix the work of its picks.
+      ``series`` takes this start on a joined engine too: a join's pairs
+      serve one sum, and each of S_1 .. S_n would pay its own, more than
+      the one forward sweep whose steps reuse the pairs of the reads at
+      j = 2.  So a series holds levels 1 .. n - 1 in turn, visits what a
+      fresh read off level n - 1 does, and takes no join, nor a jump:
+      the s states of a level have at most s^2 edges, fewer than the
+      2 s^3 products of a power.  Its S_n agrees with a joined read's
+      within both errors and is the same float when that read's split
+      stays at j = 2 and it does not jump.
+    - (upto, 2) for ``backward(depth, upto)``, the seeded split (below).
 
     The seeded split.  ``backward(depth, upto)``, with or without
-    ``join``, needs suffix sums on levels 1..upto only, so it pairs the
-    same way: its walk starts at (upto, 2), whatever levels are held,
-    and follows the same rule to k + j = depth + 1, keeping every
-    forward level it reaches, whose kept child lists the pass above the
-    seed reads, and every level of ``_back``.  So its split depends on
-    the system, ``depth`` and ``upto`` alone, and a second seeded read
-    at that split visits nothing while those levels stay held.  The read
-    of S_depth at that split also hands over each state u's seed, the
-    log-sum-exp of lw_w + theta log x over its pairs: its suffix sum, as
-    the pairs of u are its extensions to level depth grouped by their
-    last j letters.
+    ``join``, needs suffix sums on levels 1..upto only, so it starts its
+    walk at (upto, 2), whatever levels are held, and follows the same
+    rule to k + j = depth + 1, keeping every forward level it reaches,
+    whose kept child lists the pass above the seed reads, and every
+    level of ``_back``.  So its split depends on the system, ``depth``
+    and ``upto`` alone, and a second seeded read at that split visits
+    nothing while those levels stay held.  The read of S_depth at that
+    split also hands over each state u's seed, the log-sum-exp of
+    lw_w + theta log x over its pairs: its suffix sum, as the pairs of u
+    are its extensions to level depth grouped by their last j letters.
 
     ``visited`` counts the states of level 1 and every nonzero edge, the
     jump's included, of both sweeps, and the pairs read, against one
@@ -318,14 +330,6 @@ class CollapsedEngine:
     sweeps to its split and its pairs.  ``collapsed_nodes`` counts the
     states both sweeps build, which leaves out the levels a join stands
     in for.
-
-    ``series`` does not walk: a join's pairs serve one sum, and each of
-    S_1 .. S_n would pay its own, more than the one forward sweep whose
-    steps reuse the pairs of the reads at j = 2.  So a series holds
-    levels 1 .. n - 1 in turn, visits what a fresh read off level n - 1
-    does, and takes neither the jump nor a join.  Its S_n agrees with a
-    fresh read's within both errors and is the same float when that
-    read's split stays at j = 2 and it does not jump.
 
     One kernel, ``_children``, gives a state's children with the log
     factor d = theta * log g that each child's gcd g contributes.  The
@@ -594,6 +598,14 @@ class CollapsedEngine:
         return dict(zip(keys, row[0])), err
 
     def partition(self, n: int) -> PartitionSum:
+        """S_n from the start (1, 2) with ``join``, or (n - 1, 2), a read
+        off level n - 1, without it (``_sum``, class docstring)."""
+        return self._sum(n, (1, 2) if self.join else (n - 1, 2))
+
+    def _sum(self, n: int, start: tuple[int, int]) -> PartitionSum:
+        """S_n and the counters so far: S_n as first read, by ``_read_sum``
+        at the split that ``_walk`` reaches from ``start``, or S_1 off the
+        fiber sizes; a later call reads what the first stored."""
         if n < 1:
             raise PreconditionError("depth must be >= 1")
         if n not in self._sums:
@@ -602,23 +614,19 @@ class CollapsedEngine:
                     self._reach(1, False, 1)
                 fibers = self.fs.fibers
                 self._sums[1] = _summed([self.theta * math.log(len(f)) for f in fibers], 0.0), len(fibers)
-            elif self.join:
-                self._read_sum(n, *self._walk(n, (1, 2), False))
             else:
-                self._reach(n - 1, False, n)
-                self._read_sum(n, n - 1, 2)
+                self._read_sum(n, *self._walk(n, start, False))
         value, words = self._sums[n]
         return PartitionSum(n, value, words, self.visited, self.collapsed_nodes)
 
     def _read_sum(self, n: int, k: int, j: int, seeds: Optional[dict] = None) -> float:
         """Read S_n and its word count into ``_sums`` at the split (k, j),
-        k + j = n + 1, n >= 2, whose forward level k, and past B_2 whose
-        backward level j of ``_back``, the caller holds: ``partition``,
-        ``series`` and ``backward`` pick the split, and this reads it,
-        with no sweep and no walk.  j picks the inner loop, each the
-        faster on its side (class docstring): B_2's rows one by one, with
-        one term per pair, or a swept level's starts in columns through
-        ``_dots``, folding each state's pairs into its seed, the
+        k + j = n + 1, n >= 2, that ``_walk`` reached and holds: forward
+        level k, and past B_2 backward level j of ``_back``.  The only
+        reader of S_n, with no sweep and no walk.  j picks the inner loop,
+        each the faster on its side (class docstring): B_2's rows one by
+        one, with one term per pair, or a swept level's starts in columns
+        through ``_dots``, folding each state's pairs into its seed, the
         log-sum-exp of lw_w + theta log x over them, for one term
         lw_u + seed per state.
         Given ``seeds``, also map each state of level k to its seed,
@@ -700,19 +708,22 @@ class CollapsedEngine:
         """Walk the split (k, j) from ``start`` to k + j = n + 1, holding
         forward level k and backward level j, and return it: one move at
         a time, each advancing the side with fewer states, ties forward.
-        A partition read starts at (1, 2), ``backward`` at (upto, 2) with
-        levels 1..upto held, and no split is kept between walks, so a
-        split depends on the system, n and the start alone.  With
-        ``keep``, as ``backward`` walks, every forward level reached stays
-        held (``levels``).  A forward side whose key set repeats, and
-        that is no larger, takes every move left, so it is reached in one
-        ``_reach``, which may jump unless it keeps its levels.  A
-        backward move steps ``_back``, the engine of ``fs.transposed``,
-        which holds one level without ``keep`` and every level with it,
-        against this engine's budget, visits and node count; a walk with
-        ``keep`` then drops the child lists that ``_back``'s steps kept,
-        which nothing reads after it.  A budget message past B_2 names
-        both levels and counts both sides' states."""
+        The only code that picks a split, from one of three starts (class
+        docstring): (1, 2) for a joined ``partition``, (n - 1, 2) for
+        ``series`` and the read without ``join``, where no move is left,
+        and (upto, 2) for ``backward`` with levels 1..upto held.  No split
+        is kept between walks, so a split depends on the system, n and
+        the start alone.  With ``keep``, as ``backward`` walks, every
+        forward level reached stays held (``levels``).  A forward side
+        whose key set repeats, and that is no larger, takes every move
+        left, so it is reached in one ``_reach``, which may jump unless it
+        keeps its levels.  A backward move steps ``_back``, the engine of
+        ``fs.transposed``, which holds one level without ``keep`` and
+        every level with it, against this engine's budget, visits and node
+        count; a walk with ``keep`` then drops the child lists that
+        ``_back``'s steps kept, which nothing reads after it.  A budget
+        message past B_2 names both levels and counts both sides'
+        states."""
         back, (k, j) = self._back, start
         self._reach(k, keep, n)
         table = sum(map(len, self.fs.fiber_row_sums))  # the states of B_2
@@ -747,16 +758,11 @@ class CollapsedEngine:
         return k, j
 
     def series(self, n_max: int) -> list[PartitionSum]:
-        """S_1 .. S_{n_max} off one forward sweep: each S_n not yet read is
-        read off level n - 1, held one level at a time, and its pairs are
-        the edges of the next step (class docstring)."""
-        out = []
-        for n in range(1, n_max + 1):
-            if n > 1 and n not in self._sums:
-                self._reach(n - 1, False, n)
-                self._read_sum(n, n - 1, 2)
-            out.append(self.partition(n))
-        return out
+        """S_1 .. S_{n_max} off one forward sweep: each S_n is read from
+        the start (n - 1, 2), so off level n - 1, held one level at a
+        time, and its pairs are the edges of the next step (class
+        docstring)."""
+        return [self._sum(n, (n - 1, 2)) for n in range(1, n_max + 1)]
 
     def levels(self, depth: int) -> list[dict]:
         """Levels 1..depth, all held, going on from the levels already

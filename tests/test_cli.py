@@ -62,6 +62,26 @@ class TestParsing:
         commas = parse_args(["counts", "--spec", spec, "--word", "1,2,2,1"])
         assert bare.word == commas.word == ("1", "2", "2", "1")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("counts", "--word", "1,,2"),
+            ("counts", "--word", "1,2,"),
+            ("counts", "--word", "1, ,2"),
+            ("compensation", "--cycle", ",2"),
+            ("compensation", "--cycle", "2", "--preperiod", "1,,2"),
+        ],
+        ids=["word-inner", "word-trailing", "word-blank", "cycle-leading", "preperiod-inner"],
+    )
+    def test_empty_letter_parts_are_usage_errors(self, capsys, fixture_dir, argv):
+        """A comma-separated list with an empty part names no letter there,
+        so it is rejected rather than read without the part."""
+        spec = str(fixture_dir / "parity_oscillation.json")
+        code, out, err = run_cli(capsys, argv[0], "--spec", spec, *argv[1:])
+        assert code == EXIT_SPEC
+        assert out == ""
+        assert "expected comma-separated letters" in err
+
     def test_defaults(self, fixture_dir):
         spec = str(fixture_dir / "column_carpet_21.json")
         config = parse_args(["dimension", "--spec", spec, "--depth", "10"])
@@ -509,6 +529,43 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert err == "error: threshold must be finite\n"
+
+    @pytest.mark.parametrize("theta", ["0", "1.5", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pressure", "--depth", "4"),
+            ("pressure", "--depth", "4", "--mode", "exact"),
+            ("gibbs", "--level", "10", "--n-max", "2"),
+            ("cesaro", "--level", "10", "--n-terms", "2"),
+        ],
+        ids=["pressure", "pressure-exact", "gibbs", "cesaro"],
+    )
+    def test_theta_outside_the_unit_interval_is_precondition(self, capsys, fixture_dir, argv, theta):
+        spec = str(fixture_dir / "fibonacci_fiber.json")
+        code, out, err = run_cli(capsys, argv[0], "--spec", spec, "--theta", theta, *argv[1:])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "error: theta must be in (0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pressure", "--spec", "{dir}/fibonacci_fiber.json", "--theta", THETA_ARG, "--depth", "4",
+             "--csv", "{blocked}/series.csv"),
+            ("render", "--spec", "{dir}/column_carpet_21.json", "--level", "2", "--output", "{blocked}/x.pbm"),
+            ("fixtures", "--out-dir", "{blocked}/fx"),
+        ],
+        ids=["pressure-csv", "render", "fixtures"],
+    )
+    def test_write_below_a_regular_file_is_spec_error(self, capsys, tmp_path, fixture_dir, argv):
+        blocked = tmp_path / "regular-file"
+        blocked.write_text("")
+        argv = [arg.format(dir=fixture_dir, blocked=blocked) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_SPEC
+        assert out == ""
+        assert err.startswith("error: cannot write")
 
     def test_non_image_cycle_is_precondition(self, capsys, fixture_dir):
         code, _, _ = run_cli(

@@ -185,6 +185,21 @@ class TestExactEngine:
         with pytest.raises(ResourceError, match=f"at word length {reached} of 8; use collapsed mode"):
             ExactEngine(fibonacci, THETA_32, node_budget=budget).partition(8)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda fs: ExactEngine(fs, THETA_32).partition(0), "depth must be >= 1"),
+            (lambda fs: partition_series(ExactEngine(fs, THETA_32), 0), "depth must be >= 1"),
+            (lambda fs: partition_series(CollapsedEngine(fs, THETA_32), 0), "depth must be >= 1"),
+            (lambda fs: viable_sets(fs, EventuallyPeriodicPoint((), ("2",)), 0), "at least one position"),
+            (lambda fs: EventuallyPeriodicPoint(("1",), ("2",)).shift(-1), "shift amount must be >= 0"),
+        ],
+        ids=["exact-partition", "exact-series", "collapsed-series", "viable-sets", "shift"],
+    )
+    def test_rejects_arguments_below_range(self, parity, call, message):
+        with pytest.raises(PreconditionError, match=message):
+            call(parity)
+
     def test_series_walks_once(self, parity, monkeypatch):
         walks = []
         walk = counting._prefix_words

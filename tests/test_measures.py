@@ -168,6 +168,10 @@ class TestGibbsScan:
         with pytest.raises(PreconditionError, match="level"):
             gibbs_scan(CollapsedEngine(fibonacci, THETA_32), level=6, n_max=6)
 
+    def test_scan_depth_must_be_positive(self, fibonacci):
+        with pytest.raises(PreconditionError, match="n_max must be >= 1"):
+            gibbs_scan(CollapsedEngine(fibonacci, THETA_32), level=14, n_max=0)
+
     def test_non_mixing_rejected(self):
         fs = make_factor(["a", "b"], [("a", "b"), ("b", "a")], {"a": "x", "b": "x"})
         with pytest.raises(NonMixingError):  # before any sweep, so no budget error
@@ -384,6 +388,19 @@ class TestAdditivityScan:
         # the trend flattens: no strictly decreasing run of length 4
         tail = report.min_trend[-4:]
         assert not all(b < a for a, b in zip(tail, tail[1:]))
+
+    def test_minimum_under_threshold_without_a_decreasing_run(self, fibonacci):
+        """A minimum under the threshold refutes only with a strictly
+        decreasing run of four in the trend; a flat trend keeps the
+        verdict, and the witness of the minimum is still reported."""
+        report = additivity_scan(fibonacci, max_len=5, threshold=0.99)
+        assert report.min_ratio == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert report.min_ratio < report.threshold
+        assert report.min_trend == pytest.approx((0.5, 1 / 3, 1 / 3, 1 / 3, 1 / 3), rel=1e-12)
+        assert report.verdict == "consistent-with-almost-additive"
+        u, v = report.witness
+        ratio = preimage_count(fibonacci, u + v) / (preimage_count(fibonacci, u) * preimage_count(fibonacci, v))
+        assert ratio == pytest.approx(report.min_ratio, rel=1e-12)
 
     def test_trend_is_cumulative_minimum(self, any_fixture):
         report = additivity_scan(any_fixture, max_len=9)

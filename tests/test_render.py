@@ -23,6 +23,12 @@ class TestRenderGeometry:
                 for x in range(image.width)
             )
 
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (3, 0), (0, 2)])
+    def test_pixel_outside_the_image_is_rejected(self, x, y):
+        image = render_carpet(full_torus(3, 2), 1)
+        with pytest.raises(PreconditionError, match="outside the image"):
+            image.pixel(x, y)
+
     def test_single_origin_digit(self):
         spec = CarpetSpec(3, 2, ((0, 0),))
         image = render_carpet(spec, 3)
