@@ -77,7 +77,7 @@ def _letters(text: str) -> tuple[str, ...]:
     else:
         # bare token: one single-character letter per character
         parts = tuple(text.strip())
-    if not parts or not all(parts):  # "1,,2" and ",2" name no letter
+    if not parts or not all(p.strip() for p in parts):  # "1,,2", ",2" and "1 2" name an empty or blank letter
         raise argparse.ArgumentTypeError(
             "expected comma-separated letters, or a bare string of "
             "single-character letters"

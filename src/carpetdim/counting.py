@@ -311,13 +311,15 @@ class CollapsedEngine:
     ``join``, needs suffix sums on levels 1..upto only, so it starts its
     walk at (upto, 2), whatever levels are held, and follows the same
     rule to k + j = depth + 1, keeping every forward level it reaches,
-    whose kept child lists the pass above the seed reads, and every
-    level of ``_back``.  So its split depends on the system, ``depth``
-    and ``upto`` alone, and a second seeded read at that split visits
-    nothing while those levels stay held.  The read of S_depth at that
-    split also hands over each state u's seed, the log-sum-exp of
-    lw_w + theta log x over its pairs: its suffix sum, as the pairs of u
-    are its extensions to level depth grouped by their last j letters.
+    levels 1..upto among them, whose kept child lists the pass above the
+    seed reads, and every level of ``_back``.  It sweeps what is not
+    held, so its caller need hold nothing, and its split and its
+    ``upto`` lists depend on the system, ``depth`` and ``upto`` alone;
+    a second seeded read at that split visits nothing while those
+    levels stay held.  The read of S_depth at that split also hands
+    over each state u's seed, the log-sum-exp of lw_w + theta log x
+    over its pairs: its suffix sum, as the pairs of u are its
+    extensions to level depth grouped by their last j letters.
 
     ``visited`` counts the states of level 1 and every nonzero edge, the
     jump's included, of both sweeps, and the pairs read, against one
@@ -341,8 +343,8 @@ class CollapsedEngine:
     forward level of its split, and once a step returns the key set it
     started from, raises that linear map to a power when that costs
     less than stepping.  A walk reads the forward levels it reaches that
-    are held without sweeping, and one ``backward`` pass over held
-    levels gives the suffix sums.
+    are held without sweeping, and one ``backward`` pass over the levels
+    its walk holds gives the suffix sums.
     ``_reach`` picks a step's child source once: while every level is
     held, each state's child list is kept from its first build for as
     long as the levels are held (``edges``), so a state that comes back
@@ -402,8 +404,7 @@ class CollapsedEngine:
     benchmark by 8.5% in the median and by up to 21%.  ``backward``
     takes the seeds of its read of S_depth and charges each level above
     them as a step with merges, D being the largest d of the kept lists
-    that level reads, and a held level ``depth`` its own theta log(sum
-    of vector), eps (2 T + 1).
+    that level reads.
 
     The jump multiplies matrices of such entries, each matrix with one
     bound on the error of all its logs.  The row starts from the
@@ -711,10 +712,10 @@ class CollapsedEngine:
         The only code that picks a split, from one of three starts (class
         docstring): (1, 2) for a joined ``partition``, (n - 1, 2) for
         ``series`` and the read without ``join``, where no move is left,
-        and (upto, 2) for ``backward`` with levels 1..upto held.  No split
-        is kept between walks, so a split depends on the system, n and
-        the start alone.  With ``keep``, as ``backward`` walks, every
-        forward level reached stays held (``levels``).  A forward side
+        and (upto, 2) for ``backward``, which so holds levels 1..upto.
+        No split is kept between walks, so a split depends on the system,
+        n and the start alone.  With ``keep``, as ``backward`` walks,
+        every forward level reached stays held (``levels``).  A forward side
         whose key set repeats, and that is no larger, takes every move
         left, so it is reached in one ``_reach``, which may jump unless it
         keeps its levels.  A backward move steps ``_back``, the engine of
@@ -772,8 +773,10 @@ class CollapsedEngine:
         return [level for level, _ in self._held[:depth]]
 
     def backward(self, depth: int, upto: Optional[int] = None) -> tuple[list[dict], list[float]]:
-        """Suffix sums to level ``depth`` over the held levels 1..``upto``,
-        one pass from the seed up, and one error bound per level.
+        """Suffix sums to level ``depth`` over levels 1..``upto``, one pass
+        from the seed up, and one error bound per level: exactly ``upto``
+        lists of each, upto defaulting to depth - 1; an upto outside
+        1..depth - 1, so any depth below 2, raises PreconditionError.
         ``sums[k][s]`` is the float log of the sum of the final
         count^theta over the extensions to level ``depth`` of a prefix in
         state s of level k + 1, the prefix's own gcd factored out;
@@ -782,64 +785,42 @@ class CollapsedEngine:
         The seed is the read of S_depth (``_read_sum``) at a split (k, j),
         charged if it is the first, which maps each state of forward level
         k to the log-sum-exp of lw_w + theta log x over its pairs with
-        backward level j.  ``upto`` defaults to depth - 1, whose split is
-        (depth - 1, 2): level depth - 1 is read with the row sums, so
-        ``levels(depth - 1)`` is all that must be held and level ``depth``
-        is never built.  A smaller ``upto`` walks the split from (upto, 2)
-        by ``_walk``'s rule, keeping the forward levels it reaches, so the
-        split depends on the system, ``depth`` and ``upto`` alone, and
-        ``levels(upto)`` is all that must be held.  When level ``depth``
-        is held as well and ``upto`` is the default, its own sums, theta
-        log of the sum of each state's vector, come last, so after
-        ``levels(depth)`` the lists cover levels 1..depth.  The levels
-        above the seed read the child lists the forward sweep kept, one
-        loop per level that builds its sums and takes the largest log and
-        the largest d of the lists read as it goes, the two maxima its
-        error charge needs; the sums of levels past ``upto`` are dropped.
-        Levels 1..upto that are not held raise PreconditionError."""
-        held = self._held
+        backward level j.  The split is walked from (upto, 2) by
+        ``_walk``'s rule, keeping the forward levels it reaches: the walk
+        holds levels 1..upto itself, sweeping what is not held, so the
+        split and the lists depend on the system, ``depth`` and ``upto``
+        alone, not on what the engine held before.  The default's split
+        is (depth - 1, 2): level depth - 1 is read with the row sums, and
+        level ``depth`` is never built.  The levels above the seed read
+        the child lists the forward sweep kept, one loop per level that
+        builds its sums and takes the largest log and the largest d of
+        the lists read as it goes, the two maxima its error charge needs;
+        the sums of levels past ``upto`` are dropped."""
         if upto is None:
             upto = depth - 1
-        elif not 1 <= upto < depth:
+        if not 1 <= upto < depth:
             raise PreconditionError(f"backward to level {depth} returns levels 1..upto, upto in 1..{depth - 1}")
-        if self._first != 1 or depth < 1 or upto > len(held):
-            raise PreconditionError(
-                f"backward to level {depth} reads levels 1..{max(upto, 1)} "
-                f"held by levels(); they are not held"
-            )
-        theta, log = self.theta, math.log
-        out: list[dict] = []
-        errs: list[float] = []
-        if depth > 1:
-            sums: dict = {}  # the seed, from the read of S_depth
-            k, j = self._walk(depth, (upto, 2), True)
-            err = self._read_sum(depth, k, j, sums)
-            err += _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+        sums: dict = {}  # the seed, from the read of S_depth
+        k, j = self._walk(depth, (upto, 2), True)
+        err = self._read_sum(depth, k, j, sums)
+        err += _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+        out, errs = [sums], [err]
+        edges = self._edges
+        for level, _ in reversed(self._held[: k - 1]):
+            below, sums, top, top_d = sums, {}, 0.0, 0.0
+            for state in level:
+                terms = []
+                for key, d in edges[state]:
+                    if d > top_d:
+                        top_d = d
+                    terms.append(below[key] + d)
+                t = sums[state] = _log_sum_exp(terms)
+                if t > top:
+                    top = t
+            err += self._step_error(top, True, top_d)
             out.append(sums)
             errs.append(err)
-            edges = self._edges
-            for level, _ in reversed(self._held[: k - 1]):
-                below, sums, top, top_d = sums, {}, 0.0, 0.0
-                for state in level:
-                    terms = []
-                    for key, d in edges[state]:
-                        if d > top_d:
-                            top_d = d
-                        terms.append(below[key] + d)
-                    t = sums[state] = _log_sum_exp(terms)
-                    if t > top:
-                        top = t
-                err += self._step_error(top, True, top_d)
-                out.append(sums)
-                errs.append(err)
-            out.reverse()
-            errs.reverse()
-            del out[upto:], errs[upto:]
-        if upto == depth - 1 and depth <= len(held):
-            sums = {s: theta * log(sum(s[1])) for s in held[depth - 1][0]}
-            out.append(sums)
-            errs.append(_EPS * (2.0 * max(sums.values(), default=0.0) + 1.0))
-        return out, errs
+        return out[::-1][:upto], errs[::-1][:upto]
 
 
 class ExactEngine:

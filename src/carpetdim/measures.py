@@ -9,7 +9,8 @@ the suffix sum of the word's state times g^theta, g being the gcd
 taken out of the word's count vector.  A word's state and g^theta come
 from a walk along the engine's kept child lists, whose edges carry
 theta log g.  The suffix sums come from ``backward(L, upto)``, upto
-being the deepest level a scan reads: its seed joins a held forward
+being the deepest level a scan reads: its walk holds levels 1..upto,
+sweeping what the engine does not hold, and its seed joins a forward
 level with a level of the sweep over the transposed source, so a scan
 builds levels 1..upto and those of the split, not every level below L.
 So the measure functions take a ``CollapsedEngine``, which fixes the
@@ -185,18 +186,16 @@ def gibbs_scan(engine: CollapsedEngine, level: int, n_max: int) -> GibbsEnvelope
     M = mixing_index(engine.fs)
     if level <= n_max + M:
         raise PreconditionError(f"level must exceed n_max + mixing index = {n_max + M}")
-    # levels first, then the backward pass, whose seed comes from the
-    # read of S_L; S_{M-1}, whose walk reads held forward levels, and
-    # S_L are then read without a forward sweep
+    _require_collapsed(engine)
+    # the backward pass holds levels 1..upto and reads S_L for its seed,
+    # so S_{M-1}, whose walk reads those levels, and S_L sweep no more
     upto = max(n_max, M - 2)
-    _held_levels(engine, upto)
     back, errs = engine.backward(level, upto)
     estimate = pressure_interval(engine, level)
     constants = estimate.constants
     total = engine.partition(level).value
-    theta = engine.theta
+    theta, log = engine.theta, math.log
     p_hi, p_lo = estimate.upper, estimate.lower
-    log = math.log
     lo, hi = math.inf, -math.inf
     slack = 0.0
     for n, (sums, err) in enumerate(zip(back[:n_max], errs), 1):
@@ -245,11 +244,10 @@ def _pad(end: LogReal, slack: float) -> float:
     return end.err + slack + _EPS * (abs(end.log) + 3.0)
 
 
-def _held_levels(engine, depth: int) -> list[dict]:
-    # the held levels 1..depth that masses read; an exact walk holds none
+def _require_collapsed(engine) -> None:
+    # masses read held levels; an exact walk holds none
     if not isinstance(engine, CollapsedEngine):
         raise PreconditionError("cylinder masses read held levels, which only a CollapsedEngine keeps")
-    return engine.levels(depth)
 
 
 def _shift_masses(eng, level, probe_depth, positions):
@@ -265,19 +263,21 @@ def _shift_masses(eng, level, probe_depth, positions):
     # being the path's plus theta log x, even if level L is held; the
     # (letter, theta log x) pairs are taken once per end state.  The
     # paths built count against the node budget with the nodes visited.
+    _require_collapsed(eng)
+    theta, log = eng.theta, math.log
     upto = min(level - 1, max(positions) + probe_depth)  # the deepest suffix sums read
-    levels = _held_levels(eng, max(upto, 1))
-    back, _ = eng.backward(level, upto or None)  # reads S_L with the seed; level 1 has none
+    # backward reads S_L with the seed; level 1 has none, a letter's own sum being theta log |fiber|
+    back = eng.backward(level, upto)[0] if upto else [{s: theta * log(len(s[1])) for s in eng.levels(1)[0]}]
+    levels = eng.levels(max(upto, 1))  # held by the walk of backward, so swept no more
     total = eng.partition(level).value
-    edges, names, rows, theta = eng.edges, eng.fs.image_alphabet, eng.fs.fiber_row_sums, eng.theta
-    log = math.log
+    edges, names, rows = eng.edges, eng.fs.image_alphabet, eng.fs.fiber_row_sums
     tails: dict[tuple, list[tuple[int, float]]] = {}  # end state at level L - 1 -> its pairs
     out: dict[int, dict[tuple[str, ...], float]] = {}
     room, built = eng.budget - eng.visited, 0
     for i in positions:
         start = max(i - 1, 0)
         depth = i + probe_depth  # the level the word ends at
-        last = 1 < depth == level  # level L; at level 1 the suffix sums are held
+        last = 1 < depth == level  # level L; level 1 reads its letters' own sums
         terms: dict[tuple[int, ...], list[float]] = {}
         for state, (lw, _) in levels[start].items():
             paths = [((state[0],), state, 0.0)]

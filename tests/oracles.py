@@ -349,66 +349,54 @@ def split_held(engine: CollapsedEngine, n: int) -> tuple[int, int]:
 
 
 def backward_oracle(engine: CollapsedEngine, depth: int, upto=None):
-    """``CollapsedEngine.backward(depth, upto)`` state by state.  The seed
-    at the split (k, j) of ``split_oracle``: at j = 2, each state's
-    vector stepped through its blocks and summed, theta log of each sum;
-    past it, each state's pairs with backward level j of a fresh sweep
-    of the transposed source, lw_w + theta log (prim_u . prim_w), and
-    that level's error bound E_B added to the seed's.  Each level above
-    the seed is one comprehension over the kept child lists of a fresh
-    forward sweep that holds levels 1..k, and the level maxima its error
-    charges need are taken in passes of their own.  With ``upto`` left
-    out, level ``depth``'s own sums come last when ``engine`` holds it."""
+    """``CollapsedEngine.backward(depth, upto)`` state by state, upto
+    defaulting to depth - 1.  The seed at the split (k, j) of
+    ``split_oracle``: at j = 2, each state's vector stepped through its
+    blocks and summed, theta log of each sum; past it, each state's
+    pairs with backward level j of a fresh sweep of the transposed
+    source, lw_w + theta log (prim_u . prim_w), and that level's error
+    bound E_B added to the seed's.  Each level above the seed is one
+    comprehension over the kept child lists of a fresh forward sweep
+    that holds levels 1..k, and the level maxima its error charges need
+    are taken in passes of their own.  Only ``engine``'s system, theta
+    and rounding charge are read, never the levels it holds."""
     fs, theta = engine.fs, engine.theta
-    held = engine._held
     if upto is None:
         upto = depth - 1
-        own = depth <= len(held)  # the engine holds level depth
-    else:
-        own = False
     supports = fs.fiber_supports
-    out, errs = [], []
-    if depth > 1:
-        k, j = split_oracle(fs, theta, depth, upto)
-        fwd = CollapsedEngine(fs, theta)
-        levels, edges = fwd.levels(k), fwd.edges
-        if j == 2:
-            sums = {
-                s: fsum_log_sum_exp([
-                    theta * math.log(x) for cols in supports[s[0]].values() if (x := sum(_advance(s[1], cols)))
-                ])
-                for s in levels[-1]
-            }
-            e_b = 0.0
-        else:
-            back = CollapsedEngine(fs.transposed, theta)
-            starts = back.levels(j)[-1]
-            e_b = back._held[j - 1][1]
-            sums = {
-                (a, u): fsum_log_sum_exp([
-                    lw + theta * math.log(x)
-                    for (b, w), (lw, _) in starts.items()
-                    if b == a and (x := sum(map(mul, u, w)))
-                ])
-                for a, u in levels[-1]
-            }
-        err = e_b + _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+    k, j = split_oracle(fs, theta, depth, upto)
+    fwd = CollapsedEngine(fs, theta)
+    levels, edges = fwd.levels(k), fwd.edges
+    if j == 2:
+        sums = {
+            s: fsum_log_sum_exp([
+                theta * math.log(x) for cols in supports[s[0]].values() if (x := sum(_advance(s[1], cols)))
+            ])
+            for s in levels[-1]
+        }
+        e_b = 0.0
+    else:
+        back = CollapsedEngine(fs.transposed, theta)
+        starts = back.levels(j)[-1]
+        e_b = back._held[j - 1][1]
+        sums = {
+            (a, u): fsum_log_sum_exp([
+                lw + theta * math.log(x)
+                for (b, w), (lw, _) in starts.items()
+                if b == a and (x := sum(map(mul, u, w)))
+            ])
+            for a, u in levels[-1]
+        }
+    err = e_b + _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
+    out, errs = [sums], [err]
+    for level in reversed(levels[:-1]):
+        below = sums
+        sums = {s: fsum_log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
+        top_d = max((d for s in level for _, d in edges[s]), default=0.0)
+        err += engine._step_error(max(sums.values(), default=0.0), True, top_d)
         out.append(sums)
         errs.append(err)
-        for level in reversed(levels[:-1]):
-            below = sums
-            sums = {s: fsum_log_sum_exp([below[key] + d for key, d in edges[s]]) for s in level}
-            top_d = max((d for s in level for _, d in edges[s]), default=0.0)
-            err += engine._step_error(max(sums.values(), default=0.0), True, top_d)
-            out.append(sums)
-            errs.append(err)
-        out = out[::-1][:upto]
-        errs = errs[::-1][:upto]
-    if own:
-        sums = {s: theta * math.log(sum(s[1])) for s in held[depth - 1][0]}
-        out.append(sums)
-        errs.append(_EPS * (2.0 * max(sums.values(), default=0.0) + 1.0))
-    return out, errs
+    return out[::-1][:upto], errs[::-1][:upto]
 
 
 def extension_log_sum(fs: FactorSystem, theta: float, state, length: int, digits: int = 40) -> Decimal:

@@ -70,12 +70,14 @@ class TestParsing:
             ("counts", "--word", "1, ,2"),
             ("compensation", "--cycle", ",2"),
             ("compensation", "--cycle", "2", "--preperiod", "1,,2"),
+            ("counts", "--word", "1 2"),
         ],
-        ids=["word-inner", "word-trailing", "word-blank", "cycle-leading", "preperiod-inner"],
+        ids=["word-inner", "word-trailing", "word-blank", "cycle-leading", "preperiod-inner", "word-bare-blank"],
     )
     def test_empty_letter_parts_are_usage_errors(self, capsys, fixture_dir, argv):
         """A comma-separated list with an empty part names no letter there,
-        so it is rejected rather than read without the part."""
+        and a bare token's blank is no letter either, so each is rejected
+        rather than read without the part or with a blank letter."""
         spec = str(fixture_dir / "parity_oscillation.json")
         code, out, err = run_cli(capsys, argv[0], "--spec", spec, *argv[1:])
         assert code == EXIT_SPEC

@@ -478,7 +478,8 @@ class TestKeptEdges:
         calls.clear()
         back, errs = eng.backward(depth)
         assert not calls
-        assert len(back) == len(errs) == depth
+        assert (back, errs) == backward_oracle(eng, depth)
+        assert len(back) == len(errs) == depth - 1
         assert eng.backward(depth) == (back, errs)
 
     @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
@@ -490,9 +491,10 @@ class TestKeptEdges:
         held = eng.levels(depth)
         assert calls == Counter({state for level in held[:-1] for state in level})
         calls.clear()
-        shallow, _ = eng.backward(depth - 2)
+        shallow, errs = eng.backward(depth - 2)
         assert not calls
-        assert len(shallow) == depth - 2
+        assert (shallow, errs) == backward_oracle(eng, depth - 2)
+        assert len(shallow) == len(errs) == depth - 3
 
     @pytest.mark.parametrize(
         "build, depth, visited, states, built, split, joined",
@@ -541,43 +543,56 @@ class TestKeptEdges:
         with pytest.raises(ResourceError, match=message):
             CollapsedEngine(fs, theta, node_budget=budget).levels(depth)
 
-    def test_backward_of_levels_not_held_is_rejected(self, fibonacci):
+    def test_backward_holds_what_it_reads(self, fibonacci):
+        """``backward(12, upto)`` holds levels 1..upto itself, so it returns
+        a fresh engine's floats, exactly ``upto`` lists of them, whatever
+        the engine held before: nothing, levels 1..4, the last level of a
+        read of S_12, or level 12 alone after ``levels(6)`` and a joined
+        S_30, which dropped levels 1..6 and their child lists.  A range
+        error reads nothing."""
         eng = CollapsedEngine(fibonacci, THETA_32)
-        with pytest.raises(PreconditionError, match="not held"):
-            eng.backward(1)
         eng.levels(4)
         visited = eng.visited
-        for depth in (0, 6):  # backward(5) reads levels 1..4, which are held
-            with pytest.raises(PreconditionError, match="not held"):
-                eng.backward(depth)
-        for depth, upto in ((7, 5), (12, 5)):  # a seeded read needs levels 1..upto
-            with pytest.raises(PreconditionError, match="not held"):
+        for depth, upto, last in ((0, None, -1), (1, None, 0), (6, -1, 5), (6, 0, 5), (6, 6, 5), (12, 12, 11)):
+            with pytest.raises(PreconditionError, match=f"upto in 1..{last}$"):
                 eng.backward(depth, upto)
-        for upto in (-1, 0, 6):
-            with pytest.raises(PreconditionError, match="upto in 1..5"):
-                eng.backward(6, upto)
         assert eng.visited == visited and eng._back is None and not eng._sums  # nothing was read
-        eng.partition(6)  # goes on from level 4 to level 5 and drops levels 1..4
-        for depth, upto in ((1, None), (4, None), (6, None), (12, 4), (12, 1)):
-            with pytest.raises(PreconditionError, match="not held"):
-                eng.backward(depth, upto)
-        assert eng._edges is None
-        seeded = CollapsedEngine(fibonacci, THETA_32)
-        seeded.levels(4)
-        assert len(seeded.backward(12, 4)[0]) == 4  # levels 1..4 are all it needs
+        setups = [
+            lambda eng: None,
+            lambda eng: eng.levels(4),
+            lambda eng: eng.partition(12),
+            lambda eng: (eng.levels(6), eng.partition(30)),
+        ]
+        for upto in [*range(1, 12), None]:
+            expected = CollapsedEngine(fibonacci, THETA_32).backward(12, upto)
+            assert len(expected[0]) == len(expected[1]) == (upto or 11)
+            for join in (False, True):
+                for setup in setups:
+                    eng = CollapsedEngine(fibonacci, THETA_32, join=join)
+                    setup(eng)
+                    assert eng.backward(12, upto) == expected
+        eng = CollapsedEngine(fibonacci, THETA_32, join=True)
+        eng.levels(6)
+        eng.partition(30)
+        assert (eng._first, len(eng._held), eng._edges) == (12, 1, None)  # the levels read go
 
     def test_a_join_keeps_the_held_levels(self, fibonacci):
         """A joined S_6 pairs held level 4 with backward level 3, so levels
-        1..4 stay held; S_12 goes on forward and drops them."""
+        1..4 stay held and ``backward(4)`` reads them without a visit;
+        S_12 goes on forward and drops them, and ``backward(4)`` then
+        sweeps them again to the same floats."""
         eng = CollapsedEngine(fibonacci, THETA_32, join=True)
         eng.levels(4)
         eng.partition(6)
         assert split_held(eng, 6) == (4, 3)
-        assert len(eng.backward(4)[0]) == 4
+        visited = eng.visited
+        back = eng.backward(4)
+        assert eng.visited == visited
+        assert back == backward_oracle(eng, 4) and len(back[0]) == len(back[1]) == 3
         eng.partition(12)
-        with pytest.raises(PreconditionError, match="not held"):
-            eng.backward(4)
         assert eng._edges is None
+        assert eng.backward(4) == back
+        assert eng._first == 1 and eng._edges
 
     def test_a_dropped_engine_is_freed_at_once(self, fibonacci):
         """The kept child lists form no reference cycle with the engine,
@@ -678,10 +693,11 @@ class TestRowSumRead:
         calls.clear()
         short, short_errs = eng.backward(depth)
         assert not calls
-        # the same sums; the bounds charge the largest theta log g the
-        # engine has met, and the full sweep has met level depth's too
-        assert short == back[:-1]
-        assert all(e <= f for e, f in zip(short_errs, errs[:-1])) and len(short_errs) == depth - 1
+        # the same sums and bounds, each level's charge taking the largest
+        # theta log g of the lists it reads, whether or not level depth
+        # is held
+        assert (short, short_errs) == (back, errs) == backward_oracle(eng, depth)
+        assert len(short) == len(short_errs) == depth - 1
         assert eng.collapsed_nodes == sum(map(len, held))
 
     @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
@@ -1022,14 +1038,19 @@ class TestLogSumExp:
 class TestBackwardAgainstOracle:
     def test_same_sums_and_bounds(self, any_fixture):
         """``backward(d)`` returns the state-by-state form's floats
-        exactly, after ``levels(d)`` (level d's own sums last) and after
-        ``levels(d - 1)`` (seeded through the row sums alone)."""
+        exactly, d - 1 lists of each, on a fresh engine, after
+        ``levels(d - 1)`` (seeded through the row sums alone), and after
+        ``levels(d)`` and ``levels(d + 4)``, whose held level d adds no
+        list."""
         fs, theta = any_fixture, THETA_32
-        for depth in range(1, 13):
-            for held in range(max(depth - 1, 1), depth + 1):
+        for depth in range(2, 13):
+            expected = backward_oracle(CollapsedEngine(fs, theta), depth)
+            assert len(expected[0]) == len(expected[1]) == depth - 1
+            for held in (0, depth - 1, depth, depth + 4):
                 eng = CollapsedEngine(fs, theta)
-                eng.levels(held)
-                assert eng.backward(depth) == backward_oracle(eng, depth)
+                if held:
+                    eng.levels(held)
+                assert eng.backward(depth) == expected
 
     @pytest.mark.parametrize("fs", READ_SYSTEMS)
     def test_seeded_sums_and_bounds(self, fs):

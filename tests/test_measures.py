@@ -561,11 +561,14 @@ class TestRestrictedCarpetsAgainstEnumeration:
 
     def test_backward_matches_the_state_by_state_form(self, seed):
         fs, theta = self.system(seed)
-        for depth in range(1, self.LEVEL + 1):
-            for held in range(max(depth - 1, 1), depth + 1):
+        for depth in range(2, self.LEVEL + 1):
+            for held in (0, depth - 1, depth):
                 eng = CollapsedEngine(fs, theta)
-                eng.levels(held)
-                assert eng.backward(depth) == backward_oracle(eng, depth)
+                if held:
+                    eng.levels(held)
+                back, errs = eng.backward(depth)
+                assert (back, errs) == backward_oracle(eng, depth)
+                assert len(back) == len(errs) == depth - 1
 
     def test_additivity_witness_attains_min_ratio(self, seed):
         fs, _ = self.system(seed)

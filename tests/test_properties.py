@@ -299,22 +299,28 @@ def _assert_backward_sums_to_partition(fs, theta, depth):
     eng = CollapsedEngine(fs, theta)
     eng.levels(depth)
     back, errs = eng.backward(depth)
-    assert len(back) == len(errs) == depth
-    # the letters' states carry weight 1, and their sums are off by
-    # errs[0]; adding them is charged eps (|partial sum| + 3) per add, as
-    # for a chain of two-term log-sum-exps
-    xs = [x for x in back[0].values() if x != -math.inf]
-    total = _log_sum_exp(xs)
-    bound = errs[0] + sum(_EPS * (abs(_log_sum_exp(xs[:i])) + 3.0) for i in range(2, len(xs) + 1))
+    assert len(back) == len(errs) == depth - 1  # a held level depth adds no list
     forward = eng.partition(depth).value
-    assert abs(total - forward.log) <= bound + forward.err
+    # on every level, each state's log weight plus its suffix sum, added
+    # up, gives S_depth.  The weights are off by the level's bound and
+    # the sums by errs[k]; lw + sum rounds by eps/2 of its result, and
+    # exactly on level 1, whose letters' states carry weight 1; adding
+    # the terms is charged eps (|partial sum| + 3) per add, as for a
+    # chain of two-term log-sum-exps
+    for (level, level_err), sums, err in zip(eng._held, back, errs):
+        pairs = [(lw, sums[s]) for s, (lw, _) in level.items() if sums[s] != -math.inf]
+        xs = [lw + sub for lw, sub in pairs]
+        total = _log_sum_exp(xs)
+        rounding = _EPS / 2 * max((abs(x) for x, (lw, _) in zip(xs, pairs) if lw), default=0.0)
+        chain = sum(_EPS * (abs(_log_sum_exp(xs[:i])) + 3.0) for i in range(2, len(xs) + 1))
+        assert abs(total - forward.log) <= level_err + err + rounding + chain + forward.err
     return eng
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     fs=factor_systems(),
-    depth=st.integers(min_value=1, max_value=7),
+    depth=st.integers(min_value=2, max_value=7),
     theta=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
 )
 def test_backward_suffix_sums_add_up_to_partition(fs, depth, theta):
@@ -324,22 +330,25 @@ def test_backward_suffix_sums_add_up_to_partition(fs, depth, theta):
 @settings(max_examples=40, deadline=None)
 @given(
     fs=factor_systems(),
-    depth=st.integers(min_value=1, max_value=7),
+    depth=st.integers(min_value=2, max_value=7),
     theta=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
     max_len=st.integers(min_value=1, max_value=6),
 )
 def test_read_paths_match_their_reference_forms(fs, depth, theta, max_len):
-    """``backward`` after ``levels(depth - 1)`` or ``levels(depth)``, and
-    the additivity scan, return the floats of their state-by-state and
-    pair-by-pair forms exactly."""
-    for held in range(max(depth - 1, 1), depth + 1):
+    """``backward`` on a fresh engine and after ``levels(depth - 1)`` or
+    ``levels(depth)``, and the additivity scan, return the floats of
+    their state-by-state and pair-by-pair forms exactly."""
+    for held in (0, depth - 1, depth):
         eng = CollapsedEngine(fs, theta)
-        eng.levels(held)
-        assert eng.backward(depth) == backward_oracle(eng, depth)
+        if held:
+            eng.levels(held)
+        back, errs = eng.backward(depth)
+        assert (back, errs) == backward_oracle(eng, depth)
+        assert len(back) == len(errs) == depth - 1
     assert additivity_scan(fs, max_len) == additivity_scan_oracle(fs, max_len)
 
 
-@pytest.mark.parametrize("depth", [1, 4, 12])
+@pytest.mark.parametrize("depth", [2, 4, 12])
 def test_backward_suffix_sums_add_up_on_fixtures(any_fixture, depth):
     _assert_backward_sums_to_partition(any_fixture, THETA_32, depth)
 
