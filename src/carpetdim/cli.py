@@ -232,8 +232,19 @@ def _write_series_csv(path, rows):
         raise SpecError(f"cannot write CSV to {path}: {exc}") from exc
 
 
+def _known_letters(fs, *words) -> None:
+    """Refuse letters outside the image alphabet, naming them and the
+    alphabet: a word with such a letter names no image word at all."""
+    unknown = [x for x in dict.fromkeys(x for word in words for x in word) if x not in fs.image_index]
+    if unknown:
+        raise PreconditionError(
+            f"unknown letters {unknown}: the image alphabet is {list(fs.image_alphabet)}"
+        )
+
+
 def _cmd_counts(config) -> int:
     fs, _ = _system(config)
+    _known_letters(fs, config.word)
     count = preimage_count(fs, config.word)
     return _emit(config, {"word": list(config.word), "count": count})
 
@@ -304,6 +315,7 @@ def _cmd_cesaro(config) -> int:
 
 def _cmd_compensation(config) -> int:
     fs, _ = _system(config)
+    _known_letters(fs, config.preperiod, config.cycle)
     point = EventuallyPeriodicPoint(tuple(config.preperiod), tuple(config.cycle))
     spectral, series = compensation_at_periodic(fs, point, depth=config.depth)
     payload = {

@@ -14,7 +14,8 @@ proportional vectors generate subtrees whose sums differ by the exact
 scalar c^theta.  Collapsed mode therefore sweeps the prefix tree one
 level at a time and merges the prefixes of a level by (last letter,
 gcd-normalized count vector); a backward pass over the kept levels,
-seeded by a join, gives the suffix sums that cylinder masses need.
+seeded by a join, gives the suffix sums that cylinder masses need, on
+either side of the join.
 The deepest level is never built.  Lift counts join exactly at any
 cut: a word u ending in letter a and a word w starting with it
 overlap in one word of count end_u . start_w.  So an engine built
@@ -186,8 +187,8 @@ def _summed(terms: list[float], err: float, rate: float = 4.0, add: float = 2.0)
 def _dots(vec: tuple[int, ...], cols) -> Optional[list]:
     """The dot products of ``vec`` with vectors given column by column,
     ``cols[i]`` holding coordinate i of each; None for a zero ``vec``.
-    Both junction pairings, the joined read of S_n and
-    ``measures.additivity_scan``, take their counts here."""
+    Every junction pairing, the joined read of S_n, its mirrored pass
+    and ``measures.additivity_scan``, takes its counts here."""
     out = None
     for c, col in zip(vec, cols):
         if c:
@@ -196,6 +197,19 @@ def _dots(vec: tuple[int, ...], cols) -> Optional[list]:
             else:
                 out = [y + c * x for y, x in zip(out, col)]
     return out
+
+
+def _by_letter(level: dict, letters: int) -> list:
+    """The states of ``level`` grouped by letter, for ``_dots``: per
+    letter, one column per fiber symbol, and the states' log weights and
+    words in the same order."""
+    groups: list = [([], [], []) for _ in range(letters)]
+    for (a, prim), (lw, m) in level.items():
+        prims, lws, ms = groups[a]
+        prims.append(prim)
+        lws.append(lw)
+        ms.append(m)
+    return [(tuple(zip(*prims)), lws, ms) for prims, lws, ms in groups]
 
 
 def _log_matmul(a: list, b: list) -> tuple[list, float]:
@@ -320,6 +334,17 @@ class CollapsedEngine:
     over each state u's seed, the log-sum-exp of lw_w + theta log x
     over its pairs: its suffix sum, as the pairs of u are its
     extensions to level depth grouped by their last j letters.
+    ``backward``'s ``mirror`` lets the same read serve the backward
+    side too: past B_2, a second pass over the same pairs with the
+    sides' roles swapped (``_mirror_seeds``) gives each state w of
+    backward level j the log-sum-exp of lw_u + theta log x, its suffix
+    sum in the sweep over ``fs.transposed``, its pairs being its
+    extensions to the left grouped by their first k letters, and the
+    pass above the seed runs over ``_back``'s kept child lists.  The
+    pairs are those the read charged, so the second pass charges
+    nothing, and the read's loop takes no branch for it.  So a mass at
+    a late position is read off the backward levels the read holds and
+    not off forward levels swept past the split.
 
     ``visited`` counts the states of level 1 and every nonzero edge, the
     jump's included, of both sweeps, and the pairs read, against one
@@ -353,8 +378,10 @@ class CollapsedEngine:
     ``backward`` and the cylinder-mass walks of ``measures`` read the
     kept lists and build none, taking a last letter into the level not
     built through the row sums, so the kernel stays the one rule that
-    turns a state into its children; walks along single words step
-    exact count vectors with ``_read``.
+    turns a state into its children; the mirrored pass reads
+    ``_back``'s lists through ``_kept_children``, which rebuilds those
+    that a ``backward`` without ``mirror`` dropped.  Walks along single
+    words step exact count vectors with ``_read``.
 
     Rounding.  Each held level keeps one bound E on the absolute error
     of every log weight in it.  Every weight sums products of gcd^theta
@@ -401,8 +428,14 @@ class CollapsedEngine:
     these terms follow the states too, and folding them as well would
     charge eps (2.5 S + 2) more on every read off level n - 1, the one
     every full shift takes: it widened the full-shift brackets of the
-    benchmark by 8.5% in the median and by up to 21%.  ``backward``
-    takes the seeds of its read of S_depth and charges each level above
+    benchmark by 8.5% in the median and by up to 21%.  The mirrored
+    pass's seed of a backward state w, the log-sum-exp of lw_u + theta
+    log x over its pairs, is a seed with the sides swapped: its terms
+    are >= 0 and at most T, now the largest backward seed, theta log x
+    and the add round by at most 2 eps T together, the merge adds
+    eps (2 T + 2), and E_F passes through, so it is off by at most
+    E_F + eps (4 T + 2).  ``backward`` takes the seeds of its read of
+    S_depth, and of the mirrored pass, and charges each level above
     them as a step with merges, D being the largest d of the kept lists
     that level reads.
 
@@ -496,6 +529,13 @@ class CollapsedEngine:
             return kids
 
         return children
+
+    @property
+    def transposed(self) -> Optional[CollapsedEngine]:
+        """The engine of the sweep over ``fs.transposed`` that a joined
+        read steps for its backward side, read-only; None before the
+        first backward move."""
+        return self._back
 
     @property
     def edges(self) -> Optional[dict]:
@@ -668,13 +708,7 @@ class CollapsedEngine:
         else:
             back = self._back
             starts, start_err = back._held[j - back._first]
-            groups: list = [([], [], []) for _ in self.fs.fibers]
-            for (a, prim), (lw, m) in starts.items():
-                prims, lws, ms = groups[a]
-                prims.append(prim)
-                lws.append(lw)
-                ms.append(m)
-            groups = [(tuple(zip(*prims)), lws, ms) for prims, lws, ms in groups]
+            groups = _by_letter(starts, len(self.fs.fibers))
             for (a, prim), (lw, m) in level.items():
                 cols, lws, ms = groups[a]
                 logs = []  # lw_w + theta log x of the state's pairs
@@ -720,11 +754,9 @@ class CollapsedEngine:
         left, so it is reached in one ``_reach``, which may jump unless it
         keeps its levels.  A backward move steps ``_back``, the engine of
         ``fs.transposed``, which holds one level without ``keep`` and
-        every level with it, against this engine's budget, visits and node
-        count; a walk with ``keep`` then drops the child lists that
-        ``_back``'s steps kept, which nothing reads after it.  A budget
-        message past B_2 names both levels and counts both sides'
-        states."""
+        every level with it and their child lists, against this engine's
+        budget, visits and node count.  A budget message past B_2 names
+        both levels and counts both sides' states."""
         back, (k, j) = self._back, start
         self._reach(k, keep, n)
         table = sum(map(len, self.fs.fiber_row_sums))  # the states of B_2
@@ -754,8 +786,6 @@ class CollapsedEngine:
                     self.visited = back.visited
                     self.collapsed_nodes += back.collapsed_nodes - nodes
                 j += 1
-        if keep and back is not None and back._edges:
-            back._edges.clear()  # the seed reads backward level j, not its child lists
         return k, j
 
     def series(self, n_max: int) -> list[PartitionSum]:
@@ -772,7 +802,7 @@ class CollapsedEngine:
         self._reach(depth, True, depth)
         return [level for level, _ in self._held[:depth]]
 
-    def backward(self, depth: int, upto: Optional[int] = None) -> tuple[list[dict], list[float]]:
+    def backward(self, depth: int, upto: Optional[int] = None, mirror: int = 0) -> tuple:
         """Suffix sums to level ``depth`` over levels 1..``upto``, one pass
         from the seed up, and one error bound per level: exactly ``upto``
         lists of each, upto defaulting to depth - 1; an upto outside
@@ -792,25 +822,50 @@ class CollapsedEngine:
         alone, not on what the engine held before.  The default's split
         is (depth - 1, 2): level depth - 1 is read with the row sums, and
         level ``depth`` is never built.  The levels above the seed read
-        the child lists the forward sweep kept, one loop per level that
-        builds its sums and takes the largest log and the largest d of
-        the lists read as it goes, the two maxima its error charge needs;
-        the sums of levels past ``upto`` are dropped."""
+        the child lists the forward sweep kept (``_upward``); the sums of
+        levels past ``upto`` are dropped.
+
+        A ``mirror`` level lets the one read serve both sides of its
+        split: (sums, errs, back, back_errs) is returned, sums and errs
+        over the whole forward side, levels 1..k, and, when k < mirror
+        and j > 2, back and back_errs the same lists for levels 1..j of
+        ``transposed``, seeded by ``_mirror_seeds`` and read through the
+        child lists it keeps: ``back[i][w]`` is the float log of the sum
+        of the final count^theta over the extensions to the left, to
+        length ``depth``, of a word that starts in state w of transposed
+        level i + 1, its own gcd factored out.  Else both back lists are
+        empty, and ``backward`` drops the transposed sweep's child lists,
+        which nothing reads after it."""
         if upto is None:
             upto = depth - 1
         if not 1 <= upto < depth:
             raise PreconditionError(f"backward to level {depth} returns levels 1..upto, upto in 1..{depth - 1}")
-        sums: dict = {}  # the seed, from the read of S_depth
+        seeds: dict = {}  # from the read of S_depth
         k, j = self._walk(depth, (upto, 2), True)
-        err = self._read_sum(depth, k, j, sums)
-        err += _EPS * (4.0 * max(sums.values(), default=0.0) + 2.0)
-        out, errs = [sums], [err]
-        edges = self._edges
-        for level, _ in reversed(self._held[: k - 1]):
+        err = self._read_sum(depth, k, j, seeds)
+        err += _EPS * (4.0 * max(seeds.values(), default=0.0) + 2.0)
+        sums, errs = self._upward(k, seeds, err)
+        back = self._back
+        if k < mirror and j > 2:
+            return (sums, errs, *back._upward(j, *self._mirror_seeds(k, j)))
+        if back is not None and back._edges:
+            back._edges.clear()
+        return (sums, errs, [], []) if mirror else (sums[:upto], errs[:upto])
+
+    def _upward(self, n: int, seeds: dict, err: float) -> tuple[list[dict], list[float]]:
+        """The suffix sums of held levels 1..n and their bounds, from
+        ``seeds``, those of level n, off by ``err``: one loop per level
+        above, over the kept child lists (``_kept_children``, which
+        rebuilds a list a walk dropped), builds its sums and takes the
+        largest log and the largest d of the lists read as it goes, the
+        two maxima its step charge needs (class docstring)."""
+        children = self._kept_children()
+        sums, out, errs = seeds, [seeds], [err]
+        for level, _ in reversed(self._held[: n - 1]):
             below, sums, top, top_d = sums, {}, 0.0, 0.0
             for state in level:
                 terms = []
-                for key, d in edges[state]:
+                for key, d in children(state):
                     if d > top_d:
                         top_d = d
                     terms.append(below[key] + d)
@@ -820,7 +875,25 @@ class CollapsedEngine:
             err += self._step_error(top, True, top_d)
             out.append(sums)
             errs.append(err)
-        return out[::-1][:upto], errs[::-1][:upto]
+        return out[::-1], errs[::-1]
+
+    def _mirror_seeds(self, k: int, j: int) -> tuple[dict, float]:
+        """Each state w of backward level j, j > 2, mapped to its seed, the
+        log-sum-exp of lw_u + theta log x over its pairs with forward
+        level k, and their bound E_F + eps (4 T + 2) (class docstring).
+        The pairs are those the read of S_{k+j-1} took, the sides' roles
+        swapped, so nothing is charged."""
+        level, err = self._held[k - self._first]
+        back = self._back
+        groups = _by_letter(level, len(self.fs.fibers))
+        theta, log = self.theta, math.log
+        seeds = {}
+        for a, prim in back._held[j - back._first][0]:
+            cols, lws, _ = groups[a]
+            seeds[a, prim] = _log_sum_exp(
+                [lw + theta * log(x) for x, lw in zip(_dots(prim, cols) or (), lws) if x]
+            )
+        return seeds, err + _EPS * (4.0 * max(seeds.values(), default=0.0) + 2.0)
 
 
 class ExactEngine:

@@ -8,11 +8,18 @@ levels kept: a mass sums count^theta over word extensions, which is
 the suffix sum of the word's state times g^theta, g being the gcd
 taken out of the word's count vector.  A word's state and g^theta come
 from a walk along the engine's kept child lists, whose edges carry
-theta log g.  The suffix sums come from ``backward(L, upto)``, upto
-being the deepest level a scan reads: its walk holds levels 1..upto,
-sweeping what the engine does not hold, and its seed joins a forward
-level with a level of the sweep over the transposed source, so a scan
-builds levels 1..upto and those of the split, not every level below L.
+theta log g.  The suffix sums come from ``backward(L, upto)``: its
+walk holds levels 1..upto, sweeping what the engine does not hold, and
+its seed joins a forward level k with a level j of the sweep over the
+transposed source, so a scan builds levels 1..upto and those of the
+split, not every level below L.  ``gibbs_scan`` takes upto the deepest
+level it reads.  A shift mass at position i reads the window of
+letters i + 1 .. i + p; the Cesaro functions walk from upto = p and
+read a window from the forward side when it ends by level k, and from
+the backward side, read right to left off the same join with the
+sides swapped, when it starts within the last j letters; only if a
+window fits neither do they walk again from the deepest window.  So a
+late window costs no forward level past the split.
 So the measure functions take a ``CollapsedEngine``, which fixes the
 system, theta and the node budget, and several of them given one
 engine read the levels it holds without sweeping again; an
@@ -258,6 +265,16 @@ def _shift_masses(eng, level, probe_depth, positions):
     # weight to the suffix sum where it ends plus its gcd factors.
     # Starting at level i, not i + 1, keeps the merged weights of level
     # i + 1 out of the terms: a mass is one log-sum-exp of unmerged ones.
+    # The window at i is read from the forward side of the split (k, j)
+    # when i + p <= k, p being the probe depth, and else from the
+    # backward side when L - i <= j: the same paths over the transposed
+    # sweep's levels and child lists, from its level L - i - p, read
+    # right to left.  The split is walked from (p, 2) by
+    # ``backward(L, p, mirror=d)``, d the deepest i + p, which reads the
+    # backward side only when k < d.  If a window fits neither side, or
+    # p = L, every window is read from the forward side of
+    # ``backward(L, upto)``, upto being d below L.  Either way the masses
+    # depend on the system, theta, L, the positions and p alone.
     # Level L = ``level`` is not built: a word that ends there takes its
     # last letter through the row sums, as S_L is read, its term then
     # being the path's plus theta log x, even if level L is held; the
@@ -265,18 +282,30 @@ def _shift_masses(eng, level, probe_depth, positions):
     # paths built count against the node budget with the nodes visited.
     _require_collapsed(eng)
     theta, log = eng.theta, math.log
-    upto = min(level - 1, max(positions) + probe_depth)  # the deepest suffix sums read
-    # backward reads S_L with the seed; level 1 has none, a letter's own sum being theta log |fiber|
-    back = eng.backward(level, upto)[0] if upto else [{s: theta * log(len(s[1])) for s in eng.levels(1)[0]}]
-    levels = eng.levels(max(upto, 1))  # held by the walk of backward, so swept no more
+    p = probe_depth
+    front, back = None, []  # each side's suffix sums
+    if p < level:
+        front, _, back, _ = eng.backward(level, p, mirror=max(positions) + p)
+        if not all(i + p <= len(front) or level - i <= len(back) for i in positions):
+            front, back = None, []
+    if front is None:
+        upto = min(level - 1, max(positions) + p)  # the deepest suffix sums read
+        # level 1 has no seed, a letter's own sum being theta log |fiber|
+        front = eng.backward(level, upto)[0] if upto else [{s: theta * log(len(s[1])) for s in eng.levels(1)[0]}]
+    sides = [(eng.levels(len(front)), eng.edges, front)]  # held by the walk of backward, so swept no more
+    if back:
+        sides.append((eng.transposed.levels(len(back)), eng.transposed.edges, back))
     total = eng.partition(level).value
-    edges, names, rows = eng.edges, eng.fs.image_alphabet, eng.fs.fiber_row_sums
+    names, rows = eng.fs.image_alphabet, eng.fs.fiber_row_sums
     tails: dict[tuple, list[tuple[int, float]]] = {}  # end state at level L - 1 -> its pairs
     out: dict[int, dict[tuple[str, ...], float]] = {}
     room, built = eng.budget - eng.visited, 0
     for i in positions:
-        start = max(i - 1, 0)
-        depth = i + probe_depth  # the level the word ends at
+        mirrored = i + p > len(front) and level - i <= len(back)
+        levels, edges, sums = sides[mirrored]
+        at = level - i - p if mirrored else i  # the position on the side read
+        start = max(at - 1, 0)
+        depth = at + p  # the level the word ends at
         last = 1 < depth == level  # level L; level 1 reads its letters' own sums
         terms: dict[tuple[int, ...], list[float]] = {}
         for state, (lw, _) in levels[start].items():
@@ -300,11 +329,11 @@ def _shift_masses(eng, level, probe_depth, positions):
                             if x:
                                 tail.append((b, theta * log(x)))
                     for b, y in tail:
-                        terms.setdefault((word + (b,))[-probe_depth:], []).append(lw + (t + y))
+                        terms.setdefault((word + (b,))[-p:], []).append(lw + (t + y))
                 else:
-                    terms.setdefault(word[-probe_depth:], []).append(lw + (back[depth - 1][end] + t))
+                    terms.setdefault(word[-p:], []).append(lw + (sums[depth - 1][end] + t))
         out[i] = {
-            tuple(names[b] for b in word): math.exp(_log_sum_exp(ts) - total.log)
+            tuple(names[b] for b in (word[::-1] if mirrored else word)): math.exp(_log_sum_exp(ts) - total.log)
             for word, ts in terms.items()
         }
     return out

@@ -190,6 +190,20 @@ def mcmullen_closed_form(spec: CarpetSpec) -> float:
     log_m(sum over rows j of t_j^(log_l m)) with t_j the number of
     selected digits in row j.  The sum runs over the rows that hold a
     digit, in row order, so its cost does not grow with m.
+
+    Rounding.  Take eps = 2^-52, log and pow faithful (within eps,
+    relative), a divide and an add correctly rounded (within eps/2), and
+    let R be the number of rows summed, t the largest row count and D
+    the returned value.  theta = log m / log l rounds by 2.5 eps of
+    itself, so t_j^theta moves by 2.5 eps theta log t_j relative, and the
+    pow adds eps (a count of 1 gives 1.0 exactly).  The R positive terms
+    add within (R - 1) eps/2 of their sum, so the sum T is off by
+    a eps relative, a = 1 + 2.5 theta log t + (R - 1)/2.  log T is then
+    off by eps |log T| + a eps absolutely, and log m by eps log m; their
+    quotient rounds by eps/2 more.  With |log T| / log m = |D| that is
+    |D - exact| <= eps (2.5 |D| + (a + 1) / log m), the 1 covering
+    second-order terms: at most 11 eps on the six carpets of acceptance
+    criterion 01, against brackets about 3e-14 wide.
     """
     if not spec.is_full_shift():
         raise NotFullShiftError(

@@ -578,6 +578,32 @@ class TestExitCodes:
         )
         assert code == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize(
+        "argv, unknown",
+        [
+            (("counts", "--word", "1,3"), "['3']"),
+            (("counts", "--word", "12x"), "['x']"),
+            (("counts", "--word", "1 2,1"), "['1 2']"),
+            (("compensation", "--cycle", "3"), "['3']"),
+            (("compensation", "--cycle", "2", "--preperiod", "x,1,y,x"), "['x', 'y']"),
+        ],
+        ids=["word-commas", "word-bare", "word-inner-blank", "cycle", "preperiod"],
+    )
+    def test_unknown_letters_are_precondition(self, capsys, fixture_dir, argv, unknown):
+        """A letter outside the image alphabet names no image word, so
+        counts and compensation refuse it with exit 2 and a message that
+        names the unknown letters, each once in order, and the alphabet."""
+        spec = str(fixture_dir / "parity_oscillation.json")
+        code, out, err = run_cli(capsys, argv[0], "--spec", spec, *argv[1:])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == f"error: unknown letters {unknown}: the image alphabet is ['1', '2']\n"
+
+    def test_a_word_of_known_letters_that_does_not_occur_counts_zero(self, capsys, fixture_dir):
+        doc = run_json(capsys, "counts", "--spec", str(fixture_dir / "parity_oscillation.json"),
+                       "--word", "1,1", "--no-timestamp")
+        assert (doc["word"], doc["count"]) == (["1", "1"], 0)
+
     def test_resource_exit(self, capsys, fixture_dir):
         code, _, _ = run_cli(
             capsys,

@@ -1100,3 +1100,43 @@ class TestBackwardAgainstOracle:
                     if key not in exact:
                         exact[key] = extension_log_sum(fs, THETA_32, state, depth - i)
                     assert abs(Decimal(got) - exact[key]) <= Decimal(err)
+
+    @pytest.mark.parametrize("fs", READ_SYSTEMS)
+    def test_mirrored_sums_are_the_extension_sums(self, fs):
+        """``backward(7, upto, mirror=7)`` returns the forward lists of
+        levels 1..k of its split (k, j), the first upto being the floats of
+        ``backward(7, upto)``, and, past B_2, the lists of levels 1..j of
+        the transposed sweep: each within its bound of the log of the sum
+        of count^theta over every extension of its state in the transposed
+        source to level 7, enumerated in 40-digit ``Decimal``.  The second
+        pass reads pairs the first charged, so the engine visits and
+        builds what ``backward(7, upto)`` does.  A mirror level that the
+        forward side reaches gives empty back lists, as j = 2 does, and
+        drops the transposed sweep's child lists, as a plain read does."""
+        depth = 7
+        exact: dict = {}
+        for upto in range(1, depth - 1):
+            k, j = split_oracle(fs, THETA_32, depth, upto)
+            plain, eng = CollapsedEngine(fs, THETA_32), CollapsedEngine(fs, THETA_32)
+            sums, errs = plain.backward(depth, upto)
+            front, front_errs, back, back_errs = eng.backward(depth, upto, mirror=depth)
+            assert (eng.visited, eng.collapsed_nodes) == (plain.visited, plain.collapsed_nodes)
+            assert len(front) == len(front_errs) == k
+            assert (front[:upto], front_errs[:upto]) == (sums, errs)
+            # the transposed child lists stay for the backward side's paths, and only then
+            assert not (plain.transposed and plain.transposed.edges)
+            assert bool(eng.transposed and eng.transposed.edges) == (j > 2)
+            assert eng.backward(depth, upto, mirror=k)[2:] == ([], [])
+            assert not (eng.transposed and eng.transposed.edges)
+            if j == 2:
+                assert back == back_errs == []
+                continue
+            held = eng.transposed.levels(j)
+            assert len(back) == len(back_errs) == j
+            for i, (level, err) in enumerate(zip(back, back_errs), 1):
+                assert level.keys() == held[i - 1].keys()
+                for state, got in level.items():
+                    key = (state, depth - i)
+                    if key not in exact:
+                        exact[key] = extension_log_sum(fs.transposed, THETA_32, state, depth - i)
+                    assert abs(Decimal(got) - exact[key]) <= Decimal(err)

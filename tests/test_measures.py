@@ -208,29 +208,39 @@ class _PassCounter(dict):
 class TestSharedEngine:
     def test_one_engine_serves_each_reader(self, any_fixture):
         """The Gibbs scan holds forward levels 1..10 and backward levels
-        1..9, its seeded split (10, 9); the bracket and the defect at
-        level 18 read them without visiting a node.  The scan and the
-        defect seed at that split on fresh engines too, and agree with
-        them float for float.  A fresh bracket reads S_18 off level 17,
-        or on a joined engine at the split its own walk from (1, 2)
-        reaches, whose forward side may jump: the same sum over other
-        terms, so each agrees with the seeded one within both errors, and
-        with the exact walk."""
-        assert split_oracle(any_fixture, THETA_32, 18, 10) == (10, 9)
-        eng = CollapsedEngine(any_fixture, THETA_32)
+        1..9, its seeded split (10, 9); the bracket at level 18 reads them
+        without visiting a node.  The defect walks its own split (k, j)
+        from (2, 2) and sweeps only the levels of it that the scan did not
+        hold, S_18 being read: on parity and linear_lift that split is
+        (10, 9) too and it visits nothing.  The scan and the defect agree
+        with fresh engines float for float.  A fresh bracket reads S_18
+        off level 17, or on a joined engine at the split its own walk from
+        (1, 2) reaches, whose forward side may jump: the same sum over
+        other terms, so each agrees with the seeded one within both
+        errors, and with the exact walk."""
+        fs = any_fixture
+        assert split_oracle(fs, THETA_32, 18, 10) == (10, 9)
+        k, j = split_oracle(fs, THETA_32, 18, 2)
+        eng = CollapsedEngine(fs, THETA_32)
         env = gibbs_scan(eng, 18, 10)
         visited = eng.visited
         est = pressure_interval(eng, 18)
-        defect = cesaro_defect(eng, 18, 8, 2)
         assert eng.visited == visited
-        assert env == gibbs_scan(CollapsedEngine(any_fixture, THETA_32), 18, 10)
-        assert defect == cesaro_defect(CollapsedEngine(any_fixture, THETA_32), 18, 8, 2)
-        held, joined = CollapsedEngine(any_fixture, THETA_32), CollapsedEngine(any_fixture, THETA_32, join=True)
+        defect = cesaro_defect(eng, 18, 8, 2)
+        forward, backward = CollapsedEngine(fs, THETA_32), CollapsedEngine(fs.transposed, THETA_32)
+        forward.levels(10), backward.levels(9)
+        scanned = forward.visited + backward.visited
+        forward.levels(max(k, 10)), backward.levels(max(j, 9))
+        assert eng.visited - visited == forward.visited + backward.visited - scanned
+        assert (eng.visited == visited) == ((k, j) == (10, 9))
+        assert env == gibbs_scan(CollapsedEngine(fs, THETA_32), 18, 10)
+        assert defect == cesaro_defect(CollapsedEngine(fs, THETA_32), 18, 8, 2)
+        held, joined = CollapsedEngine(fs, THETA_32), CollapsedEngine(fs, THETA_32, join=True)
         fresh = [pressure_interval(held, 18), pressure_interval(joined, 18)]
         assert split_held(joined, 18)[1] > 2
         for other in fresh:
             assert (other.n, other.words, other.constants) == (est.n, est.words, est.constants)
-        exact = ExactEngine(any_fixture, THETA_32)
+        exact = ExactEngine(fs, THETA_32)
         sums = [eng.partition(18), held.partition(18), joined.partition(18), exact.partition(18)]
         assert sums[0].word_count == sums[3].word_count == est.words
         for a, b in itertools.combinations(sums, 2):
@@ -240,19 +250,51 @@ class TestSharedEngine:
     def test_a_read_already_charged_is_not_cut_by_the_budget(self, fibonacci):
         """A seeded read of an S_n already read charges nothing, so an
         engine near its budget still reads every pair and seeds every
-        state.  The Gibbs scan takes 420 of a budget of 514, and the
-        defect then reads at the same split (10, 9), with just the room
-        its paths need: one less stops them, not the read."""
+        state on both sides.  The Gibbs scan takes 420 of a budget of 550
+        and holds the split (10, 9); the defect walks from (2, 2) to
+        (8, 11), sweeping backward levels 10 and 11 for 54 visits, then
+        reads S_18 at that split, with just the room its paths need: one
+        less stops them, not the read."""
         defect = cesaro_defect(CollapsedEngine(fibonacci, THETA_32), 18, 8, 2)
-        eng = CollapsedEngine(fibonacci, THETA_32, 514)
+        assert split_oracle(fibonacci, THETA_32, 18, 2) == (8, 11)
+        eng = CollapsedEngine(fibonacci, THETA_32, 550)
         gibbs_scan(eng, 18, 10)
         assert eng.visited == 420
         assert cesaro_defect(eng, 18, 8, 2) == defect
-        assert eng.visited == 420
-        eng = CollapsedEngine(fibonacci, THETA_32, 513)
+        assert eng.visited == 420 + 54
+        eng = CollapsedEngine(fibonacci, THETA_32, 549)
         gibbs_scan(eng, 18, 10)
-        with pytest.raises(ResourceError, match="building paths of word length 3 of 3"):
+        with pytest.raises(ResourceError, match="building paths of word length 3 of 3 for the masses at position 8"):
             cesaro_defect(eng, 18, 8, 2)
+
+    def test_the_late_window_is_read_off_the_backward_sweep(self, fibonacci):
+        """The defect at (12, 8, 2) walks from (2, 2) to the split (6, 7).
+        Its window at position 8 ends 4 letters before level 12, within
+        backward level 7, so it is read off the transposed sweep, and no
+        forward level past 6 is built: the defect visits and builds what
+        ``backward(12, 2)`` does, 198 nodes, where the forward read of
+        that window swept to level 10 and took 238; its paths fit a budget
+        of 226, and one less stops them.  Both windows' masses match the
+        enumeration of every word of length 12 to 1e-12."""
+        assert split_oracle(fibonacci, THETA_32, 12, 2) == (6, 7)
+        eng, plain = CollapsedEngine(fibonacci, THETA_32), CollapsedEngine(fibonacci, THETA_32)
+        masses = measures._shift_masses(eng, 12, 2, [0, 8])
+        plain.backward(12, 2)
+        assert eng._first + len(eng._held) - 1 == 6
+        assert eng.visited == plain.visited == 198
+        assert eng.collapsed_nodes == plain.collapsed_nodes
+        counts = image_word_counts(fibonacci, 12)
+        total = math.fsum(c**THETA_32 for c in counts.values())
+        for i in (0, 8):
+            oracle = {}
+            for word, c in counts.items():
+                oracle[word[i:i + 2]] = oracle.get(word[i:i + 2], 0.0) + c**THETA_32 / total
+            assert masses[i].keys() == oracle.keys()
+            assert all(abs(masses[i][w] - m) <= 1e-12 for w, m in oracle.items())
+        defect = cesaro_defect(CollapsedEngine(fibonacci, THETA_32, 226), 12, 8, 2)
+        assert defect == max(abs(masses[8].get(w, 0.0) - masses[0].get(w, 0.0)) for w in {*masses[0], *masses[8]}) / 8
+        with pytest.raises(ResourceError, match="building paths of word length 3 of 3 for the masses at position 8"):
+            cesaro_defect(CollapsedEngine(fibonacci, THETA_32, 225), 12, 8, 2)
 
     @pytest.mark.parametrize("join", [False, True], ids=["held", "joined"])
     def test_a_scan_after_a_bracket_fits_its_budget(self, fibonacci, join):

@@ -2,12 +2,15 @@
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carpetdim import counting
 from carpetdim.counting import (
+    _EPS,
     CollapsedEngine,
     ExactEngine,
     LogReal,
@@ -44,6 +47,27 @@ CRITERION_01_CARPETS = [
     CarpetSpec(5, 3, ((0, 0), (1, 0), (2, 1), (3, 2), (4, 1), (0, 2))),
     CarpetSpec(7, 5, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 0), (6, 1), (2, 3))),
 ]
+
+
+def closed_form_bound(spec):
+    """The rounding bound that ``mcmullen_closed_form``'s docstring
+    derives: eps (2.5 |D| + (a + 1) / log m), a = 1 + 2.5 theta log t +
+    (R - 1)/2 for R rows summed, t the largest row count."""
+    rows = Counter(b for _, b in spec.digits)
+    a = 1.0 + 2.5 * spec.theta() * math.log(max(rows.values())) + (len(rows) - 1) / 2.0
+    return _EPS * (2.5 * abs(mcmullen_closed_form(spec)) + (a + 1.0) / math.log(spec.m))
+
+
+def closed_form_oracle(spec) -> Decimal:
+    """log_m of the sum over rows of (row count)^(log m / log l), in
+    50-digit ``Decimal``."""
+    rows = Counter(b for _, b in spec.digits)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        log_m = Decimal(spec.m).ln()
+        theta = log_m / Decimal(spec.l).ln()
+        total = sum((theta * Decimal(t).ln()).exp() for t in rows.values())
+        return total.ln() / log_m
 
 
 def assert_splices(fs, theta, N):
@@ -179,6 +203,23 @@ class TestClosedForm:
         assert mcmullen_closed_form(spec) == pytest.approx(
             spec.theta(), abs=1e-12
         )
+
+    @pytest.mark.parametrize("spec", CRITERION_01_CARPETS, ids=lambda s: f"{s.l}x{s.m}-{len(s.digits)}")
+    def test_rounding_within_its_bound(self, spec):
+        """Within the bound its docstring derives of the 50-digit value,
+        a bound of at most 11 eps on these carpets."""
+        bound = closed_form_bound(spec)
+        assert abs(Decimal(mcmullen_closed_form(spec)) - closed_form_oracle(spec)) <= Decimal(bound)
+        assert bound <= 11 * _EPS
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rounding_within_its_bound_on_full_shifts(self, data):
+        m = data.draw(st.integers(2, 40), label="m")
+        l = data.draw(st.integers(m + 1, 60), label="l")
+        cells = data.draw(st.sets(st.tuples(st.integers(0, l - 1), st.integers(0, m - 1)), min_size=1, max_size=60))
+        spec = CarpetSpec(l, m, tuple(sorted(cells)))
+        assert abs(Decimal(mcmullen_closed_form(spec)) - closed_form_oracle(spec)) <= Decimal(closed_form_bound(spec))
 
     def test_requires_full_digit_shift(self):
         spec = CarpetSpec(3, 2, ((0, 0), (1, 1)), transitions=((0, 1), (1, 0)))

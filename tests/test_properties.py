@@ -25,7 +25,7 @@ from carpetdim.fixtures import (
     linear_lift_growth,
     parity_oscillation,
 )
-from carpetdim.measures import additivity_scan
+from carpetdim.measures import additivity_scan, cesaro_average, cesaro_defect
 from carpetdim.pressure import compensation_at_periodic, perron_eigenvalue
 from carpetdim.sft import EventuallyPeriodicPoint, FactorSystem, Sft, carpet_to_factor, validate_sft
 from carpetdim.specfile import dump_document, parse_system, system_doc
@@ -41,6 +41,7 @@ from oracles import (
     leading_minors_positive,
     perron_bracket_oracle,
     product_count_oracle,
+    split_oracle,
     viable_sets_oracle,
 )
 
@@ -391,3 +392,116 @@ def test_fiber_tables_match_dense_blocks_on_fixtures(any_fixture):
 @pytest.mark.parametrize("spec", [column_carpet_21(), full_torus(3, 2)], ids=["column_carpet_21", "full_torus_32"])
 def test_fiber_tables_match_dense_blocks_on_carpet_fixtures(spec):
     _assert_fiber_tables_match_dense_blocks(carpet_to_factor(spec)[0])
+
+
+def window_side(fs, theta, level, probe, positions):
+    """The side the Cesaro masses at ``positions`` are read from, by the
+    split (k, j) of ``split_oracle`` walked from (probe, 2): "forward"
+    when every window fits i + probe <= k, "backward" when the others fit
+    level - i <= j past B_2, else "fallback"."""
+    k, j = split_oracle(fs, theta, level, probe)
+    fits = ["forward" if i + probe <= k else "backward" if j > 2 and level - i <= j else None for i in positions]
+    return "fallback" if None in fits else "backward" if "backward" in fits else "forward"
+
+
+def window_masses_oracle(fs, theta, level, probe, i):
+    """The masses of the words at position i under the level measure, by
+    enumerating every image word of the level."""
+    counts = image_word_counts(fs, level)
+    total = math.fsum(c**theta for c in counts.values())
+    masses = {}
+    for word, c in counts.items():
+        masses[word[i:i + probe]] = masses.get(word[i:i + probe], 0.0) + c**theta / total
+    return masses
+
+
+# (seed, level, probe, n_terms) of random_mixing_system(Random(seed)):
+# the side each one's average and defect take, asserted by
+# test_cesaro_examples_cover_every_side
+CESARO_EXAMPLES = {
+    (0, 4, 1, 1): ("forward", "forward"),
+    (0, 6, 1, 4): ("forward", "backward"),
+    (0, 6, 2, 4): ("backward", "backward"),
+    (0, 6, 3, 2): ("forward", "fallback"),
+    (0, 6, 3, 3): ("fallback", "backward"),
+    (0, 4, 2, 2): ("forward", "fallback"),  # j = 2, the late window ends at the level
+}
+
+
+def _spy_backward(eng):
+    """Record each ``backward`` call of ``eng`` with the lengths of the
+    lists it returns."""
+    calls, real = [], eng.backward
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, [len(x) for x in out]))
+        return out
+
+    eng.backward = spy
+    return calls
+
+
+def _cesaro_example(function):
+    for seed, level, probe, n_terms in CESARO_EXAMPLES:
+        function = example(seed=seed, level=level, probe=probe, n_terms=n_terms, theta=THETA_32)(function)
+    return function
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    level=st.integers(min_value=4, max_value=8),
+    probe=st.integers(min_value=1, max_value=3),
+    n_terms=st.integers(min_value=1, max_value=7),
+    theta=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
+)
+@_cesaro_example
+def test_cesaro_masses_match_enumeration_on_either_side(seed, level, probe, n_terms, theta):
+    """``cesaro_average`` and ``cesaro_defect`` match the masses of every
+    image word of the level to 1e-12, and read each window from the side
+    ``window_side`` names: one ``backward`` call from (probe, 2) whose
+    transposed lists are read exactly when a late window is read from
+    them, and a second from the deepest window, upto below the level,
+    when a window fits neither side."""
+    assume(n_terms <= level - probe)
+    fs = random_mixing_system(random.Random(seed))
+    k, j = split_oracle(fs, theta, level, probe)
+    windows = [window_masses_oracle(fs, theta, level, probe, i) for i in range(n_terms + 1)]
+    cases = [(cesaro_average, list(range(n_terms))), (cesaro_defect, [0, n_terms])]
+    for (function, positions), side in zip(cases, CESARO_EXAMPLES.get((seed, level, probe, n_terms)) or [None] * 2):
+        expected = window_side(fs, theta, level, probe, positions)
+        assert side in (None, expected)
+        eng = CollapsedEngine(fs, theta)
+        calls = _spy_backward(eng)
+        result = function(eng, level, n_terms, probe)
+        deepest = max(positions) + probe
+        mirrored = [j, j] if k < deepest and j > 2 else [0, 0]  # past B_2, read when the forward side falls short
+        assert calls[0] == ((level, probe), {"mirror": deepest}, [k, k] + mirrored)
+        if expected == "fallback":
+            upto = min(level - 1, deepest)
+            assert calls[1:] == [((level, upto), {}, [upto, upto])]
+        else:
+            assert len(calls) == 1
+        if function is cesaro_average:
+            words = set().union(*windows[:n_terms])
+            assert set(result.masses) == words
+            for w in words:
+                oracle = math.fsum(windows[i].get(w, 0.0) for i in range(n_terms)) / n_terms
+                assert abs(result.masses[w] - oracle) <= 1e-12
+        else:
+            first, last = windows[0], windows[n_terms]
+            oracle = max(abs(last.get(w, 0.0) - first.get(w, 0.0)) for w in set(first) | set(last)) / n_terms
+            assert abs(result - oracle) <= 1e-12
+
+
+def test_cesaro_examples_cover_every_side():
+    """The examples of the property hit every side with each function,
+    as ``window_side`` reads them."""
+    seen = set()
+    for (seed, level, probe, n_terms), sides in CESARO_EXAMPLES.items():
+        fs = random_mixing_system(random.Random(seed))
+        for name, positions, side in zip(("average", "defect"), (range(n_terms), [0, n_terms]), sides):
+            assert window_side(fs, THETA_32, level, probe, list(positions)) == side
+            seen.add((name, side))
+    assert seen == {(name, side) for name in ("average", "defect") for side in ("forward", "backward", "fallback")}
