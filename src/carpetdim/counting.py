@@ -793,12 +793,16 @@ class CollapsedEngine:
         the start (n - 1, 2), so off level n - 1, held one level at a
         time, and its pairs are the edges of the next step (class
         docstring)."""
+        if n_max < 1:
+            raise PreconditionError("depth must be >= 1")
         return [self._sum(n, (n - 1, 2)) for n in range(1, n_max + 1)]
 
     def levels(self, depth: int) -> list[dict]:
         """Levels 1..depth, all held, going on from the levels already
         held; each maps a state (b, primitive vector) to (log weight,
         words)."""
+        if depth < 1:
+            raise PreconditionError("depth must be >= 1")
         self._reach(depth, True, depth)
         return [level for level, _ in self._held[:depth]]
 
@@ -975,8 +979,6 @@ def partition_sum(
 def partition_series(engine, n_max: int) -> list[PartitionSum]:
     """S_1 .. S_{n_max} from one pass of the engine: the collapsed sweep
     level by level, the exact walk once to n_max."""
-    if n_max < 1:
-        raise PreconditionError("depth must be >= 1")
     return engine.series(n_max)
 
 

@@ -5,6 +5,15 @@ and obvious: bad input data, violated runtime preconditions, exhausted
 resource budgets.
 """
 
+__all__ = [
+    "CarpetDimError",
+    "SpecError",
+    "PreconditionError",
+    "NonMixingError",
+    "NotFullShiftError",
+    "ResourceError",
+]
+
 
 class CarpetDimError(Exception):
     """Base class for all package errors."""

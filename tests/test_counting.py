@@ -191,10 +191,24 @@ class TestExactEngine:
             (lambda fs: ExactEngine(fs, THETA_32).partition(0), "depth must be >= 1"),
             (lambda fs: partition_series(ExactEngine(fs, THETA_32), 0), "depth must be >= 1"),
             (lambda fs: partition_series(CollapsedEngine(fs, THETA_32), 0), "depth must be >= 1"),
+            (lambda fs: ExactEngine(fs, THETA_32).series(0), "depth must be >= 1"),
+            (lambda fs: ExactEngine(fs, THETA_32).series(-1), "depth must be >= 1"),
+            (lambda fs: CollapsedEngine(fs, THETA_32).series(0), "depth must be >= 1"),
+            (lambda fs: CollapsedEngine(fs, THETA_32).series(-1), "depth must be >= 1"),
             (lambda fs: viable_sets(fs, EventuallyPeriodicPoint((), ("2",)), 0), "at least one position"),
             (lambda fs: EventuallyPeriodicPoint(("1",), ("2",)).shift(-1), "shift amount must be >= 0"),
         ],
-        ids=["exact-partition", "exact-series", "collapsed-series", "viable-sets", "shift"],
+        ids=[
+            "exact-partition",
+            "exact-series",
+            "collapsed-series",
+            "exact-engine-series-0",
+            "exact-engine-series-neg",
+            "collapsed-engine-series-0",
+            "collapsed-engine-series-neg",
+            "viable-sets",
+            "shift",
+        ],
     )
     def test_rejects_arguments_below_range(self, parity, call, message):
         with pytest.raises(PreconditionError, match=message):
@@ -593,6 +607,18 @@ class TestKeptEdges:
         assert eng._edges is None
         assert eng.backward(4) == back
         assert eng._first == 1 and eng._edges
+
+    def test_levels_below_one_leave_the_held_store(self, fibonacci):
+        """``levels`` refuses a depth below 1, as ``partition`` does, and
+        each refusal leaves the held levels, their child lists and the
+        visits as they were."""
+        eng = CollapsedEngine(fibonacci, THETA_32)
+        eng.levels(6)
+        held, edges, visited = list(eng._held), dict(eng.edges), eng.visited
+        for depth in (0, -2):
+            with pytest.raises(PreconditionError, match="depth must be >= 1"):
+                eng.levels(depth)
+            assert eng._held == held and eng.edges == edges and eng.visited == visited
 
     def test_a_dropped_engine_is_freed_at_once(self, fibonacci):
         """The kept child lists form no reference cycle with the engine,

@@ -53,9 +53,35 @@ def test_trace_hooks_resolve():
         tracer.uninstall()
 
 
+# the names the package re-exported while it kept its own list of them
+REEXPORTED = {
+    "sft": "Sft StructureReport FactorSystem CarpetSpec EventuallyPeriodicPoint validate_sft singleton_clumps "
+    "carpet_to_factor",
+    "errors": "CarpetDimError SpecError PreconditionError NonMixingError NotFullShiftError ResourceError",
+    "counting": "DEFAULT_NODE_BUDGET LogReal PartitionSum CollapsedEngine ExactEngine preimage_count partition_sum "
+    "partition_series dn_count is_image_point viable_sets",
+    "pressure": "SuperadditiveConstants PressureEstimate DimensionEstimate CompensationEstimate "
+    "superadditive_constants pressure_interval convergence_rows hausdorff_dimension mcmullen_closed_form "
+    "compensation_at_periodic perron_eigenvalue",
+    "measures": "CylinderDistribution GibbsEnvelope AdditivityScanReport UniquenessReport nu_marginal gibbs_scan "
+    "cesaro_average cesaro_defect additivity_scan uniqueness_report",
+    "render": "RasterImage render_carpet write_pbm",
+    "specfile": "SCHEMA_VERSION parse_system load_system system_doc",
+}
+
+
 def test_exports_resolve():
     """Every name in ``carpetdim.__all__`` and in each submodule's
-    ``__all__`` is defined there, and none is listed twice."""
+    ``__all__`` is defined there, and none is listed twice.  The package
+    re-exports exactly the union of its modules' ``__all__`` but those of
+    ``fixtures`` and ``cli``, and every name it re-exported before, each
+    bound to its module's object."""
+    reexported = [name for module in REEXPORTED for name in getattr(carpetdim, module).__all__]
+    assert carpetdim.__all__ == ["__version__", *reexported]
+    old = [(module, name) for module, names in REEXPORTED.items() for name in names.split()]
+    assert len(old) == 53 and {name for _, name in old} <= set(carpetdim.__all__)
+    for module, name in old:
+        assert getattr(carpetdim, name) is getattr(getattr(carpetdim, module), name), name
     modules = [carpetdim] + [
         importlib.import_module(f"carpetdim.{info.name}")
         for info in pkgutil.iter_modules(carpetdim.__path__)
