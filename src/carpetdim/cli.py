@@ -395,9 +395,9 @@ def _parser() -> _Parser:
     p.add_argument(
         "--csv",
         dest="csv_path",
-        help="also write the depth 1..n series as CSV; the series steps every level, so "
-        "the reported bracket, its last row, can differ in its last digits from, or be "
-        "wider than, the bracket without --csv",
+        help="also write the depth 1..n series as CSV; the series reads every depth on one "
+        "walk, so the reported bracket, its last row, can differ in its last digits from, "
+        "or be wider than, the bracket without --csv",
     )
 
     p = add("counts", _cmd_counts, "exact lift count of one image word")
@@ -454,8 +454,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MemoryError:
-        print("error: out of memory; lower the depth or the node budget", file=sys.stderr)
-        return EXIT_RESOURCE
+        pass
+    # written once the except block is left: until then its traceback
+    # holds the frames of the run, and so the memory that ran out
+    print("error: out of memory; lower the depth or the node budget", file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

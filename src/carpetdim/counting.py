@@ -56,6 +56,15 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 50_000_000
+# C, the cost of building one state in pairs read: the weight of a
+# level's states in the move rule of a walk with reads to come
+# (CollapsedEngine._walk), a cost model as _reach's jump rule is.
+# Measured on a 2-vCPU VM as the time per state of a forward step over
+# the time per pair of a joined read past B_2: 5.0 on the 24 generated
+# carpets of the benchmark's seed-1 diagnostics, S_8 .. S_12, and 6.7
+# on the four fixtures at depths 24, 60 and 120.  A series' time is
+# flat for C from 3 to 12.
+_STATE_COST = 6.0
 _EPS = 2.0 ** -52
 _NEG_INF = float("-inf")  # log of zero; compared directly on hot paths
 
@@ -288,10 +297,13 @@ class CollapsedEngine:
 
     The split.  Every read of S_n, n >= 2, is a start, then ``_walk``,
     then ``_read_sum``.  ``_walk`` alone picks the split: it moves (k, j)
-    from the start to k + j = n + 1 one move at a time, each advancing
-    the side whose level has fewer states, ties forward, whatever the
-    engine holds, and holds both levels; the reader neither sweeps nor
-    walks.  The caller names one of three starts:
+    from the start to k + j = n + 1 one move at a time, by one rule that
+    weighs the states a move builds against the pairs it adds to the
+    reads still to come, whatever the engine holds, and holds both
+    levels; the reader neither sweeps nor walks.  A walk for one read has
+    no reads to come after it, and its rule is then: the side whose
+    level has fewer states advances, ties forward.  The caller names the
+    start:
 
     - (1, 2) for ``partition`` built with ``join``, as ``make_engine``
       builds every collapsed engine.  So the split depends on the system
@@ -304,21 +316,25 @@ class CollapsedEngine:
       level takes every move left, so it goes to level n + 1 - j in one
       ``_reach``, which may jump.  The backward side steps a second
       engine, ``_back``, that holds one level here.
-    - (n - 1, 2) for ``series``, and for ``partition`` without ``join``,
-      the default.  The walk makes no move: it sweeps forward to level
-      n - 1, and the read is off that level through B_2.  So a fresh S_n
-      visits the states of level 1 and the edges out of levels
-      1..n - 1 unless the sweep jumps: the count that
-      ``perfbench/carpets.py`` models to fix the work of its picks.
-      ``series`` takes this start on a joined engine too: a join's pairs
-      serve one sum, and each of S_1 .. S_n would pay its own, more than
-      the one forward sweep whose steps reuse the pairs of the reads at
-      j = 2.  So a series holds levels 1 .. n - 1 in turn, visits what a
-      fresh read off level n - 1 does, and takes no join, nor a jump:
-      the s states of a level have at most s^2 edges, fewer than the
-      2 s^3 products of a power.  Its S_n agrees with a joined read's
-      within both errors and is the same float when that read's split
-      stays at j = 2 and it does not jump.
+    - (1, 2) for ``series`` too, with or without ``join``: one walk to n_max
+      that reads S_n at each split it reaches, one move per read, and
+      holds one level on each side.  Each read pays its pairs, so its
+      rule weighs them: a side that grows fast raises the pairs of every
+      read to come, and the walk leaves it early.  It never jumps, as it
+      takes one level at a time and the s states of a level have at most
+      s^2 edges, fewer than the 2 s^3 products of a power.  A forward
+      side that never grows past B_2 takes every move, so on a full
+      shift each S_n is read off level n - 1, as a sweep holding every
+      level reads it, bit for bit, and visits the states of level 1 and
+      the edges out of levels 1..n - 1.  Its S_n agrees with a joined
+      read's within both errors and is the same float when the two
+      splits agree and that read does not jump.
+    - (n - 1, 2) for ``partition`` without ``join``, the default.  The
+      walk makes no move: it sweeps forward to level n - 1, and the read
+      is off that level through B_2.  So a fresh S_n visits the states
+      of level 1 and the edges out of levels 1..n - 1 unless the sweep
+      jumps: the count that ``perfbench/carpets.py`` models to fix the
+      work of its picks.
     - (upto, 2) for ``backward(depth, upto)``, the seeded split (below).
 
     The seeded split.  ``backward(depth, upto)``, with or without
@@ -497,7 +513,8 @@ class CollapsedEngine:
             self._edges = {}
         children = self._kept_children() if keep else self._children
         # raising a repeating step to a power costs about 2 s^3 log2(n - k)
-        # products for s states, stepping (n - k) times its edges
+        # products for s states, stepping (n - k) times its edges; the
+        # walk's move rule weighs a state as _STATE_COST pairs
         while k < n:
             level, err = held[-1]
             # the edges out of level k that a read of S_{k+1} has charged
@@ -657,8 +674,7 @@ class CollapsedEngine:
                 self._sums[1] = _summed([self.theta * math.log(len(f)) for f in fibers], 0.0), len(fibers)
             else:
                 self._read_sum(n, *self._walk(n, start, False))
-        value, words = self._sums[n]
-        return PartitionSum(n, value, words, self.visited, self.collapsed_nodes)
+        return PartitionSum(n, *self._sums[n], self.visited, self.collapsed_nodes)
 
     def _read_sum(self, n: int, k: int, j: int, seeds: Optional[dict] = None) -> float:
         """Read S_n and its word count into ``_sums`` at the split (k, j),
@@ -739,63 +755,119 @@ class CollapsedEngine:
             self._sums[n] = _summed(terms, err + start_err, *((4.0, 2.0) if j == 2 else (6.5, 4.0))), words
         return start_err
 
-    def _walk(self, n: int, start: tuple[int, int], keep: bool) -> tuple[int, int]:
+    def _walk(self, n: int, start: tuple[int, int], keep: bool, read=None) -> tuple[int, int]:
         """Walk the split (k, j) from ``start`` to k + j = n + 1, holding
-        forward level k and backward level j, and return it: one move at
-        a time, each advancing the side with fewer states, ties forward.
-        The only code that picks a split, from one of three starts (class
-        docstring): (1, 2) for a joined ``partition``, (n - 1, 2) for
-        ``series`` and the read without ``join``, where no move is left,
+        forward level k and backward level j, and return it.  The only
+        code that picks a split, from one of three starts (class
+        docstring): (1, 2) for a joined ``partition`` and for ``series``,
+        (n - 1, 2) for the read without ``join``, where no move is left,
         and (upto, 2) for ``backward``, which so holds levels 1..upto.
         No split is kept between walks, so a split depends on the system,
-        n and the start alone.  With ``keep``, as ``backward`` walks,
-        every forward level reached stays held (``levels``).  A forward side
-        whose key set repeats, and that is no larger, takes every move
-        left, so it is reached in one ``_reach``, which may jump unless it
-        keeps its levels.  A backward move steps ``_back``, the engine of
+        n, the start and ``read`` alone.
+
+        One move at a time, by one rule: advance forward when
+        C f + R dP_F <= C b + R dP_B.  f and b are the states of the
+        forward and the backward level (B_2's table at j = 2), C is
+        ``_STATE_COST``, the cost of building a state in pairs, and R the
+        reads still to come on the walk.  dP_side is the rise in the
+        pairs of each of them if that side advances: a read takes about
+        f_a b_a pairs of letter a, f_a and b_a the states that end or
+        start in a, so dP_F = sum_a f_a b_a (g_a - 1), g_a the forward
+        side's growth in states of letter a from the level before, and
+        likewise dP_B.  B_2 has one state per nonzero fiber block, B_1
+        and the level before level 1 one per letter.  With ``read``, as
+        ``series`` walks, the walk reads at its start and after every
+        move: ``read(m, k, j)`` reads S_m at the split (k, j), k + j =
+        m + 1, so R counts S_(k+j) .. S_n.  Without it R = 0, and the
+        rule is the one of a single read: the side with fewer states
+        advances, ties forward.
+
+        With ``keep``, as ``backward`` walks, every forward level reached
+        stays held (``levels``).  Without ``read``, a forward side whose
+        key set repeats, and that is no larger, takes every move left, so
+        it is reached in one ``_reach``, which may jump unless it keeps
+        its levels.  A backward move steps ``_back``, the engine of
         ``fs.transposed``, which holds one level without ``keep`` and
         every level with it and their child lists, against this engine's
-        budget, visits and node count.  A budget message past B_2 names
-        both levels and counts both sides' states."""
+        budget, visits and node count.  A budget message names the level
+        of the sum being walked to, S_n or the next read, and past B_2
+        both levels, counting both sides' states."""
         back, (k, j) = self._back, start
         self._reach(k, keep, n)
-        table = sum(map(len, self.fs.fiber_row_sums))  # the states of B_2
+        rows = self.fs.fiber_row_sums
+        table = sum(map(len, rows))  # the states of B_2
+        if read:
+            read(k + j - 1, k, j)
+            # each side's states by letter at its level and the level before
+            b_at, b_by, b_was = 2, [len(r) for r in rows], [1] * len(rows)
+            f_at, f_by = None, b_was
         while k + j <= n:
             held, first = self._held, self._first
-            starts = len(back._held[j - back._first][0]) if j > 2 else table
-            if len(held[k - first][0]) <= starts:
+            level = held[k - first][0]
+            starts = back._held[j - back._first][0] if j > 2 else None
+            b = len(starts) if j > 2 else table
+            reads = n + 1 - k - j if read else 0
+            rise = 0.0  # dP_B - dP_F
+            if reads:
+                if f_at != k:
+                    f_at, f_was, f_by = k, f_by, [0] * len(f_by)
+                    for a, _ in level:
+                        f_by[a] += 1
+                if b_at != j:
+                    b_at, b_was, b_by = j, b_by, [0] * len(b_by)
+                    for a, _ in starts:
+                        b_by[a] += 1
+                for fa, fw, ba, bw in zip(f_by, f_was, b_by, b_was):
+                    if fa and ba:
+                        rise += fa * ba * (ba / (bw or 1) - fa / (fw or 1))
+            depth = k + j if read else n
+            if _STATE_COST * (len(level) - b) <= reads * rise:
                 last = first + len(held) - 1
-                target = n + 1 - j if k == last and self._stationary_edges else k + 1
+                target = n + 1 - j if k == last and self._stationary_edges and not read else k + 1
                 try:
-                    self._reach(target, keep, n)
+                    self._reach(target, keep, depth)
                 except _OverBudget as exc:
                     if j == 2:
                         raise
-                    raise _OverBudget(self.budget, exc.level, n, exc.held + starts, j) from None
+                    raise _OverBudget(self.budget, exc.level, depth, exc.held + b, j) from None
                 k = target
             else:
                 if back is None:
                     back = self._back = CollapsedEngine(self.fs.transposed, self.theta, self.budget)
                 back.visited, nodes = self.visited, back.collapsed_nodes
                 try:
-                    back._reach(j + 1, keep, n)
+                    back._reach(j + 1, keep, depth)
                 except _OverBudget as exc:
                     forward = sum(len(h) for h, _ in held)
-                    raise _OverBudget(self.budget, k, n, exc.held + forward, exc.level) from None
+                    raise _OverBudget(self.budget, k, depth, exc.held + forward, exc.level) from None
                 finally:
                     self.visited = back.visited
                     self.collapsed_nodes += back.collapsed_nodes - nodes
                 j += 1
+            if read:
+                read(k + j - 1, k, j)
         return k, j
 
     def series(self, n_max: int) -> list[PartitionSum]:
-        """S_1 .. S_{n_max} off one forward sweep: each S_n is read from
-        the start (n - 1, 2), so off level n - 1, held one level at a
-        time, and its pairs are the edges of the next step (class
-        docstring)."""
+        """S_1 .. S_{n_max} off one walk: S_1 from the fiber sizes, then
+        one ``_walk`` from (1, 2) to n_max, one move per read, that reads
+        each S_n at the split it reaches and holds one level on each side.
+        Its rule weighs the pairs of the reads still to come, so the walk
+        takes a side that grows fast early, and on a full shift every
+        move goes forward: each S_n is then the read off level n - 1
+        (class docstring)."""
         if n_max < 1:
             raise PreconditionError("depth must be >= 1")
-        return [self._sum(n, (n - 1, 2)) for n in range(1, n_max + 1)]
+        sums, out = self._sums, [self._sum(1, (1, 2))]
+
+        def read(n: int, k: int, j: int) -> None:
+            if n not in sums:
+                self._read_sum(n, k, j)
+            out.append(PartitionSum(n, *sums[n], self.visited, self.collapsed_nodes))
+
+        if n_max > 1:
+            self._walk(n_max, (1, 2), False, read)
+        return out
 
     def levels(self, depth: int) -> list[dict]:
         """Levels 1..depth, all held, going on from the levels already
@@ -977,8 +1049,9 @@ def partition_sum(
 
 
 def partition_series(engine, n_max: int) -> list[PartitionSum]:
-    """S_1 .. S_{n_max} from one pass of the engine: the collapsed sweep
-    level by level, the exact walk once to n_max."""
+    """S_1 .. S_{n_max} from one pass of the engine: the collapsed
+    engine's one walk of splits, read at each, the exact walk once to
+    n_max."""
     return engine.series(n_max)
 
 

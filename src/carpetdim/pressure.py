@@ -250,16 +250,19 @@ def convergence_rows(engine: CollapsedEngine | ExactEngine, n_max: int) -> list[
     with the constant read once, so the last is the bracket reported at
     n_max.  Feeds the CSV series and the convergence plots.
 
-    The series steps the collapsed engine through every level and reads
-    each S_n off level n - 1, so it takes neither the joined read nor
-    the squaring jump that ``pressure_interval`` alone may take towards
-    n.  A join sums the same S_n over other terms, so the last row can
-    differ from that bracket in its last digits.  Each step adds its
-    rounding bound, so on a long run of repeating levels the last row is
-    wider than the bracket of a jump, though both hold the pressure:
-    ``full_torus_32`` at n_max = 2000 gives a width of 1.85e-12 against
-    2.0e-14 without the series.  A second sweep would make the two equal
-    at the cost of every series.
+    The series is one walk of the collapsed engine from the split
+    (1, 2), one move per depth, that reads each S_n at the split it
+    reaches (``CollapsedEngine.series``) and weighs the reads still to
+    come in its moves, so its splits can differ from those of the one
+    read that ``pressure_interval`` walks to n, and it never takes the
+    squaring jump that read may take.  A sum read at another split sums
+    the same S_n over other terms, so the last row can differ from that
+    bracket in its last digits.  Each step adds its rounding bound, so
+    on a long run of repeating levels the last row is wider than the
+    bracket of a jump, though both hold the pressure: ``full_torus_32``
+    at n_max = 2000 gives a width of 1.85e-12 against 2.0e-14 without
+    the series.  A second walk would make the two equal at the cost of
+    every series.
     """
     # the series first, so that an exact engine walks once and the
     # constant is read off that walk

@@ -17,7 +17,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 
-from carpetdim.counting import _EPS, CollapsedEngine, _advance, resolve_node_budget
+from carpetdim.counting import _EPS, _STATE_COST, CollapsedEngine, _advance, resolve_node_budget
 from carpetdim.errors import PreconditionError, ResourceError
 from carpetdim.measures import (
     DEFAULT_REFUTATION_THRESHOLD,
@@ -334,6 +334,72 @@ def split_oracle(fs: FactorSystem, theta: float, depth: int, upto: int) -> tuple
         else:
             j += 1
     return k, j
+
+
+def by_letter(level, letters: int) -> list[int]:
+    """The states of a level, keyed (letter, vector), counted by letter."""
+    out = [0] * letters
+    for a, _ in level:
+        out[a] += 1
+    return out
+
+
+def series_oracle(fs: FactorSystem, theta: float, n_max: int, reads: bool = True):
+    """(splits, visits, states built) of ``CollapsedEngine.series(n_max)``:
+    the split (k, j) of each read of S_2 .. S_n_max, and the counters of
+    its last record.  The walk starts at (1, 2) and makes one move per
+    read, forward when C (f - b) <= R sum_a f_a b_a (g^B_a - g^F_a), with
+    f and b the two levels' states, B_2 having one per nonzero fiber
+    block, f_a and b_a those of letter a, g_a the growth of a side's
+    states of letter a since its level before (B_1 and the level before
+    level 1 having one state per letter), C ``_STATE_COST`` and R the
+    reads to come; ``reads=False`` drops R, leaving the rule of a single
+    read.  Level sizes come from fresh sweeps that hold every level.
+    The visits are each side's roots and the edges out of its levels
+    below the split, the forward edges out of level k too where S_(k+1)
+    was read at (k, 2), and the pairs of every read past B_2."""
+    letters = len(fs.fibers)
+    ends = CollapsedEngine(fs, theta).levels(n_max)
+    starts = CollapsedEngine(fs.transposed, theta).levels(n_max)
+    blocks = fiber_blocks(fs)
+    rows = [sum(1 for b in range(letters) if any(map(any, blocks[a, b]))) for a in range(letters)]
+    ones = [1] * letters
+
+    def f_by(i):
+        return by_letter(ends[i - 1], letters) if i else ones
+
+    def b_by(i):
+        return rows if i == 2 else by_letter(starts[i - 1], letters) if i > 2 else ones
+
+    def growth(by, was):
+        return [c / (w or 1) for c, w in zip(by, was)]
+
+    k, j, splits = 1, 2, [(1, 2)] if n_max > 1 else []
+    while k + j <= n_max:
+        f, b = f_by(k), b_by(j)
+        gf, gb = growth(f, f_by(k - 1)), growth(b, b_by(j - 1))
+        rise = sum(fa * ba * (hb - hf) for fa, ba, hf, hb in zip(f, b, gf, gb))
+        r = n_max + 1 - k - j if reads else 0
+        if _STATE_COST * (sum(f) - sum(b)) <= r * rise:
+            k += 1
+        else:
+            j += 1
+        splits.append((k, j))
+    last_row = max((k for k, j in splits if j == 2), default=0)
+    fwd = CollapsedEngine(fs, theta)
+    fwd.levels(k + 1 if last_row == k else k)
+    visits, built = fwd.visited, sum(map(len, ends[:k]))
+    if j > 2:
+        bwd = CollapsedEngine(fs.transposed, theta)
+        bwd.levels(j)
+        visits += bwd.visited
+        built += sum(map(len, starts[:j]))
+    for k_read, j_read in splits:
+        if j_read > 2:
+            visits += sum(
+                1 for a, u in ends[k_read - 1] for b, w in starts[j_read - 1] if a == b and sum(map(mul, u, w))
+            )
+    return splits, visits, built
 
 
 def split_held(engine: CollapsedEngine, n: int) -> tuple[int, int]:

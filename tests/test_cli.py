@@ -728,6 +728,8 @@ EXTREME_CALLS = {
         ["gibbs", "--spec", "{dir}/fibonacci_fiber.json", "--theta", "5e-324", "--level", "14", "--n-max", "6"]),
     "dimension_depth_100000": (EXIT_OK, ["dimension", "--spec", "{dir}/full_torus_32.json", "--depth", "100000"]),
     "dimension_7x3_depth_16": (EXIT_OK, ["dimension", "--spec", "{dir}/7x3_0.json", "--depth", "16"]),
+    "pressure_csv_7x3_depth_15": (
+        EXIT_OK, ["pressure", "--spec", "{dir}/7x3_0.json", "--depth", "15", "--csv", "{dir}/series_7x3.csv"]),
 }
 # the first 7x3 restricted carpet of perfbench's seed-1 plan: S_16 reads
 # 11.5M pairs, which held as one term each took about 900 MB
@@ -766,10 +768,70 @@ def extreme_dir(tmp_path_factory):
     return out
 
 
-def _cap_address_space():
+def _cap_address_space(limit=EXTREME_MEMORY_B):
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (EXTREME_MEMORY_B, EXTREME_MEMORY_B))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# a handler whose frame holds the address space up to the cap when it
+# runs out, as an engine's caller does: the fill gives back a reserve
+# before it raises, so that the traceback can take that frame in.
+# Writing to stderr takes memory, as formatting a message does, so only
+# a write made once the frame is let go gets through
+_HOG = """
+import sys
+from carpetdim import cli
+
+
+def fill(box):
+    reserve = bytes(1 << 16)
+    for size in [1 << k for k in range(24, 9, -1)] + list(range(512, 0, -8)):
+        try:
+            while True:
+                box[0] = box[0], bytes(size)  # one small allocation per hold
+        except MemoryError:
+            pass
+    del reserve
+    raise MemoryError
+
+
+def hog(config):
+    box = [None]
+    fill(box)
+
+
+class Stderr:
+    def write(self, text):
+        bytes(1 << 20)
+        return sys.__stderr__.write(text)
+
+    def flush(self):
+        sys.__stderr__.flush()
+
+
+cli._cmd_analyze = hog
+sys.stderr = Stderr()
+sys.exit(cli.main(["analyze", "--spec", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+def test_out_of_memory_at_the_cap_exits_resource(extreme_dir):
+    """A run that fills the address space ends in exit 3 and one line on
+    stderr: the message is written once ``main`` has left its except
+    block, whose traceback holds the frames that hold the memory, so
+    writing it cannot run out again and chain a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOG, str(extreme_dir / "parity_oscillation.json")],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: _cap_address_space(256 << 20),
+        timeout=EXTREME_TIMEOUT_S,
+    )
+    assert proc.returncode == EXIT_RESOURCE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: out of memory; lower the depth or the node budget\n"
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")

@@ -26,7 +26,14 @@ from carpetdim.counting import (
     DEFAULT_NODE_BUDGET,
 )
 from carpetdim.errors import PreconditionError, ResourceError
-from carpetdim.fixtures import bipartite_fiber, fibonacci_fiber, linear_lift_growth, parity_oscillation
+from carpetdim.fixtures import (
+    bipartite_fiber,
+    column_carpet_21,
+    fibonacci_fiber,
+    full_torus,
+    linear_lift_growth,
+    parity_oscillation,
+)
 from carpetdim.sft import CarpetSpec, EventuallyPeriodicPoint, carpet_to_factor
 
 from conftest import THETA_32, make_factor, random_mixing_system, random_restricted_carpet
@@ -38,6 +45,7 @@ from oracles import (
     fsum_log_sum_exp,
     image_word_counts,
     product_count_oracle,
+    series_oracle,
     split_held,
     split_oracle,
 )
@@ -662,18 +670,77 @@ class TestRowSumRead:
     level where level n - 1 is not held; level n is never built."""
 
     @pytest.mark.parametrize("build", [parity_oscillation, bipartite_fiber, fibonacci_fiber, linear_lift_growth])
-    def test_series_is_one_forward_sweep(self, build):
-        """A series to depth 120 reads each S_n off level n - 1 and takes
-        no join, even on a joined engine: it visits the roots and the
-        edges out of levels 1..119, as a sweep holding every level to
-        120 does, and its last sum is that sweep's read of S_120."""
+    def test_series_is_one_walk(self, build):
+        """A series to depth 120 is one walk from (1, 2), one move per
+        read, that holds one level on each side: it visits and builds
+        what ``series_oracle`` counts for that walk and ends on its last
+        split.  Every S_n has the word count of a read off a held level
+        n - 1, the exact walk's for n <= 12, and a log within both errors
+        of that read, and is that read bit for bit where its split is
+        (n - 1, 2)."""
         fs = build()
         eng, kept = CollapsedEngine(fs, THETA_32, join=True), CollapsedEngine(fs, THETA_32)
-        last = eng.series(120)[-1]
-        kept.levels(120)
+        sums = eng.series(120)
+        kept.levels(119)
+        splits, visits, built = series_oracle(fs, THETA_32, 120)
+        assert [ps.n for ps in sums] == list(range(1, 121))
+        assert (sums[-1].visited_nodes, sums[-1].collapsed_nodes) == (visits, built)
+        k, j = splits[-1]
+        assert (eng._first, len(eng._held)) == (k, 1)
+        if j > 2:
+            assert (eng._back._first, len(eng._back._held)) == (j, 1)
+        assert sums[0][:3] == kept.partition(1)[:3]
+        for ps, split in zip(sums[1:], splits):
+            ref = kept.partition(ps.n)
+            assert ps.word_count == ref.word_count
+            assert abs(ps.value.log - ref.value.log) <= ps.value.err + ref.value.err
+            if split == (ps.n - 1, 2):
+                assert ps[:3] == ref[:3]
+        for ps, ex in zip(sums, ExactEngine(fs, THETA_32).series(12)):
+            assert ps.word_count == ex.word_count
+            assert abs(ps.value.log - ex.value.log) <= ps.value.err + ex.value.err
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(full_torus(), id="torus-3x2"),
+        pytest.param(column_carpet_21(), id="column-3x2"),
+        pytest.param(CarpetSpec(5, 3, ((0, 0), (1, 0), (2, 1), (3, 2), (4, 1), (0, 2))), id="5x3"),
+        pytest.param(CarpetSpec(7, 5, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 0), (6, 1), (2, 3))), id="7x5"),
+    ])
+    def test_full_shift_series_is_the_forward_sweep(self, spec):
+        """A full shift's forward levels hold one state per letter and
+        never grow, never outgrowing B_2, so every move of a series goes
+        forward: each S_n to depth 200 is the read off level n - 1 of a
+        sweep that holds every level, bit for bit, and visits the roots
+        and the edges out of levels 1..n - 1, as that sweep does; no
+        backward level is built."""
+        fs, theta = carpet_to_factor(spec)[0], spec.theta()
+        eng, kept = CollapsedEngine(fs, theta, join=True), CollapsedEngine(fs, theta)
+        sums = eng.series(200)
         assert eng._back is None
-        assert last.visited_nodes == kept.visited
-        assert last[:3] == kept.partition(120)[:3]
+        for ps in sums:
+            kept.levels(ps.n)
+            assert ps[:3] == kept.partition(ps.n)[:3]
+            assert ps.visited_nodes == kept.visited
+        assert series_oracle(fs, theta, 200)[0] == [(n - 1, 2) for n in range(2, 201)]
+
+    def test_series_counts_the_reads_to_come(self, parity):
+        """The move rule weighs the pairs that every read still to come
+        adds, not the next build alone.  On ``parity_oscillation`` the
+        forward levels grow by one state a level, and past B_2's three
+        they are the larger side, so the rule of a single read would
+        turn backward at S_5 and pay a join at every read after it; the
+        series instead stays on the row sums until its last reads, and
+        visits within 3% of one forward sweep to level 120, a tenth of
+        what the walk without the reads to come visits."""
+        sums = CollapsedEngine(parity, THETA_32, join=True).series(120)
+        splits, visits, _ = series_oracle(parity, THETA_32, 120)
+        single, single_visits, _ = series_oracle(parity, THETA_32, 120, reads=False)
+        sweep = CollapsedEngine(parity, THETA_32)
+        sweep.levels(120)
+        assert sums[-1].visited_nodes == visits <= 1.03 * sweep.visited
+        assert single_visits > 10 * visits
+        assert splits[:100] == [(n - 1, 2) for n in range(2, 102)]
+        assert single[3] == (3, 3)
 
     @pytest.mark.parametrize("build, depth", KEPT_SWEEPS)
     def test_partition_builds_no_state_of_its_level(self, monkeypatch, build, depth):
@@ -881,26 +948,33 @@ EXACT_DEPTHS = {"mixing": 14, "4x2": 14, "7x3": 9}
 def test_joined_read_matches_exact_and_series(kind, seed, n, deeper):
     """A fresh S_n, joined wherever its walk passes B_2, has the exact
     word count and a log within both tracked errors of the reference.
-    A series reads S_n off level n - 1 exactly as an engine holding
-    levels 1..n - 1 does, and visits what a fresh read off that level
-    does; it agrees with the fresh S_n within both errors, exactly when
-    that read neither joins nor jumps.  Every joined read walks from
-    (1, 2), whatever the engine holds, so reading S_1 .. S_n in turn, or
-    S_(n + deeper) first, reads S_n at the fresh read's split and exactly
-    as it does, even where the deeper read leaves level n - 1 held."""
+    A series is one walk that takes no jump, and visits and builds what
+    ``series_oracle`` counts for it.  Its S_n has the fresh read's word
+    count and a log within both errors of it and of the read of an
+    engine holding levels 1..n - 1; it is the held read bit for bit
+    where its split is (n - 1, 2), and the fresh one where the two
+    splits agree and the fresh read does not jump.  Every joined read
+    walks from (1, 2), whatever the engine holds, so reading S_1 .. S_n
+    in turn, or S_(n + deeper) first, reads S_n at the fresh read's
+    split and exactly as it does, even where the deeper read leaves
+    level n - 1 held."""
     fs, theta = JOIN_SYSTEMS[kind](random.Random(seed))
     fresh, stepped = JumpCounter(fs, theta, join=True), JumpCounter(fs, theta, join=True)
     ps = fresh.partition(n)
     series = stepped.series(n)[-1]
     held = CollapsedEngine(fs, theta)
     held.levels(n - 1 or 1)
+    at_held = held.partition(n)
+    splits, visits, built = series_oracle(fs, theta, n)
+    split = splits[-1] if n > 1 else None
     assert stepped.jumps == 0
-    assert series[:3] == held.partition(n)[:3]
-    assert series.visited_nodes == (joined_counts(fs, theta, n - 1, 2)[0] if n > 1 else len(fs.fibers))
-    assert series.word_count == ps.word_count
-    if fresh.jumps or split_held(fresh, n)[1] > 2:
-        assert abs(series.value.log - ps.value.log) <= series.value.err + ps.value.err
-    else:
+    assert (series.visited_nodes, series.collapsed_nodes) == (visits, built)
+    assert series.word_count == ps.word_count == at_held.word_count
+    for ref in (ps, at_held):
+        assert abs(series.value.log - ref.value.log) <= series.value.err + ref.value.err
+    if n == 1 or split == (n - 1, 2):
+        assert series[:3] == at_held[:3]
+    if n == 1 or (split == split_held(fresh, n) and not fresh.jumps):
         assert series[:3] == ps[:3]
     walked = JumpCounter(fs, theta, join=True)
     for i in range(1, n + 1):
